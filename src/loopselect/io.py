@@ -28,10 +28,13 @@ Ground truth (``*.csv``)::
 
 Parsers are strict: unknown record types, wrong field counts, or invariant
 violations raise :class:`~loopselect.errors.ParseError` with the offending
-line number.
+line number. Every number must be finite, and a pose graph has at most one
+``FIX`` record.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import ParseError
 from .generate import GroundTruth
@@ -70,9 +73,12 @@ def _to_int(line_no, token, what):
 
 def _to_float(line_no, token, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(line_no, f"{what} must be a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"{what} must be finite, got {token!r}")
+    return value
 
 
 # -- exchange graphs -----------------------------------------------------------
@@ -146,7 +152,7 @@ def save_exchange_graph(graph, path):
 
 def parse_pose_graph(text) -> PoseGraph:
     poses = {}
-    anchor = 0
+    anchor = None
     base_edges = []
     candidate_map = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -164,6 +170,8 @@ def parse_pose_graph(text) -> PoseGraph:
             )
         elif tag == "FIX":
             parts = _fields(line_no, line, 2, "FIX")
+            if anchor is not None:
+                raise ParseError(line_no, "duplicate FIX record")
             anchor = _to_int(line_no, parts[1], "anchor id")
         elif tag == "EDGE_SE2":
             parts = _fields(line_no, line, 12, "EDGE_SE2")
@@ -196,7 +204,7 @@ def parse_pose_graph(text) -> PoseGraph:
         num_poses=len(ids),
         base_edges=tuple(base_edges),
         candidate_map=candidate_map,
-        anchor=anchor,
+        anchor=0 if anchor is None else anchor,
         poses=tuple(poses[i] for i in ids),
     )
     bad = pg.validate()

@@ -1,12 +1,17 @@
-"""Dense symmetric-positive-definite helpers: log-determinants and rank-one updates."""
+"""Dense symmetric-positive-definite helpers: log-determinant and inverse."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["logdet_pd", "chol_update", "IncrementalLogDet"]
+__all__ = ["logdet_pd", "inv_pd"]
+
+
+def _cholesky(M) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix is not positive definite") from None
 
 
 def logdet_pd(M) -> float:
@@ -14,61 +19,14 @@ def logdet_pd(M) -> float:
 
     Raises ValueError if the factorization fails (matrix not PD).
     """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(M)))))
 
 
-def chol_update(L, x):
-    """Lower Cholesky factor of ``L @ L.T + x xᵀ`` (Givens-style rank-one update)."""
-    L = np.array(L, dtype=float)
-    x = np.array(x, dtype=float)
-    n = x.size
-    for i in range(n):
-        r = math.hypot(L[i, i], x[i])
-        c = r / L[i, i]
-        s = x[i] / L[i, i]
-        L[i, i] = r
-        if i + 1 < n:
-            L[i + 1 :, i] = (L[i + 1 :, i] + s * x[i + 1 :]) / c
-            x[i + 1 :] = c * x[i + 1 :] - s * L[i + 1 :, i]
-    return L
+def inv_pd(M) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix as ``L⁻ᵀ L⁻¹``.
 
-
-class IncrementalLogDet:
-    """Tracks ``logdet(M)`` under rank-one additions ``M += w a aᵀ``.
-
-    Keeps a Cholesky factor up to date so that candidate gains cost one
-    triangular solve (matrix determinant lemma) instead of a refactorization.
-    Intended as a drop-in accelerator for greedy loops over log-determinant
-    objectives; results agree with full recomputation to high accuracy.
+    Built from the Cholesky factor, so the result is a Gram matrix: symmetric
+    positive definite up to rounding. Raises ValueError if M is not PD.
     """
-
-    def __init__(self, M0):
-        M0 = np.asarray(M0, dtype=float)
-        try:
-            self._L = np.linalg.cholesky(M0)
-        except np.linalg.LinAlgError:
-            raise ValueError("matrix is not positive definite") from None
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._L))))
-
-    @property
-    def logdet(self) -> float:
-        return self._logdet
-
-    def gain(self, a, w) -> float:
-        """logdet increase if ``w a aᵀ`` were added; the state is unchanged."""
-        if w == 0.0:
-            return 0.0
-        y = np.linalg.solve(self._L, np.asarray(a, dtype=float))
-        return float(np.log1p(w * float(y @ y)))
-
-    def add(self, a, w) -> float:
-        """Apply the rank-one addition and return the logdet increase."""
-        g = self.gain(a, w)
-        if w != 0.0:
-            self._L = chol_update(self._L, math.sqrt(w) * np.asarray(a, dtype=float))
-            self._logdet += g
-        return g
+    L_inv = np.linalg.inv(_cholesky(M))
+    return L_inv.T @ L_inv

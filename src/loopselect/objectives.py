@@ -12,6 +12,16 @@ Three normalized monotone objectives are provided:
   trees of the pose graph (reduced-Laplacian log-determinant gain). Requires
   a connected base graph, which makes the objective monotone submodular.
 
+Every objective offers two ways to evaluate it. ``value(edge_ids)`` is the
+dense, stateless reference: for the log-det objectives it rebuilds the matrix
+and refactorizes it, O(|S|d² + d³) per call. ``oracle()`` returns the state
+of one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
+new edges to everything committed so far, ``commit(edge_ids)`` adds them, and
+``value`` is the running objective value. The log-det oracle inverts the base
+matrix once per run, reads a one-edge gain ``log1p(s aᵀM⁻¹a)`` off at most
+three entries of the cached inverse (matrix determinant lemma, so it is never
+negative) and commits by a Sherman–Morrison update, O(d²).
+
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import logdet_pd
+from .linalg import inv_pd, logdet_pd
 
 __all__ = [
     "PoseGraph",
@@ -74,13 +84,13 @@ class PoseGraph:
         for i, j, w in self.base_edges:
             if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
                 bad.append(f"base edge ({i},{j}) invalid")
-            if not w > 0:
-                bad.append(f"base edge ({i},{j}) weight must be positive")
+            if not (w > 0 and math.isfinite(w)):
+                bad.append(f"base edge ({i},{j}) weight must be positive and finite")
         for eid, (i, j, w) in self.candidate_map.items():
             if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
                 bad.append(f"candidate {eid}: pose pair ({i},{j}) invalid")
-            if not w > 0:
-                bad.append(f"candidate {eid}: weight must be positive")
+            if not (w > 0 and math.isfinite(w)):
+                bad.append(f"candidate {eid}: weight must be positive and finite")
         return bad
 
     def is_connected(self) -> bool:
@@ -131,15 +141,118 @@ class ModularObjective:
             raise ValueError(f"edge {eid} already selected")
         return self.graph.edge(eid).p
 
+    def oracle(self) -> _ModularOracle:
+        """Fresh gain/commit state for one planner run."""
+        return _ModularOracle(self.graph)
+
+
+def _fresh(committed, edge_ids) -> set[int]:
+    """``edge_ids`` as a set; errors if any of them is already committed."""
+    new = set(edge_ids)
+    if not committed.isdisjoint(new):
+        raise ValueError(f"edges {sorted(committed & new)} already committed")
+    return new
+
+
+class _ModularOracle:
+    """Running modular value of one planner run.
+
+    A gain is the ``math.fsum`` of the new edges' probabilities, the exact
+    marginal rounded once: one edge gains exactly its probability, and a
+    vertex's gain carries none of the rounding of the committed total, so it
+    can only shrink as its new-edge set does (which lazy greedy relies on).
+    ``value`` is the ``math.fsum`` of the committed probabilities, as in
+    :meth:`ModularObjective.value`.
+    """
+
+    def __init__(self, graph):
+        self._p = {e.id: e.p for e in graph.edges}
+        self._committed: set[int] = set()
+        self.value = 0.0
+
+    def _sum(self, edge_ids) -> float:
+        try:
+            return math.fsum(map(self._p.__getitem__, edge_ids))
+        except KeyError as err:
+            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+
+    def gain(self, edge_ids) -> float:
+        return self._sum(_fresh(self._committed, edge_ids))
+
+    def commit(self, edge_ids):
+        committed = self._committed | _fresh(self._committed, edge_ids)
+        self.value = self._sum(committed)
+        self._committed = committed
+
+
+class _LogDetOracle:
+    """Determinant-lemma gains of one planner run over a cached inverse.
+
+    ``_P`` holds M⁻¹ in pose coordinates with the anchor's row and column
+    zero, so for an edge on pose pair (i, j) the reduced incidence vector a
+    gives ``aᵀM⁻¹a = P[i,i] + P[j,j] - 2 P[i,j]`` and ``M⁻¹a = P[:,i] - P[:,j]``.
+    """
+
+    def __init__(self, pairs, M0, anchor):
+        n = M0.shape[0] + 1
+        keep = np.delete(np.arange(n), anchor)
+        self._P = np.zeros((n, n))
+        self._P[np.ix_(keep, keep)] = inv_pd(M0)
+        self._pairs = pairs
+        self._committed: set[int] = set()
+        self.value = 0.0
+
+    def _terms(self, new):
+        """(i, j, s) of each edge in ``new`` with s > 0, in the given order."""
+        try:
+            terms = [self._pairs[eid] for eid in new]
+        except KeyError as err:
+            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+        return [t for t in terms if t[2] != 0.0]
+
+    def _quad(self, i, j) -> float:
+        P = self._P
+        # a quadratic form of a PD matrix; clamp the rounding below zero
+        return max(float(P[i, i] + P[j, j] - 2.0 * P[i, j]), 0.0)
+
+    def gain(self, edge_ids) -> float:
+        terms = self._terms(sorted(_fresh(self._committed, edge_ids)))
+        if not terms:
+            return 0.0
+        if len(terms) == 1:
+            i, j, s = terms[0]
+            return math.log1p(s * self._quad(i, j))
+        # logdet(I + S½ AᵀM⁻¹A S½) for the r new edges at once
+        I, J, s = (np.array(col) for col in zip(*terms))
+        P = self._P
+        G = P[np.ix_(I, I)] - P[np.ix_(I, J)] - P[np.ix_(J, I)] + P[np.ix_(J, J)]
+        root = np.sqrt(s)
+        K = np.eye(len(terms)) + root[:, None] * G * root[None, :]
+        # det(K) >= 1 exactly, so only rounding could push this below zero
+        return max(logdet_pd(K), 0.0)
+
+    def commit(self, edge_ids):
+        new = _fresh(self._committed, edge_ids)
+        terms = self._terms(sorted(new))
+        self._committed |= new
+        P = self._P
+        for i, j, s in terms:
+            u = P[:, i] - P[:, j]
+            sr = s * max(float(u[i] - u[j]), 0.0)
+            P -= (s / (1.0 + sr)) * np.outer(u, u)
+            self.value += math.log1p(sr)
+
 
 class _RankOneLogDet:
     """logdet(M0 + sum of per-edge rank-one terms) - logdet(M0).
 
     Subclasses fix the base matrix M0. Each exchange edge e mapped to pose
     pair (i, j) with candidate weight w contributes ``p(e) * w * a aᵀ`` where
-    a is the reduced incidence vector of (i, j). Evaluation refactorizes per
-    query; contributions are accumulated in ascending edge-id order so that
-    zero-probability edges change nothing, bit for bit.
+    a is the reduced incidence vector of (i, j). ``value`` rebuilds and
+    refactorizes the matrix per query and is the dense reference; planners
+    take their gains from :meth:`oracle`. Contributions are accumulated in
+    ascending edge-id order so that zero-probability edges change nothing,
+    bit for bit.
     """
 
     def __init__(self, graph, pose_graph, M0):
@@ -154,9 +267,11 @@ class _RankOneLogDet:
         self._M0 = np.asarray(M0, dtype=float)
         self._logdet0 = logdet_pd(self._M0)
         self._terms = {}
+        self._pairs = {}
         for e in graph.edges:
             i, j, w = pose_graph.candidate_map[e.id]
             self._terms[e.id] = (pose_graph.reduced_incidence(i, j), e.p * w)
+            self._pairs[e.id] = (i, j, e.p * w)
 
     def _matrix(self, edge_ids) -> np.ndarray:
         M = self._M0.copy()
@@ -177,6 +292,10 @@ class _RankOneLogDet:
         if eid in selected:
             raise ValueError(f"edge {eid} already selected")
         return self.value(selected | {eid}) - self.value(selected)
+
+    def oracle(self) -> _LogDetOracle:
+        """Fresh gain/commit state for one planner run (inverts M0 once)."""
+        return _LogDetOracle(self._pairs, self._M0, self.pose_graph.anchor)
 
 
 class DCritObjective(_RankOneLogDet):

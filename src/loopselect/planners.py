@@ -17,9 +17,13 @@ compute a-posteriori approximation factors.
 * ``random_baseline`` — seeded uniform vertex sample, then a uniform edge
   sample from the covered edges.
 
-``lazy=True`` switches the inner argmax to lazy evaluation with stale upper
-bounds (valid for monotone submodular gains); the selection sequence is
-identical to the eager loop and never uses more objective evaluations.
+``e_greedy`` and ``v_greedy`` take every gain from one ``objective.oracle()``
+per run, which tracks the committed edges; only the final achieved value
+comes from the dense ``objective.value``. ``lazy=True`` switches the inner
+argmax to lazy evaluation with stale upper bounds (Minoux), valid because
+oracle gains are non-negative and diminishing for monotone submodular
+objectives; the selection sequence is identical to the eager loop and never
+uses more gain evaluations.
 """
 
 from __future__ import annotations
@@ -341,9 +345,10 @@ def e_greedy(graph, k, cb, objective, lazy=False):
     b = cb.b
     trace = PlannerTrace(algorithm="e-greedy")
     selected: list[int] = []
+    oracle = objective.oracle()
 
     def gain(eid):
-        return objective.marginal(selected, eid)
+        return oracle.gain((eid,))
 
     sel = GreedySelector([e.id for e in graph.edges], gain, lazy=lazy)
     rounds = min(b, k)
@@ -355,7 +360,8 @@ def e_greedy(graph, k, cb, objective, lazy=False):
         eid, g = pick
         sel.commit(eid)
         selected.append(eid)
-        trace.steps.append(TraceStep("phase1", eid, g, objective.value(selected)))
+        oracle.commit((eid,))
+        trace.steps.append(TraceStep("phase1", eid, g, oracle.value))
     trace.evaluations = sel.evaluations
 
     cover = _witness_cover(graph, selected)
@@ -370,7 +376,8 @@ def e_greedy(graph, k, cb, objective, lazy=False):
             eid, g = pick
             sel2.commit(eid)
             selected.append(eid)
-            trace.steps.append(TraceStep("phase2", eid, g, objective.value(selected)))
+            oracle.commit((eid,))
+            trace.steps.append(TraceStep("phase2", eid, g, oracle.value))
         trace.evaluations += sel2.evaluations
 
     value = objective.value(selected)
@@ -388,10 +395,13 @@ def v_greedy(graph, k, cb, objective, lazy=False):
     selected: list[int] = []
     edge_order: list[int] = []
     covered: set[int] = set()
-    current = 0.0
+    oracle = objective.oracle()
+
+    def new_edges(vid):
+        return graph.edges_incident((vid,)) - covered
 
     def gain(vid):
-        return objective.value(graph.edges_incident(set(selected) | {vid})) - current
+        return oracle.gain(new_edges(vid))
 
     sel = GreedySelector([v.id for v in graph.vertices], gain, lazy=lazy)
     while True:
@@ -400,20 +410,19 @@ def v_greedy(graph, k, cb, objective, lazy=False):
             trace.exhausted = True
             break
         vid, g = pick
-        grown = graph.edges_incident(set(selected) | {vid})
-        if len(selected) + 1 > b or len(grown) > k:
+        new = new_edges(vid)
+        if len(selected) + 1 > b or len(covered) + len(new) > k:
             break
         sel.commit(vid)
         selected.append(vid)
-        edge_order.extend(sorted(grown - covered))
-        covered = grown
-        current = objective.value(covered)
-        trace.steps.append(TraceStep("vertex", vid, g, current))
+        edge_order.extend(sorted(new))
+        covered |= new
+        oracle.commit(new)
+        trace.steps.append(TraceStep("vertex", vid, g, oracle.value))
     trace.evaluations = sel.evaluations
 
-    plan = Plan(
-        vertices=tuple(selected), edges=tuple(edge_order), achieved_value=current
-    )
+    value = objective.value(edge_order)
+    plan = Plan(vertices=tuple(selected), edges=tuple(edge_order), achieved_value=value)
     return plan, trace
 
 

@@ -8,6 +8,7 @@ import pytest
 from loopselect import (
     GenSpec,
     ParseError,
+    PoseGraph,
     TotalUniform,
     TreeConnObjective,
     generate_exchange_graph,
@@ -190,6 +191,39 @@ class TestStrictParsing:
         )
         with pytest.raises(ParseError, match="line 3"):
             parse_pose_graph(text)
+
+    POSES = (
+        "VERTEX_SE2 0 0.0 0.0 0.0\n"
+        "VERTEX_SE2 1 1.0 0.0 0.0\n"
+        "VERTEX_SE2 2 2.0 0.0 0.0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "record,line",
+        [
+            ("VERTEX_SE2 3 inf 0.0 0.0", 4),
+            ("EDGE_SE2 0 1 1.0 0.0 0.0 inf 0.0 0.0 1.0 0.0 1.0", 4),
+            ("EDGE_SE2 0 1 nan 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0", 4),
+            ("CANDIDATE 0 0 2 inf", 4),
+            ("CANDIDATE 0 0 2 nan", 4),
+            ("FIX 0\nFIX 1", 5),
+        ],
+    )
+    def test_pose_graph_rejects_non_finite_and_repeated_fix(self, record, line):
+        text = self.POSES + record + "\nEDGE_SE2 1 2 1.0 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0\n"
+        with pytest.raises(ParseError, match=f"^line {line}:"):
+            parse_pose_graph(text)
+
+    def test_exchange_graph_rejects_non_finite(self):
+        with pytest.raises(ParseError, match="^line 3: weight must be finite"):
+            parse_exchange_graph("robots 2\nvertex 0 0 1.0\nvertex 1 1 inf\n")
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0])
+    def test_pose_graph_validate_requires_finite_positive_weights(self, w):
+        base = PoseGraph(num_poses=2, base_edges=((0, 1, w),))
+        cand = PoseGraph(num_poses=2, base_edges=((0, 1, 1.0),), candidate_map={0: (0, 1, w)})
+        assert any("positive and finite" in msg for msg in base.validate())
+        assert any("positive and finite" in msg for msg in cand.validate())
 
     def test_ground_truth_bad_flag(self):
         with pytest.raises(ParseError, match="0 or 1"):

@@ -1,5 +1,6 @@
 """Objective values against independent oracles, plus NMS property samples."""
 
+import dataclasses
 import itertools
 import math
 
@@ -20,8 +21,8 @@ from loopselect import (
     modular_value,
     treeconn_value,
 )
-from loopselect.generate import GenSpec, generate_exchange_graph
-from loopselect.linalg import IncrementalLogDet, chol_update, logdet_pd
+from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
+from loopselect.linalg import logdet_pd
 
 from conftest import (
     make_graph,
@@ -261,35 +262,181 @@ class TestNMSProperties:
             assert obj.marginal(small, e) >= obj.marginal(big, e) - 1e-9
 
 
-class TestLinalg:
-    def test_chol_update_matches_refactorization(self):
+def random_pd_instance(rng, d, m):
+    """DCrit objective over an explicit random SPD prior on d + 1 poses, m candidates."""
+    A = rng.normal(size=(d, d))
+    prior = A @ A.T + d * np.eye(d)
+    pairs = []
+    for _ in range(m):
+        i, j = rng.choice(d + 1, size=2, replace=False)
+        pairs.append((int(i), int(j), float(rng.uniform(0.1, 2.0))))
+    graph = make_graph(
+        2, [0] * m + [1] * m, [(e, m + e) for e in range(m)],
+        [float(rng.uniform(0.0, 1.0)) for _ in range(m)],
+    )
+    pg = PoseGraph(num_poses=d + 1, base_edges=(),
+                   candidate_map={e: pairs[e] for e in range(m)})
+    return graph, pg, prior
+
+
+def dense_matrix(obj, pg, prior, edge_ids):
+    M = np.array(prior, dtype=float)
+    for eid in edge_ids:
+        i, j, w = pg.candidate_map[eid]
+        a = pg.reduced_incidence(i, j)
+        M = M + obj.graph.edge(eid).p * w * np.outer(a, a)
+    return M
+
+
+def disconnected_dcrit():
+    """Three odometry chains with no bridges: the default eps prior is ill-conditioned."""
+    spec = GenSpec(num_robots=3, vertices_per_robot=20, num_edges=80, seed=5)
+    graph = generate_exchange_graph(spec)
+    pg = generate_pose_graph(spec, graph)
+    chains = tuple((i, j, w) for i, j, w in pg.base_edges if i // 20 == j // 20)
+    pg = dataclasses.replace(pg, base_edges=chains)
+    assert not pg.is_connected()
+    return graph, pg
+
+
+def oracle_cases():
+    """(label, objective factory, graph) parameters covering every oracle."""
+    cases = []
+    for seed in (3, 13, 21):
+        graph, pg, _, _ = random_treeconn_instance(seed)
+        cases += [
+            (f"modular-{seed}", lambda g=graph: ModularObjective(g), graph),
+            (f"treeconn-{seed}", lambda g=graph, p=pg: TreeConnObjective(g, p), graph),
+            (f"dcrit-{seed}", lambda g=graph, p=pg: DCritObjective(g, p), graph),
+        ]
+    spec = GenSpec(num_robots=5, vertices_per_robot=20, num_edges=120, seed=4)
+    graph = generate_exchange_graph(spec)
+    pg = generate_pose_graph(spec, graph)
+    cases += [
+        ("treeconn-5x20", lambda: TreeConnObjective(graph, pg), graph),
+        ("dcrit-5x20", lambda: DCritObjective(graph, pg), graph),
+    ]
+    dgraph, dpg = disconnected_dcrit()
+    cases.append(("dcrit-disconnected", lambda: DCritObjective(dgraph, dpg), dgraph))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("label,make,graph", oracle_cases())
+    def test_gains_non_negative_and_match_dense(self, label, make, graph):
+        obj = make()
+        rng = np.random.default_rng(len(label))
+        oracle = obj.oracle()
+        eids = [e.id for e in graph.edges]
+        committed = []
+        for _ in range(min(6, len(eids) - 1)):
+            base = obj.value(committed)
+            rest = [e for e in eids if e not in committed]
+            queries = [(e,) for e in rest]
+            queries += [
+                tuple(int(e) for e in rng.choice(rest, size=min(3, len(rest)), replace=False))
+                for _ in range(10)
+            ]
+            for X in queries:
+                gain = oracle.gain(X)
+                dense = obj.value(committed + list(X)) - base
+                assert gain >= 0.0
+                if dense > 1e-6:
+                    assert abs(gain - dense) <= 1e-9 * dense, (X, gain, dense)
+            pick = int(rng.choice(rest))
+            oracle.commit((pick,))
+            committed.append(pick)
+            assert oracle.value == pytest.approx(obj.value(committed), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
+    def test_tiny_probabilities_match_determinant_lemma(self, kind):
+        # the dense difference loses most digits here; the oracle must not
+        spec = GenSpec(num_robots=5, vertices_per_robot=40, num_edges=150,
+                       probabilities=(1e-13,) * 150, seed=11)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        assert pg.num_poses == 200
+        if kind == "treeconn":
+            obj, prior = TreeConnObjective(graph, pg), pg.base_laplacian_reduced()
+        else:
+            obj = DCritObjective(graph, pg)
+            prior = pg.base_laplacian_reduced() + 1e-6 * np.eye(pg.num_poses - 1)
+        oracle = obj.oracle()
+        committed = [0, 7, 42]
+        oracle.commit(committed)
+        M = dense_matrix(obj, pg, prior, committed)
+        for e in graph.edges[1::2]:
+            if e.id in committed:
+                continue
+            i, j, w = pg.candidate_map[e.id]
+            a = pg.reduced_incidence(i, j)
+            exact = math.log1p(e.p * w * float(a @ np.linalg.solve(M, a)))
+            gain = oracle.gain((e.id,))
+            assert gain > 0.0
+            assert gain == pytest.approx(exact, rel=1e-9)
+
+    def test_commit_matches_refactorization(self):
+        # each gain after Sherman-Morrison updates equals log1p(s aᵀM⁻¹a) with
+        # M⁻¹a from a dense solve of the refactorized matrix
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = int(rng.integers(2, 8))
-            A = rng.normal(size=(d, d))
-            M = A @ A.T + d * np.eye(d)
-            x = rng.normal(size=d)
-            L = np.linalg.cholesky(M)
-            updated = chol_update(L, x)
-            expected = np.linalg.cholesky(M + np.outer(x, x))
-            assert np.allclose(updated, expected, atol=1e-10)
+            graph, pg, prior = random_pd_instance(rng, d, 8)
+            obj = DCritObjective(graph, pg, prior=prior)
+            oracle = obj.oracle()
+            committed = []
+            for eid in rng.permutation(8)[:4].tolist():
+                oracle.commit((eid,))
+                committed.append(eid)
+                M = dense_matrix(obj, pg, prior, committed)
+                for e in graph.edges:
+                    if e.id in committed:
+                        continue
+                    i, j, w = pg.candidate_map[e.id]
+                    a = pg.reduced_incidence(i, j)
+                    exact = math.log1p(e.p * w * float(a @ np.linalg.solve(M, a)))
+                    assert oracle.gain((e.id,)) == pytest.approx(exact, rel=1e-10, abs=1e-14)
 
-    def test_incremental_logdet_tracks_recompute(self):
+    def test_value_tracks_recompute(self):
         rng = np.random.default_rng(3)
-        d = 6
-        A = rng.normal(size=(d, d))
-        M = A @ A.T + d * np.eye(d)
-        inc = IncrementalLogDet(M)
-        for _ in range(15):
-            a = rng.normal(size=d)
-            w = float(rng.uniform(0.0, 2.0))
-            gain = inc.gain(a, w)
-            direct = logdet_pd(M + w * np.outer(a, a)) - logdet_pd(M)
+        graph, pg, prior = random_pd_instance(rng, 6, 15)
+        obj = DCritObjective(graph, pg, prior=prior)
+        oracle = obj.oracle()
+        M = np.array(prior)
+        for eid in range(15):
+            gain = oracle.gain((eid,))
+            M_next = dense_matrix(obj, pg, M, [eid])
+            direct = logdet_pd(M_next) - logdet_pd(M)
             assert gain == pytest.approx(direct, rel=1e-8, abs=1e-12)
-            inc.add(a, w)
-            M = M + w * np.outer(a, a)
-            assert inc.logdet == pytest.approx(logdet_pd(M), rel=1e-8)
+            oracle.commit((eid,))
+            M = M_next
+            assert oracle.value == pytest.approx(logdet_pd(M) - logdet_pd(prior), rel=1e-8)
 
+    @pytest.mark.parametrize("kind", ["modular", "treeconn"])
+    def test_rejects_committed_and_unknown_edges(self, kind):
+        graph, pg, _, _ = random_treeconn_instance(3)
+        obj = ModularObjective(graph) if kind == "modular" else TreeConnObjective(graph, pg)
+        oracle = obj.oracle()
+        oracle.commit((0,))
+        with pytest.raises(ValueError, match="already committed"):
+            oracle.gain((0,))
+        with pytest.raises(ValueError, match="already committed"):
+            oracle.commit((0,))
+        with pytest.raises(ValueError, match="unknown edge"):
+            oracle.commit((0 + graph.num_edges,))
+        assert oracle.value == pytest.approx(obj.value([0]), rel=1e-12)
+
+    def test_modular_arithmetic_matches_dense(self, demo_graph):
+        obj = ModularObjective(demo_graph)
+        oracle = obj.oracle()
+        oracle.commit((0, 3))
+        assert oracle.value == obj.value([0, 3])
+        assert oracle.gain((5,)) == obj.marginal([0, 3], 5)
+        assert oracle.gain((5, 6)) == obj.value([0, 3, 5, 6]) - obj.value([0, 3])
+        assert oracle.gain(()) == 0.0
+
+
+class TestLinalg:
     def test_logdet_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             logdet_pd(np.diag([1.0, -2.0]))

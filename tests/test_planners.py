@@ -1,11 +1,17 @@
 """Planner behavior: feasibility, guarantees at small scale, determinism, lazy mode."""
 
+import functools
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loopselect import (
+    DCritObjective,
+    GenSpec,
     IndividualUniform,
     ModularObjective,
     TotalNonuniform,
@@ -14,6 +20,8 @@ from loopselect import (
     brute_force_opt,
     e_greedy,
     g_modular,
+    generate_exchange_graph,
+    generate_pose_graph,
     m_greedy,
     modular_value,
     random_baseline,
@@ -21,9 +29,21 @@ from loopselect import (
     v_greedy,
 )
 
+from loopselect.io import serialize_exchange_graph, serialize_pose_graph
+
 from conftest import make_graph, random_modular_instance, random_treeconn_instance
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
+GOLDEN = json.loads((Path(__file__).parent / "golden_sgreedy_5x40.json").read_text())
+LOGDET_OBJECTIVES = {"treeconn": TreeConnObjective, "dcrit": DCritObjective}
+
+
+@functools.lru_cache(maxsize=None)
+def instance_5x40(seed):
+    """5 robots x 40 observations, 300 candidates, with its pose graph."""
+    spec = GenSpec(num_robots=5, vertices_per_robot=40, num_edges=300, seed=seed)
+    graph = generate_exchange_graph(spec)
+    return graph, generate_pose_graph(spec, graph)
 
 
 class TestMGreedy:
@@ -346,3 +366,50 @@ class TestLazyMode:
             lazy = m_greedy(graph, k, TotalUniform(b), obj, lazy=True)
             assert eager[0] == lazy[0]
             assert lazy[1].evaluations <= eager[1].evaluations
+
+    def test_modular_vertex_arm_lazy_matches_eager(self):
+        # a vertex gain taken as a difference of rounded totals can grow by an
+        # ulp as vertices are committed, which misleads the stale lazy bounds
+        for seed in range(150):
+            graph, b, k = random_modular_instance(seed, max_vertices=30, max_edges=60)
+            obj = ModularObjective(graph)
+            eager, eager_tr = v_greedy(graph, k, TotalUniform(b), obj, lazy=False)
+            lazy, lazy_tr = v_greedy(graph, k, TotalUniform(b), obj, lazy=True)
+            assert lazy == eager, seed
+            assert lazy_tr.evaluations <= eager_tr.evaluations
+
+    @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
+    def test_identical_sequences_at_5x40(self, kind):
+        graph, pg = instance_5x40(1)
+        obj = LOGDET_OBJECTIVES[kind](graph, pg)
+        for planner in (e_greedy, v_greedy):
+            for k in (10, 20):
+                eager, eager_tr = planner(graph, k, TotalUniform(10), obj, lazy=False)
+                lazy, lazy_tr = planner(graph, k, TotalUniform(10), obj, lazy=True)
+                assert lazy == eager
+                assert [(s.phase, s.item) for s in lazy_tr.steps] == [
+                    (s.phase, s.item) for s in eager_tr.steps
+                ]
+                assert lazy_tr.evaluations < eager_tr.evaluations
+
+
+class TestGoldenPlans:
+    """Lazy s_greedy plans recorded with dense-refactorization gains."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"],
+        ids=lambda c: f"{c['objective']}-seed{c['seed']}-k{c['k']}",
+    )
+    def test_matches_recorded_plan(self, case):
+        graph, pg = instance_5x40(case["seed"])
+        text = serialize_exchange_graph(graph) + serialize_pose_graph(pg)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["instance_sha256"][
+            str(case["seed"])
+        ], "the generated instance changed; the fixture no longer applies"
+        obj = LOGDET_OBJECTIVES[case["objective"]](graph, pg)
+        plan, trace = s_greedy(graph, case["k"], TotalUniform(case["b"]), obj, lazy=True)
+        assert trace.winner == case["winner"]
+        assert list(plan.vertices) == case["vertices"]
+        assert list(plan.edges) == case["edges"]
+        assert {arm: tr.evaluations for arm, tr in trace.children.items()} == case["evaluations"]
+        assert plan.achieved_value == pytest.approx(case["achieved_value"], rel=1e-9)
