@@ -238,40 +238,25 @@ def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
     m = len(graph.edges)
     nvar = nf + m
 
+    # rows: pi <= 1 and ell <= 1 (nvar), sum pi <= b - |fixed1|, sum ell <= k,
+    # then ell_e <= pi_u + pi_v per edge, with fixed-to-1 ends moved to the rhs
+    A = np.zeros((nvar + 2 + m, nvar))
+    bounds = np.arange(nvar)
+    A[bounds, bounds] = 1.0
+    A[nvar, :nf] = 1.0
+    A[nvar + 1, nf:] = 1.0
+    link = np.arange(nvar + 2, nvar + 2 + m)
+    A[link, np.arange(nf, nvar)] = 1.0
+    ones = np.zeros(m)
+    for ends in ([e.u for e in graph.edges], [e.v for e in graph.edges]):
+        cols = np.array([col_of.get(end, -1) for end in ends], dtype=np.intp)
+        mask = cols >= 0
+        A[link[mask], cols[mask]] = -1.0
+        ones += [end in fixed1 for end in ends]
+    rhs = np.concatenate([np.ones(nvar), [float(b - n1), float(k)], ones])
     c = np.zeros(nvar)
-    rows = []
-    rhs = []
-    for i in range(nf):  # pi <= 1
-        r = np.zeros(nvar)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for j, e in enumerate(graph.edges):  # ell <= 1
-        r = np.zeros(nvar)
-        r[nf + j] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-        c[nf + j] = e.p
-    r = np.zeros(nvar)  # sum pi <= b - |fixed1|
-    r[:nf] = 1.0
-    rows.append(r)
-    rhs.append(float(b - n1))
-    r = np.zeros(nvar)  # sum ell <= k
-    r[nf:] = 1.0
-    rows.append(r)
-    rhs.append(float(k))
-    for j, e in enumerate(graph.edges):  # ell_e <= pi_u + pi_v
-        r = np.zeros(nvar)
-        r[nf + j] = 1.0
-        ones = 0
-        for end in (e.u, e.v):
-            if end in col_of:
-                r[col_of[end]] = -1.0
-            elif end in fixed1:
-                ones += 1
-        rows.append(r)
-        rhs.append(float(ones))
-    x, value = simplex_max(c, np.array(rows), np.array(rhs))
+    c[nf:] = [e.p for e in graph.edges]
+    x, value = simplex_max(c, A, rhs)
     pi = {vid: float(x[col_of[vid]]) for vid in free}
     return pi, value
 

@@ -199,38 +199,46 @@ class ExchangeGraph:
 
     def validate(self) -> list[str]:
         """All invariant violations of this instance; empty means valid."""
-        bad = []
+        return [message for _, message in self.violations()]
+
+    def violations(self):
+        """Yield ``(record, message)`` per invariant violation.
+
+        ``record`` names what is at fault: ``("robots",)``, ``("vertex", id)``,
+        ``("edge", id)``, or None for the id sets as a whole. Parsers map it
+        back to the line of that record.
+        """
         if self.num_robots < 2:
-            bad.append(f"num_robots must be at least 2, got {self.num_robots}")
+            yield ("robots",), f"num_robots must be at least 2, got {self.num_robots}"
         vids = [v.id for v in self.vertices]
         if sorted(vids) != list(range(len(vids))):
-            bad.append("vertex ids must be dense, 0-based, and unique")
+            yield None, "vertex ids must be dense, 0-based, and unique"
         for v in self.vertices:
             if not 0 <= v.robot < self.num_robots:
-                bad.append(f"vertex {v.id}: robot {v.robot} out of range")
+                yield ("vertex", v.id), f"vertex {v.id}: robot {v.robot} out of range"
             if not v.weight > 0:
-                bad.append(f"vertex {v.id}: weight must be positive")
+                yield ("vertex", v.id), f"vertex {v.id}: weight must be positive"
         eids = [e.id for e in self.edges]
         if sorted(eids) != list(range(len(eids))):
-            bad.append("edge ids must be dense, 0-based, and unique")
+            yield None, "edge ids must be dense, 0-based, and unique"
         seen_pairs = set()
         for e in self.edges:
+            at = ("edge", e.id)
             if e.u not in self._vmap or e.v not in self._vmap:
-                bad.append(f"edge {e.id}: unknown endpoint")
+                yield at, f"edge {e.id}: unknown endpoint"
                 continue
             if e.u == e.v:
-                bad.append(f"edge {e.id}: self-loop")
+                yield at, f"edge {e.id}: self-loop"
                 continue
             ru, rv = self._vmap[e.u].robot, self._vmap[e.v].robot
             if ru == rv:
-                bad.append(f"edge {e.id}: not r-partite (both endpoints on robot {ru})")
+                yield at, f"edge {e.id}: not r-partite (both endpoints on robot {ru})"
             pair = (min(e.u, e.v), max(e.u, e.v))
             if pair in seen_pairs:
-                bad.append(f"edge {e.id}: duplicate of pair {pair}")
+                yield at, f"edge {e.id}: duplicate of pair {pair}"
             seen_pairs.add(pair)
             if not 0.0 <= e.p <= 1.0:
-                bad.append(f"edge {e.id}: probability out of range ({e.p})")
-        return bad
+                yield at, f"edge {e.id}: probability out of range ({e.p})"
 
     # -- budgets and plans ---------------------------------------------------
 

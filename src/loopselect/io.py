@@ -81,6 +81,15 @@ def _to_float(line_no, token, what):
     return value
 
 
+def _reject_violations(violations, line_of, kind):
+    """Raise at the first line whose record breaks an invariant (line 1: none)."""
+    bad = [(line_of.get(record, 1), message) for record, message in violations]
+    if bad:
+        line_no = min(at for at, _ in bad)
+        messages = [message for at, message in bad if at == line_no]
+        raise ParseError(line_no, f"invalid {kind}: " + "; ".join(messages))
+
+
 # -- exchange graphs -----------------------------------------------------------
 
 
@@ -88,6 +97,7 @@ def parse_exchange_graph(text) -> ExchangeGraph:
     num_robots = None
     vertices = []
     edges = []
+    line_of = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,6 +108,7 @@ def parse_exchange_graph(text) -> ExchangeGraph:
             if num_robots is not None:
                 raise ParseError(line_no, "duplicate robots header")
             num_robots = _to_int(line_no, parts[1], "robot count")
+            line_of[("robots",)] = line_no
         elif tag == "vertex":
             parts = _fields(line_no, line, 4, "vertex")
             vertices.append(
@@ -107,6 +118,7 @@ def parse_exchange_graph(text) -> ExchangeGraph:
                     weight=_to_float(line_no, parts[3], "weight"),
                 )
             )
+            line_of.setdefault(("vertex", vertices[-1].id), line_no)
         elif tag == "edge":
             parts = _fields(line_no, line, 5, "edge")
             edges.append(
@@ -117,14 +129,13 @@ def parse_exchange_graph(text) -> ExchangeGraph:
                     p=_to_float(line_no, parts[4], "probability"),
                 )
             )
+            line_of.setdefault(("edge", edges[-1].id), line_no)
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if num_robots is None:
         raise ParseError(1, "missing robots header")
     graph = ExchangeGraph(num_robots, vertices, edges)
-    bad = graph.validate()
-    if bad:
-        raise ParseError(1, "invalid exchange graph: " + "; ".join(bad))
+    _reject_violations(graph.violations(), line_of, "exchange graph")
     return graph
 
 
@@ -155,6 +166,7 @@ def parse_pose_graph(text) -> PoseGraph:
     anchor = None
     base_edges = []
     candidate_map = {}
+    line_of = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -173,6 +185,7 @@ def parse_pose_graph(text) -> PoseGraph:
             if anchor is not None:
                 raise ParseError(line_no, "duplicate FIX record")
             anchor = _to_int(line_no, parts[1], "anchor id")
+            line_of[("anchor",)] = line_no
         elif tag == "EDGE_SE2":
             parts = _fields(line_no, line, 12, "EDGE_SE2")
             i = _to_int(line_no, parts[1], "pose id")
@@ -182,6 +195,7 @@ def parse_pose_graph(text) -> PoseGraph:
                 _to_float(line_no, t, "EDGE_SE2 field")
             if info11 <= 0:
                 raise ParseError(line_no, "information coefficient must be positive")
+            line_of[("base", len(base_edges))] = line_no
             base_edges.append((i, j, info11))
         elif tag == "CANDIDATE":
             parts = _fields(line_no, line, 5, "CANDIDATE")
@@ -193,6 +207,7 @@ def parse_pose_graph(text) -> PoseGraph:
                 _to_int(line_no, parts[3], "pose id"),
                 _to_float(line_no, parts[4], "candidate weight"),
             )
+            line_of[("candidate", eid)] = line_no
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if not poses:
@@ -207,9 +222,7 @@ def parse_pose_graph(text) -> PoseGraph:
         anchor=0 if anchor is None else anchor,
         poses=tuple(poses[i] for i in ids),
     )
-    bad = pg.validate()
-    if bad:
-        raise ParseError(1, "invalid pose graph: " + "; ".join(bad))
+    _reject_violations(pg.violations(), line_of, "pose graph")
     return pg
 
 

@@ -74,24 +74,31 @@ class PoseGraph:
     poses: tuple[tuple[float, float, float], ...] | None = None
 
     def validate(self) -> list[str]:
-        bad = []
+        return [message for _, message in self.violations()]
+
+    def violations(self):
+        """Yield ``(record, message)`` per invariant violation.
+
+        ``record`` names what is at fault: ``("anchor",)``, ``("base", index)``
+        into ``base_edges``, ``("candidate", edge id)``, or None for the pose
+        set as a whole. Parsers map it back to the line of that record.
+        """
         if self.num_poses < 2:
-            bad.append("need at least two poses")
+            yield None, "need at least two poses"
         if not 0 <= self.anchor < self.num_poses:
-            bad.append(f"anchor {self.anchor} out of range")
+            yield ("anchor",), f"anchor {self.anchor} out of range"
         if self.poses is not None and len(self.poses) != self.num_poses:
-            bad.append("pose coordinate count does not match num_poses")
-        for i, j, w in self.base_edges:
+            yield None, "pose coordinate count does not match num_poses"
+        for idx, (i, j, w) in enumerate(self.base_edges):
             if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
-                bad.append(f"base edge ({i},{j}) invalid")
+                yield ("base", idx), f"base edge ({i},{j}) invalid"
             if not (w > 0 and math.isfinite(w)):
-                bad.append(f"base edge ({i},{j}) weight must be positive and finite")
+                yield ("base", idx), f"base edge ({i},{j}) weight must be positive and finite"
         for eid, (i, j, w) in self.candidate_map.items():
             if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
-                bad.append(f"candidate {eid}: pose pair ({i},{j}) invalid")
+                yield ("candidate", eid), f"candidate {eid}: pose pair ({i},{j}) invalid"
             if not (w > 0 and math.isfinite(w)):
-                bad.append(f"candidate {eid}: weight must be positive and finite")
-        return bad
+                yield ("candidate", eid), f"candidate {eid}: weight must be positive and finite"
 
     def is_connected(self) -> bool:
         """Connectivity of the base graph over all poses (union-find)."""

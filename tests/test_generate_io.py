@@ -214,6 +214,37 @@ class TestStrictParsing:
         with pytest.raises(ParseError, match=f"^line {line}:"):
             parse_pose_graph(text)
 
+    @pytest.mark.parametrize(
+        "record,line",
+        [
+            ("CANDIDATE 0 0 7 1.0", 4),
+            ("FIX 5", 4),
+            ("EDGE_SE2 2 2 1.0 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0", 4),
+        ],
+    )
+    def test_pose_graph_invariant_cites_record_line(self, record, line):
+        text = self.POSES + record + "\nEDGE_SE2 1 2 1.0 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0\n"
+        with pytest.raises(ParseError, match=f"^line {line}: invalid pose graph"):
+            parse_pose_graph(text)
+
+    @pytest.mark.parametrize(
+        "record,line,what",
+        [
+            ("vertex 2 5 1.0", 4, "robot 5 out of range"),
+            ("edge 1 0 2 0.5", 5, "unknown endpoint"),
+            ("edge 1 1 0 0.5", 5, "duplicate of pair"),
+            ("edge 1 0 1 1.5", 5, "probability out of range"),
+        ],
+    )
+    def test_exchange_graph_invariant_cites_record_line(self, record, line, what):
+        text = "robots 2\nvertex 0 0 1.0\nvertex 1 1 1.0\n"
+        if record.startswith("vertex"):
+            text += record + "\nedge 0 0 1 0.5\n"
+        else:
+            text += "edge 0 0 1 0.5\n" + record + "\n"
+        with pytest.raises(ParseError, match=f"^line {line}: invalid exchange graph: .*{what}"):
+            parse_exchange_graph(text)
+
     def test_exchange_graph_rejects_non_finite(self):
         with pytest.raises(ParseError, match="^line 3: weight must be finite"):
             parse_exchange_graph("robots 2\nvertex 0 0 1.0\nvertex 1 1 inf\n")
