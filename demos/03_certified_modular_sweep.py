@@ -16,13 +16,12 @@ from loopselect import (
     ilp_opt_modular,
     lp_upper_bound_modular,
     m_greedy,
-    modular_value,
 )
 
 spec = GenSpec(num_robots=3, vertices_per_robot=4, num_edges=14, seed=17)
 graph = generate_exchange_graph(spec)
 obj = ModularObjective(graph)
-norm = modular_value(graph, [e.id for e in graph.edges])
+norm = obj.value([e.id for e in graph.edges])
 print(f"instance: {graph}, infinite-budget value = {norm:.3f}")
 print(f"{'b':>3} {'k':>3} {'greedy':>8} {'opt':>8} {'ilp':>8} {'upt':>8} {'gap%':>6}")
 

@@ -35,7 +35,7 @@ last = None
 saturated_at = None
 for k in (2, 4, 6, 8, 12, 16, 20, 24):
     plan, trace = s_greedy(graph, k, cb, obj, lazy=True)
-    base = random_baseline(graph, k, cb, obj, seed=0)
+    base, _ = random_baseline(graph, k, cb, obj, seed=0)
     print(
         f"{k:>3} {plan.achieved_value:9.4f} {trace.winner:>10} "
         f"{base.achieved_value:8.4f} {alpha_apriori(b, k, delta):8.3f}"

@@ -23,16 +23,12 @@ from .objectives import (
     DCritObjective,
     ModularObjective,
     PoseGraph,
+    TopKOracle,
     TreeConnObjective,
-    dcrit_value,
     g_modular,
-    marginal,
-    modular_value,
-    treeconn_value,
 )
 from .planners import (
     GreedySelector,
-    PlannerConfig,
     PlannerTrace,
     TraceStep,
     e_greedy,

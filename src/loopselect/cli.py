@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import certify as cert
 from . import io as gio
@@ -20,7 +21,6 @@ from .generate import GenSpec, generate_exchange_graph, generate_pose_graph, sam
 from .graph import IndividualUniform, Plan, TotalNonuniform, TotalUniform
 from .objectives import DCritObjective, ModularObjective, TreeConnObjective
 from .planners import (
-    PlannerConfig,
     e_greedy,
     m_greedy,
     random_baseline,
@@ -88,20 +88,17 @@ def _objective(name, graph, pose_graph):
     raise _UsageError(f"unknown objective {name!r}")
 
 
-def _run_planner(name, graph, config, objective):
+def _run_planner(name, graph, k, cb, objective, lazy, seed):
     if name == "mgreedy":
-        return m_greedy(graph, config.k, config.cb, objective, lazy=config.lazy)
+        return m_greedy(graph, k, cb, objective, lazy=lazy)
     if name == "egreedy":
-        return e_greedy(graph, config.k, config.cb, objective, lazy=config.lazy)
+        return e_greedy(graph, k, cb, objective, lazy=lazy)
     if name == "vgreedy":
-        return v_greedy(graph, config.k, config.cb, objective, lazy=config.lazy)
+        return v_greedy(graph, k, cb, objective, lazy=lazy)
     if name == "sgreedy":
-        return s_greedy(graph, config.k, config.cb, objective, lazy=config.lazy)
+        return s_greedy(graph, k, cb, objective, lazy=lazy)
     if name == "random":
-        return (
-            random_baseline(graph, config.k, config.cb, objective, config.seed),
-            None,
-        )
+        return random_baseline(graph, k, cb, objective, seed)
     raise _UsageError(f"unknown planner {name!r}")
 
 
@@ -153,9 +150,19 @@ def _cmd_generate(args):
 
 def _load_inputs(args):
     graph = gio.load_exchange_graph(args.input)
-    if args.cap_degree is not None:
-        graph = graph.cap_degree(args.cap_degree)
     pose_graph = gio.load_pose_graph(args.pose_input) if args.pose_input else None
+    if args.cap_degree is not None:
+        capped = graph.cap_degree(args.cap_degree)
+        if pose_graph is not None:
+            # cap_degree renumbers the kept edges; rebind each by its endpoint pair
+            old_id = {(e.u, e.v): e.id for e in graph.edges}
+            bound = pose_graph.candidate_map
+            pose_graph = replace(pose_graph, candidate_map={
+                e.id: bound[old_id[e.u, e.v]]
+                for e in capped.edges
+                if old_id[e.u, e.v] in bound
+            })
+        graph = capped
     return graph, pose_graph
 
 
@@ -163,13 +170,10 @@ def _cmd_plan(args):
     graph, pose_graph = _load_inputs(args)
     _check_planner_regime(args.planner, args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph)
-    config = PlannerConfig(
-        k=args.k,
-        cb=_budget(args.regime, args.b, graph),
-        lazy=args.lazy,
-        seed=args.seed,
+    cb = _budget(args.regime, args.b, graph)
+    plan, _trace = _run_planner(
+        args.planner, graph, args.k, cb, objective, args.lazy, args.seed
     )
-    plan, _trace = _run_planner(args.planner, graph, config, objective)
     delta = graph.max_degree()
     b_int = int(args.b) if args.regime == "tu" else None
     alpha = (
@@ -222,6 +226,11 @@ def _cmd_certify(args):
     if not graph.check_plan(plan, k, cb):
         raise ParseError(1, "plan file fails feasibility against this graph")
     achieved = objective.value(plan.edges)
+    if not math.isclose(plan.achieved_value, achieved, rel_tol=1e-9):
+        raise ValueError(
+            f"plan file's achieved_value {plan.achieved_value!r} disagrees with "
+            f"the recomputed {achieved!r}"
+        )
     delta = graph.max_degree()
     b_for_alpha = int(payload["b"]) if payload["regime"] == "tu" else None
 
@@ -309,17 +318,12 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
                 spec.regime == "tu" and int(k) >= 1 and delta >= 1 and int(b) >= 1
             )
             for planner in spec.planners:
-                config = PlannerConfig(
-                    k=int(k), cb=cb, lazy=spec.lazy, seed=spec.seed
+                plan, trace = _run_planner(
+                    planner, graph, int(k), cb, objective, spec.lazy, spec.seed
                 )
-                plan, trace = _run_planner(planner, graph, config, objective)
                 alpha = cert.alpha_apriori(int(b), int(k), delta) if alpha_ok else 0.0
                 a_e = a_v = ""
-                if (
-                    trace is not None
-                    and planner in ("egreedy", "vgreedy", "sgreedy")
-                    and alpha_ok
-                ):
+                if planner in ("egreedy", "vgreedy", "sgreedy") and alpha_ok:
                     a_e, a_v = cert.alpha_posteriori(trace, int(b), int(k), delta)
                 ref = opt if opt is not None else upt
                 gap = (

@@ -26,7 +26,8 @@ negative) and commits by a Sherman–Morrison update, O(d²).
 most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
-greedy planners run on it directly.
+greedy planners run on it directly. ``TopKOracle`` is its per-run state with
+``gain(vid)``, ``commit(vid)`` and ``value``, in the same style as ``oracle()``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,8 @@ __all__ = [
     "ModularObjective",
     "DCritObjective",
     "TreeConnObjective",
-    "modular_value",
     "g_modular",
-    "dcrit_value",
-    "treeconn_value",
-    "marginal",
+    "TopKOracle",
 ]
 
 DEFAULT_PRIOR_EPS = 1e-6  # diagonal regularization making the default prior PD
@@ -355,11 +353,6 @@ class TreeConnObjective(_RankOneLogDet):
         super().__init__(graph, pose_graph, pose_graph.base_laplacian_reduced())
 
 
-def modular_value(graph, edge_ids) -> float:
-    """Sum of edge probabilities; 0 for the empty set."""
-    return ModularObjective(graph).value(edge_ids)
-
-
 def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
     """Best modular value of at most k edges incident to ``vertex_ids``.
 
@@ -376,16 +369,56 @@ def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
     return math.fsum(graph.edge(eid).p for eid in witness), witness
 
 
-def dcrit_value(graph, pose_graph, edge_ids, prior=None, eps=DEFAULT_PRIOR_EPS) -> float:
-    """One-shot D-criterion gain; see :class:`DCritObjective`."""
-    return DCritObjective(graph, pose_graph, prior=prior, eps=eps).value(edge_ids)
+class TopKOracle:
+    """Incremental ``g_modular`` of one vertex-greedy run.
 
+    Keeps the edges covered by the committed vertices and, best first, the
+    keys ``(-p, edge id)`` of the top k of them. A vertex's gain then only
+    needs its uncovered incident edges: the probabilities of those that enter
+    the top k minus those of the edges they push out, summed by one
+    ``math.fsum``. That is the exact difference rounded once, so a gain never
+    grows as vertices are committed (lazy greedy relies on this), where a
+    difference of two rounded values can grow by an ulp. ``value`` is the
+    ``math.fsum`` of the current top k, bit-identical to ``g_modular`` of the
+    committed vertices.
+    """
 
-def treeconn_value(graph, pose_graph, edge_ids) -> float:
-    """One-shot tree-connectivity gain; see :class:`TreeConnObjective`."""
-    return TreeConnObjective(graph, pose_graph).value(edge_ids)
+    def __init__(self, graph, k):
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        self._k = k
+        self._ranked = {
+            v.id: sorted((-graph.edge(eid).p, eid) for eid in graph.incident(v.id))
+            for v in graph.vertices
+        }
+        self._covered: set[int] = set()
+        self._top: list[tuple[float, int]] = []
+        self.value = 0.0
 
+    def _split(self, vid):
+        """The uncovered incident keys of ``vid``, best first, and how many enter the top k."""
+        try:
+            ranked = self._ranked[vid]
+        except KeyError:
+            raise ValueError(f"unknown vertex id {vid!r}") from None
+        new = [key for key in ranked if key[1] not in self._covered]
+        top = self._top
+        entering = 0
+        for key in new:
+            # the top entry this key would push out (none while there is room)
+            slot = self._k - entering - 1
+            if slot < 0 or (slot < len(top) and key > top[slot]):
+                break
+            entering += 1
+        return new, entering
 
-def marginal(objective, edge_ids, eid) -> float:
-    """Marginal gain of adding ``eid`` to ``edge_ids``; errors if already present."""
-    return objective.marginal(edge_ids, eid)
+    def gain(self, vid) -> float:
+        new, entering = self._split(vid)
+        leaving = self._top[self._k - entering:]
+        return math.fsum([-key[0] for key in new[:entering]] + [key[0] for key in leaving])
+
+    def commit(self, vid):
+        new, entering = self._split(vid)
+        self._covered.update(eid for _, eid in new)
+        self._top = sorted(self._top[: self._k - entering] + new[:entering])
+        self.value = math.fsum(-key[0] for key in self._top)

@@ -6,8 +6,8 @@ planner returns ``(Plan, PlannerTrace)``; the trace logs selections, phase
 markers, and evaluation counts, and is what the certification module uses to
 compute a-posteriori approximation factors.
 
-* ``m_greedy`` — vertex greedy on the nested modular objective g, one variant
-  per budget regime (cardinality, knapsack best-of-two, partition matroid),
+* ``m_greedy`` — vertex greedy on the nested modular objective g under any
+  budget regime (cardinality, knapsack best-of-two, partition matroid),
   followed by top-k edge extraction.
 * ``e_greedy`` — edge greedy (phase I), witness cover construction, then a
   communication-free local-optimization phase (phase II) when k > b.
@@ -15,15 +15,17 @@ compute a-posteriori approximation factors.
   the next pick would exceed the vertex or induced-edge budget.
 * ``s_greedy`` — best of ``e_greedy`` and ``v_greedy`` (tie: edge arm).
 * ``random_baseline`` — seeded uniform vertex sample, then a uniform edge
-  sample from the covered edges.
+  sample from the covered edges; its trace has no steps.
 
-``e_greedy`` and ``v_greedy`` take every gain from one ``objective.oracle()``
-per run, which tracks the committed edges; only the final achieved value
-comes from the dense ``objective.value``. ``lazy=True`` switches the inner
-argmax to lazy evaluation with stale upper bounds (Minoux), valid because
-oracle gains are non-negative and diminishing for monotone submodular
-objectives; the selection sequence is identical to the eager loop and never
-uses more gain evaluations.
+Every greedy loop is a ``GreedySelector`` run over a per-run oracle:
+``m_greedy`` takes its gains from a ``TopKOracle`` (g itself), ``e_greedy``
+and ``v_greedy`` from one ``objective.oracle()``, which tracks the committed
+edges; only the final achieved value comes from ``g_modular`` or the dense
+``objective.value``. ``lazy=True`` switches the inner argmax to lazy
+evaluation with stale upper bounds (Minoux), valid because oracle gains are
+non-negative and diminishing for monotone submodular objectives; the
+selection sequence is identical to the eager loop and never uses more gain
+evaluations.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Plan, TotalUniform, TotalNonuniform, IndividualUniform
-from .objectives import g_modular
+from .objectives import TopKOracle, g_modular
 
 __all__ = [
-    "PlannerConfig",
     "TraceStep",
     "PlannerTrace",
     "GreedySelector",
@@ -48,20 +49,6 @@ __all__ = [
     "s_greedy",
     "random_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Budgets and execution options shared by the CLI and sweep harness."""
-
-    k: int
-    cb: object
-    lazy: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
 
 
 @dataclass
@@ -97,16 +84,20 @@ class GreedySelector:
     """Repeated argmax over a shrinking candidate pool with a global tie rule.
 
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
-    ties break to the lowest candidate id. In lazy mode a max-heap of stale
-    bounds is kept; an entry is only trusted once re-evaluated in the current
-    round, which reproduces the eager selection sequence exactly whenever
-    gains are diminishing (monotone submodular objectives) while skipping
-    most evaluations.
+    ties break to the lowest candidate id. ``feasible(c)`` is asked before a
+    candidate is evaluated, and a candidate it rejects leaves the pool for
+    good, so it must only ever turn from true to false as the run goes on (a
+    budget being used up); rejections are not evaluations. In lazy mode a
+    max-heap of stale bounds is kept; an entry is only trusted once
+    re-evaluated in the current round, which reproduces the eager selection
+    sequence exactly whenever gains are diminishing (monotone submodular
+    objectives) while skipping most evaluations.
     """
 
-    def __init__(self, candidates, gain_fn, lazy=False):
+    def __init__(self, candidates, gain_fn, lazy=False, feasible=lambda c: True):
         self._pool = set(candidates)
         self._gain = gain_fn
+        self._feasible = feasible
         self._lazy = lazy
         self._round = 0
         self.evaluations = 0
@@ -119,7 +110,7 @@ class GreedySelector:
         return len(self._pool)
 
     def best(self):
-        """Best (candidate, gain) under current state, or None if the pool is empty."""
+        """Best feasible (candidate, gain) under current state, or None if there is none."""
         if not self._pool:
             return None
         self._round += 1
@@ -127,14 +118,20 @@ class GreedySelector:
             best_c = None
             best_g = -math.inf
             for c in sorted(self._pool):
+                if not self._feasible(c):
+                    self._pool.discard(c)
+                    continue
                 g = self._gain(c)
                 self.evaluations += 1
                 if g > best_g:
                     best_c, best_g = c, g
-            return best_c, best_g
-        while True:
+            return (best_c, best_g) if self._pool else None
+        while self._pool:
             neg_g, c, tag = heapq.heappop(self._heap)
             if c not in self._pool:
+                continue
+            if not self._feasible(c):
+                self._pool.discard(c)
                 continue
             if tag == self._round:
                 heapq.heappush(self._heap, (neg_g, c, tag))
@@ -142,9 +139,45 @@ class GreedySelector:
             g = self._gain(c)
             self.evaluations += 1
             heapq.heappush(self._heap, (-g, c, self._round))
+        return None
 
     def commit(self, candidate):
         self._pool.discard(candidate)
+
+
+class _Room:
+    """What is left of a communication budget during one greedy run.
+
+    ``fits(vid)`` tells whether vertex ``vid`` can still be broadcast and
+    ``charge(vid)`` books it. Charges only use the budget up, so ``fits``
+    only ever turns from true to false, as the feasibility predicate of
+    :class:`GreedySelector` must.
+    """
+
+    def __init__(self, graph, cb):
+        self._graph = graph
+        self._cb = cb
+        self._spent = 0.0
+        if isinstance(cb, IndividualUniform):
+            self._block = {vid: i for i, block in enumerate(cb.blocks) for vid in block}
+            self._left = list(cb.limits)
+        elif isinstance(cb, TotalUniform):
+            # a cardinality budget is a partition matroid with one block
+            self._block = dict.fromkeys((v.id for v in graph.vertices), 0)
+            self._left = [cb.b]
+        elif not isinstance(cb, TotalNonuniform):
+            raise TypeError(f"unsupported budget {cb!r}")
+
+    def fits(self, vid) -> bool:
+        if isinstance(self._cb, TotalNonuniform):
+            return self._graph.vertex(vid).weight <= self._cb.b - self._spent + 1e-9
+        return self._left[self._block[vid]] > 0
+
+    def charge(self, vid):
+        if isinstance(self._cb, TotalNonuniform):
+            self._spent += self._graph.vertex(vid).weight
+        else:
+            self._left[self._block[vid]] -= 1
 
 
 def _require_tu(cb, who):
@@ -162,140 +195,65 @@ def _require_modular(objective):
 def m_greedy(graph, k, cb, objective, lazy=False):
     """Vertex greedy on the nested objective g, then top-k edge extraction.
 
-    Cardinality budgets run exactly b rounds (zero-gain picks allowed, as in
-    the plain greedy recipe). Knapsack budgets run both the plain and the
-    cost-benefit variant and keep the better plan. Partition-matroid budgets
-    greedily pick the best vertex whose block quota is open.
+    One greedy run over the vertices takes every gain from a
+    :class:`~loopselect.objectives.TopKOracle` and skips the vertices the
+    budget can no longer afford. Cardinality budgets therefore run exactly b
+    rounds (zero-gain picks allowed, as in the plain greedy recipe) and
+    partition-matroid budgets pick the best vertex whose block quota is open.
+    Knapsack budgets run twice, scoring by gain and by gain per unit weight
+    (cost-benefit), and keep the better plan.
     """
     _require_modular(objective)
     if k < 0:
         raise ValueError("k must be non-negative")
-
-    cache: dict[frozenset, float] = {}
-
-    def g_of(vset) -> float:
-        key = frozenset(vset)
-        if key not in cache:
-            cache[key] = g_modular(graph, key, k)[0]
-        return cache[key]
-
-    def finish(selected, trace):
-        value, witness = g_modular(graph, selected, k)
-        plan = Plan(vertices=tuple(selected), edges=witness, achieved_value=value)
-        return plan, trace
-
     if k == 0:
         # nothing is verifiable, so nothing is worth broadcasting
         return Plan(), PlannerTrace(algorithm="m-greedy")
 
-    if isinstance(cb, TotalUniform):
+    def run(per_weight):
         trace = PlannerTrace(algorithm="m-greedy")
-        selected: list[int] = []
-        current = 0.0
+        oracle = TopKOracle(graph, k)
+        room = _Room(graph, cb)
 
-        def gain(vid):
-            return g_of(set(selected) | {vid}) - current
+        def score(vid):
+            g = oracle.gain(vid)
+            return g / graph.vertex(vid).weight if per_weight else g
 
-        sel = GreedySelector([v.id for v in graph.vertices], gain, lazy=lazy)
-        for _ in range(cb.b):
-            pick = sel.best()
-            if pick is None:
-                trace.exhausted = True
-                break
-            vid, g = pick
-            sel.commit(vid)
-            selected.append(vid)
-            current = g_of(set(selected))
-            trace.steps.append(TraceStep("vertex", vid, g, current))
-        trace.evaluations = sel.evaluations
-        return finish(selected, trace)
-
-    if isinstance(cb, TotalNonuniform):
-        def run(scored_by_ratio):
-            trace = PlannerTrace(algorithm="m-greedy")
-            selected: list[int] = []
-            spent = 0.0
-            remaining = {v.id for v in graph.vertices}
-            while True:
-                afford = [
-                    vid
-                    for vid in sorted(remaining)
-                    if graph.vertex(vid).weight <= cb.b - spent + 1e-9
-                ]
-                if not afford:
-                    break
-                current = g_of(set(selected))
-                best_vid = None
-                best_score = -math.inf
-                for vid in afford:
-                    g = g_of(set(selected) | {vid}) - current
-                    trace.evaluations += 1
-                    score = g / graph.vertex(vid).weight if scored_by_ratio else g
-                    if score > best_score:
-                        best_vid, best_score = vid, score
-                remaining.discard(best_vid)
-                spent += graph.vertex(best_vid).weight
-                selected.append(best_vid)
-                after = g_of(set(selected))
-                trace.steps.append(
-                    TraceStep("vertex", best_vid, after - current, after)
-                )
-            return selected, trace
-
-        plain_sel, plain_tr = run(scored_by_ratio=False)
-        ratio_sel, ratio_tr = run(scored_by_ratio=True)
-        plain_plan, _ = finish(plain_sel, plain_tr)
-        ratio_plan, _ = finish(ratio_sel, ratio_tr)
-        trace = PlannerTrace(
-            algorithm="m-greedy",
-            children={"plain": plain_tr, "cost-benefit": ratio_tr},
+        sel = GreedySelector(
+            [v.id for v in graph.vertices], score, lazy=lazy, feasible=room.fits
         )
-        # ties keep the plain variant
-        if ratio_plan.achieved_value > plain_plan.achieved_value:
-            trace.winner = "cost-benefit"
-            trace.steps = ratio_tr.steps
-            plan = ratio_plan
-        else:
-            trace.winner = "plain"
-            trace.steps = plain_tr.steps
-            plan = plain_plan
-        trace.evaluations = plain_tr.evaluations + ratio_tr.evaluations
-        return plan, trace
-
-    if isinstance(cb, IndividualUniform):
-        block_of = {}
-        for i, block in enumerate(cb.blocks):
-            for vid in block:
-                block_of[vid] = i
-        trace = PlannerTrace(algorithm="m-greedy")
         selected: list[int] = []
-        used = [0] * len(cb.blocks)
-        remaining = {v.id for v in graph.vertices}
-        while True:
-            feasible = [
-                vid
-                for vid in sorted(remaining)
-                if used[block_of[vid]] < cb.limits[block_of[vid]]
-            ]
-            if not feasible:
-                break
-            current = g_of(set(selected))
-            best_vid = None
-            best_g = -math.inf
-            for vid in feasible:
-                g = g_of(set(selected) | {vid}) - current
-                trace.evaluations += 1
-                if g > best_g:
-                    best_vid, best_g = vid, g
-            remaining.discard(best_vid)
-            used[block_of[best_vid]] += 1
-            selected.append(best_vid)
-            trace.steps.append(
-                TraceStep("vertex", best_vid, best_g, g_of(set(selected)))
-            )
-        return finish(selected, trace)
+        while (pick := sel.best()) is not None:
+            vid = pick[0]
+            sel.commit(vid)
+            room.charge(vid)
+            selected.append(vid)
+            before = oracle.value
+            oracle.commit(vid)
+            trace.steps.append(TraceStep("vertex", vid, oracle.value - before, oracle.value))
+        trace.evaluations = sel.evaluations
+        # fewer than b vertices exist
+        trace.exhausted = isinstance(cb, TotalUniform) and len(selected) < cb.b
+        value, witness = g_modular(graph, selected, k)
+        return Plan(vertices=tuple(selected), edges=witness, achieved_value=value), trace
 
-    raise TypeError(f"unsupported budget {cb!r}")
+    if not isinstance(cb, TotalNonuniform):
+        return run(per_weight=False)
+    plain_plan, plain_tr = run(per_weight=False)
+    ratio_plan, ratio_tr = run(per_weight=True)
+    trace = PlannerTrace(
+        algorithm="m-greedy",
+        children={"plain": plain_tr, "cost-benefit": ratio_tr},
+        evaluations=plain_tr.evaluations + ratio_tr.evaluations,
+    )
+    # ties keep the plain variant
+    if ratio_plan.achieved_value > plain_plan.achieved_value:
+        trace.winner = "cost-benefit"
+        trace.steps = ratio_tr.steps
+        return ratio_plan, trace
+    trace.winner = "plain"
+    trace.steps = plain_tr.steps
+    return plain_plan, trace
 
 
 def _witness_cover(graph, selected_edges):
@@ -404,14 +362,10 @@ def v_greedy(graph, k, cb, objective, lazy=False):
         return oracle.gain(new_edges(vid))
 
     sel = GreedySelector([v.id for v in graph.vertices], gain, lazy=lazy)
-    while True:
-        pick = sel.best()
-        if pick is None:
-            trace.exhausted = True
-            break
-        vid, g = pick
+    while sel and len(selected) < b:
+        vid, g = sel.best()
         new = new_edges(vid)
-        if len(selected) + 1 > b or len(covered) + len(new) > k:
+        if len(covered) + len(new) > k:
             break
         sel.commit(vid)
         selected.append(vid)
@@ -419,6 +373,7 @@ def v_greedy(graph, k, cb, objective, lazy=False):
         covered |= new
         oracle.commit(new)
         trace.steps.append(TraceStep("vertex", vid, g, oracle.value))
+    trace.exhausted = not sel
     trace.evaluations = sel.evaluations
 
     value = objective.value(edge_order)
@@ -450,7 +405,8 @@ def random_baseline(graph, k, cb, objective, seed):
 
     Seeded (PCG64) and deterministic: the same seed always yields the same
     plan regardless of the objective, which is only used to fill in the
-    achieved value.
+    achieved value. Returns ``(plan, trace)`` like the greedy planners; the
+    trace has no steps and no evaluations.
     """
     _require_tu(cb, "random_baseline")
     if k < 0:
@@ -467,6 +423,5 @@ def random_baseline(graph, k, cb, objective, seed):
         else []
     )
     value = objective.value(chosen_e)
-    return Plan(
-        vertices=tuple(chosen_v), edges=tuple(chosen_e), achieved_value=value
-    )
+    plan = Plan(vertices=tuple(chosen_v), edges=tuple(chosen_e), achieved_value=value)
+    return plan, PlannerTrace(algorithm="random")

@@ -8,12 +8,13 @@ import pytest
 from loopselect import (
     ModularObjective,
     TotalUniform,
+    TreeConnObjective,
     m_greedy,
     s_greedy,
 )
 from loopselect.cli import main
 from loopselect.generate import demo_rendezvous_graph
-from loopselect.io import load_exchange_graph, serialize_exchange_graph
+from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
 
 
 @pytest.fixture
@@ -117,6 +118,35 @@ class TestPlan:
         ])
         assert rc == 0
         assert "value=" in capsys.readouterr().out
+
+    def test_cap_degree_keeps_pose_bindings(self, tmp_path, capsys):
+        graph_path, pose_path = tmp_path / "g.exg", tmp_path / "g.pose"
+        main([
+            "generate", "--robots", "3", "--verts", "10", "--edges", "40",
+            "--seed", "4", "--output", str(graph_path), "--pose-output", str(pose_path),
+        ])
+        plan_path = tmp_path / "plan.json"
+        rc = main([
+            "plan", "--input", str(graph_path), "--pose-input", str(pose_path),
+            "--objective", "treeconn", "--planner", "sgreedy", "-b", "3", "-k", "6",
+            "--cap-degree", "2", "--output", str(plan_path),
+        ])
+        assert rc == 0
+        payload = json.loads(plan_path.read_text())
+        # the capped edge ids renumber the original ones; map them back by
+        # endpoint pair and score the plan on the uncapped instance
+        graph = load_exchange_graph(graph_path)
+        capped = graph.cap_degree(2)
+        original = {(e.u, e.v): e.id for e in graph.edges}
+        edges = [original[capped.edge(eid).u, capped.edge(eid).v] for eid in payload["edges"]]
+        want = TreeConnObjective(graph, load_pose_graph(pose_path)).value(edges)
+        assert payload["achieved_value"] == pytest.approx(want, rel=1e-9)
+        capsys.readouterr()
+        rc = main([
+            "certify", "--input", str(graph_path), "--pose-input", str(pose_path),
+            "--plan", str(plan_path), "--level", "brute", "--cap-degree", "2",
+        ])
+        assert rc == 0
 
     def test_regime_mismatch_is_usage_error(self, instance, capsys):
         rc = main([
@@ -273,6 +303,26 @@ class TestCertify:
             "--level", "lp",
         ])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("scale, rc_want", [(1.0 + 1e-6, 2), (1.0 + 1e-12, 0)])
+    def test_stored_value_must_match(self, instance, tmp_path, capsys, scale, rc_want):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        payload = json.loads(plan_path.read_text())
+        payload["achieved_value"] *= scale
+        plan_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main([
+            "certify", "--input", str(instance), "--plan", str(plan_path),
+            "--level", "lp",
+        ])
+        assert rc == rc_want
+        if rc_want == 2:
+            assert "disagrees" in capsys.readouterr().err
 
 
 class TestExitCodes:

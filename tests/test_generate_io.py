@@ -7,13 +7,13 @@ import pytest
 
 from loopselect import (
     GenSpec,
+    ModularObjective,
     ParseError,
     PoseGraph,
     TotalUniform,
     TreeConnObjective,
     generate_exchange_graph,
     generate_pose_graph,
-    modular_value,
     sample_ground_truth,
 )
 from loopselect.io import (
@@ -91,7 +91,7 @@ class TestGroundTruth:
             GenSpec(num_robots=2, vertices_per_robot=4, num_edges=10, seed=7)
         )
         plan_edges = [0, 2, 4, 6, 8]
-        expectation = modular_value(g, plan_edges)
+        expectation = ModularObjective(g).value(plan_edges)
         per_draw_var = sum(g.edge(e).p * (1 - g.edge(e).p) for e in plan_edges)
         n = 10_000
         counts = [

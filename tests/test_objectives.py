@@ -13,13 +13,10 @@ from loopselect import (
     ExchangeGraph,
     ModularObjective,
     PoseGraph,
+    TopKOracle,
     TreeConnObjective,
     Vertex,
-    dcrit_value,
     g_modular,
-    marginal,
-    modular_value,
-    treeconn_value,
 )
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
 from loopselect.linalg import logdet_pd
@@ -43,17 +40,17 @@ def dcrit_oracle(prior, terms, edge_ids):
 
 class TestModular:
     def test_empty_is_zero(self, demo_graph):
-        assert modular_value(demo_graph, []) == 0.0
+        assert ModularObjective(demo_graph).value([]) == 0.0
 
     def test_sums_probabilities(self):
         g = make_graph(2, [0, 0, 1], [(0, 2), (1, 2)], [0.5, 0.25])
-        assert modular_value(g, [0, 1]) == pytest.approx(0.75, abs=1e-15)
+        assert ModularObjective(g).value([0, 1]) == pytest.approx(0.75, abs=1e-15)
 
     def test_all_certain_edges_count(self):
         g = make_graph(3, [0, 0, 0, 1, 1, 1, 2, 2, 2],
                        [(0, 4), (1, 3), (1, 7), (1, 8), (4, 6), (1, 6), (2, 4), (5, 6)],
                        [1.0] * 8)
-        assert modular_value(g, range(8)) == 8.0
+        assert ModularObjective(g).value(range(8)) == 8.0
 
     def test_marginal_is_probability(self, demo_graph):
         obj = ModularObjective(demo_graph)
@@ -62,7 +59,7 @@ class TestModular:
     def test_marginal_rejects_member(self, demo_graph):
         obj = ModularObjective(demo_graph)
         with pytest.raises(ValueError, match="already selected"):
-            marginal(obj, [0, 1], 1)
+            obj.marginal([0, 1], 1)
 
 
 class TestGModular:
@@ -101,7 +98,7 @@ class TestGModular:
     def test_consistency_with_modular_value(self, demo_graph):
         vids = [0, 1, 5]
         value, _ = g_modular(demo_graph, vids, demo_graph.num_edges)
-        assert value == modular_value(demo_graph, demo_graph.edges_incident(vids))
+        assert value == ModularObjective(demo_graph).value(demo_graph.edges_incident(vids))
 
     def test_exchange_inequality_sampled(self, demo_graph):
         # submodularity of the nested objective in its vertex argument
@@ -123,6 +120,34 @@ class TestGModular:
             assert gqv >= gq - 1e-12  # monotone
 
 
+class TestTopKOracle:
+    def test_gain_is_witness_difference_rounded_once(self):
+        rng = np.random.default_rng(33)
+        for seed in range(40):
+            graph = generate_exchange_graph(
+                GenSpec(num_robots=3, vertices_per_robot=5, num_edges=30, seed=seed)
+            )
+            k = int(rng.integers(1, 12))
+            oracle = TopKOracle(graph, k)
+            committed = []
+            for vid in rng.permutation(graph.num_vertices).tolist():
+                before_value, before = g_modular(graph, committed, k)
+                for other in range(graph.num_vertices):
+                    after = g_modular(graph, committed + [other], k)[1]
+                    want = math.fsum(
+                        [graph.edge(e).p for e in after] + [-graph.edge(e).p for e in before]
+                    )
+                    assert oracle.gain(other) == want, (seed, k, other)
+                assert oracle.value == before_value
+                oracle.commit(vid)
+                committed.append(vid)
+            assert oracle.value == g_modular(graph, committed, k)[0]
+
+    def test_rejects_unknown_vertex(self, demo_graph):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            TopKOracle(demo_graph, 3).gain(99)
+
+
 class TestDCrit:
     def _two_by_two(self):
         g = make_graph(2, [0, 1], [(0, 1)], [1.0])
@@ -136,11 +161,11 @@ class TestDCrit:
 
     def test_empty_is_zero(self):
         g, pg = self._two_by_two()
-        assert dcrit_value(g, pg, [], prior=np.eye(2)) == 0.0
+        assert DCritObjective(g, pg, prior=np.eye(2)).value([]) == 0.0
 
     def test_identity_prior_rank_one(self):
         g, pg = self._two_by_two()
-        value = dcrit_value(g, pg, [0], prior=np.eye(2))
+        value = DCritObjective(g, pg, prior=np.eye(2)).value([0])
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_non_pd_prior_rejected(self):
@@ -175,7 +200,7 @@ class TestDCrit:
 class TestTreeConn:
     def test_empty_is_zero(self):
         graph, pg, _, _ = random_treeconn_instance(0)
-        assert treeconn_value(graph, pg, []) == 0.0
+        assert TreeConnObjective(graph, pg).value([]) == 0.0
 
     def test_k4_completion_is_ln16(self):
         g = make_graph(2, [0, 0, 1, 1], [(0, 2), (0, 3), (1, 3)], [1.0, 1.0, 1.0])
@@ -184,7 +209,7 @@ class TestTreeConn:
             base_edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)),
             candidate_map={0: (0, 2, 1.0), 1: (0, 3, 1.0), 2: (1, 3, 1.0)},
         )
-        assert treeconn_value(g, pg, [0, 1, 2]) == pytest.approx(
+        assert TreeConnObjective(g, pg).value([0, 1, 2]) == pytest.approx(
             math.log(16.0), abs=1e-9
         )
 
@@ -219,7 +244,7 @@ class TestTreeConn:
                 candidate_map={i: pairs[i] for i in range(m)},
             )
             sel = [e.id for e in graph.edges if rng.random() < 0.6]
-            value = treeconn_value(graph, pg, sel)
+            value = TreeConnObjective(graph, pg).value(sel)
             all_edges = list(base.base_edges) + [
                 (pairs[e][0], pairs[e][1], graph.edge(e).p * pairs[e][2])
                 for e in sel
