@@ -150,7 +150,10 @@ def _cmd_generate(args):
 
 def _load_inputs(args):
     graph = gio.load_exchange_graph(args.input)
-    pose_graph = gio.load_pose_graph(args.pose_input) if args.pose_input else None
+    pose_graph = None
+    if args.pose_input:
+        edge_ids = {e.id for e in graph.edges}
+        pose_graph = gio.load_pose_graph(args.pose_input, edge_ids)
     if args.cap_degree is not None:
         capped = graph.cap_degree(args.cap_degree)
         if pose_graph is not None:

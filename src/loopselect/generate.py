@@ -18,6 +18,8 @@ __all__ = [
     "GenSpec",
     "GroundTruth",
     "generate_exchange_graph",
+    "pair_count",
+    "decode_pairs",
     "generate_pose_graph",
     "sample_ground_truth",
     "demo_rendezvous_graph",
@@ -72,29 +74,28 @@ class GroundTruth:
 def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:
     """Random r-partite exchange graph; deterministic per seed.
 
-    Vertex ids are robot-major (robot 0 owns ids 0..V-1 and so on). Candidate
-    inter-robot pairs are sampled without replacement, then probabilities are
-    drawn, then the optional degree cap is applied.
+    Vertex ids are robot-major (robot 0 owns ids 0..V-1 and so on). The
+    inter-robot pairs ``(u < v)`` are ranked lexicographically, m distinct
+    ranks are sampled without replacement, then probabilities are drawn, then
+    the optional degree cap is applied. The pair list is never built: each
+    sampled rank is decoded to its pair by :func:`decode_pairs`, so memory is
+    O(n + m) rather than O(n²).
     """
     rng = np.random.default_rng(spec.seed)
     r, nv = spec.num_robots, spec.vertices_per_robot
     vertices = tuple(
         Vertex(id=i, robot=i // nv, weight=1.0) for i in range(r * nv)
     )
-    pairs = [
-        (u, v)
-        for u in range(r * nv)
-        for v in range(u + 1, r * nv)
-        if u // nv != v // nv
-    ]
+    num_pairs = pair_count(r, nv)
     m = spec.num_edges if spec.num_edges is not None else round(
-        spec.edge_density * len(pairs)
+        spec.edge_density * num_pairs
     )
-    if not 0 <= m <= len(pairs):
+    if not 0 <= m <= num_pairs:
         raise ValueError(
-            f"infeasible density: want {m} edges out of {len(pairs)} candidate pairs"
+            f"infeasible density: want {m} edges out of {num_pairs} candidate pairs"
         )
-    idx = sorted(rng.choice(len(pairs), size=m, replace=False).tolist()) if m else []
+    ranks = np.sort(rng.choice(num_pairs, size=m, replace=False)) if m else []
+    us, vs = decode_pairs(ranks, r, nv)
     if spec.probabilities is not None:
         if len(spec.probabilities) != m:
             raise ValueError("fixed probability list must have one entry per edge")
@@ -102,8 +103,8 @@ def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:
     else:
         ps = rng.uniform(0.0, 1.0, size=m).tolist()
     edges = tuple(
-        Edge(id=i, u=pairs[j][0], v=pairs[j][1], p=ps[i])
-        for i, j in enumerate(idx)
+        Edge(id=i, u=u, v=v, p=p)
+        for i, (u, v, p) in enumerate(zip(us.tolist(), vs.tolist(), ps))
     )
     graph = ExchangeGraph(r, vertices, edges)
     if spec.max_degree is not None:
@@ -112,6 +113,28 @@ def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:
     if bad:
         raise AssertionError(f"generator produced an invalid graph: {bad}")
     return graph
+
+
+def pair_count(num_robots: int, vertices_per_robot: int) -> int:
+    """Number of inter-robot vertex pairs: ``V²·r(r-1)/2``."""
+    nv = vertices_per_robot
+    return nv * nv * num_robots * (num_robots - 1) // 2
+
+
+def decode_pairs(ranks, num_robots: int, vertices_per_robot: int):
+    """Pairs ``(us, vs)`` at the given ranks of the lexicographic pair list.
+
+    The list is every inter-robot pair ``(u < v)`` in lexicographic order.
+    Vertex u of robot q pairs with exactly the vertices of robots q+1..r-1,
+    so its pairs hold ``(r-1-q)·V`` consecutive ranks from ``start[u]`` on,
+    with v running up from ``(q+1)·V``. Costs O(n + len(ranks)).
+    """
+    r, nv = num_robots, vertices_per_robot
+    ranks = np.asarray(ranks, dtype=np.int64)
+    per_vertex = (r - 1 - np.arange(r * nv, dtype=np.int64) // nv) * nv
+    start = np.cumsum(per_vertex) - per_vertex
+    us = np.searchsorted(start, ranks, side="right") - 1
+    return us, (us // nv + 1) * nv + ranks - start[us]
 
 
 def generate_pose_graph(spec: GenSpec, graph: ExchangeGraph) -> PoseGraph:

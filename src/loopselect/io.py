@@ -29,7 +29,8 @@ Ground truth (``*.csv``)::
 Parsers are strict: unknown record types, wrong field counts, or invariant
 violations raise :class:`~loopselect.errors.ParseError` with the offending
 line number. Every number must be finite, and a pose graph has at most one
-``FIX`` record.
+``FIX`` record. Given the exchange graph's edge ids, the pose parser also
+rejects a ``CANDIDATE`` for an edge that graph does not have.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def save_exchange_graph(graph, path):
 # -- pose graphs ---------------------------------------------------------------
 
 
-def parse_pose_graph(text) -> PoseGraph:
+def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
+    """Parse a pose file; with ``edge_ids``, every CANDIDATE must name one of them."""
     poses = {}
     anchor = None
     base_edges = []
@@ -202,6 +204,10 @@ def parse_pose_graph(text) -> PoseGraph:
             eid = _to_int(line_no, parts[1], "exchange edge id")
             if eid in candidate_map:
                 raise ParseError(line_no, f"duplicate candidate for edge {eid}")
+            if edge_ids is not None and eid not in edge_ids:
+                raise ParseError(
+                    line_no, f"candidate for edge {eid}, which the exchange graph lacks"
+                )
             candidate_map[eid] = (
                 _to_int(line_no, parts[2], "pose id"),
                 _to_int(line_no, parts[3], "pose id"),
@@ -246,9 +252,9 @@ def serialize_pose_graph(pg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_pose_graph(path) -> PoseGraph:
+def load_pose_graph(path, edge_ids=None) -> PoseGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pose_graph(fh.read())
+        return parse_pose_graph(fh.read(), edge_ids)
 
 
 def save_pose_graph(pg, path):

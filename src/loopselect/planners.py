@@ -151,7 +151,8 @@ class _Room:
     ``fits(vid)`` tells whether vertex ``vid`` can still be broadcast and
     ``charge(vid)`` books it. Charges only use the budget up, so ``fits``
     only ever turns from true to false, as the feasibility predicate of
-    :class:`GreedySelector` must.
+    :class:`GreedySelector` must. ``full()`` tells that no vertex fits any
+    more, so a run can stop without rejecting the rest one by one.
     """
 
     def __init__(self, graph, cb):
@@ -165,13 +166,23 @@ class _Room:
             # a cardinality budget is a partition matroid with one block
             self._block = dict.fromkeys((v.id for v in graph.vertices), 0)
             self._left = [cb.b]
-        elif not isinstance(cb, TotalNonuniform):
+        elif isinstance(cb, TotalNonuniform):
+            self._lightest = min((v.weight for v in graph.vertices), default=math.inf)
+        else:
             raise TypeError(f"unsupported budget {cb!r}")
+
+    def _fits_weight(self, weight) -> bool:
+        return weight <= self._cb.b - self._spent + 1e-9
 
     def fits(self, vid) -> bool:
         if isinstance(self._cb, TotalNonuniform):
-            return self._graph.vertex(vid).weight <= self._cb.b - self._spent + 1e-9
+            return self._fits_weight(self._graph.vertex(vid).weight)
         return self._left[self._block[vid]] > 0
+
+    def full(self) -> bool:
+        if isinstance(self._cb, TotalNonuniform):
+            return not self._fits_weight(self._lightest)
+        return not any(self._left)
 
     def charge(self, vid):
         if isinstance(self._cb, TotalNonuniform):
@@ -223,7 +234,7 @@ def m_greedy(graph, k, cb, objective, lazy=False):
             [v.id for v in graph.vertices], score, lazy=lazy, feasible=room.fits
         )
         selected: list[int] = []
-        while (pick := sel.best()) is not None:
+        while not room.full() and (pick := sel.best()) is not None:
             vid = pick[0]
             sel.commit(vid)
             room.charge(vid)
@@ -232,8 +243,8 @@ def m_greedy(graph, k, cb, objective, lazy=False):
             oracle.commit(vid)
             trace.steps.append(TraceStep("vertex", vid, oracle.value - before, oracle.value))
         trace.evaluations = sel.evaluations
-        # fewer than b vertices exist
-        trace.exhausted = isinstance(cb, TotalUniform) and len(selected) < cb.b
+        # every vertex was picked and the budget could still afford more
+        trace.exhausted = len(selected) == graph.num_vertices and not room.full()
         value, witness = g_modular(graph, selected, k)
         return Plan(vertices=tuple(selected), edges=witness, achieved_value=value), trace
 
@@ -249,10 +260,10 @@ def m_greedy(graph, k, cb, objective, lazy=False):
     # ties keep the plain variant
     if ratio_plan.achieved_value > plain_plan.achieved_value:
         trace.winner = "cost-benefit"
-        trace.steps = ratio_tr.steps
+        trace.steps, trace.exhausted = ratio_tr.steps, ratio_tr.exhausted
         return ratio_plan, trace
     trace.winner = "plain"
-    trace.steps = plain_tr.steps
+    trace.steps, trace.exhausted = plain_tr.steps, plain_tr.exhausted
     return plain_plan, trace
 
 

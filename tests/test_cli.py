@@ -1,7 +1,9 @@
 """CLI contract: subcommands, exit codes, CSV artifacts, library equivalence."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,12 @@ from loopselect import (
 from loopselect.cli import main
 from loopselect.generate import demo_rendezvous_graph
 from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
+
+
+GOLDEN_GENERATE = json.loads(
+    (Path(__file__).parent / "golden_generate.json").read_text()
+)["cases"]
+OUTPUT_FLAG = {"exchange": "--output", "pose": "--pose-output", "truth": "--truth-output"}
 
 
 @pytest.fixture
@@ -57,6 +65,20 @@ class TestGenerate:
         assert rc == 0
         assert (tmp_path / "g.pose").exists()
         assert (tmp_path / "g.truth.csv").read_text().startswith("edge_id,realized")
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_GENERATE, ids=lambda c: "_".join(c["args"]).replace("--", "")
+    )
+    def test_files_match_golden_hashes(self, case, tmp_path):
+        argv = ["generate", *case["args"]]
+        for name in case["sha256"]:
+            argv += [OUTPUT_FLAG[name], str(tmp_path / name)]
+        assert main(argv) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in case["sha256"]
+        }
+        assert got == case["sha256"]
 
     def test_missing_output_dir_fails(self, tmp_path):
         rc = main([
@@ -147,6 +169,25 @@ class TestPlan:
             "--plan", str(plan_path), "--level", "brute", "--cap-degree", "2",
         ])
         assert rc == 0
+
+    def test_candidate_for_unknown_edge_is_data_error(self, tmp_path, capsys):
+        graph_path, pose_path = tmp_path / "g.exg", tmp_path / "g.pose"
+        rc = main([
+            "generate", "--robots", "2", "--verts", "3", "--edges", "4", "--seed", "0",
+            "--output", str(graph_path), "--pose-output", str(pose_path),
+        ])
+        assert rc == 0
+        with pose_path.open("a") as fh:
+            fh.write("CANDIDATE 99 0 4 1.0\n")
+        line = len(pose_path.read_text().splitlines())
+        capsys.readouterr()
+        rc = main([
+            "plan", "--input", str(graph_path), "--pose-input", str(pose_path),
+            "--objective", "treeconn", "-b", "1", "-k", "1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and "edge 99" in err
 
     def test_regime_mismatch_is_usage_error(self, instance, capsys):
         rc = main([

@@ -1,9 +1,12 @@
 """Generators (determinism, validity, sampling statistics) and file round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopselect import (
     GenSpec,
@@ -16,6 +19,7 @@ from loopselect import (
     generate_pose_graph,
     sample_ground_truth,
 )
+from loopselect.generate import decode_pairs, pair_count
 from loopselect.io import (
     parse_exchange_graph,
     parse_ground_truth,
@@ -69,6 +73,32 @@ class TestExchangeGeneration:
                     probabilities=(0.25, 0.75))
         )
         assert sorted(e.p for e in g.edges) == [0.25, 0.75]
+
+
+class TestPairDecoding:
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.integers(2, 8), nv=st.integers(1, 12))
+    def test_matches_nested_loop_enumeration(self, r, nv):
+        pairs = [
+            (u, v)
+            for u in range(r * nv)
+            for v in range(u + 1, r * nv)
+            if u // nv != v // nv
+        ]
+        assert pair_count(r, nv) == len(pairs)
+        us, vs = decode_pairs(np.arange(len(pairs)), r, nv)
+        assert list(zip(us.tolist(), vs.tolist())) == pairs
+
+    def test_peak_memory_at_10x200(self):
+        spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
+        tracemalloc.start()
+        try:
+            generate_exchange_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a generator that listed all 1.8M pairs peaked at about 169 MiB
+        assert peak < 20 * 2**20
 
 
 class TestGroundTruth:
@@ -226,6 +256,12 @@ class TestStrictParsing:
         text = self.POSES + record + "\nEDGE_SE2 1 2 1.0 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0\n"
         with pytest.raises(ParseError, match=f"^line {line}: invalid pose graph"):
             parse_pose_graph(text)
+
+    def test_pose_graph_candidate_must_name_a_known_edge(self):
+        text = self.POSES + "CANDIDATE 0 0 2 1.0\nCANDIDATE 3 1 2 1.0\n"
+        assert set(parse_pose_graph(text, edge_ids={0, 3}).candidate_map) == {0, 3}
+        with pytest.raises(ParseError, match="^line 5: candidate for edge 3"):
+            parse_pose_graph(text, edge_ids={0, 1})
 
     @pytest.mark.parametrize(
         "record,line,what",

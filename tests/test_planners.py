@@ -29,6 +29,7 @@ from loopselect import (
     v_greedy,
 )
 
+from loopselect import planners
 from loopselect.io import serialize_exchange_graph, serialize_pose_graph
 
 from conftest import make_graph, random_modular_instance, random_treeconn_instance
@@ -115,6 +116,29 @@ class TestMGreedy:
         assert plan.achieved_value == pytest.approx(
             obj.value([e.id for e in demo_graph.edges]), abs=1e-12
         )
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize(
+        "budget, exhausted",
+        [
+            (lambda g: TotalUniform(100), True),
+            (lambda g: TotalNonuniform(100.0), True),
+            (lambda g: IndividualUniform.by_robot(g, [9, 9, 9]), True),
+            (lambda g: TotalUniform(9), False),
+            (lambda g: TotalNonuniform(9.0), False),
+            (lambda g: IndividualUniform.by_robot(g, [3, 3, 3]), False),
+            (lambda g: IndividualUniform.by_robot(g, [9, 9, 2]), False),
+        ],
+        ids=["tu", "tn", "iu", "tu-tight", "tn-tight", "iu-tight", "iu-short"],
+    )
+    def test_exhausted_means_no_candidate_left_with_room(
+        self, demo_graph, budget, exhausted, lazy
+    ):
+        obj = ModularObjective(demo_graph)
+        plan, trace = m_greedy(demo_graph, 3, budget(demo_graph), obj, lazy=lazy)
+        assert trace.exhausted is exhausted
+        if exhausted:
+            assert len(plan.vertices) == demo_graph.num_vertices
 
     def test_runs_exactly_b_rounds_with_zero_gains(self, demo_graph):
         obj = ModularObjective(demo_graph)
@@ -437,6 +461,45 @@ class TestLazyMode:
                 assert lazy_tr.steps == eager_tr.steps, (seed, regime)
                 assert lazy_tr.winner == eager_tr.winner
                 assert lazy_tr.evaluations <= eager_tr.evaluations
+
+    def test_m_greedy_stops_once_the_budget_is_full(self, monkeypatch):
+        class Room(planners._Room):
+            """A budget that counts feasibility checks and can hide that it is full."""
+
+            stop = True
+            checks = 0
+
+            def fits(self, vid):
+                Room.checks += 1
+                return super().fits(vid)
+
+            def full(self):
+                return Room.stop and super().full()
+
+        def summary(trace):
+            # exhausted is read off full() too, so it is left out here
+            children = trace.children or {}
+            return (trace.steps, trace.evaluations, trace.winner,
+                    {n: (c.steps, c.evaluations) for n, c in children.items()})
+
+        monkeypatch.setattr(planners, "_Room", Room)
+        saved = 0
+        for seed in range(150):
+            k, cases = regime_cases(seed)
+            for regime, (graph, cb) in cases.items():
+                obj = ModularObjective(graph)
+                for lazy in (False, True):
+                    runs = {}
+                    for stop in (True, False):
+                        Room.stop, Room.checks = stop, 0
+                        plan, trace = m_greedy(graph, k, cb, obj, lazy=lazy)
+                        runs[stop] = plan, summary(trace), Room.checks
+                    (plan, got, checks), (want_plan, want, want_checks) = runs[True], runs[False]
+                    assert plan == want_plan, (seed, regime, lazy)
+                    assert got == want, (seed, regime, lazy)
+                    assert checks <= want_checks
+                    saved += want_checks - checks
+        assert saved > 0
 
     def test_m_greedy_lazy_saves_evaluations_at_10x200(self):
         spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
