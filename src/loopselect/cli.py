@@ -50,30 +50,44 @@ def _parse_grid(spec):
             start, step, end = (float(t) for t in spec.split(":"))
             if step <= 0:
                 raise ValueError
-            out = []
-            x = start
-            while x <= end + 1e-9:
-                out.append(x)
-                x += step
-            return [int(v) if float(v).is_integer() else v for v in out]
-        return [
-            int(t) if float(t).is_integer() else float(t)
-            for t in spec.split(",")
-            if t != ""
-        ]
+            values = []
+            while start <= end + 1e-9:
+                values.append(start)
+                start += step
+        else:
+            values = [float(t) for t in spec.split(",") if t != ""]
     except ValueError:
         raise _UsageError(f"bad grid spec {spec!r}") from None
+    return [int(v) if v.is_integer() else v for v in values]
+
+
+def _integer(x, what) -> int:
+    """``x`` (an int, or text such as '3' or '3.0') as an int; a fraction is a usage error."""
+    if not float(x).is_integer():
+        raise _UsageError(f"bad {what} {x!r}: not an integer")
+    return int(float(x))
 
 
 def _budget(regime, b, graph):
-    if regime == "tu":
-        return TotalUniform(int(b))
-    if regime == "tn":
-        return TotalNonuniform(float(b))
-    if regime == "iu":
-        limits = [int(t) for t in str(b).split("/")]
-        return IndividualUniform.by_robot(graph, limits)
+    """``regime``'s budget from ``b`` (tu: int, tn: float, iu: l0/l1/...), or a usage error."""
+    try:
+        if regime == "tu":
+            return TotalUniform(_integer(b, "tu budget"))
+        if regime == "tn":
+            return TotalNonuniform(float(b))
+        if regime == "iu":
+            limits = [_integer(t, "iu limit") for t in str(b).split("/")]
+            return IndividualUniform.by_robot(graph, limits)
+    except ValueError as err:
+        raise _UsageError(f"bad {regime} budget {b!r}: {err}") from None
     raise _UsageError(f"unknown regime {regime!r}")
+
+
+def _alpha(cb, k, delta):
+    """A-priori factor of the combined greedy, or None outside tu or below b, k, delta = 1."""
+    if isinstance(cb, TotalUniform) and min(cb.b, k, delta) >= 1:
+        return cert.alpha_apriori(cb.b, k, delta)
+    return None
 
 
 def _objective(name, graph, pose_graph):
@@ -178,12 +192,7 @@ def _cmd_plan(args):
         args.planner, graph, args.k, cb, objective, args.lazy, args.seed
     )
     delta = graph.max_degree()
-    b_int = int(args.b) if args.regime == "tu" else None
-    alpha = (
-        cert.alpha_apriori(b_int, args.k, delta)
-        if args.regime == "tu" and b_int and args.k >= 1 and delta >= 1
-        else ""
-    )
+    alpha = _alpha(cb, args.k, delta)
     if args.output:
         payload = {
             "format": "loopselect-plan",
@@ -202,7 +211,7 @@ def _cmd_plan(args):
     print(
         f"planner={args.planner} value={plan.achieved_value!r} "
         f"|V|={len(plan.vertices)} |E|={len(plan.edges)} delta={delta} "
-        f"alpha_apriori={alpha!r}"
+        f"alpha_apriori={'' if alpha is None else alpha!r}"
     )
     return 0
 
@@ -224,8 +233,10 @@ def _cmd_certify(args):
     graph, pose_graph = _load_inputs(args)
     plan, payload = _load_plan(args.plan, graph)
     objective = _objective(payload["objective"], graph, pose_graph)
-    k = int(payload["k"])
-    cb = _budget(payload["regime"], payload["b"], graph)
+    try:
+        k, cb = _integer(payload["k"], "k"), _budget(payload["regime"], payload["b"], graph)
+    except _UsageError as err:
+        raise ParseError(1, f"plan file: {err}") from None
     if not graph.check_plan(plan, k, cb):
         raise ParseError(1, "plan file fails feasibility against this graph")
     achieved = objective.value(plan.edges)
@@ -235,25 +246,19 @@ def _cmd_certify(args):
             f"the recomputed {achieved!r}"
         )
     delta = graph.max_degree()
-    b_for_alpha = int(payload["b"]) if payload["regime"] == "tu" else None
 
     opt = upt = None
     if args.level == "brute":
         opt, _ = cert.brute_force_opt(graph, k, cb, objective)
     if payload["regime"] == "tu" and payload["objective"] == "modular":
-        upt = cert.lp_upper_bound_modular(graph, k, int(payload["b"]))
+        upt = cert.lp_upper_bound_modular(graph, k, cb.b)
     elif args.level == "lp":
         print(
             "warning: LP certification needs modular objective under tu; skipped",
             file=sys.stderr,
         )
-    alpha = (
-        cert.alpha_apriori(b_for_alpha, k, delta)
-        if b_for_alpha and b_for_alpha >= 1 and k >= 1 and delta >= 1
-        else 0.0
-    )
     c = cert.Certificate(
-        achieved=achieved, opt=opt, upt=upt, alpha_apriori=alpha
+        achieved=achieved, opt=opt, upt=upt, alpha_apriori=_alpha(cb, k, delta) or 0.0
     )
     print(cert.CSV_HEADER)
     print(c.csv_row(args.input, payload["b"], k, delta))
@@ -292,6 +297,8 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     for p in spec.planners:
         _check_planner_regime(p, spec.regime, spec.objective)
     objective = _objective(spec.objective, graph, pose_graph)
+    budgets = [(b, _budget(spec.regime, b, graph)) for b in spec.bs]
+    ks = [_integer(k, "k") for k in spec.ks]
     norm = _infinite_budget_value(graph, objective)
     delta = graph.max_degree()
 
@@ -300,14 +307,13 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
         "b,k,planner,achieved,normalized,opt,upt,gap_pct,"
         "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
     )
-    for b in spec.bs:
-        for k in spec.ks:
-            cb = _budget(spec.regime, b, graph)
+    for b, cb in budgets:
+        for k in ks:
             opt = upt = None
             level = spec.certify
             if level == "brute":
                 try:
-                    opt, _ = cert.brute_force_opt(graph, int(k), cb, objective)
+                    opt, _ = cert.brute_force_opt(graph, k, cb, objective)
                 except InstanceTooLargeError:
                     print(
                         f"warning: brute guard exceeded at b={b} k={k}; "
@@ -316,45 +322,27 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
                     )
                     level = "lp"
             if level in ("lp", "brute") and spec.regime == "tu" and spec.objective == "modular":
-                upt = cert.lp_upper_bound_modular(graph, int(k), int(b))
-            alpha_ok = (
-                spec.regime == "tu" and int(k) >= 1 and delta >= 1 and int(b) >= 1
-            )
+                upt = cert.lp_upper_bound_modular(graph, k, cb.b)
+            ref = opt if opt is not None else upt
+            alpha = _alpha(cb, k, delta)
             for planner in spec.planners:
                 plan, trace = _run_planner(
-                    planner, graph, int(k), cb, objective, spec.lazy, spec.seed
+                    planner, graph, k, cb, objective, spec.lazy, spec.seed
                 )
-                alpha = cert.alpha_apriori(int(b), int(k), delta) if alpha_ok else 0.0
-                a_e = a_v = ""
-                if planner in ("egreedy", "vgreedy", "sgreedy") and alpha_ok:
-                    a_e, a_v = cert.alpha_posteriori(trace, int(b), int(k), delta)
-                ref = opt if opt is not None else upt
-                gap = (
-                    repr((ref - plan.achieved_value) / norm * 100.0)
-                    if ref is not None and norm > 0
-                    else ""
-                )
-                ratio = (
-                    repr(plan.achieved_value / upt) if upt not in (None, 0) else ""
-                )
-                rows.append(
-                    ",".join(
-                        [
-                            str(b),
-                            str(k),
-                            planner,
-                            repr(plan.achieved_value),
-                            repr(plan.achieved_value / norm) if norm > 0 else "",
-                            "" if opt is None else repr(opt),
-                            "" if upt is None else repr(upt),
-                            gap,
-                            repr(alpha),
-                            repr(a_e) if a_e != "" else "",
-                            repr(a_v) if a_v != "" else "",
-                            ratio,
-                        ]
-                    )
-                )
+                posterior = ["", ""]
+                if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
+                    posterior = [repr(a) for a in cert.alpha_posteriori(trace, cb.b, k, delta)]
+                achieved = plan.achieved_value
+                rows.append(",".join([
+                    str(b), str(k), planner, repr(achieved),
+                    repr(achieved / norm) if norm > 0 else "",
+                    "" if opt is None else repr(opt),
+                    "" if upt is None else repr(upt),
+                    repr((ref - achieved) / norm * 100.0) if ref is not None and norm > 0 else "",
+                    repr(alpha or 0.0),
+                    *posterior,
+                    repr(achieved / upt) if upt not in (None, 0) else "",
+                ]))
     return rows
 
 
@@ -384,7 +372,9 @@ def _write_rows(rows, output):
 
 
 def _cmd_sweep(args):
-    bs = _parse_grid(args.b)
+    # an iu budget is itself a list (l0/l1/...), so an iu grid is a comma list of them
+    iu = args.regime == "iu" and not args.alpha_only
+    bs = [t for t in args.b.split(",") if t] if iu else _parse_grid(args.b)
     ks = _parse_grid(args.k)
     if not bs or not ks:
         raise _UsageError("empty budget grid")
@@ -450,7 +440,7 @@ def _build_parser():
     s.add_argument("--objective", default="modular", choices=["modular", "dcrit", "treeconn"])
     s.add_argument("--regime", default="tu", choices=["tu", "tn", "iu"])
     s.add_argument("--planners", default="sgreedy", help="comma list of planners")
-    s.add_argument("-b", required=True, help="grid: value, list, or start:step:end")
+    s.add_argument("-b", required=True, help="grid: value, list, or start:step:end (iu: l0/l1/...,...)")
     s.add_argument("-k", required=True, help="grid: value, list, or start:step:end")
     s.add_argument("--certify", default="none", choices=["none", "lp", "brute"])
     s.add_argument("--lazy", action="store_true")

@@ -69,11 +69,17 @@ class Plan:
     achieved_value: float = 0.0
 
 
+def _check_total(budget):
+    if not 0 <= budget.b < math.inf:
+        raise ValueError(f"budget must be non-negative and finite, got {budget.b!r}")
+
+
 @dataclass(frozen=True)
 class TotalUniform:
     """Broadcast at most ``b`` observations in total (cardinality constraint)."""
 
     b: int
+    __post_init__ = _check_total
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,7 @@ class TotalNonuniform:
     """Total broadcast weight at most ``b`` (knapsack constraint)."""
 
     b: float
+    __post_init__ = _check_total
 
 
 @dataclass(frozen=True)

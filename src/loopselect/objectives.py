@@ -7,14 +7,14 @@ Three normalized monotone objectives are provided:
 * ``DCritObjective`` — expected log-determinant gain of an information matrix
   over a positive-definite prior. Each candidate edge contributes a rank-one
   term ``p(e) * w_e * a_e a_eᵀ`` on the anchored pose space, where ``a_e`` is
-  the reduced incidence vector of the pose pair the edge constrains.
+  the incidence vector of the pose pair the edge constrains.
 * ``TreeConnObjective`` — log of the gain in the weighted number of spanning
   trees of the pose graph (reduced-Laplacian log-determinant gain). Requires
   a connected base graph, which makes the objective monotone submodular.
 
 Every objective offers two ways to evaluate it. ``value(edge_ids)`` is the
 dense, stateless reference: for the log-det objectives it rebuilds the matrix
-and refactorizes it, O(|S|d² + d³) per call. ``oracle()`` returns the state
+and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state
 of one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
 new edges to everything committed so far, ``commit(edge_ids)`` adds them, and
 ``value`` is the running objective value. The log-det oracle inverts the base
@@ -61,8 +61,8 @@ class PoseGraph:
     edge id to the pose pair ``(i, j, weight)`` a verified match would
     constrain. ``poses`` optionally carries planar (x, y, theta) coordinates;
     only counts and connectivity matter to the objectives. The ``anchor``
-    pose is pinned, i.e. its row/column is deleted from incidence vectors and
-    Laplacians.
+    pose is pinned, i.e. its row and column are dropped from Laplacians and
+    information matrices.
     """
 
     num_poses: int
@@ -113,21 +113,45 @@ class PoseGraph:
         roots = {find(i) for i in range(self.num_poses)}
         return len(roots) <= 1
 
-    def reduced_incidence(self, i, j) -> np.ndarray:
-        """Incidence vector of pose pair (i, j) with the anchor coordinate deleted."""
-        a = np.zeros(self.num_poses)
-        a[i] = 1.0
-        a[j] = -1.0
-        return np.delete(a, self.anchor)
-
     def base_laplacian_reduced(self) -> np.ndarray:
-        """Weighted Laplacian of the base edges, anchor row/column deleted."""
+        """Weighted Laplacian of the base edges, anchor row/column dropped."""
         d = self.num_poses - 1
-        L = np.zeros((d, d))
-        for i, j, w in self.base_edges:
-            a = self.reduced_incidence(i, j)
-            L += w * np.outer(a, a)
-        return L
+        return _with_edges(np.zeros((d, d)), self.base_edges, self.anchor)
+
+
+def _anchored(n, anchor):
+    """Index of the anchored block (all but the anchor's row and column) of an n×n matrix."""
+    keep = np.delete(np.arange(n), anchor)
+    return np.ix_(keep, keep)
+
+
+def _with_edges(M, edges, anchor):
+    """The anchored matrix M plus s·a aᵀ for each edge (i, j, s), a = e_i − e_j.
+
+    One ``np.add.at`` in pose coordinates over the entries (i,i) (j,j) (i,j)
+    (j,i), edge after edge, so every entry receives its ±s in the order of
+    ``edges``: bit for bit the sum of dense outer products added in that
+    order, at O(len(edges) + d²).
+    """
+    n = M.shape[0] + 1
+    block = _anchored(n, anchor)
+    P = np.zeros((n, n))
+    P[block] = M
+    if edges:
+        I, J, s = (np.array(col) for col in zip(*edges))
+        rows = np.column_stack((I, J, I, J)).ravel()
+        cols = np.column_stack((I, J, J, I)).ravel()
+        np.add.at(P, (rows, cols), np.column_stack((s, s, -s, -s)).ravel())
+    return P[block]
+
+
+def _edges(pairs, edge_ids):
+    """The (i, j, s) of each id in ``edge_ids`` with s > 0, in the given order."""
+    try:
+        edges = [pairs[eid] for eid in edge_ids]
+    except KeyError as err:
+        raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+    return [t for t in edges if t[2] != 0.0]
 
 
 class ModularObjective:
@@ -194,26 +218,17 @@ class _LogDetOracle:
     """Determinant-lemma gains of one planner run over a cached inverse.
 
     ``_P`` holds M⁻¹ in pose coordinates with the anchor's row and column
-    zero, so for an edge on pose pair (i, j) the reduced incidence vector a
-    gives ``aᵀM⁻¹a = P[i,i] + P[j,j] - 2 P[i,j]`` and ``M⁻¹a = P[:,i] - P[:,j]``.
+    zero, so for an edge on pose pair (i, j) the incidence vector a gives
+    ``aᵀM⁻¹a = P[i,i] + P[j,j] - 2 P[i,j]`` and ``M⁻¹a = P[:,i] - P[:,j]``.
     """
 
     def __init__(self, pairs, M0, anchor):
         n = M0.shape[0] + 1
-        keep = np.delete(np.arange(n), anchor)
         self._P = np.zeros((n, n))
-        self._P[np.ix_(keep, keep)] = inv_pd(M0)
+        self._P[_anchored(n, anchor)] = inv_pd(M0)
         self._pairs = pairs
         self._committed: set[int] = set()
         self.value = 0.0
-
-    def _terms(self, new):
-        """(i, j, s) of each edge in ``new`` with s > 0, in the given order."""
-        try:
-            terms = [self._pairs[eid] for eid in new]
-        except KeyError as err:
-            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
-        return [t for t in terms if t[2] != 0.0]
 
     def _quad(self, i, j) -> float:
         P = self._P
@@ -221,7 +236,7 @@ class _LogDetOracle:
         return max(float(P[i, i] + P[j, j] - 2.0 * P[i, j]), 0.0)
 
     def gain(self, edge_ids) -> float:
-        terms = self._terms(sorted(_fresh(self._committed, edge_ids)))
+        terms = _edges(self._pairs, sorted(_fresh(self._committed, edge_ids)))
         if not terms:
             return 0.0
         if len(terms) == 1:
@@ -238,13 +253,13 @@ class _LogDetOracle:
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)
-        terms = self._terms(sorted(new))
+        terms = _edges(self._pairs, sorted(new))
         self._committed |= new
         P = self._P
         for i, j, s in terms:
             u = P[:, i] - P[:, j]
             sr = s * max(float(u[i] - u[j]), 0.0)
-            P -= (s / (1.0 + sr)) * np.outer(u, u)
+            P -= (s / (1.0 + sr)) * (u[:, None] * u)
             self.value += math.log1p(sr)
 
 
@@ -252,12 +267,12 @@ class _RankOneLogDet:
     """logdet(M0 + sum of per-edge rank-one terms) - logdet(M0).
 
     Subclasses fix the base matrix M0. Each exchange edge e mapped to pose
-    pair (i, j) with candidate weight w contributes ``p(e) * w * a aᵀ`` where
-    a is the reduced incidence vector of (i, j). ``value`` rebuilds and
-    refactorizes the matrix per query and is the dense reference; planners
-    take their gains from :meth:`oracle`. Contributions are accumulated in
-    ascending edge-id order so that zero-probability edges change nothing,
-    bit for bit.
+    pair (i, j) with candidate weight w is the triple ``(i, j, p(e) * w)`` and
+    contributes ``p(e) * w * a aᵀ``, where a is the incidence vector of (i, j).
+    ``value`` rebuilds and refactorizes the matrix per query and is the dense
+    reference; planners take their gains from :meth:`oracle`. Contributions
+    are accumulated in ascending edge-id order so that zero-probability edges
+    change nothing, bit for bit.
     """
 
     def __init__(self, graph, pose_graph, M0):
@@ -271,26 +286,15 @@ class _RankOneLogDet:
         self.pose_graph = pose_graph
         self._M0 = np.asarray(M0, dtype=float)
         self._logdet0 = logdet_pd(self._M0)
-        self._terms = {}
         self._pairs = {}
         for e in graph.edges:
             i, j, w = pose_graph.candidate_map[e.id]
-            self._terms[e.id] = (pose_graph.reduced_incidence(i, j), e.p * w)
             self._pairs[e.id] = (i, j, e.p * w)
 
-    def _matrix(self, edge_ids) -> np.ndarray:
-        M = self._M0.copy()
-        for eid in sorted(set(edge_ids)):
-            try:
-                a, s = self._terms[eid]
-            except KeyError:
-                raise ValueError(f"unknown edge id {eid!r}") from None
-            if s != 0.0:
-                M += s * np.outer(a, a)
-        return M
-
     def value(self, edge_ids) -> float:
-        return logdet_pd(self._matrix(edge_ids)) - self._logdet0
+        edges = _edges(self._pairs, sorted(set(edge_ids)))
+        M = _with_edges(self._M0, edges, self.pose_graph.anchor)
+        return logdet_pd(M) - self._logdet0
 
     def marginal(self, edge_ids, eid) -> float:
         selected = set(edge_ids)

@@ -194,8 +194,6 @@ class _Room:
 def _require_tu(cb, who):
     if not isinstance(cb, TotalUniform):
         raise ValueError(f"{who} requires a total-uniform (cardinality) budget")
-    if cb.b < 0:
-        raise ValueError("budget must be non-negative")
 
 
 def _require_modular(objective):

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from loopselect import (
+    IndividualUniform,
     ModularObjective,
+    Plan,
+    TotalNonuniform,
     TotalUniform,
     TreeConnObjective,
     m_greedy,
@@ -196,6 +199,49 @@ class TestPlan:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("regime, planner, b, message", [
+        ("tu", "sgreedy", "2.5", "bad tu budget '2.5': not an integer"),
+        ("tu", "sgreedy", "-1", "bad tu budget '-1': budget must be non-negative"),
+        ("tn", "mgreedy", "nan", "bad tn budget 'nan'"),
+        ("tn", "mgreedy", "inf", "bad tn budget 'inf'"),
+        ("tn", "mgreedy", "-0.5", "bad tn budget '-0.5'"),
+        ("iu", "mgreedy", "1/0.5/1", "bad iu limit '0.5': not an integer"),
+        ("iu", "mgreedy", "1/-1/1", "bad iu budget '1/-1/1'"),
+        ("iu", "mgreedy", "1/1", "bad iu budget '1/1': expected 3 limits"),
+    ], ids=["tu-fraction", "tu-negative", "tn-nan", "tn-inf", "tn-negative",
+            "iu-fraction", "iu-negative", "iu-count"])
+    def test_bad_budget_is_usage_error(self, instance, tmp_path, capsys, regime, planner, b,
+                                       message):
+        plan_path = tmp_path / "plan.json"
+        rc = main([
+            "plan", "--input", str(instance), "--planner", planner, "--regime", regime,
+            "-b", b, "-k", "3", "--output", str(plan_path),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not plan_path.exists()
+
+    def test_fractional_k_is_usage_error(self, instance, capsys):
+        rc = main(["plan", "--input", str(instance), "-b", "2", "-k", "4.5"])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime, b, cb", [
+        ("tu", "2.0", TotalUniform(2)),
+        ("tn", "2.5", TotalNonuniform(2.5)),
+        ("tn", "0", TotalNonuniform(0.0)),
+    ], ids=["tu-2.0", "tn-2.5", "tn-0"])
+    def test_valid_budget_plan_is_feasible(self, instance, tmp_path, regime, b, cb):
+        plan_path = tmp_path / "plan.json"
+        rc = main([
+            "plan", "--input", str(instance), "--planner", "mgreedy", "--regime", regime,
+            "-b", b, "-k", "3", "--output", str(plan_path),
+        ])
+        assert rc == 0
+        payload = json.loads(plan_path.read_text())
+        plan = Plan(tuple(payload["vertices"]), tuple(payload["edges"]), payload["achieved_value"])
+        assert demo_rendezvous_graph().check_plan(plan, 3, cb)
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["plan", "--input", str(tmp_path / "absent.exg"), "-b", "2", "-k", "3"])
         assert rc == 2
@@ -252,6 +298,46 @@ class TestSweep:
             gap = float(row[7])
             assert gap >= -1e-9
             assert float(row[5]) <= float(row[6]) + 1e-7  # opt <= upt
+
+    def test_iu_grid_takes_limit_lists(self, instance, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy", "--regime", "iu",
+            "-b", "1/1/1,2/0/1", "-k", "4", "--output", str(out),
+        ])
+        assert rc == 0
+        body = [
+            line.split(",") for line in out.read_text().splitlines()
+            if line and not line.startswith("#") and not line.startswith("b,")
+        ]
+        graph = demo_rendezvous_graph()
+        assert [row[0] for row in body] == ["1/1/1", "2/0/1"]
+        for row, limits in zip(body, ([1, 1, 1], [2, 0, 1])):
+            cb = IndividualUniform.by_robot(graph, limits)
+            plan, _ = m_greedy(graph, 4, cb, ModularObjective(graph))
+            assert graph.check_plan(plan, 4, cb)
+            assert row[3] == repr(plan.achieved_value)
+
+    @pytest.mark.parametrize("regime, b, k, message", [
+        ("tu", "2.5", "4", "bad tu budget"),
+        ("tu", "1:0.5:2", "4", "bad tu budget"),
+        ("tu", "2", "4.5", "bad k"),
+        ("tu", "2", "2,4.5", "bad k"),
+        ("tn", "2.5,nan", "4", "bad tn budget"),
+        ("tn", "-1", "4", "bad tn budget"),
+        ("iu", "1/1/1,1/1", "4", "bad iu budget"),
+        ("iu", "1/1/1,1/x/1", "4", "bad iu budget"),
+    ], ids=["tu-fraction", "tu-fractional-range", "k-fraction", "k-fraction-in-list",
+            "tn-nan", "tn-negative", "iu-count", "iu-not-a-number"])
+    def test_bad_grid_is_usage_error(self, instance, tmp_path, capsys, regime, b, k, message):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy", "--regime", regime,
+            "-b", b, "-k", k, "--output", str(out),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_spec_library_entry(self):
         from loopselect import SweepSpec, sweep_rows
@@ -345,6 +431,20 @@ class TestCertify:
         ])
         assert rc == 2
 
+
+    def test_bad_budget_in_plan_file_is_data_error(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy", "--regime", "tn",
+            "-b", "2.5", "-k", "3", "--output", str(plan_path),
+        ])
+        payload = json.loads(plan_path.read_text())
+        payload["b"] = "nan"
+        plan_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        assert "plan file: bad tn budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale, rc_want", [(1.0 + 1e-6, 2), (1.0 + 1e-12, 0)])
     def test_stored_value_must_match(self, instance, tmp_path, capsys, scale, rc_want):

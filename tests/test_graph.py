@@ -1,6 +1,7 @@
 """Exchange-graph invariants, covers, budgets, and plan feasibility."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,16 @@ class TestBudgets:
     def test_by_robot_needs_one_limit_per_robot(self, demo_graph):
         with pytest.raises(ValueError):
             IndividualUniform.by_robot(demo_graph, [1, 1])
+
+    @pytest.mark.parametrize("cls", [TotalUniform, TotalNonuniform])
+    @pytest.mark.parametrize("b", [-1, -0.5, math.nan, math.inf, -math.inf])
+    def test_total_budget_rejects_negative_or_non_finite(self, cls, b):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            cls(b)
+
+    def test_total_budgets_accept_zero(self, demo_graph):
+        assert demo_graph.budget_satisfied([], TotalUniform(0))
+        assert demo_graph.budget_satisfied([], TotalNonuniform(0.0))
 
 
 class TestCheckPlan:

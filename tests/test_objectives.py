@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopselect import (
     DCritObjective,
@@ -20,6 +22,7 @@ from loopselect import (
 )
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
 from loopselect.linalg import logdet_pd
+from loopselect.objectives import DEFAULT_PRIOR_EPS
 
 from conftest import (
     make_graph,
@@ -27,6 +30,13 @@ from conftest import (
     random_treeconn_instance,
     spanning_tree_weight_sum,
 )
+
+
+def incidence(pg, i, j):
+    """Incidence vector of pose pair (i, j) with the anchor coordinate deleted."""
+    a = np.zeros(pg.num_poses)
+    a[i], a[j] = 1.0, -1.0
+    return np.delete(a, pg.anchor)
 
 
 def dcrit_oracle(prior, terms, edge_ids):
@@ -186,7 +196,7 @@ class TestDCrit:
             d = pg.num_poses - 1
             prior = pg.base_laplacian_reduced() + 1e-6 * np.eye(d)
             terms = {
-                e.id: (pg.reduced_incidence(*pg.candidate_map[e.id][:2]),
+                e.id: (incidence(pg, *pg.candidate_map[e.id][:2]),
                        e.p * pg.candidate_map[e.id][2])
                 for e in graph.edges
             }
@@ -308,7 +318,7 @@ def dense_matrix(obj, pg, prior, edge_ids):
     M = np.array(prior, dtype=float)
     for eid in edge_ids:
         i, j, w = pg.candidate_map[eid]
-        a = pg.reduced_incidence(i, j)
+        a = incidence(pg, i, j)
         M = M + obj.graph.edge(eid).p * w * np.outer(a, a)
     return M
 
@@ -394,7 +404,7 @@ class TestOracle:
             if e.id in committed:
                 continue
             i, j, w = pg.candidate_map[e.id]
-            a = pg.reduced_incidence(i, j)
+            a = incidence(pg, i, j)
             exact = math.log1p(e.p * w * float(a @ np.linalg.solve(M, a)))
             gain = oracle.gain((e.id,))
             assert gain > 0.0
@@ -418,7 +428,7 @@ class TestOracle:
                     if e.id in committed:
                         continue
                     i, j, w = pg.candidate_map[e.id]
-                    a = pg.reduced_incidence(i, j)
+                    a = incidence(pg, i, j)
                     exact = math.log1p(e.p * w * float(a @ np.linalg.solve(M, a)))
                     assert oracle.gain((e.id,)) == pytest.approx(exact, rel=1e-10, abs=1e-14)
 
@@ -459,6 +469,74 @@ class TestOracle:
         assert oracle.gain((5,)) == obj.marginal([0, 3], 5)
         assert oracle.gain((5, 6)) == obj.value([0, 3, 5, 6]) - obj.value([0, 3])
         assert oracle.gain(()) == 0.0
+
+
+def dense_laplacian(pg):
+    """Reduced base Laplacian as a sum of dense outer products, in base-edge order."""
+    L = np.zeros((pg.num_poses - 1,) * 2)
+    for i, j, w in pg.base_edges:
+        a = incidence(pg, i, j)
+        L += w * np.outer(a, a)
+    return L
+
+
+def dense_value(obj, M0, edge_ids):
+    """logdet(M0 + Σ s a aᵀ) - logdet(M0), adding every edge in ascending id order."""
+    M = dense_matrix(obj, obj.pose_graph, M0, sorted(set(edge_ids)))
+    return logdet_pd(M) - logdet_pd(M0)
+
+
+@st.composite
+def logdet_instances(draw):
+    """A connected pose graph with any anchor, and candidates on repeated pose pairs.
+
+    The base is a spanning path in random order plus extra edges that may
+    repeat a pair; the candidates always repeat one pose pair and include a
+    zero-probability edge. Also returns an explicit random SPD prior.
+    """
+    n = draw(st.integers(2, 9))
+    pose = st.integers(0, n - 1)
+    pair = st.tuples(pose, pose).filter(lambda ij: ij[0] != ij[1])
+    weight = st.floats(0.05, 4.0)
+    path = draw(st.permutations(range(n)))
+    base = [(path[t], path[t + 1]) for t in range(n - 1)]
+    base = draw(st.permutations(base + draw(st.lists(pair, max_size=6))))
+    pairs = draw(st.lists(pair, min_size=1, max_size=8))
+    pairs += [pairs[0], draw(pair)]
+    m = len(pairs)
+    p = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    ps = draw(st.lists(p, min_size=m - 1, max_size=m - 1))
+    ps.insert(draw(st.integers(0, m - 1)), 0.0)
+    graph = make_graph(2, [0] * m + [1] * m, [(e, m + e) for e in range(m)], ps)
+    pg = PoseGraph(
+        num_poses=n,
+        base_edges=tuple((i, j, draw(weight)) for i, j in base),
+        candidate_map={e: (i, j, draw(weight)) for e, (i, j) in enumerate(pairs)},
+        anchor=draw(pose),
+    )
+    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n - 1, n - 1))
+    return graph, pg, A @ A.T + (n - 1) * np.eye(n - 1)
+
+
+class TestScatterMatchesDense:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_bit_identical_to_outer_products(self, instance, data):
+        graph, pg, prior = instance
+        L = dense_laplacian(pg)
+        assert pg.base_laplacian_reduced().tobytes() == L.tobytes()
+        eids = [e.id for e in graph.edges]
+        cases = [
+            (TreeConnObjective(graph, pg), L),
+            (DCritObjective(graph, pg), L + DEFAULT_PRIOR_EPS * np.eye(pg.num_poses - 1)),
+            (DCritObjective(graph, pg, prior=prior), prior),
+        ]
+        for obj, M0 in cases:
+            S = data.draw(st.lists(st.sampled_from(eids), max_size=2 * len(eids)))
+            assert obj.value(S) == dense_value(obj, M0, S)
+            assert obj.value(eids) == dense_value(obj, M0, eids)
+            with pytest.raises(ValueError, match="unknown edge id"):
+                obj.value(S + [len(eids)])
 
 
 class TestLinalg:
