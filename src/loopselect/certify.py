@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 ENUM_GUARD = 2**20   # max feasible vertex subsets / inner enumerations
+NODE_GUARD = 2**10   # max branched nodes of the ILP's branch and bound
+LP_GUARD = 2**24     # max entries of a dense simplex tableau (128 MiB)
 VALUE_TIE_TOL = 1e-12
 LP_TOL = 1e-7
 
@@ -237,10 +239,13 @@ def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
     nf = len(free)
     m = len(graph.edges)
     nvar = nf + m
+    rows = nvar + 2 + m
+    if (rows + 1) * (nvar + rows + 1) > LP_GUARD:
+        raise InstanceTooLargeError(f"instance too large: a {rows}x{nvar} dense LP")
 
     # rows: pi <= 1 and ell <= 1 (nvar), sum pi <= b - |fixed1|, sum ell <= k,
     # then ell_e <= pi_u + pi_v per edge, with fixed-to-1 ends moved to the rhs
-    A = np.zeros((nvar + 2 + m, nvar))
+    A = np.zeros((rows, nvar))
     bounds = np.arange(nvar)
     A[bounds, bounds] = 1.0
     A[nvar, :nf] = 1.0
@@ -262,7 +267,11 @@ def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
 
 
 def lp_upper_bound_modular(graph, k, b) -> float:
-    """Optimal value of the LP relaxation; an upper bound on the exact optimum."""
+    """Optimal value of the LP relaxation; an upper bound on the exact optimum.
+
+    Raises :class:`InstanceTooLargeError` when the dense simplex tableau would
+    exceed ``LP_GUARD`` entries.
+    """
     if k < 0 or b < 0:
         raise ValueError("budgets must be non-negative")
     _, value = _modular_lp(graph, k, b)
@@ -275,16 +284,13 @@ def ilp_opt_modular(graph, k, b, stats=None) -> float:
     Branches on the most fractional vertex indicator, explores nodes in
     best-bound order, and evaluates integral nodes exactly through the
     closed-form inner solve. ``stats``, when given a dict, receives the
-    number of branched nodes and LP solves.
+    number of branched nodes and LP solves. Raises
+    :class:`InstanceTooLargeError` rather than branch more than
+    ``NODE_GUARD`` nodes or build an LP past ``LP_GUARD``; the number of
+    vertex subsets does not matter.
     """
     if k < 0 or b < 0:
         raise ValueError("budgets must be non-negative")
-    top = min(b, len(graph.vertices))
-    total = sum(math.comb(len(graph.vertices), s) for s in range(top + 1))
-    if total > ENUM_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large: {total} feasible vertex subsets"
-        )
 
     objective = ModularObjective(graph)
     incumbent = m_greedy(graph, k, TotalUniform(b), objective)[0].achieved_value
@@ -315,6 +321,10 @@ def ilp_opt_modular(graph, k, b, stats=None) -> float:
             if value > incumbent:
                 incumbent = value
             continue
+        if nodes_branched == NODE_GUARD:
+            raise InstanceTooLargeError(
+                f"instance too large: branch and bound exceeds {NODE_GUARD} nodes"
+            )
         branch_vid = min(frac, key=lambda vid: (abs(frac[vid] - 0.5), vid))
         nodes_branched += 1
         for child0, child1 in (

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import certify as cert
 from . import io as gio
@@ -31,6 +33,8 @@ from .planners import (
 __all__ = ["main", "SweepSpec", "sweep_rows"]
 
 PLANNERS = ("mgreedy", "egreedy", "vgreedy", "sgreedy", "random")
+OBJECTIVES = ("modular", "dcrit", "treeconn")
+REGIMES = ("tu", "tn", "iu")
 
 
 class _UsageError(Exception):
@@ -66,6 +70,14 @@ def _integer(x, what) -> int:
     if not float(x).is_integer():
         raise _UsageError(f"bad {what} {x!r}: not an integer")
     return int(float(x))
+
+
+def _edge_budget(x) -> int:
+    """``x`` as the number k of edges to verify; a fraction or a negative k is a usage error."""
+    k = _integer(x, "k")
+    if k < 0:
+        raise _UsageError(f"bad k {x!r}: must be non-negative")
+    return k
 
 
 def _budget(regime, b, graph):
@@ -184,6 +196,7 @@ def _load_inputs(args):
 
 
 def _cmd_plan(args):
+    _edge_budget(args.k)
     graph, pose_graph = _load_inputs(args)
     _check_planner_regime(args.planner, args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph)
@@ -216,34 +229,82 @@ def _cmd_plan(args):
     return 0
 
 
+def _key_lines(text) -> dict[str, int]:
+    """The 1-based line of each top-level key of ``text``, a valid JSON object."""
+    decoder = json.JSONDecoder()
+    space = re.compile(r"[ \t\n\r]*")
+    lines = {}
+    pos = space.match(text).end() + 1  # past "{"
+    while text.startswith('"', pos := space.match(text, pos).end()):
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        lines[key] = text.count("\n", 0, pos) + 1
+        pos = space.match(text, pos).end() + 1  # past ":"
+        _, pos = decoder.raw_decode(text, space.match(text, pos).end())
+        pos = space.match(text, pos).end() + 1  # past "," (or the closing "}")
+    return lines
+
+
+def _one_of(options, what, value):
+    if value not in options:
+        raise ValueError(f"unknown {what} {value!r}")
+    return value
+
+
+def _ids(what, value) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValueError(f"{what} must be a list of integer ids")
+    return tuple(value)
+
+
 def _load_plan(path, graph):
+    """``(plan, payload, k, cb, line)`` of a ``plan --output`` file.
+
+    A bad field is a data error citing the line of its key (``line`` maps
+    each key to it); a file that is not a plan or lacks a field cites line 1.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "loopselect-plan":
+        text = fh.read()
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or payload.get("format") != "loopselect-plan":
         raise ParseError(1, "not a loopselect plan file")
+    line = _key_lines(text)
+
+    def field(key, read):
+        if key not in payload:
+            raise ParseError(1, f"plan file: no {key!r}")
+        try:
+            return read(payload[key])
+        except (_UsageError, ValueError, TypeError) as err:
+            raise ParseError(line[key], f"plan file: {err}") from None
+
+    field("objective", partial(_one_of, OBJECTIVES, "objective"))
+    regime = field("regime", partial(_one_of, REGIMES, "regime"))
+    k = field("k", _edge_budget)
+    cb = field("b", lambda b: _budget(regime, b, graph))
     plan = Plan(
-        vertices=tuple(payload["vertices"]),
-        edges=tuple(payload["edges"]),
-        achieved_value=float(payload["achieved_value"]),
+        vertices=field("vertices", partial(_ids, "vertices")),
+        edges=field("edges", partial(_ids, "edges")),
+        achieved_value=field("achieved_value", float),
     )
-    return plan, payload
+    return plan, payload, k, cb, line
 
 
 def _cmd_certify(args):
     graph, pose_graph = _load_inputs(args)
-    plan, payload = _load_plan(args.plan, graph)
+    plan, payload, k, cb, line = _load_plan(args.plan, graph)
     objective = _objective(payload["objective"], graph, pose_graph)
     try:
-        k, cb = _integer(payload["k"], "k"), _budget(payload["regime"], payload["b"], graph)
-    except _UsageError as err:
-        raise ParseError(1, f"plan file: {err}") from None
-    if not graph.check_plan(plan, k, cb):
-        raise ParseError(1, "plan file fails feasibility against this graph")
+        feasible, why = graph.check_plan(plan, k, cb), ""
+    except ValueError as err:  # an id the graph does not have
+        feasible, why = False, f": {err}"
+    if not feasible:
+        raise ParseError(1, f"plan file fails feasibility against this graph{why}")
     achieved = objective.value(plan.edges)
     if not math.isclose(plan.achieved_value, achieved, rel_tol=1e-9):
-        raise ValueError(
+        raise ParseError(
+            line["achieved_value"],
             f"plan file's achieved_value {plan.achieved_value!r} disagrees with "
-            f"the recomputed {achieved!r}"
+            f"the recomputed {achieved!r}",
         )
     delta = graph.max_degree()
 
@@ -298,7 +359,7 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
         _check_planner_regime(p, spec.regime, spec.objective)
     objective = _objective(spec.objective, graph, pose_graph)
     budgets = [(b, _budget(spec.regime, b, graph)) for b in spec.bs]
-    ks = [_integer(k, "k") for k in spec.ks]
+    ks = [_edge_budget(k) for k in spec.ks]
     norm = _infinite_budget_value(graph, objective)
     delta = graph.max_degree()
 
@@ -381,7 +442,11 @@ def _cmd_sweep(args):
 
     if args.alpha_only:
         kappa_deltas = _parse_grid(args.kappa_deltas) if args.kappa_deltas else ()
-        _write_rows(_alpha_surface_rows(bs, ks, args.delta, kappa_deltas), args.output)
+        try:
+            rows = _alpha_surface_rows(bs, ks, args.delta, kappa_deltas)
+        except ValueError as err:  # no input file here: every value is an argument
+            raise _UsageError(str(err)) from None
+        _write_rows(rows, args.output)
         return 0
 
     if not args.input:
@@ -423,8 +488,8 @@ def _build_parser():
     p = sub.add_parser("plan", help="run one planner on one instance")
     p.add_argument("--input", required=True)
     p.add_argument("--pose-input", default=None)
-    p.add_argument("--objective", default="modular", choices=["modular", "dcrit", "treeconn"])
-    p.add_argument("--regime", default="tu", choices=["tu", "tn", "iu"])
+    p.add_argument("--objective", default="modular", choices=OBJECTIVES)
+    p.add_argument("--regime", default="tu", choices=REGIMES)
     p.add_argument("--planner", default="sgreedy", choices=PLANNERS)
     p.add_argument("-b", required=True, help="budget (tu: int, tn: float, iu: l0/l1/...)")
     p.add_argument("-k", type=int, required=True)
@@ -437,8 +502,8 @@ def _build_parser():
     s = sub.add_parser("sweep", help="run a budget grid and emit CSV")
     s.add_argument("--input", default=None)
     s.add_argument("--pose-input", default=None)
-    s.add_argument("--objective", default="modular", choices=["modular", "dcrit", "treeconn"])
-    s.add_argument("--regime", default="tu", choices=["tu", "tn", "iu"])
+    s.add_argument("--objective", default="modular", choices=OBJECTIVES)
+    s.add_argument("--regime", default="tu", choices=REGIMES)
     s.add_argument("--planners", default="sgreedy", help="comma list of planners")
     s.add_argument("-b", required=True, help="grid: value, list, or start:step:end (iu: l0/l1/...,...)")
     s.add_argument("-k", required=True, help="grid: value, list, or start:step:end")

@@ -28,6 +28,9 @@ objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
 ``gain(vid)``, ``commit(vid)`` and ``value``, in the same style as ``oracle()``.
+It keeps each vertex's uncovered incident keys up to date as vertices are
+committed, O(degree) per covered edge, so a gain walks only the keys that
+enter the top k plus one, and is ``0.0`` after one comparison when none does.
 """
 
 from __future__ import annotations
@@ -376,53 +379,68 @@ def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
 class TopKOracle:
     """Incremental ``g_modular`` of one vertex-greedy run.
 
-    Keeps the edges covered by the committed vertices and, best first, the
-    keys ``(-p, edge id)`` of the top k of them. A vertex's gain then only
-    needs its uncovered incident edges: the probabilities of those that enter
-    the top k minus those of the edges they push out, summed by one
-    ``math.fsum``. That is the exact difference rounded once, so a gain never
-    grows as vertices are committed (lazy greedy relies on this), where a
-    difference of two rounded values can grow by an ulp. ``value`` is the
-    ``math.fsum`` of the current top k, bit-identical to ``g_modular`` of the
-    committed vertices.
+    Keeps, best first, the keys ``(-p, edge id)`` of the top k covered edges
+    and, per vertex, the keys of its incident edges that no committed vertex
+    covers yet. A commit moves the vertex's keys out of its neighbours'
+    lists, O(degree) per edge, so a gain reads its list as it stands. A
+    vertex's gain is the probabilities of the keys that enter the top k minus
+    those of the keys they push out, summed by one ``math.fsum``: the exact
+    difference rounded once, so a gain never grows as vertices are committed
+    (lazy greedy relies on this), where a difference of two rounded values
+    can grow by an ulp. The first key that does not enter ends the scan, so a
+    vertex none of whose keys enters costs one comparison and gains ``0.0``.
+    ``value`` is the ``math.fsum`` of the current top k, bit-identical to
+    ``g_modular`` of the committed vertices.
     """
 
     def __init__(self, graph, k):
         if k < 0:
             raise ValueError("k must be non-negative")
         self._k = k
-        self._ranked = {
-            v.id: sorted((-graph.edge(eid).p, eid) for eid in graph.incident(v.id))
-            for v in graph.vertices
+        key = {e.id: (-e.p, e.id) for e in graph.edges}
+        self._uncovered = {
+            v.id: sorted(map(key.__getitem__, graph.incident(v.id))) for v in graph.vertices
         }
-        self._covered: set[int] = set()
+        # the vertices whose lists hold each edge's key
+        self._holders: dict[int, list[int]] = {}
+        for vid, keys in self._uncovered.items():
+            for _, eid in keys:
+                self._holders.setdefault(eid, []).append(vid)
         self._top: list[tuple[float, int]] = []
+        # -p of each top key: the fsum terms of the keys a gain pushes out
+        self._top_neg: list[float] = []
         self.value = 0.0
 
-    def _split(self, vid):
-        """The uncovered incident keys of ``vid``, best first, and how many enter the top k."""
+    def _keys(self, vid):
         try:
-            ranked = self._ranked[vid]
+            return self._uncovered[vid]
         except KeyError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
-        new = [key for key in ranked if key[1] not in self._covered]
-        top = self._top
-        entering = 0
-        for key in new:
-            # the top entry this key would push out (none while there is room)
-            slot = self._k - entering - 1
-            if slot < 0 or (slot < len(top) and key > top[slot]):
-                break
-            entering += 1
-        return new, entering
 
     def gain(self, vid) -> float:
-        new, entering = self._split(vid)
-        leaving = self._top[self._k - entering:]
-        return math.fsum([-key[0] for key in new[:entering]] + [key[0] for key in leaving])
+        keys = self._keys(vid)
+        top, k = self._top, self._k
+        size = len(top)
+        terms = []
+        for key in keys:
+            # the top entry this key would push out (none while there is room)
+            slot = k - len(terms) - 1
+            if slot < 0 or (slot < size and key > top[slot]):
+                break
+            terms.append(-key[0])
+        if not terms:
+            return 0.0
+        terms += self._top_neg[k - len(terms):]
+        return math.fsum(terms)
 
     def commit(self, vid):
-        new, entering = self._split(vid)
-        self._covered.update(eid for _, eid in new)
-        self._top = sorted(self._top[: self._k - entering] + new[:entering])
+        keys = self._keys(vid)
+        self._uncovered[vid] = []
+        for key in keys:
+            for holder in self._holders[key[1]]:
+                if holder != vid:
+                    self._uncovered[holder].remove(key)
+        # the entering keys of gain() are exactly those that make the merged top k
+        self._top = sorted(self._top + keys)[: self._k]
+        self._top_neg = [key[0] for key in self._top]
         self.value = math.fsum(-key[0] for key in self._top)

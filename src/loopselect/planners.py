@@ -25,7 +25,9 @@ edges; only the final achieved value comes from ``g_modular`` or the dense
 evaluation with stale upper bounds (Minoux), valid because oracle gains are
 non-negative and diminishing for monotone submodular objectives; the
 selection sequence is identical to the eager loop and never uses more gain
-evaluations.
+evaluations. An eager round costs one feasibility check and one gain call
+per candidate left; for ``m_greedy`` a gain call is ``TopKOracle.gain``
+itself, which ends at the first incident key that does not enter the top k.
 """
 
 from __future__ import annotations
@@ -87,7 +89,9 @@ class GreedySelector:
     ties break to the lowest candidate id. ``feasible(c)`` is asked before a
     candidate is evaluated, and a candidate it rejects leaves the pool for
     good, so it must only ever turn from true to false as the run goes on (a
-    budget being used up); rejections are not evaluations. In lazy mode a
+    budget being used up); rejections are not evaluations. An eager round
+    keeps the pool in id order, filters it by feasibility once, maps
+    ``gain_fn`` over the rest and takes the first maximum. In lazy mode a
     max-heap of stale bounds is kept; an entry is only trusted once
     re-evaluated in the current round, which reproduces the eager selection
     sequence exactly whenever gains are diminishing (monotone submodular
@@ -95,7 +99,8 @@ class GreedySelector:
     """
 
     def __init__(self, candidates, gain_fn, lazy=False, feasible=lambda c: True):
-        self._pool = set(candidates)
+        # lazy mode asks membership of heap entries; eager scans in id order
+        self._pool = set(candidates) if lazy else sorted(set(candidates))
         self._gain = gain_fn
         self._feasible = feasible
         self._lazy = lazy
@@ -115,17 +120,15 @@ class GreedySelector:
             return None
         self._round += 1
         if not self._lazy:
-            best_c = None
-            best_g = -math.inf
-            for c in sorted(self._pool):
-                if not self._feasible(c):
-                    self._pool.discard(c)
-                    continue
-                g = self._gain(c)
-                self.evaluations += 1
-                if g > best_g:
-                    best_c, best_g = c, g
-            return (best_c, best_g) if self._pool else None
+            # nothing inside one round changes feasibility, so filter once
+            self._pool = [c for c in self._pool if self._feasible(c)]
+            if not self._pool:
+                return None
+            gains = list(map(self._gain, self._pool))
+            self.evaluations += len(gains)
+            # max keeps the first of equal gains: the lowest id
+            best_g = max(gains)
+            return self._pool[gains.index(best_g)], best_g
         while self._pool:
             neg_g, c, tag = heapq.heappop(self._heap)
             if c not in self._pool:
@@ -142,7 +145,8 @@ class GreedySelector:
         return None
 
     def commit(self, candidate):
-        self._pool.discard(candidate)
+        if candidate in self._pool:
+            self._pool.remove(candidate)
 
 
 class _Room:
@@ -153,42 +157,44 @@ class _Room:
     only ever turns from true to false, as the feasibility predicate of
     :class:`GreedySelector` must. ``full()`` tells that no vertex fits any
     more, so a run can stop without rejecting the rest one by one.
+
+    All three regimes are one partition of the vertices into blocks, each
+    with a limit on the summed weight of its broadcasts: a knapsack budget
+    is one block weighted by broadcast cost, a partition matroid has unit
+    weights, and a cardinality budget is a matroid with one block. Blocks and
+    ``weight`` are fixed at construction, so a check is two lookups.
     """
 
     def __init__(self, graph, cb):
-        self._graph = graph
-        self._cb = cb
-        self._spent = 0.0
         if isinstance(cb, IndividualUniform):
             self._block = {vid: i for i, block in enumerate(cb.blocks) for vid in block}
-            self._left = list(cb.limits)
-        elif isinstance(cb, TotalUniform):
-            # a cardinality budget is a partition matroid with one block
+            self._limit = list(cb.limits)
+        elif isinstance(cb, (TotalUniform, TotalNonuniform)):
             self._block = dict.fromkeys((v.id for v in graph.vertices), 0)
-            self._left = [cb.b]
-        elif isinstance(cb, TotalNonuniform):
-            self._lightest = min((v.weight for v in graph.vertices), default=math.inf)
+            self._limit = [cb.b]
         else:
             raise TypeError(f"unsupported budget {cb!r}")
-
-    def _fits_weight(self, weight) -> bool:
-        return weight <= self._cb.b - self._spent + 1e-9
+        if isinstance(cb, TotalNonuniform):
+            self.weight = {v.id: v.weight for v in graph.vertices}
+            # the lightest vertex is the last that can fit
+            self._floor = [min(self.weight.values(), default=math.inf)]
+        else:
+            self.weight = dict.fromkeys(self._block, 1.0)
+            self._floor = [1.0] * len(self._limit)
+        self._spent = [0.0] * len(self._limit)
 
     def fits(self, vid) -> bool:
-        if isinstance(self._cb, TotalNonuniform):
-            return self._fits_weight(self._graph.vertex(vid).weight)
-        return self._left[self._block[vid]] > 0
+        block = self._block[vid]
+        return self.weight[vid] <= self._limit[block] - self._spent[block] + 1e-9
 
     def full(self) -> bool:
-        if isinstance(self._cb, TotalNonuniform):
-            return not self._fits_weight(self._lightest)
-        return not any(self._left)
+        return not any(
+            floor <= limit - spent + 1e-9
+            for floor, limit, spent in zip(self._floor, self._limit, self._spent)
+        )
 
     def charge(self, vid):
-        if isinstance(self._cb, TotalNonuniform):
-            self._spent += self._graph.vertex(vid).weight
-        else:
-            self._left[self._block[vid]] -= 1
+        self._spent[self._block[vid]] += self.weight[vid]
 
 
 def _require_tu(cb, who):
@@ -224,10 +230,13 @@ def m_greedy(graph, k, cb, objective, lazy=False):
         oracle = TopKOracle(graph, k)
         room = _Room(graph, cb)
 
-        def score(vid):
-            g = oracle.gain(vid)
-            return g / graph.vertex(vid).weight if per_weight else g
+        if per_weight:
+            weight = room.weight
 
+            def score(vid):
+                return oracle.gain(vid) / weight[vid]
+        else:
+            score = oracle.gain
         sel = GreedySelector(
             [v.id for v in graph.vertices], score, lazy=lazy, feasible=room.fits
         )

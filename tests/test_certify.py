@@ -8,6 +8,7 @@ import pytest
 
 from loopselect import (
     Certificate,
+    GenSpec,
     ModularObjective,
     TotalUniform,
     TreeConnObjective,
@@ -17,12 +18,14 @@ from loopselect import (
     alpha_tilde,
     brute_force_opt,
     e_greedy,
+    generate_exchange_graph,
     ilp_opt_modular,
     lp_upper_bound_modular,
     m_greedy,
     s_greedy,
     v_greedy,
 )
+from loopselect import certify
 from loopselect.errors import InstanceTooLargeError
 
 from conftest import make_graph, random_modular_instance, random_treeconn_instance
@@ -139,6 +142,34 @@ class TestILP:
         stats = {}
         ilp_opt_modular(g, 1, 1, stats=stats)
         assert stats["nodes"] == 0
+
+    def test_solves_past_the_subset_count_at_an_integral_root(self):
+        # 180 vertices at b=4: 43,268,956 feasible vertex subsets
+        spec = GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=1)
+        graph = generate_exchange_graph(spec)
+        stats = {}
+        value = ilp_opt_modular(graph, 10, 4, stats=stats)
+        assert stats == {"nodes": 0, "lp_solves": 1}
+        assert value == pytest.approx(lp_upper_bound_modular(graph, 10, 4), abs=1e-9)
+
+    def test_node_guard_raises(self, monkeypatch):
+        graph, b, k = random_modular_instance(169, max_vertices=16, max_edges=30)
+        stats = {}
+        opt, _ = brute_force_opt(graph, k, TotalUniform(b), ModularObjective(graph))
+        assert ilp_opt_modular(graph, k, b, stats=stats) == pytest.approx(opt, abs=1e-9)
+        assert stats["nodes"] == 1
+        monkeypatch.setattr(certify, "NODE_GUARD", 0)
+        with pytest.raises(InstanceTooLargeError, match="branch and bound exceeds 0 nodes"):
+            ilp_opt_modular(graph, k, b)
+
+    def test_dense_lp_guard_raises_before_allocating(self):
+        # 10x200/5000 would need a 12002x7000 constraint matrix and a 1.8 GB tableau
+        spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
+        graph = generate_exchange_graph(spec)
+        with pytest.raises(InstanceTooLargeError, match="a 12002x7000 dense LP"):
+            lp_upper_bound_modular(graph, 40, 20)
+        with pytest.raises(InstanceTooLargeError, match="dense LP"):
+            ilp_opt_modular(graph, 40, 20)
 
     def test_slack_budgets_take_all(self, demo_graph):
         total = sum(e.p for e in demo_graph.edges)

@@ -26,6 +26,7 @@ GOLDEN_GENERATE = json.loads(
     (Path(__file__).parent / "golden_generate.json").read_text()
 )["cases"]
 OUTPUT_FLAG = {"exchange": "--output", "pose": "--pose-output", "truth": "--truth-output"}
+INFEASIBLE = "plan file fails feasibility against this graph"
 
 
 @pytest.fixture
@@ -221,6 +222,16 @@ class TestPlan:
         assert message in capsys.readouterr().err
         assert not plan_path.exists()
 
+    def test_negative_k_is_usage_error(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        rc = main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "-1", "--output", str(plan_path),
+        ])
+        assert rc == 1
+        assert "usage error: bad k -1: must be non-negative" in capsys.readouterr().err
+        assert not plan_path.exists()
+
     def test_fractional_k_is_usage_error(self, instance, capsys):
         rc = main(["plan", "--input", str(instance), "-b", "2", "-k", "4.5"])
         assert rc == 1
@@ -276,6 +287,18 @@ class TestSweep:
             kappa, _, val = line.split(",")
             if float(kappa) >= 1.0:
                 assert float(val) == pytest.approx(1 - math.exp(-1), abs=1e-9)
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "5", "-b", "10", "-k", "-1"],
+        ["--delta", "5", "-b", "0", "-k", "4"],
+        ["--delta", "-3", "-b", "10", "-k", "4"],
+    ], ids=["k-negative", "b-zero", "delta-negative"])
+    def test_alpha_only_bad_grid_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "alpha.csv"
+        rc = main(["sweep", "--alpha-only", *flags, "--output", str(out)])
+        assert rc == 1
+        assert "usage error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_only_needs_delta(self):
         rc = main(["sweep", "--alpha-only", "-b", "1:1:3", "-k", "1:1:3"])
@@ -337,6 +360,17 @@ class TestSweep:
         ])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["-1", "3,-1"])
+    def test_negative_k_is_usage_error(self, instance, tmp_path, capsys, k):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy,sgreedy",
+            "-b", "2", "-k", k, "--output", str(out),
+        ])
+        assert rc == 1
+        assert "usage error: bad k" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_spec_library_entry(self):
@@ -445,6 +479,88 @@ class TestCertify:
         rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
         assert rc == 2
         assert "plan file: bad tn budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("b", "nan", "plan file: bad tn budget 'nan'"),
+        ("k", -1, "plan file: bad k -1"),
+        ("k", "three", "plan file: could not convert"),
+        ("regime", "xx", "plan file: unknown regime 'xx'"),
+        ("objective", "xx", "plan file: unknown objective 'xx'"),
+        ("vertices", [0, "1"], "plan file: vertices must be a list of integer ids"),
+        ("edges", 7, "plan file: edges must be a list of integer ids"),
+        ("achieved_value", "high", "plan file: could not convert"),
+    ], ids=["b", "k-negative", "k-text", "regime", "objective", "vertices", "edges",
+            "achieved"])
+    def test_bad_field_cites_its_line(self, instance, tmp_path, capsys, key, bad, message):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy", "--regime", "tn",
+            "-b", "2.5", "-k", "3", "--output", str(plan_path),
+        ])
+        payload = json.loads(plan_path.read_text())
+        payload[key] = bad
+        text = json.dumps(payload, indent=1)
+        plan_path.write_text(text)
+        # every key of an indented plan file starts its own line
+        want = next(
+            no for no, row in enumerate(text.splitlines(), 1) if row.startswith(f' "{key}":')
+        )
+        assert want > 1
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: line {want}: {message}" in err
+
+    def test_stale_value_cites_its_line(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        rows = plan_path.read_text().splitlines()
+        want = next(no for no, row in enumerate(rows, 1) if row.startswith(' "achieved_value":'))
+        payload = json.loads(plan_path.read_text())
+        payload["achieved_value"] *= 2.0
+        plan_path.write_text(json.dumps(payload, indent=1))
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        assert f"error: line {want}: plan file's achieved_value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"format": "other"}, "not a loopselect plan file"),
+        ({"vertices": []}, INFEASIBLE),
+        ({"vertices": [0, 99]}, f"{INFEASIBLE}: unknown vertex id 99"),
+        ({"edges": [0, 99]}, f"{INFEASIBLE}: unknown edge id 99"),
+    ], ids=["format", "infeasible", "unknown-vertex", "unknown-edge"])
+    def test_whole_file_faults_cite_line_one(self, instance, tmp_path, capsys, change, message):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        payload = json.loads(plan_path.read_text())
+        payload.update(change)
+        plan_path.write_text(json.dumps(payload, indent=1))
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        assert f"error: line 1: {message}" in capsys.readouterr().err
+
+    def test_missing_field_cites_line_one(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        payload = json.loads(plan_path.read_text())
+        del payload["edges"]
+        plan_path.write_text(json.dumps(payload, indent=1))
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        assert "error: line 1: plan file: no 'edges'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale, rc_want", [(1.0 + 1e-6, 2), (1.0 + 1e-12, 0)])
     def test_stored_value_must_match(self, instance, tmp_path, capsys, scale, rc_want):

@@ -19,7 +19,7 @@ from loopselect import (
     generate_pose_graph,
     sample_ground_truth,
 )
-from loopselect.generate import decode_pairs, pair_count
+from loopselect.generate import GroundTruth, decode_pairs, pair_count
 from loopselect.io import (
     parse_exchange_graph,
     parse_ground_truth,
@@ -28,6 +28,8 @@ from loopselect.io import (
     serialize_ground_truth,
     serialize_pose_graph,
 )
+
+from conftest import make_graph
 
 
 class TestExchangeGeneration:
@@ -188,6 +190,84 @@ class TestRoundTrips:
         text = serialize_ground_truth(gt)
         assert parse_ground_truth(text) == gt
         assert serialize_ground_truth(parse_ground_truth(text)) == text
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def exchange_graphs(draw):
+    r = draw(st.integers(2, 4))
+    robot_of = draw(st.lists(st.integers(0, r - 1), max_size=8))
+    n = len(robot_of)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if robot_of[u] != robot_of[v]]
+    pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    ps = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(positive, min_size=n, max_size=n))
+    return make_graph(r, robot_of, pairs, ps, weights=weights)
+
+
+@st.composite
+def pose_graphs(draw):
+    d = draw(st.integers(2, 6))
+    pose = st.integers(0, d - 1)
+
+    def pose_edge():
+        i, j = draw(st.lists(pose, min_size=2, max_size=2, unique=True))
+        return i, j, draw(positive)
+
+    coord = st.floats(-1e6, 1e6)
+    return PoseGraph(
+        num_poses=d,
+        base_edges=tuple(pose_edge() for _ in range(draw(st.integers(0, 6)))),
+        candidate_map={eid: pose_edge() for eid in draw(st.sets(st.integers(0, 20), max_size=6))},
+        anchor=draw(pose),
+        poses=tuple(draw(st.tuples(coord, coord, coord)) for _ in range(d)),
+    )
+
+
+# format -> (instances, serialize, parse, token separator)
+FORMATS = {
+    "exchange": (exchange_graphs(), serialize_exchange_graph, parse_exchange_graph, " "),
+    "pose": (pose_graphs(), serialize_pose_graph, parse_pose_graph, " "),
+    "truth": (
+        st.builds(GroundTruth, st.lists(st.booleans(), max_size=12).map(tuple)),
+        serialize_ground_truth,
+        parse_ground_truth,
+        ",",
+    ),
+}
+
+
+class TestFormatFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(fmt=st.sampled_from(sorted(FORMATS)), data=st.data())
+    def test_round_trip_is_byte_identical(self, fmt, data):
+        instances, serialize, parse, _ = FORMATS[fmt]
+        text = serialize(data.draw(instances))
+        assert serialize(parse(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(fmt=st.sampled_from(sorted(FORMATS)), data=st.data())
+    def test_one_bad_token_cites_its_line(self, fmt, data):
+        instances, serialize, parse, sep = FORMATS[fmt]
+        lines = serialize(data.draw(instances)).splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(sep)
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        bad = data.draw(st.one_of(
+            st.sampled_from(["nan", "inf", "-inf", "NaN"]),
+            st.text(alphabet="xyz!?", min_size=1, max_size=4),
+            st.none(),  # drop the field
+        ))
+        if bad is None:
+            del tokens[i]
+        else:
+            tokens[i] = bad
+        lines[at] = sep.join(tokens)
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert err.value.line_no == at + 1, str(err.value)
 
 
 class TestStrictParsing:

@@ -130,6 +130,37 @@ class TestGModular:
             assert gqv >= gq - 1e-12  # monotone
 
 
+@st.composite
+def topk_runs(draw):
+    """A small exchange graph with tied and zero probabilities, a k from 1 to past
+    the edge count, and a commit order over some of its vertices."""
+    r = draw(st.integers(2, 3))
+    robot_of = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=9))
+    n = len(robot_of)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if robot_of[u] != robot_of[v]]
+    pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    p = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    ps = draw(st.lists(p, min_size=len(pairs), max_size=len(pairs)))
+    graph = make_graph(r, robot_of, pairs, ps)
+    k = draw(st.integers(1, len(pairs) + 2))
+    order = draw(st.permutations(range(n)))
+    return graph, k, order[: draw(st.integers(0, n))]
+
+
+def reference_topk_gain(graph, k, covered, top, vid):
+    """g_modular's gain at ``vid``, recomputed: its incident keys filtered by the
+    covered edges, the entering rule against the sorted top-k keys, one fsum."""
+    new = sorted((-graph.edge(eid).p, eid) for eid in graph.incident(vid) if eid not in covered)
+    entering = 0
+    for key in new:
+        slot = k - entering - 1
+        if slot < 0 or (slot < len(top) and key > top[slot]):
+            break
+        entering += 1
+    leaving = top[k - entering:]
+    return math.fsum([-key[0] for key in new[:entering]] + [key[0] for key in leaving])
+
+
 class TestTopKOracle:
     def test_gain_is_witness_difference_rounded_once(self):
         rng = np.random.default_rng(33)
@@ -156,6 +187,28 @@ class TestTopKOracle:
     def test_rejects_unknown_vertex(self, demo_graph):
         with pytest.raises(ValueError, match="unknown vertex"):
             TopKOracle(demo_graph, 3).gain(99)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            TopKOracle(demo_graph, 3).commit(99)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=topk_runs())
+    def test_gains_match_filtered_reference_bit_for_bit(self, instance):
+        graph, k, order = instance
+        oracle = TopKOracle(graph, k)
+        committed = []
+        for vid in [None, *order]:
+            if vid is not None:
+                oracle.commit(vid)
+                committed.append(vid)
+            value, witness = g_modular(graph, committed, k)
+            assert oracle.value.hex() == value.hex()
+            covered = graph.edges_incident(committed)
+            top = [(-graph.edge(eid).p, eid) for eid in witness]
+            for other in range(graph.num_vertices):
+                if other in committed:
+                    continue
+                want = reference_topk_gain(graph, k, covered, top, other)
+                assert oracle.gain(other).hex() == want.hex(), (k, committed, other)
 
 
 class TestDCrit:

@@ -36,6 +36,7 @@ from conftest import make_graph, random_modular_instance, random_treeconn_instan
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden_sgreedy_5x40.json").read_text())
+GOLDEN_MGREEDY = json.loads((Path(__file__).parent / "golden_mgreedy_10x200.json").read_text())
 LOGDET_OBJECTIVES = {"treeconn": TreeConnObjective, "dcrit": DCritObjective}
 
 
@@ -557,3 +558,36 @@ class TestGoldenPlans:
         assert list(plan.edges) == case["edges"]
         assert {arm: tr.evaluations for arm, tr in trace.children.items()} == case["evaluations"]
         assert plan.achieved_value == pytest.approx(case["achieved_value"], rel=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def instance_10x200():
+    """10 robots x 200 observations, 5000 candidates, seed 0."""
+    return generate_exchange_graph(
+        GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
+    )
+
+
+class TestGoldenMGreedy:
+    """Eager and lazy m_greedy traces at 10x200/5000 under all three budgets."""
+
+    @pytest.mark.parametrize("run", sorted(GOLDEN_MGREEDY["runs"]))
+    def test_matches_recorded_trace(self, run):
+        graph = instance_10x200()
+        digest = hashlib.sha256(serialize_exchange_graph(graph).encode()).hexdigest()
+        assert digest == GOLDEN_MGREEDY["instance_sha256"], (
+            "the generated instance changed; the fixture no longer applies"
+        )
+        regime, mode = run.split("-")
+        cb = {
+            "tu": TotalUniform(20),
+            "tn": TotalNonuniform(20.0),
+            "iu": IndividualUniform.by_robot(graph, [2] * 10),
+        }[regime]
+        obj = ModularObjective(graph)
+        _, trace = m_greedy(graph, GOLDEN_MGREEDY["k"], cb, obj, lazy=mode == "lazy")
+        want = GOLDEN_MGREEDY["runs"][run]
+        assert [[s.item, s.gain, s.value] for s in trace.steps] == want["steps"]
+        assert trace.evaluations == want["evaluations"]
+        assert trace.winner == want["winner"]
+        assert trace.exhausted == want["exhausted"]
