@@ -3,9 +3,9 @@
 Three independent routes to the optimum (or an upper bound on it) back every
 guarantee the planners advertise:
 
-* ``brute_force_opt`` — exact optimum by nested enumeration: every
-  budget-feasible vertex subset, with the inner edge problem solved in closed
-  form (modular) or by enumeration (general monotone objectives).
+* ``brute_force_opt`` — exact optimum by nested enumeration: every budget-feasible
+  vertex subset (all counted against the guard first), with the inner edge problem
+  solved by ``g_modular`` (modular) or by enumeration (general monotone objectives).
 * ``lp_upper_bound_modular`` / ``ilp_opt_modular`` — the natural LP
   relaxation of the modular cardinality-budget problem over vertex and edge
   indicators, and its exact integral optimum via branch and bound.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graph import Plan, TotalUniform, TotalNonuniform, IndividualUniform
+from .graph import WEIGHT_TOL, Plan, TotalUniform
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
 from .simplex import simplex_max
@@ -96,61 +96,57 @@ class Certificate:
 # -- exact optimum by enumeration -------------------------------------------
 
 
+def _fitting_subsets(ids, weight, limit):
+    """Yield each subset of ``ids`` whose ``math.fsum`` of ``weight`` fits ``limit``, once.
+
+    ``ids`` come in ascending weight order, so past a vertex that does not fit,
+    none does. The walk keeps its own stack; its depth does not grow with len(ids).
+    """
+    stack, chosen, taken, j = [], [], [], 0  # positions in ids, their ids, their weights
+    yield ()
+    while True:
+        if j < len(ids) and math.fsum([*taken, weight[ids[j]]]) <= limit + WEIGHT_TOL:
+            stack.append(j)
+            chosen.append(ids[j])
+            taken.append(weight[ids[j]])
+            yield tuple(chosen)
+            j += 1
+        elif stack:
+            j = stack.pop() + 1
+            chosen.pop()
+            taken.pop()
+        else:
+            return
+
+
 def _feasible_vertex_subsets(graph, cb):
-    """Yield all budget-feasible vertex subsets as sorted tuples."""
-    vids = sorted(v.id for v in graph.vertices)
-    if isinstance(cb, TotalUniform):
-        top = min(cb.b, len(vids))
-        total = sum(math.comb(len(vids), s) for s in range(top + 1))
+    """Yield every budget-feasible vertex subset once, as a sorted tuple.
+
+    That is one fitting subset per block of ``graph.budget_blocks(cb)``. All
+    are counted before the first is yielded, so the guard raises before any
+    objective evaluation: in closed form for a block of equal weights, by a
+    walk that stops past the guard for a weighted block.
+    """
+    block_of, weight, limits = graph.budget_blocks(cb)
+    members = [[] for _ in limits]
+    for vid in sorted(block_of, key=lambda vid: (weight[vid], vid)):
+        members[block_of[vid]].append(vid)
+    total = 1
+    for ids, limit in zip(members, limits):
+        ws = [weight[vid] for vid in ids]
+        if len(set(ws)) > 1:
+            walk = _fitting_subsets(ids, weight, limit)
+            total *= sum(1 for _ in itertools.islice(walk, ENUM_GUARD // total + 1))
+        else:
+            fit = sum(1 for s, w in enumerate(ws, 1) if s * w <= limit + WEIGHT_TOL)
+            total *= sum(math.comb(len(ids), s) for s in range(fit + 1))
         if total > ENUM_GUARD:
             raise InstanceTooLargeError(
-                f"instance too large: {total} feasible vertex subsets"
+                f"instance too large: over {ENUM_GUARD} feasible vertex subsets"
             )
-        for s in range(top + 1):
-            yield from itertools.combinations(vids, s)
-        return
-    if isinstance(cb, TotalNonuniform):
-        weights = {vid: graph.vertex(vid).weight for vid in vids}
-        count = 0
-
-        def rec(idx, chosen, spent):
-            nonlocal count
-            if idx == len(vids):
-                count += 1
-                if count > ENUM_GUARD:
-                    raise InstanceTooLargeError(
-                        "instance too large: feasible vertex subsets exceed guard"
-                    )
-                yield tuple(chosen)
-                return
-            vid = vids[idx]
-            if spent + weights[vid] <= cb.b + 1e-9:
-                chosen.append(vid)
-                yield from rec(idx + 1, chosen, spent + weights[vid])
-                chosen.pop()
-            yield from rec(idx + 1, chosen, spent)
-
-        yield from rec(0, [], 0.0)
-        return
-    if isinstance(cb, IndividualUniform):
-        per_block = []
-        for block, limit in zip(cb.blocks, cb.limits):
-            ids = sorted(block)
-            subsets = [
-                combo
-                for s in range(min(limit, len(ids)) + 1)
-                for combo in itertools.combinations(ids, s)
-            ]
-            per_block.append(subsets)
-        total = math.prod(len(s) for s in per_block)
-        if total > ENUM_GUARD:
-            raise InstanceTooLargeError(
-                f"instance too large: {total} feasible vertex subsets"
-            )
-        for parts in itertools.product(*per_block):
-            yield tuple(sorted(itertools.chain.from_iterable(parts)))
-        return
-    raise TypeError(f"unsupported budget {cb!r}")
+    walks = (_fitting_subsets(ids, weight, limit) for ids, limit in zip(members, limits))
+    for parts in itertools.product(*walks):
+        yield tuple(sorted(itertools.chain.from_iterable(parts)))
 
 
 def brute_force_opt(graph, k, cb, objective):
@@ -167,50 +163,40 @@ def brute_force_opt(graph, k, cb, objective):
         raise ValueError("k must be non-negative")
     modular = getattr(objective, "kind", None) == "modular"
     fmemo: dict[frozenset, float] = {}
-    imemo: dict[tuple, tuple[float, tuple[int, ...]]] = {}
+    imemo: dict[tuple, tuple[float, tuple[int, ...]]] = {}  # covered edges -> best
     inner_count = 0
 
-    def inner(covered) -> tuple[float, tuple[int, ...]]:
+    def inner(vset) -> tuple[float, tuple[int, ...]]:
         nonlocal inner_count
-        F = tuple(sorted(covered))
+        F = tuple(sorted(graph.edges_incident(vset)))
+        if F in imemo:
+            return imemo[F]
         m = min(k, len(F))
-        key = (F, m)
-        if key in imemo:
-            return imemo[key]
-        if modular:
-            ranked = sorted(F, key=lambda eid: (-graph.edge(eid).p, eid))[:m]
-            best = (
-                math.fsum(graph.edge(eid).p for eid in ranked),
-                tuple(ranked),
-            )
-        else:
-            combos = [F] if m == len(F) else itertools.combinations(F, m)
-            best_v = -math.inf
-            best_set: tuple[int, ...] = ()
-            for combo in combos:
-                inner_count += 1
-                if inner_count > ENUM_GUARD:
-                    raise InstanceTooLargeError(
-                        "instance too large: inner edge enumeration exceeds guard"
-                    )
-                fs = frozenset(combo)
-                if fs not in fmemo:
-                    fmemo[fs] = objective.value(combo)
-                val = fmemo[fs]
-                if val > best_v + VALUE_TIE_TOL or (
-                    abs(val - best_v) <= VALUE_TIE_TOL and combo < best_set
-                ):
-                    best_v, best_set = val, tuple(combo)
-            best = (best_v if best_v > -math.inf else 0.0, best_set)
-        imemo[key] = best
+        combos = [F] if m == len(F) else itertools.combinations(F, m)
+        best_v = -math.inf
+        best_set: tuple[int, ...] = ()
+        for combo in combos:
+            inner_count += 1
+            if inner_count > ENUM_GUARD:
+                raise InstanceTooLargeError(
+                    "instance too large: inner edge enumeration exceeds guard"
+                )
+            fs = frozenset(combo)
+            if fs not in fmemo:
+                fmemo[fs] = objective.value(combo)
+            val = fmemo[fs]
+            if val > best_v + VALUE_TIE_TOL or (
+                abs(val - best_v) <= VALUE_TIE_TOL and combo < best_set
+            ):
+                best_v, best_set = val, tuple(combo)
+        imemo[F] = best = (best_v if best_v > -math.inf else 0.0, best_set)
         return best
 
     best_value = 0.0
     best_vset: tuple[int, ...] = ()
     best_edges: tuple[int, ...] = ()
     for vset in _feasible_vertex_subsets(graph, cb):
-        covered = graph.edges_incident(vset)
-        value, witness = inner(covered)
+        value, witness = g_modular(graph, vset, k) if modular else inner(vset)
         if value > best_value + VALUE_TIE_TOL or (
             abs(value - best_value) <= VALUE_TIE_TOL and vset < best_vset
         ):

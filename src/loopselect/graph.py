@@ -15,6 +15,7 @@ vertex selection plus an ordered edge selection covered by it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError
@@ -69,9 +70,9 @@ class Plan:
     achieved_value: float = 0.0
 
 
-def _check_total(budget):
-    if not 0 <= budget.b < math.inf:
-        raise ValueError(f"budget must be non-negative and finite, got {budget.b!r}")
+def _check_budget(value, what, kind):
+    if not (isinstance(value, kind) and 0 <= value < math.inf):
+        raise ValueError(f"{what} must be non-negative and finite ({kind.__name__}): {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,9 @@ class TotalUniform:
     """Broadcast at most ``b`` observations in total (cardinality constraint)."""
 
     b: int
-    __post_init__ = _check_total
+
+    def __post_init__(self):
+        _check_budget(self.b, "budget", numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,9 @@ class TotalNonuniform:
     """Total broadcast weight at most ``b`` (knapsack constraint)."""
 
     b: float
-    __post_init__ = _check_total
+
+    def __post_init__(self):
+        _check_budget(self.b, "budget", numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,13 @@ class IndividualUniform:
     def __post_init__(self):
         if len(self.blocks) != len(self.limits):
             raise ValueError("need one limit per block")
-        if any(b < 0 for b in self.limits):
-            raise ValueError("block limits must be non-negative")
+        for b in self.limits:
+            _check_budget(b, "block limit", numbers.Integral)
 
     @classmethod
     def by_robot(cls, graph, limits):
         """Partition vertices by owning robot; ``limits`` has one entry per robot."""
-        limits = tuple(int(b) for b in limits)
+        limits = tuple(limits)
         if len(limits) != graph.num_robots:
             raise ValueError(
                 f"expected {graph.num_robots} limits, got {len(limits)}"
@@ -249,27 +254,43 @@ class ExchangeGraph:
 
     # -- budgets and plans ---------------------------------------------------
 
-    def budget_satisfied(self, vertex_ids, cb) -> bool:
-        """Evaluate the communication-budget predicate for ``vertex_ids``."""
-        vs = set(vertex_ids)
-        if isinstance(cb, TotalUniform):
-            return len(vs) <= cb.b
+    def budget_blocks(self, cb):
+        """``(block_of, weight, limits)``: ``cb`` as limits on the summed weight of blocks.
+
+        Cardinality is one block of unit weights, knapsack one block of
+        broadcast costs, a partition matroid one unit-weight block per
+        ``cb.blocks`` entry. The only place that reads what a budget means.
+        Anything else, or blocks that do not partition the vertices (an
+        unknown id, an id in two blocks, a vertex in none), is a ValueError.
+        """
+        vids = [v.id for v in self.vertices]
+        weight = dict.fromkeys(vids, 1.0)
         if isinstance(cb, TotalNonuniform):
-            total = math.fsum(self.vertex(v).weight for v in vs)
-            return total <= cb.b + WEIGHT_TOL
-        if isinstance(cb, IndividualUniform):
-            block_of = {}
-            for i, block in enumerate(cb.blocks):
-                for vid in block:
-                    block_of[vid] = i
-            counts = [0] * len(cb.blocks)
-            for vid in vs:
+            weight = {v.id: v.weight for v in self.vertices}
+        if isinstance(cb, (TotalUniform, TotalNonuniform)):
+            return dict.fromkeys(vids, 0), weight, (cb.b,)
+        if not isinstance(cb, IndividualUniform):
+            raise ValueError(f"unsupported budget {cb!r}")
+        block_of = {}
+        for i, block in enumerate(cb.blocks):
+            for vid in block:
                 self.vertex(vid)
-                if vid not in block_of:
-                    raise ValueError(f"vertex {vid} is outside every budget block")
-                counts[block_of[vid]] += 1
-            return all(c <= b for c, b in zip(counts, cb.limits))
-        raise TypeError(f"unsupported budget {cb!r}")
+                if vid in block_of:
+                    raise ValueError(f"vertex {vid} is in two budget blocks")
+                block_of[vid] = i
+        for vid in vids:
+            if vid not in block_of:
+                raise ValueError(f"vertex {vid} is outside every budget block")
+        return block_of, weight, cb.limits
+
+    def budget_satisfied(self, vertex_ids, cb) -> bool:
+        """Whether every block's summed weight over ``vertex_ids`` is within its limit."""
+        block_of, weight, limits = self.budget_blocks(cb)
+        spent = [[] for _ in limits]
+        for vid in set(vertex_ids):
+            self.vertex(vid)
+            spent[block_of[vid]].append(weight[vid])
+        return all(math.fsum(ws) <= limit + WEIGHT_TOL for ws, limit in zip(spent, limits))
 
     def check_plan(self, plan, k, cb) -> bool:
         """Feasibility of a plan under (k, cb).

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Plan, TotalUniform, TotalNonuniform, IndividualUniform
+from .graph import WEIGHT_TOL, Plan, TotalNonuniform, TotalUniform
 from .objectives import TopKOracle, g_modular
 
 __all__ = [
@@ -158,38 +158,26 @@ class _Room:
     :class:`GreedySelector` must. ``full()`` tells that no vertex fits any
     more, so a run can stop without rejecting the rest one by one.
 
-    All three regimes are one partition of the vertices into blocks, each
-    with a limit on the summed weight of its broadcasts: a knapsack budget
-    is one block weighted by broadcast cost, a partition matroid has unit
-    weights, and a cardinality budget is a matroid with one block. Blocks and
-    ``weight`` are fixed at construction, so a check is two lookups.
+    Blocks, weights and limits come from
+    :meth:`~loopselect.graph.ExchangeGraph.budget_blocks` at construction,
+    so a check is two lookups.
     """
 
     def __init__(self, graph, cb):
-        if isinstance(cb, IndividualUniform):
-            self._block = {vid: i for i, block in enumerate(cb.blocks) for vid in block}
-            self._limit = list(cb.limits)
-        elif isinstance(cb, (TotalUniform, TotalNonuniform)):
-            self._block = dict.fromkeys((v.id for v in graph.vertices), 0)
-            self._limit = [cb.b]
-        else:
-            raise TypeError(f"unsupported budget {cb!r}")
-        if isinstance(cb, TotalNonuniform):
-            self.weight = {v.id: v.weight for v in graph.vertices}
-            # the lightest vertex is the last that can fit
-            self._floor = [min(self.weight.values(), default=math.inf)]
-        else:
-            self.weight = dict.fromkeys(self._block, 1.0)
-            self._floor = [1.0] * len(self._limit)
+        self._block, self.weight, self._limit = graph.budget_blocks(cb)
+        # the lightest vertex of a block is the last that can fit
+        self._floor = [math.inf] * len(self._limit)
+        for vid, block in self._block.items():
+            self._floor[block] = min(self._floor[block], self.weight[vid])
         self._spent = [0.0] * len(self._limit)
 
     def fits(self, vid) -> bool:
         block = self._block[vid]
-        return self.weight[vid] <= self._limit[block] - self._spent[block] + 1e-9
+        return self.weight[vid] <= self._limit[block] - self._spent[block] + WEIGHT_TOL
 
     def full(self) -> bool:
         return not any(
-            floor <= limit - spent + 1e-9
+            floor <= limit - spent + WEIGHT_TOL
             for floor, limit, spent in zip(self._floor, self._limit, self._spent)
         )
 

@@ -1,6 +1,8 @@
 """Shared fixtures and random-instance factories for the test suite."""
 
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -15,6 +17,22 @@ from loopselect import (
     generate_exchange_graph,
     generate_pose_graph,
 )
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, rather than hang, if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -2,15 +2,22 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopselect import (
     Certificate,
+    ExchangeGraph,
     GenSpec,
+    IndividualUniform,
     ModularObjective,
+    TotalNonuniform,
     TotalUniform,
+    Vertex,
     TreeConnObjective,
     alpha_apriori,
     alpha_apriori_grid,
@@ -28,7 +35,7 @@ from loopselect import (
 from loopselect import certify
 from loopselect.errors import InstanceTooLargeError
 
-from conftest import make_graph, random_modular_instance, random_treeconn_instance
+from conftest import make_graph, random_modular_instance, random_treeconn_instance, time_limit
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 
@@ -104,6 +111,90 @@ class TestBruteForce:
         )
         with pytest.raises(InstanceTooLargeError):
             brute_force_opt(big, 3, TotalUniform(11), ModularObjective(big))
+
+
+def with_weights(graph, seed):
+    """``graph`` with broadcast costs drawn from U[0.5, 3]."""
+    rng = np.random.default_rng(seed)
+    vertices = [Vertex(v.id, v.robot, float(rng.uniform(0.5, 3.0))) for v in graph.vertices]
+    return ExchangeGraph(graph.num_robots, vertices, graph.edges)
+
+
+class NoEvaluations:
+    """A non-modular objective that fails the test if brute force ever evaluates it."""
+
+    kind = "none"
+
+    def value(self, edge_ids):
+        raise AssertionError("objective evaluated before the guard tripped")
+
+
+class TestFeasibleSubsets:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_yields_each_budget_feasible_subset_once(self, data):
+        r = data.draw(st.integers(2, 3))
+        robot_of = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=8))
+        n = len(robot_of)
+        cost = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5]),
+                         st.floats(0.05, 3.0))
+        weights = data.draw(st.lists(cost, min_size=n, max_size=n))
+        graph = make_graph(r, robot_of, [], [], weights=weights)
+        regime = data.draw(st.sampled_from(["tu", "tn", "iu"]))
+        if regime == "tu":
+            cb = TotalUniform(data.draw(st.integers(0, n + 1)))
+        elif regime == "tn":
+            # sums of some weights put subsets exactly on the limit
+            picked = data.draw(st.lists(st.sampled_from(weights), max_size=n))
+            shift = data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.3]))
+            cb = TotalNonuniform(max(0.0, math.fsum(picked) + shift))
+        else:
+            limits = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+            cb = IndividualUniform.by_robot(graph, limits)
+        got = list(certify._feasible_vertex_subsets(graph, cb))
+        assert len(got) == len(set(got))
+        assert all(list(s) == sorted(s) for s in got)
+        want = {
+            s
+            for size in range(n + 1)
+            for s in itertools.combinations(range(n), size)
+            if graph.budget_satisfied(s, cb)
+        }
+        assert set(got) == want
+        # the guard counts exactly these, and before the first is yielded
+        with mock.patch.object(certify, "ENUM_GUARD", len(want)):
+            assert sum(1 for _ in certify._feasible_vertex_subsets(graph, cb)) == len(want)
+        with mock.patch.object(certify, "ENUM_GUARD", len(want) - 1):
+            with pytest.raises(InstanceTooLargeError):
+                next(certify._feasible_vertex_subsets(graph, cb))
+
+    @pytest.mark.parametrize("regime", ["tu", "tn", "iu"])
+    def test_guard_trips_before_any_evaluation_at_10x200(self, regime):
+        spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
+        graph = generate_exchange_graph(spec)
+        cb = {
+            "tu": TotalUniform(20),
+            "tn": TotalNonuniform(20.0),
+            "iu": IndividualUniform.by_robot(graph, [2] * 10),
+        }[regime]
+        with time_limit(10), pytest.raises(InstanceTooLargeError, match="feasible vertex subsets"):
+            brute_force_opt(graph, 40, cb, NoEvaluations())
+
+    def test_weighted_guard_trips_before_any_evaluation(self):
+        spec = GenSpec(num_robots=10, vertices_per_robot=40, num_edges=300, seed=0)
+        graph = with_weights(generate_exchange_graph(spec), 0)
+        with time_limit(30), pytest.raises(InstanceTooLargeError, match="feasible vertex subsets"):
+            brute_force_opt(graph, 5, TotalNonuniform(3.0), NoEvaluations())
+
+    def test_weighted_walk_does_not_recurse_per_vertex(self):
+        # 1,200 vertices: more than the interpreter's default recursion limit
+        spec = GenSpec(num_robots=3, vertices_per_robot=400, num_edges=500, seed=0)
+        graph = with_weights(generate_exchange_graph(spec), 1)
+        cb, obj = TotalNonuniform(1.0), ModularObjective(graph)
+        with time_limit(30):
+            value, plan = brute_force_opt(graph, 2, cb, obj)
+        assert graph.check_plan(plan, 2, cb)
+        assert value >= m_greedy(graph, 2, cb, obj)[0].achieved_value - 1e-12
 
 
 class TestLP:

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,17 @@ INFEASIBLE = "plan file fails feasibility against this graph"
 def instance(tmp_path):
     path = tmp_path / "demo.exg"
     path.write_text(serialize_exchange_graph(demo_rendezvous_graph()))
+    return path
+
+
+@pytest.fixture
+def wide_instance(tmp_path):
+    """3 robots x 400 observations: more vertices than the default recursion limit."""
+    path = tmp_path / "wide.exg"
+    assert main([
+        "generate", "--robots", "3", "--verts", "400", "--edges", "500",
+        "--seed", "0", "--output", str(path),
+    ]) == 0
     return path
 
 
@@ -322,6 +336,17 @@ class TestSweep:
             assert gap >= -1e-9
             assert float(row[5]) <= float(row[6]) + 1e-7  # opt <= upt
 
+    def test_brute_guard_under_tn_downgrades(self, wide_instance, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(wide_instance), "--planners", "mgreedy", "--regime", "tn",
+            "-b", "3", "-k", "5", "--certify", "brute", "--output", str(out),
+        ])
+        assert rc == 0
+        assert "warning: brute guard exceeded at b=3 k=5" in capsys.readouterr().err
+        row = out.read_text().splitlines()[-1].split(",")
+        assert row[:3] == ["3", "5", "mgreedy"] and row[5] == ""
+
     def test_iu_grid_takes_limit_lists(self, instance, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main([
@@ -604,3 +629,30 @@ class TestExitCodes:
             "--level", "brute",
         ])
         assert rc == 3
+
+    def test_brute_guard_under_tn_is_three(self, wide_instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert main([
+            "plan", "--input", str(wide_instance), "--planner", "mgreedy", "--regime", "tn",
+            "-b", "3", "-k", "5", "--output", str(plan_path),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "certify", "--input", str(wide_instance), "--plan", str(plan_path),
+            "--level", "brute",
+        ])
+        assert rc == 3
+        assert "guard exceeded" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopselect", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "generate" in proc.stdout
+    assert proc.stderr == ""

@@ -11,10 +11,14 @@ from loopselect import (
     ExchangeGraph,
     IndividualUniform,
     InstanceTooLargeError,
+    ModularObjective,
     Plan,
     TotalNonuniform,
     TotalUniform,
     Vertex,
+    brute_force_opt,
+    e_greedy,
+    m_greedy,
     min_vertex_cover_bruteforce,
 )
 from loopselect.generate import GenSpec, generate_exchange_graph
@@ -162,6 +166,42 @@ class TestBudgets:
         cb = IndividualUniform(blocks=((0, 1),), limits=(2,))
         with pytest.raises(ValueError, match="outside every budget block"):
             demo_graph.budget_satisfied([5], cb)
+
+    @pytest.mark.parametrize("cb, message", [
+        (IndividualUniform(blocks=((0, 1),), limits=(2,)),
+         "vertex 2 is outside every budget block"),
+        (IndividualUniform(blocks=(tuple(range(9)), (4,)), limits=(1, 1)),
+         "vertex 4 is in two budget blocks"),
+        (IndividualUniform(blocks=(tuple(range(10)),), limits=(1,)), "unknown vertex id 9"),
+        ("3", "unsupported budget"),
+    ], ids=["missing", "overlap", "unknown", "not-a-budget"])
+    @pytest.mark.parametrize("use", [
+        lambda g, cb: g.budget_satisfied([0], cb),
+        lambda g, cb: m_greedy(g, 3, cb, ModularObjective(g)),
+        lambda g, cb: brute_force_opt(g, 3, cb, ModularObjective(g)),
+    ], ids=["budget_satisfied", "m_greedy", "brute_force_opt"])
+    def test_blocks_must_partition_the_vertices(self, demo_graph, cb, message, use):
+        with pytest.raises(ValueError, match=message):
+            use(demo_graph, cb)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: TotalUniform(2.5),
+        lambda g: TotalUniform(2.0),
+        lambda g: IndividualUniform.by_robot(g, [1.7, 1, 1]),
+        lambda g: IndividualUniform(blocks=((0, 1, 2),), limits=(0.5,)),
+        lambda g: IndividualUniform(blocks=((0, 1, 2),), limits=(-1,)),
+    ], ids=["tu-fraction", "tu-float", "by-robot-fraction", "iu-fraction", "iu-negative"])
+    def test_budgets_must_be_integers(self, demo_graph, make):
+        with pytest.raises(ValueError, match=r"must be non-negative and finite \(Integral\)"):
+            make(demo_graph)
+
+    def test_numpy_integer_budgets_are_accepted(self, demo_graph):
+        cb = TotalUniform(np.int64(2))
+        plan, _ = e_greedy(demo_graph, 3, cb, ModularObjective(demo_graph))
+        assert demo_graph.check_plan(plan, 3, cb)
+        iu = IndividualUniform.by_robot(demo_graph, np.array([1, 0, 2]))
+        assert demo_graph.budget_satisfied([0, 6, 7], iu)
+        assert not demo_graph.budget_satisfied([3], iu)
 
     def test_by_robot_needs_one_limit_per_robot(self, demo_graph):
         with pytest.raises(ValueError):

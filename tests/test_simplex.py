@@ -4,9 +4,7 @@ scipy is a test-only dependency: the package itself must never import it, which
 the last test checks in a fresh interpreter.
 """
 
-import contextlib
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -20,21 +18,7 @@ from loopselect import GenSpec, generate_exchange_graph
 from loopselect.certify import _modular_lp
 from loopselect.simplex import simplex_max
 
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the test, rather than hang, if the block runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"simplex still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+from conftest import time_limit
 
 
 def highs_max(c, A, b, bounds=(0, None)):
