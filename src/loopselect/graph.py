@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InstanceTooLargeError
 
@@ -36,8 +37,7 @@ WEIGHT_TOL = 1e-9  # absolute tolerance for real-valued budget comparisons
 COVER_GUARD = 25   # max distinct endpoints for the exact cover search
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """One observation: owned by ``robot``, broadcast cost ``weight`` > 0."""
 
     id: int
@@ -45,8 +45,7 @@ class Vertex:
     weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Candidate match between observations ``u`` and ``v``, true with probability ``p``."""
 
     id: int
@@ -216,41 +215,43 @@ class ExchangeGraph:
     def violations(self):
         """Yield ``(record, message)`` per invariant violation.
 
-        ``record`` names what is at fault: ``("robots",)``, ``("vertex", id)``,
-        ``("edge", id)``, or None for the id sets as a whole. Parsers map it
-        back to the line of that record.
+        ``record`` names what is at fault: ``("robots",)``, ``("vertex", i)``
+        for ``self.vertices[i]``, ``("edge", i)`` for ``self.edges[i]``, or
+        None for an id set with a gap and no repeated id. Parsers map it back
+        to the line of that record.
         """
-        if self.num_robots < 2:
-            yield ("robots",), f"num_robots must be at least 2, got {self.num_robots}"
-        vids = [v.id for v in self.vertices]
-        if sorted(vids) != list(range(len(vids))):
-            yield None, "vertex ids must be dense, 0-based, and unique"
-        for v in self.vertices:
-            if not 0 <= v.robot < self.num_robots:
-                yield ("vertex", v.id), f"vertex {v.id}: robot {v.robot} out of range"
-            if not v.weight > 0:
-                yield ("vertex", v.id), f"vertex {v.id}: weight must be positive"
-        eids = [e.id for e in self.edges]
-        if sorted(eids) != list(range(len(eids))):
-            yield None, "edge ids must be dense, 0-based, and unique"
+        num_robots, vmap = self.num_robots, self._vmap
+        if num_robots < 2:
+            yield ("robots",), f"num_robots must be at least 2, got {num_robots}"
+        yield from _id_set_violations("vertex", self.vertices, vmap)
+        for i, (vid, robot, weight) in enumerate(self.vertices):
+            if not 0 <= robot < num_robots:
+                yield ("vertex", i), f"vertex {vid}: robot {robot} out of range"
+            if not weight > 0:
+                yield ("vertex", i), f"vertex {vid}: weight must be positive"
+        yield from _id_set_violations("edge", self.edges, self._emap)
         seen_pairs = set()
-        for e in self.edges:
-            at = ("edge", e.id)
-            if e.u not in self._vmap or e.v not in self._vmap:
-                yield at, f"edge {e.id}: unknown endpoint"
+        for i, (eid, u, v, p) in enumerate(self.edges):
+            a, b = vmap.get(u), vmap.get(v)
+            pair = (u, v) if u < v else (v, u)
+            if (a is not None and b is not None and a.robot != b.robot
+                    and pair not in seen_pairs and 0.0 <= p <= 1.0):
+                seen_pairs.add(pair)
                 continue
-            if e.u == e.v:
-                yield at, f"edge {e.id}: self-loop"
+            at = ("edge", i)
+            if a is None or b is None:
+                yield at, f"edge {eid}: unknown endpoint"
                 continue
-            ru, rv = self._vmap[e.u].robot, self._vmap[e.v].robot
-            if ru == rv:
-                yield at, f"edge {e.id}: not r-partite (both endpoints on robot {ru})"
-            pair = (min(e.u, e.v), max(e.u, e.v))
+            if u == v:
+                yield at, f"edge {eid}: self-loop"
+                continue
+            if a.robot == b.robot:
+                yield at, f"edge {eid}: not r-partite (both endpoints on robot {a.robot})"
             if pair in seen_pairs:
-                yield at, f"edge {e.id}: duplicate of pair {pair}"
+                yield at, f"edge {eid}: duplicate of pair {pair}"
             seen_pairs.add(pair)
-            if not 0.0 <= e.p <= 1.0:
-                yield at, f"edge {e.id}: probability out of range ({e.p})"
+            if not 0.0 <= p <= 1.0:
+                yield at, f"edge {eid}: probability out of range ({p})"
 
     # -- budgets and plans ---------------------------------------------------
 
@@ -350,6 +351,24 @@ class ExchangeGraph:
             f"ExchangeGraph(robots={self.num_robots}, "
             f"vertices={self.num_vertices}, edges={self.num_edges})"
         )
+
+
+def _id_set_violations(kind, records, by_id):
+    """The violation, if any, of ``records``' ids not being exactly 0..n-1.
+
+    A repeated id is blamed on the first record that repeats one; a gap alone
+    has no record at fault.
+    """
+    n = len(records)
+    if len(by_id) == n and by_id.keys() == set(range(n)):
+        return
+    at, seen = None, set()
+    for i, record in enumerate(records):
+        if record.id in seen:
+            at = (kind, i)
+            break
+        seen.add(record.id)
+    yield at, f"{kind} ids must be dense, 0-based, and unique"
 
 
 def min_vertex_cover_bruteforce(graph, edge_ids, weighted=False) -> set[int]:

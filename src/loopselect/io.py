@@ -30,7 +30,8 @@ Parsers are strict: unknown record types, wrong field counts, or invariant
 violations raise :class:`~loopselect.errors.ParseError` with the offending
 line number. Every number must be finite, and a pose graph has at most one
 ``FIX`` record. Given the exchange graph's edge ids, the pose parser also
-rejects a ``CANDIDATE`` for an edge that graph does not have.
+rejects a ``CANDIDATE`` for an edge that graph does not have. The loaders
+read UTF-8 and reject a byte that is not UTF-8 at the line that holds it.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ __all__ = [
 ]
 
 
-def _fields(line_no, line, expect, kind):
-    parts = line.split()
+_INF = math.inf
+
+
+def _fields(line_no, parts, expect, kind):
     if len(parts) != expect:
         raise ParseError(
             line_no, f"{kind} record needs {expect} fields, got {len(parts)}"
         )
-    return parts
 
 
 def _to_int(line_no, token, what):
@@ -82,13 +84,46 @@ def _to_float(line_no, token, what):
     return value
 
 
+def _records(text):
+    """``(line number, fields)`` per line that is neither blank nor a ``#`` comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            yield line_no, parts
+
+
 def _reject_violations(violations, line_of, kind):
-    """Raise at the first line whose record breaks an invariant (line 1: none)."""
-    bad = [(line_of.get(record, 1), message) for record, message in violations]
+    """Raise at the first line whose record breaks an invariant (line 1: none).
+
+    ``line_of()`` maps each record to its line; it is only called once an
+    invariant is broken.
+    """
+    bad = list(violations)
     if bad:
+        line_of = line_of()
+        bad = [(line_of.get(record, 1), message) for record, message in bad]
         line_no = min(at for at, _ in bad)
         messages = [message for at, message in bad if at == line_no]
         raise ParseError(line_no, f"invalid {kind}: " + "; ".join(messages))
+
+
+def _read_text(path):
+    """A file's UTF-8 text; a byte that is not UTF-8 is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # numbered as the parsers number lines: by str.splitlines
+        before = data[: err.start].decode("utf-8")
+        line_no = len((before + "x").splitlines())
+        raise ParseError(
+            line_no, f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})"
+        ) from None
+
+
+def _numbered(kind, lines):
+    return {(kind, i): line_no for i, line_no in enumerate(lines)}
 
 
 # -- exchange graphs -----------------------------------------------------------
@@ -96,22 +131,36 @@ def _reject_violations(violations, line_of, kind):
 
 def parse_exchange_graph(text) -> ExchangeGraph:
     num_robots = None
-    vertices = []
-    edges = []
-    line_of = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag = line.split(None, 1)[0]
+    robots_line = None
+    vertices, vertex_lines = [], []
+    edges, edge_lines = [], []
+    for line_no, parts in _records(text):
+        tag = parts[0]
+        # Well-formed records convert inline; anything else falls through to
+        # the field-by-field checks below, which raise the precise error.
+        try:
+            if tag == "edge" and len(parts) == 5:
+                p = float(parts[4])
+                if -_INF < p < _INF:
+                    edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3]), p))
+                    edge_lines.append(line_no)
+                    continue
+            elif tag == "vertex" and len(parts) == 4:
+                weight = float(parts[3])
+                if -_INF < weight < _INF:
+                    vertices.append(Vertex(int(parts[1]), int(parts[2]), weight))
+                    vertex_lines.append(line_no)
+                    continue
+        except ValueError:
+            pass
         if tag == "robots":
-            parts = _fields(line_no, line, 2, "robots")
+            _fields(line_no, parts, 2, "robots")
             if num_robots is not None:
                 raise ParseError(line_no, "duplicate robots header")
             num_robots = _to_int(line_no, parts[1], "robot count")
-            line_of[("robots",)] = line_no
+            robots_line = line_no
         elif tag == "vertex":
-            parts = _fields(line_no, line, 4, "vertex")
+            _fields(line_no, parts, 4, "vertex")
             vertices.append(
                 Vertex(
                     id=_to_int(line_no, parts[1], "vertex id"),
@@ -119,9 +168,9 @@ def parse_exchange_graph(text) -> ExchangeGraph:
                     weight=_to_float(line_no, parts[3], "weight"),
                 )
             )
-            line_of.setdefault(("vertex", vertices[-1].id), line_no)
+            vertex_lines.append(line_no)
         elif tag == "edge":
-            parts = _fields(line_no, line, 5, "edge")
+            _fields(line_no, parts, 5, "edge")
             edges.append(
                 Edge(
                     id=_to_int(line_no, parts[1], "edge id"),
@@ -130,13 +179,21 @@ def parse_exchange_graph(text) -> ExchangeGraph:
                     p=_to_float(line_no, parts[4], "probability"),
                 )
             )
-            line_of.setdefault(("edge", edges[-1].id), line_no)
+            edge_lines.append(line_no)
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if num_robots is None:
         raise ParseError(1, "missing robots header")
     graph = ExchangeGraph(num_robots, vertices, edges)
-    _reject_violations(graph.violations(), line_of, "exchange graph")
+    _reject_violations(
+        graph.violations(),
+        lambda: {
+            ("robots",): robots_line,
+            **_numbered("vertex", vertex_lines),
+            **_numbered("edge", edge_lines),
+        },
+        "exchange graph",
+    )
     return graph
 
 
@@ -150,8 +207,7 @@ def serialize_exchange_graph(graph) -> str:
 
 
 def load_exchange_graph(path) -> ExchangeGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_exchange_graph(fh.read())
+    return parse_exchange_graph(_read_text(path))
 
 
 def save_exchange_graph(graph, path):
@@ -166,16 +222,39 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
     """Parse a pose file; with ``edge_ids``, every CANDIDATE must name one of them."""
     poses = {}
     anchor = None
-    base_edges = []
-    candidate_map = {}
-    line_of = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag = line.split(None, 1)[0]
+    anchor_line = None
+    base_edges, base_lines = [], []
+    candidate_map, candidate_lines = {}, []
+    for line_no, parts in _records(text):
+        tag = parts[0]
+        # As in parse_exchange_graph: a record is accepted here only when no
+        # check below would reject it. A sum of floats is finite only if every
+        # term is; a sum that overflows only sends a good record the long way.
+        try:
+            if tag == "CANDIDATE" and len(parts) == 5:
+                eid, w = int(parts[1]), float(parts[4])
+                if (-_INF < w < _INF and eid not in candidate_map
+                        and (edge_ids is None or eid in edge_ids)):
+                    candidate_map[eid] = (int(parts[2]), int(parts[3]), w)
+                    candidate_lines.append(line_no)
+                    continue
+            elif tag == "EDGE_SE2" and len(parts) == 12:
+                i, j = int(parts[1]), int(parts[2])
+                reals = [float(t) for t in parts[3:12]]
+                if -_INF < sum(reals) < _INF and reals[3] > 0:
+                    base_edges.append((i, j, reals[3]))
+                    base_lines.append(line_no)
+                    continue
+            elif tag == "VERTEX_SE2" and len(parts) == 5:
+                pid = int(parts[1])
+                coords = (float(parts[2]), float(parts[3]), float(parts[4]))
+                if -_INF < sum(coords) < _INF and pid not in poses:
+                    poses[pid] = coords
+                    continue
+        except ValueError:
+            pass
         if tag == "VERTEX_SE2":
-            parts = _fields(line_no, line, 5, "VERTEX_SE2")
+            _fields(line_no, parts, 5, "VERTEX_SE2")
             pid = _to_int(line_no, parts[1], "pose id")
             if pid in poses:
                 raise ParseError(line_no, f"duplicate pose id {pid}")
@@ -183,13 +262,13 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                 _to_float(line_no, t, "pose coordinate") for t in parts[2:5]
             )
         elif tag == "FIX":
-            parts = _fields(line_no, line, 2, "FIX")
+            _fields(line_no, parts, 2, "FIX")
             if anchor is not None:
                 raise ParseError(line_no, "duplicate FIX record")
             anchor = _to_int(line_no, parts[1], "anchor id")
-            line_of[("anchor",)] = line_no
+            anchor_line = line_no
         elif tag == "EDGE_SE2":
-            parts = _fields(line_no, line, 12, "EDGE_SE2")
+            _fields(line_no, parts, 12, "EDGE_SE2")
             i = _to_int(line_no, parts[1], "pose id")
             j = _to_int(line_no, parts[2], "pose id")
             info11 = _to_float(line_no, parts[6], "information coefficient")
@@ -197,10 +276,10 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                 _to_float(line_no, t, "EDGE_SE2 field")
             if info11 <= 0:
                 raise ParseError(line_no, "information coefficient must be positive")
-            line_of[("base", len(base_edges))] = line_no
             base_edges.append((i, j, info11))
+            base_lines.append(line_no)
         elif tag == "CANDIDATE":
-            parts = _fields(line_no, line, 5, "CANDIDATE")
+            _fields(line_no, parts, 5, "CANDIDATE")
             eid = _to_int(line_no, parts[1], "exchange edge id")
             if eid in candidate_map:
                 raise ParseError(line_no, f"duplicate candidate for edge {eid}")
@@ -213,7 +292,7 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                 _to_int(line_no, parts[3], "pose id"),
                 _to_float(line_no, parts[4], "candidate weight"),
             )
-            line_of[("candidate", eid)] = line_no
+            candidate_lines.append(line_no)
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
     if not poses:
@@ -228,7 +307,15 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
         anchor=0 if anchor is None else anchor,
         poses=tuple(poses[i] for i in ids),
     )
-    _reject_violations(pg.violations(), line_of, "pose graph")
+    _reject_violations(
+        pg.violations(),
+        lambda: {
+            ("anchor",): anchor_line,
+            **_numbered("base", base_lines),
+            **{("candidate", eid): n for eid, n in zip(candidate_map, candidate_lines)},
+        },
+        "pose graph",
+    )
     return pg
 
 
@@ -253,8 +340,7 @@ def serialize_pose_graph(pg) -> str:
 
 
 def load_pose_graph(path, edge_ids=None) -> PoseGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pose_graph(fh.read(), edge_ids)
+    return parse_pose_graph(_read_text(path), edge_ids)
 
 
 def save_pose_graph(pg, path):

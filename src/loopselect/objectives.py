@@ -90,15 +90,16 @@ class PoseGraph:
             yield ("anchor",), f"anchor {self.anchor} out of range"
         if self.poses is not None and len(self.poses) != self.num_poses:
             yield None, "pose coordinate count does not match num_poses"
+        n = self.num_poses
         for idx, (i, j, w) in enumerate(self.base_edges):
-            if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
+            if not (0 <= i < n and 0 <= j < n and i != j):
                 yield ("base", idx), f"base edge ({i},{j}) invalid"
-            if not (w > 0 and math.isfinite(w)):
+            if not 0 < w < math.inf:
                 yield ("base", idx), f"base edge ({i},{j}) weight must be positive and finite"
         for eid, (i, j, w) in self.candidate_map.items():
-            if not (0 <= i < self.num_poses and 0 <= j < self.num_poses) or i == j:
+            if not (0 <= i < n and 0 <= j < n and i != j):
                 yield ("candidate", eid), f"candidate {eid}: pose pair ({i},{j}) invalid"
-            if not (w > 0 and math.isfinite(w)):
+            if not 0 < w < math.inf:
                 yield ("candidate", eid), f"candidate {eid}: weight must be positive and finite"
 
     def is_connected(self) -> bool:

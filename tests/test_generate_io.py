@@ -1,7 +1,9 @@
 """Generators (determinism, validity, sampling statistics) and file round-trips."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from loopselect import (
 )
 from loopselect.generate import GroundTruth, decode_pairs, pair_count
 from loopselect.io import (
+    load_exchange_graph,
+    load_pose_graph,
     parse_exchange_graph,
     parse_ground_truth,
     parse_pose_graph,
@@ -30,6 +34,10 @@ from loopselect.io import (
 )
 
 from conftest import make_graph
+
+GOLDEN_PARSE_ERRORS = json.loads(
+    (Path(__file__).parent / "golden_parse_errors.json").read_text()
+)["cases"]
 
 
 class TestExchangeGeneration:
@@ -239,13 +247,35 @@ FORMATS = {
 }
 
 
+@st.composite
+def respaced(draw, text):
+    """``text`` with other whitespace between, before and after the fields of
+    each line, CRLF or LF endings, and blank and ``#`` lines in between."""
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t", "  \t"])
+    filler = st.lists(
+        st.sampled_from(["", "   ", "\t", "#", "# note", "  # indented", "#robots 9"]),
+        max_size=2,
+    )
+    lines = []
+    for line in text.splitlines():
+        lines += draw(filler)
+        first, *rest = line.split(" ")
+        lines.append(draw(pad) + first + "".join(draw(gap) + t for t in rest) + draw(pad))
+    lines += draw(filler)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
 class TestFormatFuzz:
     @settings(max_examples=150, deadline=None)
     @given(fmt=st.sampled_from(sorted(FORMATS)), data=st.data())
     def test_round_trip_is_byte_identical(self, fmt, data):
         instances, serialize, parse, _ = FORMATS[fmt]
-        text = serialize(data.draw(instances))
+        instance = data.draw(instances)
+        text = serialize(instance)
         assert serialize(parse(text)) == text
+        if fmt != "truth":  # the whitespace-separated formats
+            assert parse(data.draw(respaced(text))) == instance
 
     @settings(max_examples=300, deadline=None)
     @given(fmt=st.sampled_from(sorted(FORMATS)), data=st.data())
@@ -350,6 +380,10 @@ class TestStrictParsing:
             ("edge 1 0 2 0.5", 5, "unknown endpoint"),
             ("edge 1 1 0 0.5", 5, "duplicate of pair"),
             ("edge 1 0 1 1.5", 5, "probability out of range"),
+            ("vertex 0 1 1.0", 4, "vertex ids must be dense, 0-based, and unique"),
+            ("vertex 3 0 1.0", 1, "vertex ids must be dense, 0-based, and unique"),
+            ("edge 0 0 1 0.5", 5, "edge ids must be dense, 0-based, and unique"),
+            ("edge 2 0 1 0.5", 1, "edge ids must be dense, 0-based, and unique"),
         ],
     )
     def test_exchange_graph_invariant_cites_record_line(self, record, line, what):
@@ -360,6 +394,45 @@ class TestStrictParsing:
             text += "edge 0 0 1 0.5\n" + record + "\n"
         with pytest.raises(ParseError, match=f"^line {line}: invalid exchange graph: .*{what}"):
             parse_exchange_graph(text)
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_PARSE_ERRORS, ids=lambda c: f"{c['format']}-{c['name']}"
+    )
+    def test_error_text_matches_golden(self, case):
+        if case["format"] == "exchange":
+            parse, args = parse_exchange_graph, ()
+        else:
+            ids = case.get("edge_ids")
+            parse, args = parse_pose_graph, (None if ids is None else set(ids),)
+        try:
+            parse(case["text"], *args)
+        except ParseError as err:
+            assert str(err) == case["error"]
+        else:
+            assert case["error"] is None
+
+    @pytest.mark.parametrize(
+        "load,data,message",
+        [
+            (
+                load_exchange_graph,
+                b"robots 2\nvertex 0 0 1.0\nvertex 1 1 \xff1.0\n",
+                "line 3: byte 0xff is not UTF-8 (invalid start byte)",
+            ),
+            (
+                load_pose_graph,
+                b"VERTEX_SE2 0 0.0 0.0 0.0\r\nVERTEX_SE2 1 1.0 0.0 0.0\r\n# caf\xe9\r\n",
+                "line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)",
+            ),
+        ],
+        ids=["exchange", "pose"],
+    )
+    def test_non_utf8_byte_cites_its_line(self, load, data, message, tmp_path):
+        path = tmp_path / "instance"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == message
 
     def test_exchange_graph_rejects_non_finite(self):
         with pytest.raises(ParseError, match="^line 3: weight must be finite"):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopselect import (
     Edge,
@@ -13,6 +15,7 @@ from loopselect import (
     InstanceTooLargeError,
     ModularObjective,
     Plan,
+    PoseGraph,
     TotalNonuniform,
     TotalUniform,
     Vertex,
@@ -54,6 +57,115 @@ class TestValidate:
     def test_nonpositive_weight_flagged(self):
         g = ExchangeGraph(2, [Vertex(0, 0, weight=0.0), Vertex(1, 1)], [])
         assert any("weight" in v for v in g.validate())
+
+
+def reference_exchange_messages(g):
+    """The invariant checks as separate passes over the records, one check at a time."""
+    out = []
+    if g.num_robots < 2:
+        out.append(f"num_robots must be at least 2, got {g.num_robots}")
+    vids = [v.id for v in g.vertices]
+    if sorted(vids) != list(range(len(vids))):
+        out.append("vertex ids must be dense, 0-based, and unique")
+    for v in g.vertices:
+        if not 0 <= v.robot < g.num_robots:
+            out.append(f"vertex {v.id}: robot {v.robot} out of range")
+        if not v.weight > 0:
+            out.append(f"vertex {v.id}: weight must be positive")
+    eids = [e.id for e in g.edges]
+    if sorted(eids) != list(range(len(eids))):
+        out.append("edge ids must be dense, 0-based, and unique")
+    robot = {v.id: v.robot for v in g.vertices}
+    seen = set()
+    for e in g.edges:
+        if e.u not in robot or e.v not in robot:
+            out.append(f"edge {e.id}: unknown endpoint")
+            continue
+        if e.u == e.v:
+            out.append(f"edge {e.id}: self-loop")
+            continue
+        if robot[e.u] == robot[e.v]:
+            out.append(f"edge {e.id}: not r-partite (both endpoints on robot {robot[e.u]})")
+        pair = (min(e.u, e.v), max(e.u, e.v))
+        if pair in seen:
+            out.append(f"edge {e.id}: duplicate of pair {pair}")
+        seen.add(pair)
+        if not 0.0 <= e.p <= 1.0:
+            out.append(f"edge {e.id}: probability out of range ({e.p})")
+    return out
+
+
+def reference_pose_messages(pg):
+    out = []
+    if pg.num_poses < 2:
+        out.append("need at least two poses")
+    if not 0 <= pg.anchor < pg.num_poses:
+        out.append(f"anchor {pg.anchor} out of range")
+    if pg.poses is not None and len(pg.poses) != pg.num_poses:
+        out.append("pose coordinate count does not match num_poses")
+    n = pg.num_poses
+    for i, j, w in pg.base_edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            out.append(f"base edge ({i},{j}) invalid")
+        if not (w > 0 and math.isfinite(w)):
+            out.append(f"base edge ({i},{j}) weight must be positive and finite")
+    for eid, (i, j, w) in pg.candidate_map.items():
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            out.append(f"candidate {eid}: pose pair ({i},{j}) invalid")
+        if not (w > 0 and math.isfinite(w)):
+            out.append(f"candidate {eid}: weight must be positive and finite")
+    return out
+
+
+small_id = st.integers(-1, 5)
+odd_weight = st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.inf, math.nan])
+
+
+class TestViolationsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.integers(0, 3),
+        vertices=st.lists(st.builds(Vertex, small_id, st.integers(-1, 3), odd_weight), max_size=6),
+        edges=st.lists(
+            st.builds(Edge, small_id, small_id, small_id, st.sampled_from([-0.1, 0.0, 0.5, 1.0, 1.5])),
+            max_size=8,
+        ),
+    )
+    def test_exchange_messages_and_order(self, r, vertices, edges):
+        g = ExchangeGraph(r, vertices, edges)
+        assert g.validate() == reference_exchange_messages(g)
+        for record, _ in g.violations():
+            assert record is None or record == ("robots",) or (
+                record[0] in ("vertex", "edge")
+                and 0 <= record[1] < len(g.vertices if record[0] == "vertex" else g.edges)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(0, 4),
+        anchor=small_id,
+        base=st.lists(st.tuples(small_id, small_id, odd_weight), max_size=5),
+        candidates=st.dictionaries(st.integers(0, 9), st.tuples(small_id, small_id, odd_weight), max_size=5),
+        coords=st.none() | st.integers(0, 5).map(lambda n: ((0.0, 0.0, 0.0),) * n),
+    )
+    def test_pose_messages_and_order(self, d, anchor, base, candidates, coords):
+        pg = PoseGraph(num_poses=d, base_edges=tuple(base), candidate_map=candidates,
+                       anchor=anchor, poses=coords)
+        assert pg.validate() == reference_pose_messages(pg)
+
+
+class TestRecords:
+    def test_named_tuple_contract(self):
+        v, e = Vertex(3, 1, 2.5), Edge(id=0, u=1, v=2, p=0.25)
+        assert repr(v) == "Vertex(id=3, robot=1, weight=2.5)"
+        assert repr(e) == "Edge(id=0, u=1, v=2, p=0.25)"
+        assert v == (3, 1, 2.5) and hash(v) == hash((3, 1, 2.5))
+        assert Vertex(3, 1) == Vertex(id=3, robot=1, weight=1.0)
+        eid, u, w, p = e
+        assert (eid, u, w, p) == (0, 1, 2, 0.25)
+        assert e._replace(p=0.5) == Edge(0, 1, 2, 0.5) and e.p == 0.25
+        with pytest.raises(AttributeError):
+            e.p = 0.5
 
 
 class TestEdgesIncident:
