@@ -260,10 +260,11 @@ def _load_plan(path, graph):
     """``(plan, payload, k, cb, line)`` of a ``plan --output`` file.
 
     A bad field is a data error citing the line of its key (``line`` maps
-    each key to it); a file that is not a plan or lacks a field cites line 1.
+    each key to it), a byte that is not UTF-8 one citing its own line; a file
+    that is not a plan or lacks a field cites line 1.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    # newlines translated as text mode would; _key_lines counts "\n"
+    text = gio._read_text(path).replace("\r\n", "\n").replace("\r", "\n")
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != "loopselect-plan":
         raise ParseError(1, "not a loopselect plan file")

@@ -587,6 +587,41 @@ class TestCertify:
         assert rc == 2
         assert "error: line 1: plan file: no 'edges'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_non_utf8_byte_cites_its_line(self, instance, tmp_path, capsys, newline):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        rows = plan_path.read_text().splitlines()
+        want = next(no for no, row in enumerate(rows, 1) if row.startswith(' "objective":'))
+        data = newline.join(rows).encode()
+        plan_path.write_bytes(data.replace(b'"modular"', b'"modul\xffar"'))
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: line {want}: byte 0xff is not UTF-8 (invalid start byte)" in err
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_newline_reads_and_cites_lines(self, instance, tmp_path, capsys, newline):
+        plan_path = tmp_path / "plan.json"
+        main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ])
+        rows = plan_path.read_text().splitlines()
+        plan_path.write_bytes(newline.join(rows).encode())
+        assert main(["certify", "--input", str(instance), "--plan", str(plan_path)]) == 0
+        want = next(no for no, row in enumerate(rows, 1) if row.startswith(' "k":'))
+        rows[want - 1] = ' "k": -1,'
+        plan_path.write_bytes(newline.join(rows).encode())
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        assert rc == 2
+        assert f"error: line {want}: plan file: bad k -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale, rc_want", [(1.0 + 1e-6, 2), (1.0 + 1e-12, 0)])
     def test_stored_value_must_match(self, instance, tmp_path, capsys, scale, rc_want):
         plan_path = tmp_path / "plan.json"

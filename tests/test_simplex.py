@@ -4,6 +4,8 @@ scipy is a test-only dependency: the package itself must never import it, which
 the last test checks in a fresh interpreter.
 """
 
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +16,18 @@ import pytest
 from scipy.optimize import linprog
 
 import loopselect
-from loopselect import GenSpec, generate_exchange_graph
+from loopselect import GenSpec, certify, generate_exchange_graph, lp_upper_bound_modular, simplex
 from loopselect.certify import _modular_lp
 from loopselect.simplex import simplex_max
 
 from conftest import time_limit
+
+GOLDEN_LP = json.loads((Path(__file__).parent / "golden_lp_modular.json").read_text())["values"]
+BEALE = (
+    [0.75, -20.0, 0.5, -6.0],
+    [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    [0.0, 0.0, 1.0],
+)
 
 
 def highs_max(c, A, b, bounds=(0, None)):
@@ -27,18 +36,61 @@ def highs_max(c, A, b, bounds=(0, None)):
     return -res.fun
 
 
+def highs_modular(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
+    """HiGHS on the modular LP with every vertex a variable, fixed ones pinned by bounds."""
+    n, m = graph.num_vertices, graph.num_edges
+    A = np.zeros((2 + m, n + m))
+    A[0, :n] = 1.0
+    A[1, n:] = 1.0
+    for j, e in enumerate(graph.edges):
+        A[2 + j, n + j] = 1.0
+        A[2 + j, e.u] = A[2 + j, e.v] = -1.0
+    rhs = np.concatenate([[b, k], np.zeros(m)])
+    bounds = [(0, 0) if v in fixed0 else (1, 1) if v in fixed1 else (0, 1)
+              for v in range(n)] + [(0, 1)] * m
+    c = np.concatenate([np.zeros(n), [e.p for e in graph.edges]])
+    return highs_max(c, A, rhs, bounds)
+
+
+def certification_form_lp(seed):
+    """Random A x <= b with b >= 0, zero right-hand sides for degeneracy, and
+    upper bounds on every variable as rows of A."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 15))
+    m = int(rng.integers(1, 12))
+    A = rng.choice([-1.0, 0.0, 0.0, 0.0, 0.5, 1.0], size=(m, n))
+    b = rng.choice([0.0, 0.0, 1.0, 2.5], size=m)
+    A = np.vstack([A, np.eye(n)])
+    b = np.concatenate([b, rng.integers(1, 4, size=n).astype(float)])
+    c = rng.uniform(-0.5, 1.0, size=n)
+    return c, A, b
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_graph(seed):
+    """The modular-certified benchmark's instance shape: 6x30 observations, 400 candidates."""
+    return generate_exchange_graph(
+        GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=seed)
+    )
+
+
 def assert_optimal_point(c, A, b, x, value):
     assert np.all(x >= -1e-9)
     assert np.all(np.asarray(A) @ x <= np.asarray(b) + 1e-9)
     assert float(np.dot(c, x)) == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
+def assert_agrees_with_highs(c, A, b):
+    with time_limit(10):
+        x, value = simplex_max(c, A, b)
+    assert value == pytest.approx(highs_max(c, A, b), rel=1e-9, abs=1e-9)
+    assert_optimal_point(c, A, b, x, value)
+
+
 class TestTermination:
     def test_beale_cycling_example(self):
         # Beale (1955): Dantzig's rule with lowest-index ties cycles here
-        c = [0.75, -20.0, 0.5, -6.0]
-        A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
-        b = [0.0, 0.0, 1.0]
+        c, A, b = BEALE
         with time_limit(10):
             x, value = simplex_max(c, A, b)
         assert value == pytest.approx(1.25, abs=1e-12)
@@ -60,20 +112,7 @@ class TestTermination:
 class TestAgainstHighs:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_certification_form(self, seed):
-        # A x <= b with b >= 0, zero right-hand sides for degeneracy, and
-        # upper bounds on every variable as rows of A
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 15))
-        m = int(rng.integers(1, 12))
-        A = rng.choice([-1.0, 0.0, 0.0, 0.0, 0.5, 1.0], size=(m, n))
-        b = rng.choice([0.0, 0.0, 1.0, 2.5], size=m)
-        A = np.vstack([A, np.eye(n)])
-        b = np.concatenate([b, rng.integers(1, 4, size=n).astype(float)])
-        c = rng.uniform(-0.5, 1.0, size=n)
-        with time_limit(10):
-            x, value = simplex_max(c, A, b)
-        assert value == pytest.approx(highs_max(c, A, b), rel=1e-9, abs=1e-9)
-        assert_optimal_point(c, A, b, x, value)
+        assert_agrees_with_highs(*certification_form_lp(seed))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_modular_lp_with_fixed_vertices(self, seed):
@@ -85,20 +124,9 @@ class TestAgainstHighs:
         fixed0, fixed1 = frozenset(perm[:3]), frozenset(perm[3:5])
         for b, k in ((2, 4), (4, 8), (7, 30)):
             pi, value = _modular_lp(graph, k, b, fixed0, fixed1)
-            # oracle: all vertices as variables, fixed ones pinned by bounds
-            n, m = graph.num_vertices, graph.num_edges
-            A = np.zeros((2 + m, n + m))
-            A[0, :n] = 1.0
-            A[1, n:] = 1.0
-            for j, e in enumerate(graph.edges):
-                A[2 + j, n + j] = 1.0
-                A[2 + j, e.u] = A[2 + j, e.v] = -1.0
-            rhs = np.concatenate([[b, k], np.zeros(m)])
-            bounds = [(0, 0) if v in fixed0 else (1, 1) if v in fixed1 else (0, 1)
-                      for v in range(n)] + [(0, 1)] * m
-            c = np.concatenate([np.zeros(n), [e.p for e in graph.edges]])
-            assert value == pytest.approx(highs_max(c, A, rhs, bounds), rel=1e-9, abs=1e-9)
-            assert set(pi) == set(range(n)) - fixed0 - fixed1
+            want = highs_modular(graph, k, b, fixed0, fixed1)
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert set(pi) == set(range(graph.num_vertices)) - fixed0 - fixed1
             assert all(-1e-9 <= v <= 1 + 1e-9 for v in pi.values())
 
     def test_modular_lp_infeasible_when_too_many_fixed_to_one(self):
@@ -106,6 +134,62 @@ class TestAgainstHighs:
             GenSpec(num_robots=2, vertices_per_robot=3, num_edges=5, seed=0)
         )
         assert _modular_lp(graph, 3, 1, fixed1=frozenset({0, 1})) is None
+
+    @pytest.mark.parametrize("b, k", [(4, 30), (12, 10)])
+    def test_modular_lp_at_benchmark_scale(self, b, k, monkeypatch):
+        solved = []
+
+        def keep(c, A, rhs):
+            x, value = simplex_max(c, A, rhs)
+            solved.append((c, A, rhs, x))
+            return x, value
+
+        monkeypatch.setattr(certify, "simplex_max", keep)
+        graph = benchmark_graph(1)
+        _, value = _modular_lp(graph, k, b)
+        assert value == pytest.approx(highs_modular(graph, k, b), rel=1e-9)
+        [(c, A, rhs, x)] = solved
+        assert_optimal_point(c, A, rhs, x, value)
+
+
+class TestBlandFallback:
+    """``STALL = 0``: Bland's entering rule runs from the first pivot."""
+
+    @pytest.fixture(autouse=True)
+    def bland_from_the_start(self, monkeypatch):
+        monkeypatch.setattr(simplex, "STALL", 0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_certification_form(self, seed):
+        assert_agrees_with_highs(*certification_form_lp(seed))
+
+    def test_modular_lp_at_benchmark_scale(self):
+        graph = benchmark_graph(1)
+        with time_limit(30):
+            value = lp_upper_bound_modular(graph, 30, 4)
+        assert value == pytest.approx(highs_modular(graph, 30, 4), rel=1e-9, abs=1e-9)
+
+    def test_beale_terminates(self):
+        with time_limit(10):
+            _, value = simplex_max(*BEALE)
+        assert value == pytest.approx(1.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LP))
+def test_lp_value_matches_golden(case):
+    # bit for bit, so a changed pivot sequence shows in the last digits
+    spec = dict(item.split("=") for item in case.split(","))
+    graph = benchmark_graph(int(spec["seed"]))
+    value = lp_upper_bound_modular(graph, int(spec["k"]), int(spec["b"]))
+    assert value == float(GOLDEN_LP[case])
+
+
+def test_golden_lp_covers_every_case():
+    want = {
+        f"seed={s},b={b},k={k}"
+        for s in (1, 2, 3, 9101) for b in (4, 8, 12) for k in (10, 20, 30)
+    }
+    assert set(GOLDEN_LP) == want
 
 
 def test_runtime_does_not_import_scipy():
