@@ -34,7 +34,7 @@ print(f"{'k':>3} {'s-greedy':>9} {'arm':>10} {'random':>8} {'apriori':>8}")
 last = None
 saturated_at = None
 for k in (2, 4, 6, 8, 12, 16, 20, 24):
-    plan, trace = s_greedy(graph, k, cb, obj, lazy=True)
+    plan, trace = s_greedy(graph, k, cb, obj)
     base, _ = random_baseline(graph, k, cb, obj, seed=0)
     print(
         f"{k:>3} {plan.achieved_value:9.4f} {trace.winner:>10} "
@@ -48,7 +48,7 @@ print(f"\nthe curve saturates once the broadcast budget is exhausted "
       f"(first repeat at k = {saturated_at}).")
 
 k = 24
-plan, trace = s_greedy(graph, k, cb, obj, lazy=True)
+plan, trace = s_greedy(graph, k, cb, obj)
 a_e, a_v = alpha_posteriori(trace, b, k, delta)
 print(
     f"at k = {k}: winner = {trace.winner}, a-priori factor = "

@@ -35,6 +35,7 @@ __all__ = ["main", "SweepSpec", "sweep_rows"]
 PLANNERS = ("mgreedy", "egreedy", "vgreedy", "sgreedy", "random")
 OBJECTIVES = ("modular", "dcrit", "treeconn")
 REGIMES = ("tu", "tn", "iu")
+LAZY_HELP = "no effect: lazy greedy evaluation is the only mode (kept for old scripts)"
 
 
 class _UsageError(Exception):
@@ -114,15 +115,15 @@ def _objective(name, graph, pose_graph):
     raise _UsageError(f"unknown objective {name!r}")
 
 
-def _run_planner(name, graph, k, cb, objective, lazy, seed):
+def _run_planner(name, graph, k, cb, objective, seed):
     if name == "mgreedy":
-        return m_greedy(graph, k, cb, objective, lazy=lazy)
+        return m_greedy(graph, k, cb, objective)
     if name == "egreedy":
-        return e_greedy(graph, k, cb, objective, lazy=lazy)
+        return e_greedy(graph, k, cb, objective)
     if name == "vgreedy":
-        return v_greedy(graph, k, cb, objective, lazy=lazy)
+        return v_greedy(graph, k, cb, objective)
     if name == "sgreedy":
-        return s_greedy(graph, k, cb, objective, lazy=lazy)
+        return s_greedy(graph, k, cb, objective)
     if name == "random":
         return random_baseline(graph, k, cb, objective, seed)
     raise _UsageError(f"unknown planner {name!r}")
@@ -201,9 +202,7 @@ def _cmd_plan(args):
     _check_planner_regime(args.planner, args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph)
     cb = _budget(args.regime, args.b, graph)
-    plan, _trace = _run_planner(
-        args.planner, graph, args.k, cb, objective, args.lazy, args.seed
-    )
+    plan, _trace = _run_planner(args.planner, graph, args.k, cb, objective, args.seed)
     delta = graph.max_degree()
     alpha = _alpha(cb, args.k, delta)
     if args.output:
@@ -344,7 +343,6 @@ class SweepSpec:
     regime: str = "tu"
     planners: tuple = ("sgreedy",)
     certify: str = "none"
-    lazy: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -388,9 +386,7 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
             for planner in spec.planners:
-                plan, trace = _run_planner(
-                    planner, graph, k, cb, objective, spec.lazy, spec.seed
-                )
+                plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed)
                 posterior = ["", ""]
                 if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
                     posterior = [repr(a) for a in cert.alpha_posteriori(trace, cb.b, k, delta)]
@@ -460,7 +456,6 @@ def _cmd_sweep(args):
         regime=args.regime,
         planners=tuple(p.strip() for p in args.planners.split(",") if p.strip()),
         certify=args.certify,
-        lazy=args.lazy,
         seed=args.seed,
     )
     _write_rows(sweep_rows(graph, pose_graph, spec), args.output)
@@ -494,7 +489,7 @@ def _build_parser():
     p.add_argument("--planner", default="sgreedy", choices=PLANNERS)
     p.add_argument("-b", required=True, help="budget (tu: int, tn: float, iu: l0/l1/...)")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--lazy", action="store_true")
+    p.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-degree", type=int, default=None)
     p.add_argument("--output", default=None, help="plan JSON path")
@@ -509,7 +504,7 @@ def _build_parser():
     s.add_argument("-b", required=True, help="grid: value, list, or start:step:end (iu: l0/l1/...,...)")
     s.add_argument("-k", required=True, help="grid: value, list, or start:step:end")
     s.add_argument("--certify", default="none", choices=["none", "lp", "brute"])
-    s.add_argument("--lazy", action="store_true")
+    s.add_argument("--lazy", action="store_true", help=LAZY_HELP)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cap-degree", type=int, default=None)
     s.add_argument("--alpha-only", action="store_true", help="emit guarantee surfaces, run nothing")

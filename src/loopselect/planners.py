@@ -21,13 +21,12 @@ Every greedy loop is a ``GreedySelector`` run over a per-run oracle:
 ``m_greedy`` takes its gains from a ``TopKOracle`` (g itself), ``e_greedy``
 and ``v_greedy`` from one ``objective.oracle()``, which tracks the committed
 edges; only the final achieved value comes from ``g_modular`` or the dense
-``objective.value``. ``lazy=True`` switches the inner argmax to lazy
-evaluation with stale upper bounds (Minoux), valid because oracle gains are
-non-negative and diminishing for monotone submodular objectives; the
-selection sequence is identical to the eager loop and never uses more gain
-evaluations. An eager round costs one feasibility check and one gain call
-per candidate left; for ``m_greedy`` a gain call is ``TopKOracle.gain``
-itself, which ends at the first incident key that does not enter the top k.
+``objective.value``. The selector is lazy (Minoux): it keeps stale gains as
+upper bounds and re-evaluates only the candidates that could still win a
+round. That is valid because oracle gains are non-negative and never grow
+for monotone submodular objectives, except by rounding that each oracle
+bounds (``gain_slack``), so the selection sequence is the one a full scan
+of the pool per round would give, with fewer gain evaluations.
 """
 
 from __future__ import annotations
@@ -83,70 +82,74 @@ class PlannerTrace:
 
 
 class GreedySelector:
-    """Repeated argmax over a shrinking candidate pool with a global tie rule.
+    """Lazy repeated argmax over a shrinking candidate pool with a global tie rule.
 
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
     ties break to the lowest candidate id. ``feasible(c)`` is asked before a
     candidate is evaluated, and a candidate it rejects leaves the pool for
     good, so it must only ever turn from true to false as the run goes on (a
-    budget being used up); rejections are not evaluations. An eager round
-    keeps the pool in id order, filters it by feasibility once, maps
-    ``gain_fn`` over the rest and takes the first maximum. In lazy mode a
-    max-heap of stale bounds is kept; an entry is only trusted once
-    re-evaluated in the current round, which reproduces the eager selection
-    sequence exactly whenever gains are diminishing (monotone submodular
-    objectives) while skipping most evaluations.
+    budget being used up); rejections are not evaluations. A min-heap of
+    ``(-gain, id, round)`` holds every candidate's last gain as a stale bound;
+    an entry is only trusted once re-evaluated in the current round. Gains of
+    monotone submodular objectives never grow, except by rounding: ``slack``
+    bounds that growth, and a stale entry within ``slack`` of the round's
+    best is re-evaluated before the best is taken. So each pick is the one
+    evaluating the whole pool every round would make, while most
+    evaluations are skipped.
     """
 
-    def __init__(self, candidates, gain_fn, lazy=False, feasible=lambda c: True):
-        # lazy mode asks membership of heap entries; eager scans in id order
-        self._pool = set(candidates) if lazy else sorted(set(candidates))
+    def __init__(self, candidates, gain_fn, feasible=lambda c: True, slack=0.0):
+        self._pool = set(candidates)
         self._gain = gain_fn
         self._feasible = feasible
-        self._lazy = lazy
+        self._slack = slack
         self._round = 0
         self.evaluations = 0
-        if lazy:
-            # bound +inf marks "never evaluated"
-            self._heap = [(-math.inf, c, -1) for c in sorted(self._pool)]
-            heapq.heapify(self._heap)
+        # a sorted list is a heap; bound +inf marks "never evaluated"
+        self._heap = [(-math.inf, c, -1) for c in sorted(self._pool)]
 
     def __len__(self):
         return len(self._pool)
 
     def best(self):
         """Best feasible (candidate, gain) under current state, or None if there is none."""
-        if not self._pool:
-            return None
         self._round += 1
-        if not self._lazy:
-            # nothing inside one round changes feasibility, so filter once
-            self._pool = [c for c in self._pool if self._feasible(c)]
-            if not self._pool:
-                return None
-            gains = list(map(self._gain, self._pool))
-            self.evaluations += len(gains)
-            # max keeps the first of equal gains: the lowest id
-            best_g = max(gains)
-            return self._pool[gains.index(best_g)], best_g
-        while self._pool:
-            neg_g, c, tag = heapq.heappop(self._heap)
-            if c not in self._pool:
-                continue
-            if not self._feasible(c):
-                self._pool.discard(c)
-                continue
-            if tag == self._round:
-                heapq.heappush(self._heap, (neg_g, c, tag))
+        heap, pool = self._heap, self._pool
+        # every pool member has one heap entry; committed ones linger until popped
+        while pool:
+            neg_g, c, tag = heap[0]
+            if c not in pool or not self._feasible(c):
+                pool.discard(c)
+                heapq.heappop(heap)
+            elif tag != self._round:
+                self.evaluations += 1
+                heapq.heapreplace(heap, (-self._gain(c), c, self._round))
+            elif not (self._slack and self._refresh(-neg_g)):
                 return c, -neg_g
-            g = self._gain(c)
-            self.evaluations += 1
-            heapq.heappush(self._heap, (-g, c, self._round))
         return None
 
+    def _refresh(self, g) -> bool:
+        """Re-evaluate the stale entries within slack of ``g``; whether there were any."""
+        heap, stale, todo = self._heap, [], [0]
+        while todo:  # the entries at least g - slack form a subtree at the root
+            i = todo.pop()
+            if i < len(heap) and -heap[i][0] + self._slack >= g:
+                if heap[i][2] != self._round and heap[i][1] in self._pool:
+                    stale.append(i)
+                todo += (2 * i + 1, 2 * i + 2)
+        for i in stale:
+            c = heap[i][1]
+            if self._feasible(c):
+                self.evaluations += 1
+                heap[i] = (-self._gain(c), c, self._round)
+            else:
+                self._pool.discard(c)
+        if stale:
+            heapq.heapify(heap)
+        return bool(stale)
+
     def commit(self, candidate):
-        if candidate in self._pool:
-            self._pool.remove(candidate)
+        self._pool.discard(candidate)
 
 
 class _Room:
@@ -159,30 +162,50 @@ class _Room:
     more, so a run can stop without rejecting the rest one by one.
 
     Blocks, weights and limits come from
-    :meth:`~loopselect.graph.ExchangeGraph.budget_blocks` at construction,
-    so a check is two lookups.
+    :meth:`~loopselect.graph.ExchangeGraph.budget_blocks` at construction.
+    A weight fits a block when the ``math.fsum`` of the block's booked
+    weights and that weight is at most ``limit + WEIGHT_TOL``, the rule of
+    ``budget_satisfied`` to the last bit. A running sum decides that unless
+    it lands within its own rounding error of the limit; only then are the
+    booked weights summed exactly.
     """
 
     def __init__(self, graph, cb):
-        self._block, self.weight, self._limit = graph.budget_blocks(cb)
+        self._block, self.weight, limits = graph.budget_blocks(cb)
+        self._cap = [limit + WEIGHT_TOL for limit in limits]
         # the lightest vertex of a block is the last that can fit
-        self._floor = [math.inf] * len(self._limit)
+        self._floor = [math.inf] * len(limits)
         for vid, block in self._block.items():
             self._floor[block] = min(self._floor[block], self.weight[vid])
-        self._spent = [0.0] * len(self._limit)
+        self._booked = [[] for _ in limits]
+        self._spent = [0.0] * len(limits)
+        self._slop = [4 * math.ulp(1.0) * cap for cap in self._cap]
+
+    def _admits(self, block, w) -> bool:
+        gap = self._cap[block] - self._spent[block] - w
+        if gap > self._slop[block]:
+            return True
+        if gap < -self._slop[block]:
+            return False
+        return math.fsum([*self._booked[block], w]) <= self._cap[block]
 
     def fits(self, vid) -> bool:
-        block = self._block[vid]
-        return self.weight[vid] <= self._limit[block] - self._spent[block] + WEIGHT_TOL
+        return self._admits(self._block[vid], self.weight[vid])
 
     def full(self) -> bool:
-        return not any(
-            floor <= limit - spent + WEIGHT_TOL
-            for floor, limit, spent in zip(self._floor, self._limit, self._spent)
-        )
+        return not any(map(self._admits, range(len(self._cap)), self._floor))
 
     def charge(self, vid):
-        self._spent[self._block[vid]] += self.weight[vid]
+        block = self._block[vid]
+        booked = self._booked[block]
+        booked.append(self.weight[vid])
+        self._spent[block] += self.weight[vid]
+        # with u = ulp(1) / 2: the running sum of n positive weights is off by
+        # (n - 1) u times their sum at most, cap - spent by u times its
+        # operands, and taking w off and rounding at the limit by u times the
+        # gap and the limit; twice all that is below this slop
+        scale = self._cap[block] + self._spent[block]
+        self._slop[block] = (len(booked) + 4) * math.ulp(1.0) * scale
 
 
 def _require_tu(cb, who):
@@ -195,7 +218,7 @@ def _require_modular(objective):
         raise ValueError("m_greedy requires a modular objective")
 
 
-def m_greedy(graph, k, cb, objective, lazy=False):
+def m_greedy(graph, k, cb, objective):
     """Vertex greedy on the nested objective g, then top-k edge extraction.
 
     One greedy run over the vertices takes every gain from a
@@ -225,9 +248,7 @@ def m_greedy(graph, k, cb, objective, lazy=False):
                 return oracle.gain(vid) / weight[vid]
         else:
             score = oracle.gain
-        sel = GreedySelector(
-            [v.id for v in graph.vertices], score, lazy=lazy, feasible=room.fits
-        )
+        sel = GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits)
         selected: list[int] = []
         while not room.full() and (pick := sel.best()) is not None:
             vid = pick[0]
@@ -245,21 +266,30 @@ def m_greedy(graph, k, cb, objective, lazy=False):
 
     if not isinstance(cb, TotalNonuniform):
         return run(per_weight=False)
-    plain_plan, plain_tr = run(per_weight=False)
-    ratio_plan, ratio_tr = run(per_weight=True)
-    trace = PlannerTrace(
-        algorithm="m-greedy",
-        children={"plain": plain_tr, "cost-benefit": ratio_tr},
-        evaluations=plain_tr.evaluations + ratio_tr.evaluations,
+    plan, trace = _best_arm(
+        "m-greedy", ("plain", run(per_weight=False)), ("cost-benefit", run(per_weight=True))
     )
-    # ties keep the plain variant
-    if ratio_plan.achieved_value > plain_plan.achieved_value:
-        trace.winner = "cost-benefit"
-        trace.steps, trace.exhausted = ratio_tr.steps, ratio_tr.exhausted
-        return ratio_plan, trace
-    trace.winner = "plain"
-    trace.steps, trace.exhausted = plain_tr.steps, plain_tr.exhausted
-    return plain_plan, trace
+    trace.exhausted = trace.children[trace.winner].exhausted
+    return plan, trace
+
+
+def _best_arm(algorithm, first, second):
+    """The better of two named ``(plan, trace)`` runs, with both traces as children.
+
+    Ties keep the first run. The returned trace takes the winner's steps and
+    sums the evaluations of both.
+    """
+    (a, (a_plan, a_trace)), (b, (b_plan, b_trace)) = first, second
+    won, plan, trace = a, a_plan, a_trace
+    if b_plan.achieved_value > a_plan.achieved_value:
+        won, plan, trace = b, b_plan, b_trace
+    return plan, PlannerTrace(
+        algorithm=algorithm,
+        steps=trace.steps,
+        evaluations=a_trace.evaluations + b_trace.evaluations,
+        children={a: a_trace, b: b_trace},
+        winner=won,
+    )
 
 
 def _witness_cover(graph, selected_edges):
@@ -269,39 +299,18 @@ def _witness_cover(graph, selected_edges):
     endpoint covering more of the remaining uncovered selection (tie: lower
     id). Never larger than the number of selected edges.
     """
+    ends = [(graph.edge(eid).u, graph.edge(eid).v) for eid in selected_edges]
     cover: list[int] = []
-    in_cover: set[int] = set()
-
-    def uncovered(eid):
-        e = graph.edge(eid)
-        return e.u not in in_cover and e.v not in in_cover
-
-    for eid in selected_edges:
-        if not uncovered(eid):
+    for u, v in ends:
+        if u in cover or v in cover:
             continue
-        e = graph.edge(eid)
-
-        def residual(vid):
-            return sum(
-                1
-                for other in selected_edges
-                if uncovered(other)
-                and vid in (graph.edge(other).u, graph.edge(other).v)
-            )
-
-        cu, cv = residual(e.u), residual(e.v)
-        if cu > cv:
-            pick = e.u
-        elif cv > cu:
-            pick = e.v
-        else:
-            pick = min(e.u, e.v)
-        cover.append(pick)
-        in_cover.add(pick)
+        left = [x for a, b in ends if a not in cover and b not in cover for x in (a, b)]
+        cu, cv = left.count(u), left.count(v)
+        cover.append(u if cu > cv else v if cv > cu else min(u, v))
     return cover
 
 
-def e_greedy(graph, k, cb, objective, lazy=False):
+def e_greedy(graph, k, cb, objective):
     """Edge greedy with a witness cover and a communication-free second phase."""
     _require_tu(cb, "e_greedy")
     if k < 0:
@@ -314,42 +323,37 @@ def e_greedy(graph, k, cb, objective, lazy=False):
     def gain(eid):
         return oracle.gain((eid,))
 
-    sel = GreedySelector([e.id for e in graph.edges], gain, lazy=lazy)
-    rounds = min(b, k)
-    for _ in range(rounds):
-        pick = sel.best()
-        if pick is None:
-            trace.exhausted = True
-            break
-        eid, g = pick
-        sel.commit(eid)
-        selected.append(eid)
-        oracle.commit((eid,))
-        trace.steps.append(TraceStep("phase1", eid, g, oracle.value))
+    def grow(sel, rounds, phase):
+        """Up to ``rounds`` greedy picks; whether the pool ran dry first."""
+        for _ in range(rounds):
+            pick = sel.best()
+            if pick is None:
+                return True
+            eid, g = pick
+            sel.commit(eid)
+            selected.append(eid)
+            oracle.commit((eid,))
+            trace.steps.append(TraceStep(phase, eid, g, oracle.value))
+        return False
+
+    sel = GreedySelector([e.id for e in graph.edges], gain, slack=oracle.gain_slack)
+    trace.exhausted = grow(sel, min(b, k), "phase1")
     trace.evaluations = sel.evaluations
 
     cover = _witness_cover(graph, selected)
 
     if k > b:
-        free = sorted(graph.edges_incident(cover) - set(selected))
-        sel2 = GreedySelector(free, gain, lazy=lazy)
-        for _ in range(min(len(free), k - b)):
-            pick = sel2.best()
-            if pick is None:
-                break
-            eid, g = pick
-            sel2.commit(eid)
-            selected.append(eid)
-            oracle.commit((eid,))
-            trace.steps.append(TraceStep("phase2", eid, g, oracle.value))
-        trace.evaluations += sel2.evaluations
+        free = graph.edges_incident(cover) - set(selected)
+        sel = GreedySelector(free, gain, slack=oracle.gain_slack)
+        grow(sel, k - b, "phase2")
+        trace.evaluations += sel.evaluations
 
     value = objective.value(selected)
     plan = Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=value)
     return plan, trace
 
 
-def v_greedy(graph, k, cb, objective, lazy=False):
+def v_greedy(graph, k, cb, objective):
     """Vertex greedy on h(V) = f(edges(V)); stops before any budget violation."""
     _require_tu(cb, "v_greedy")
     if k < 0:
@@ -367,7 +371,7 @@ def v_greedy(graph, k, cb, objective, lazy=False):
     def gain(vid):
         return oracle.gain(new_edges(vid))
 
-    sel = GreedySelector([v.id for v in graph.vertices], gain, lazy=lazy)
+    sel = GreedySelector([v.id for v in graph.vertices], gain, slack=oracle.gain_slack)
     while sel and len(selected) < b:
         vid, g = sel.best()
         new = new_edges(vid)
@@ -387,23 +391,14 @@ def v_greedy(graph, k, cb, objective, lazy=False):
     return plan, trace
 
 
-def s_greedy(graph, k, cb, objective, lazy=False):
+def s_greedy(graph, k, cb, objective):
     """Best of the edge arm and the vertex arm (ties keep the edge arm)."""
     _require_tu(cb, "s_greedy")
-    e_plan, e_trace = e_greedy(graph, k, cb, objective, lazy=lazy)
-    v_plan, v_trace = v_greedy(graph, k, cb, objective, lazy=lazy)
-    trace = PlannerTrace(
-        algorithm="s-greedy",
-        children={"edge-arm": e_trace, "vertex-arm": v_trace},
-        evaluations=e_trace.evaluations + v_trace.evaluations,
+    return _best_arm(
+        "s-greedy",
+        ("edge-arm", e_greedy(graph, k, cb, objective)),
+        ("vertex-arm", v_greedy(graph, k, cb, objective)),
     )
-    if v_plan.achieved_value > e_plan.achieved_value:
-        trace.winner = "vertex-arm"
-        trace.steps = v_trace.steps
-        return v_plan, trace
-    trace.winner = "edge-arm"
-    trace.steps = e_trace.steps
-    return e_plan, trace
 
 
 def random_baseline(graph, k, cb, objective, seed):

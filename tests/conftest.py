@@ -16,6 +16,7 @@ from loopselect import (
     demo_rendezvous_graph,
     generate_exchange_graph,
     generate_pose_graph,
+    planners,
 )
 
 
@@ -33,6 +34,39 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class EagerSelector:
+    """Reference argmax for ``planners.GreedySelector``: every round evaluates
+    every feasible candidate left, in id order, and keeps the first maximum.
+    It trusts no stale gain, so it has no use for ``slack``."""
+
+    def __init__(self, candidates, gain_fn, feasible=lambda c: True, slack=0.0):
+        self._pool, self._gain, self._feasible = sorted(set(candidates)), gain_fn, feasible
+        self.evaluations = 0
+
+    def __len__(self):
+        return len(self._pool)
+
+    def best(self):
+        self._pool = [c for c in self._pool if self._feasible(c)]
+        if not self._pool:
+            return None
+        gains = [self._gain(c) for c in self._pool]
+        self.evaluations += len(gains)
+        best_g = max(gains)
+        return self._pool[gains.index(best_g)], best_g
+
+    def commit(self, candidate):
+        if candidate in self._pool:
+            self._pool.remove(candidate)
+
+
+def eager(planner, *args):
+    """``planner(*args)`` with the eager reference in place of the shipped selector."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "GreedySelector", EagerSelector)
+        return planner(*args)
 
 
 @pytest.fixture

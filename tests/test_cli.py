@@ -429,6 +429,41 @@ class TestSweep:
         assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--planner", "mgreedy", "-b", "4", "-k", "8"],
+        ["plan", "--planner", "mgreedy", "--regime", "tn", "-b", "4.5", "-k", "8"],
+        ["plan", "--planner", "sgreedy", "-b", "3", "-k", "10"],
+        ["sweep", "--planners", "mgreedy,egreedy,vgreedy,sgreedy", "-b", "2,4", "-k", "4,8",
+         "--certify", "lp"],
+    ],
+    ids=["plan-tu", "plan-tn", "plan-sgreedy", "sweep"],
+)
+def test_lazy_flag_is_a_no_op(tmp_path, capsys, argv):
+    instance = tmp_path / "g.exg"
+    assert main([
+        "generate", "--robots", "3", "--verts", "6", "--edges", "30", "--seed", "4",
+        "--output", str(instance),
+    ]) == 0
+    capsys.readouterr()
+    outputs = []
+    out = tmp_path / "out"
+    for extra in ([], ["--lazy"]):
+        assert main([*argv, "--input", str(instance), *extra, "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+def test_lazy_flag_help_says_it_is_the_only_mode(capsys):
+    for command in ("plan", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        # argparse wraps help to the terminal width
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "lazy greedy evaluation is the only mode" in help_text
+
+
 class TestCertify:
     def test_mgreedy_ratio_within_guarantee(self, instance, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

@@ -1,4 +1,4 @@
-"""Planner behavior: feasibility, guarantees at small scale, determinism, lazy mode."""
+"""Planner behavior: feasibility, guarantees at small scale, determinism, lazy == eager."""
 
 import functools
 import hashlib
@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopselect import (
     DCritObjective,
@@ -15,6 +17,7 @@ from loopselect import (
     GreedySelector,
     IndividualUniform,
     ModularObjective,
+    PoseGraph,
     TotalNonuniform,
     TotalUniform,
     TreeConnObjective,
@@ -30,9 +33,17 @@ from loopselect import (
 )
 
 from loopselect import planners
+from loopselect.graph import WEIGHT_TOL
 from loopselect.io import serialize_exchange_graph, serialize_pose_graph
 
-from conftest import make_graph, random_modular_instance, random_treeconn_instance
+from conftest import (
+    EagerSelector,
+    eager,
+    make_graph,
+    random_connected_pose_graph,
+    random_modular_instance,
+    random_treeconn_instance,
+)
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden_sgreedy_5x40.json").read_text())
@@ -69,6 +80,7 @@ def instance_5x40(seed):
 
 
 class TestGreedySelector:
+    # lazy=False runs the eager reference from conftest
     @pytest.mark.parametrize("lazy", [False, True])
     def test_feasibility_predicate(self, lazy):
         gains = {0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 2.0, 5: 0.5}
@@ -85,7 +97,8 @@ class TestGreedySelector:
                 return False
             return True
 
-        sel = GreedySelector(gains, gains.__getitem__, lazy=lazy, feasible=fits)
+        selector = GreedySelector if lazy else EagerSelector
+        sel = selector(gains, gains.__getitem__, feasible=fits)
         picks = []
         while (pick := sel.best()) is not None:
             c, g = pick
@@ -100,6 +113,56 @@ class TestGreedySelector:
         # rejections are not evaluations: eager scans 6, then 3 affordable;
         # lazy re-evaluates only the one affordable candidate it pops
         assert sel.evaluations == (7 if lazy else 9)
+
+
+class TestRoom:
+    """The budget room of m_greedy books weights exactly as budget_satisfied sums them."""
+
+    @pytest.mark.parametrize(
+        "first, second, limit",
+        # limit - spent + WEIGHT_TOL rounds off limit + WEIGHT_TOL: a running
+        # sum admitted the first pair and turned the second away
+        [(0.1, 0.3, 0.39999999899999994), (0.2, 0.15, 0.34999999899999995)],
+    )
+    def test_m_greedy_books_to_the_last_bit(self, first, second, limit):
+        graph = make_graph(2, [0, 1], [(0, 1)], [0.5], weights=[first, second])
+        cb = TotalNonuniform(limit)
+        room = planners._Room(graph, cb)
+        room.charge(0)
+        assert room.fits(1) == graph.budget_satisfied([0, 1], cb)
+        plan, _ = m_greedy(graph, 1, cb, ModularObjective(graph))
+        assert graph.check_plan(plan, 1, cb)
+        assert len(plan.vertices) == 1 + graph.budget_satisfied([0, 1], cb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fits_agrees_with_budget_satisfied(self, data):
+        cost = st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.35, 0.7, 1.1]) | st.floats(0.01, 3.0)
+        weights = data.draw(st.lists(cost, min_size=1, max_size=8))
+        n = len(weights)
+        graph = make_graph(2, [i % 2 for i in range(n)], [], [], weights=weights)
+        # put the sum of some weights right at limit + WEIGHT_TOL
+        picked = data.draw(st.lists(st.sampled_from(weights), max_size=n))
+        limit = max(0.0, math.fsum(picked) - WEIGHT_TOL)
+        limit = data.draw(st.sampled_from([limit, math.nextafter(limit, 0), math.nextafter(limit, 9)]))
+        cb = TotalNonuniform(limit)
+        room = planners._Room(graph, cb)
+        booked = []
+        lightest = min(range(n), key=weights.__getitem__)
+        while True:
+            fitting = [v for v in range(n) if v not in booked and room.fits(v)]
+            for v in range(n):
+                if v not in booked:
+                    assert room.fits(v) == graph.budget_satisfied([*booked, v], cb)
+            if room.full():
+                assert fitting == []
+            elif lightest not in booked:
+                assert room.fits(lightest)
+            if not fitting:
+                break
+            vid = data.draw(st.sampled_from(fitting))
+            room.charge(vid)
+            booked.append(vid)
 
 
 class TestMGreedy:
@@ -136,7 +199,8 @@ class TestMGreedy:
         self, demo_graph, budget, exhausted, lazy
     ):
         obj = ModularObjective(demo_graph)
-        plan, trace = m_greedy(demo_graph, 3, budget(demo_graph), obj, lazy=lazy)
+        run = m_greedy if lazy else functools.partial(eager, m_greedy)
+        plan, trace = run(demo_graph, 3, budget(demo_graph), obj)
         assert trace.exhausted is exhausted
         if exhausted:
             assert len(plan.vertices) == demo_graph.num_vertices
@@ -267,10 +331,11 @@ class TestVGreedy:
         graph, _ = instance_5x40(1)
         obj = ModularObjective(graph)
         n, b = graph.num_vertices, 10
-        plan, trace = v_greedy(graph, graph.num_edges, TotalUniform(b), obj)
+        plan, trace = eager(v_greedy, graph, graph.num_edges, TotalUniform(b), obj)
         assert len(plan.vertices) == b and not trace.exhausted
         # one full scan of the shrinking pool per selected vertex, none after
         assert trace.evaluations == sum(n - r for r in range(b))
+        assert v_greedy(graph, graph.num_edges, TotalUniform(b), obj)[0] == plan
 
     def test_edges_are_incident_set(self):
         for seed in range(30):
@@ -429,12 +494,14 @@ class TestTracesAndDeterminism:
 
 
 class TestLazyMode:
+    """The shipped lazy selector against the eager reference from conftest."""
+
     def test_identical_sequences_and_fewer_evaluations(self):
         for seed in range(30):
             graph, pg, b, k = random_treeconn_instance(seed)
             obj = TreeConnObjective(graph, pg)
-            eager_plan, eager_tr = s_greedy(graph, k, TotalUniform(b), obj, lazy=False)
-            lazy_plan, lazy_tr = s_greedy(graph, k, TotalUniform(b), obj, lazy=True)
+            eager_plan, eager_tr = eager(s_greedy, graph, k, TotalUniform(b), obj)
+            lazy_plan, lazy_tr = s_greedy(graph, k, TotalUniform(b), obj)
             assert eager_plan == lazy_plan
             for arm in ("edge-arm", "vertex-arm"):
                 e_steps = [s.item for s in eager_tr.children[arm].steps]
@@ -444,7 +511,7 @@ class TestLazyMode:
 
     def test_modular_lazy_one_evaluation_per_round(self, demo_graph):
         obj = ModularObjective(demo_graph)
-        _, trace = e_greedy(demo_graph, 3, TotalUniform(3), obj, lazy=True)
+        _, trace = e_greedy(demo_graph, 3, TotalUniform(3), obj)
         m = demo_graph.num_edges
         # first round scans everything; later rounds re-evaluate once
         assert trace.evaluations == m + (3 - 1)
@@ -456,9 +523,9 @@ class TestLazyMode:
             k, cases = regime_cases(seed)
             for regime, (graph, cb) in cases.items():
                 obj = ModularObjective(graph)
-                eager, eager_tr = m_greedy(graph, k, cb, obj, lazy=False)
-                lazy, lazy_tr = m_greedy(graph, k, cb, obj, lazy=True)
-                assert lazy == eager, (seed, regime)
+                eager_plan, eager_tr = eager(m_greedy, graph, k, cb, obj)
+                lazy_plan, lazy_tr = m_greedy(graph, k, cb, obj)
+                assert lazy_plan == eager_plan, (seed, regime)
                 assert lazy_tr.steps == eager_tr.steps, (seed, regime)
                 assert lazy_tr.winner == eager_tr.winner
                 assert lazy_tr.evaluations <= eager_tr.evaluations
@@ -489,15 +556,15 @@ class TestLazyMode:
             k, cases = regime_cases(seed)
             for regime, (graph, cb) in cases.items():
                 obj = ModularObjective(graph)
-                for lazy in (False, True):
+                for run in (m_greedy, functools.partial(eager, m_greedy)):
                     runs = {}
                     for stop in (True, False):
                         Room.stop, Room.checks = stop, 0
-                        plan, trace = m_greedy(graph, k, cb, obj, lazy=lazy)
+                        plan, trace = run(graph, k, cb, obj)
                         runs[stop] = plan, summary(trace), Room.checks
                     (plan, got, checks), (want_plan, want, want_checks) = runs[True], runs[False]
-                    assert plan == want_plan, (seed, regime, lazy)
-                    assert got == want, (seed, regime, lazy)
+                    assert plan == want_plan, (seed, regime, run)
+                    assert got == want, (seed, regime, run)
                     assert checks <= want_checks
                     saved += want_checks - checks
         assert saved > 0
@@ -507,9 +574,9 @@ class TestLazyMode:
         graph = generate_exchange_graph(spec)
         obj = ModularObjective(graph)
         for cb in (TotalNonuniform(20.0), IndividualUniform.by_robot(graph, [2] * 10)):
-            eager, eager_tr = m_greedy(graph, 40, cb, obj, lazy=False)
-            lazy, lazy_tr = m_greedy(graph, 40, cb, obj, lazy=True)
-            assert lazy == eager
+            eager_plan, eager_tr = eager(m_greedy, graph, 40, cb, obj)
+            lazy_plan, lazy_tr = m_greedy(graph, 40, cb, obj)
+            assert lazy_plan == eager_plan
             assert lazy_tr.evaluations < eager_tr.evaluations
 
     def test_modular_vertex_arm_lazy_matches_eager(self):
@@ -518,10 +585,25 @@ class TestLazyMode:
         for seed in range(150):
             graph, b, k = random_modular_instance(seed, max_vertices=30, max_edges=60)
             obj = ModularObjective(graph)
-            eager, eager_tr = v_greedy(graph, k, TotalUniform(b), obj, lazy=False)
-            lazy, lazy_tr = v_greedy(graph, k, TotalUniform(b), obj, lazy=True)
-            assert lazy == eager, seed
+            eager_plan, eager_tr = eager(v_greedy, graph, k, TotalUniform(b), obj)
+            lazy_plan, lazy_tr = v_greedy(graph, k, TotalUniform(b), obj)
+            assert lazy_plan == eager_plan, seed
             assert lazy_tr.evaluations <= eager_tr.evaluations
+
+    def test_log_det_gain_that_grows_by_an_ulp(self):
+        # committing vertex 4 lifts vertex 1's gain by one ulp, to exactly that
+        # of vertex 5 (both add only edge 5 now): a stale bound would pick 5
+        robot_of = [0, 0, 0, 0, 1, 2, 0, 1, 1]
+        pairs = [(3, 7), (4, 5), (6, 7), (0, 4), (2, 4), (1, 5)]
+        graph = make_graph(3, robot_of, pairs, [0.1] * len(pairs))
+        base = random_connected_pose_graph(np.random.default_rng(3242))
+        candidates = {0: (0, 1, 0.5), 1: (0, 1, 0.5), 2: (0, 1, 0.5), 3: (0, 1, 0.5),
+                      4: (0, 2, 1.0), 5: (2, 6, 0.5)}
+        pose_graph = PoseGraph(base.num_poses, base.base_edges, candidates)
+        obj = TreeConnObjective(graph, pose_graph)
+        plan, _ = v_greedy(graph, 4, TotalUniform(2), obj)
+        assert plan.vertices == (4, 1)
+        assert plan == eager(v_greedy, graph, 4, TotalUniform(2), obj)[0]
 
     @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
     def test_identical_sequences_at_5x40(self, kind):
@@ -529,9 +611,9 @@ class TestLazyMode:
         obj = LOGDET_OBJECTIVES[kind](graph, pg)
         for planner in (e_greedy, v_greedy):
             for k in (10, 20):
-                eager, eager_tr = planner(graph, k, TotalUniform(10), obj, lazy=False)
-                lazy, lazy_tr = planner(graph, k, TotalUniform(10), obj, lazy=True)
-                assert lazy == eager
+                eager_plan, eager_tr = eager(planner, graph, k, TotalUniform(10), obj)
+                lazy_plan, lazy_tr = planner(graph, k, TotalUniform(10), obj)
+                assert lazy_plan == eager_plan
                 assert [(s.phase, s.item) for s in lazy_tr.steps] == [
                     (s.phase, s.item) for s in eager_tr.steps
                 ]
@@ -552,7 +634,7 @@ class TestGoldenPlans:
             str(case["seed"])
         ], "the generated instance changed; the fixture no longer applies"
         obj = LOGDET_OBJECTIVES[case["objective"]](graph, pg)
-        plan, trace = s_greedy(graph, case["k"], TotalUniform(case["b"]), obj, lazy=True)
+        plan, trace = s_greedy(graph, case["k"], TotalUniform(case["b"]), obj)
         assert trace.winner == case["winner"]
         assert list(plan.vertices) == case["vertices"]
         assert list(plan.edges) == case["edges"]
@@ -569,7 +651,7 @@ def instance_10x200():
 
 
 class TestGoldenMGreedy:
-    """Eager and lazy m_greedy traces at 10x200/5000 under all three budgets."""
+    """m_greedy traces at 10x200/5000 under all three budgets; eager runs use the reference."""
 
     @pytest.mark.parametrize("run", sorted(GOLDEN_MGREEDY["runs"]))
     def test_matches_recorded_trace(self, run):
@@ -585,7 +667,8 @@ class TestGoldenMGreedy:
             "iu": IndividualUniform.by_robot(graph, [2] * 10),
         }[regime]
         obj = ModularObjective(graph)
-        _, trace = m_greedy(graph, GOLDEN_MGREEDY["k"], cb, obj, lazy=mode == "lazy")
+        planner = m_greedy if mode == "lazy" else functools.partial(eager, m_greedy)
+        _, trace = planner(graph, GOLDEN_MGREEDY["k"], cb, obj)
         want = GOLDEN_MGREEDY["runs"][run]
         assert [[s.item, s.gain, s.value] for s in trace.steps] == want["steps"]
         assert trace.evaluations == want["evaluations"]
