@@ -150,10 +150,9 @@ class TestRoom:
         booked = []
         lightest = min(range(n), key=weights.__getitem__)
         while True:
-            fitting = [v for v in range(n) if v not in booked and room.fits(v)]
-            for v in range(n):
-                if v not in booked:
-                    assert room.fits(v) == graph.budget_satisfied([*booked, v], cb)
+            unbooked = [v for v in range(n) if v not in booked]
+            fitting = [v for v in unbooked if room.fits(v)]
+            assert fitting == [v for v in unbooked if graph.budget_satisfied([*booked, v], cb)]
             if room.full():
                 assert fitting == []
             elif lightest not in booked:
