@@ -17,6 +17,7 @@ guarantee the planners advertise:
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .graph import WEIGHT_TOL, Plan, TotalUniform
+from .graph import Plan, TotalUniform, within_limit
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
 from .simplex import simplex_max
@@ -97,7 +98,7 @@ class Certificate:
 
 
 def _fitting_subsets(ids, weight, limit):
-    """Yield each subset of ``ids`` whose ``math.fsum`` of ``weight`` fits ``limit``, once.
+    """Yield each subset of ``ids`` whose weights are ``within_limit`` of ``limit``, once.
 
     ``ids`` come in ascending weight order, so past a vertex that does not fit,
     none does. The walk keeps its own stack; its depth does not grow with len(ids).
@@ -105,7 +106,7 @@ def _fitting_subsets(ids, weight, limit):
     stack, chosen, taken, j = [], [], [], 0  # positions in ids, their ids, their weights
     yield ()
     while True:
-        if j < len(ids) and math.fsum([*taken, weight[ids[j]]]) <= limit + WEIGHT_TOL:
+        if j < len(ids) and within_limit([*taken, weight[ids[j]]], limit):
             stack.append(j)
             chosen.append(ids[j])
             taken.append(weight[ids[j]])
@@ -138,7 +139,9 @@ def _feasible_vertex_subsets(graph, cb):
             walk = _fitting_subsets(ids, weight, limit)
             total *= sum(1 for _ in itertools.islice(walk, ENUM_GUARD // total + 1))
         else:
-            fit = sum(1 for s, w in enumerate(ws, 1) if s * w <= limit + WEIGHT_TOL)
+            # how many of the block's equal weights fit together
+            fit = bisect.bisect_left(
+                range(len(ws)), True, key=lambda s: not within_limit(ws[: s + 1], limit))
             total *= sum(math.comb(len(ids), s) for s in range(fit + 1))
         if total > ENUM_GUARD:
             raise InstanceTooLargeError(

@@ -116,20 +116,16 @@ def _objective(name, graph, pose_graph):
 
 
 def _run_planner(name, graph, k, cb, objective, seed):
-    if name == "mgreedy":
-        return m_greedy(graph, k, cb, objective)
-    if name == "egreedy":
-        return e_greedy(graph, k, cb, objective)
-    if name == "vgreedy":
-        return v_greedy(graph, k, cb, objective)
-    if name == "sgreedy":
-        return s_greedy(graph, k, cb, objective)
+    """Run planner ``name``, a name ``_check_planner_regime`` has accepted."""
     if name == "random":
         return random_baseline(graph, k, cb, objective, seed)
-    raise _UsageError(f"unknown planner {name!r}")
+    planner = {"mgreedy": m_greedy, "egreedy": e_greedy, "vgreedy": v_greedy, "sgreedy": s_greedy}
+    return planner[name](graph, k, cb, objective)
 
 
 def _check_planner_regime(planner, regime, objective_name):
+    if planner not in PLANNERS:
+        raise _UsageError(f"unknown planner {planner!r}")
     if planner == "mgreedy" and objective_name != "modular":
         raise _UsageError("mgreedy requires the modular objective")
     if planner in ("egreedy", "vgreedy", "sgreedy", "random") and regime != "tu":
@@ -152,15 +148,18 @@ def _infinite_budget_value(graph, objective):
 
 
 def _cmd_generate(args):
-    spec = GenSpec(
-        num_robots=args.robots,
-        vertices_per_robot=args.verts,
-        edge_density=args.density,
-        num_edges=args.edges,
-        seed=args.seed,
-        max_degree=args.cap_degree,
-    )
-    graph = generate_exchange_graph(spec)
+    try:  # no input file here: every value is an argument
+        spec = GenSpec(
+            num_robots=args.robots,
+            vertices_per_robot=args.verts,
+            edge_density=args.density,
+            num_edges=args.edges,
+            seed=args.seed,
+            max_degree=args.cap_degree,
+        )
+        graph = generate_exchange_graph(spec)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     gio.save_exchange_graph(graph, args.output)
     if args.pose_output:
         gio.save_pose_graph(generate_pose_graph(spec, graph), args.pose_output)
@@ -348,6 +347,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.bs or not self.ks:
             raise ValueError("empty budget grid")
+        if not self.planners:
+            raise ValueError("empty planner list")
         if self.certify not in ("none", "lp", "brute"):
             raise ValueError(f"unknown certification level {self.certify!r}")
 
@@ -448,13 +449,16 @@ def _cmd_sweep(args):
 
     if not args.input:
         raise _UsageError("sweep needs --input (or use --alpha-only)")
+    planners = tuple(p.strip() for p in args.planners.split(",") if p.strip())
+    if not planners:
+        raise _UsageError("empty planner list")
     graph, pose_graph = _load_inputs(args)
     spec = SweepSpec(
         bs=tuple(bs),
         ks=tuple(ks),
         objective=args.objective,
         regime=args.regime,
-        planners=tuple(p.strip() for p in args.planners.split(",") if p.strip()),
+        planners=planners,
         certify=args.certify,
         seed=args.seed,
     )
@@ -530,6 +534,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep" and args.alpha_only and args.delta is None:
             raise _UsageError("--alpha-only needs --delta")
+        if args.cap_degree is not None and args.cap_degree < 1:  # every command has it
+            raise _UsageError(f"bad --cap-degree {args.cap_degree}: must be at least 1")
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

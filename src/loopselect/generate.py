@@ -34,9 +34,8 @@ class GenSpec:
     ``num_edges`` (exact count) selects how many candidate edges to draw.
     Probabilities are i.i.d. uniform on (0, 1) unless ``probabilities``
     supplies a fixed list. ``max_degree`` optionally caps the result (the
-    most probable edges survive). Pose-graph knobs shape the backbone:
-    one odometry chain per robot with ``poses_per_robot`` poses (defaults to
-    ``vertices_per_robot`` so every observation sits on its own pose).
+    most probable edges survive). :func:`generate_pose_graph` gives every
+    observation its own pose.
     """
 
     num_robots: int = 2
@@ -46,9 +45,6 @@ class GenSpec:
     probabilities: tuple[float, ...] | None = None
     seed: int = 0
     max_degree: int | None = None
-    poses_per_robot: int | None = None
-    odometry_weight: float = 1.0
-    candidate_weight: float = 1.0
 
     def __post_init__(self):
         if self.num_robots < 2:
@@ -140,36 +136,21 @@ def decode_pairs(ranks, num_robots: int, vertices_per_robot: int):
 def generate_pose_graph(spec: GenSpec, graph: ExchangeGraph) -> PoseGraph:
     """Backbone pose graph aligned with a generated exchange graph.
 
-    Each robot contributes one odometry chain laid out on its own grid row;
-    consecutive chains are bridged so the base graph is connected. Exchange
-    vertex i sits on pose ``robot * poses_per_robot + (i mod poses)``, and
-    every exchange edge maps to the pose pair of its endpoints.
+    Exchange vertex i sits on pose i, and robot r's poses lie on grid row r.
+    The base is one odometry chain through all poses in id order, so each
+    robot's chain is bridged to the next and the base graph is connected.
+    Every exchange edge maps to the pose pair of its endpoints. All base and
+    candidate weights are 1.
     """
-    r = spec.num_robots
-    ppr = spec.poses_per_robot or spec.vertices_per_robot
-    num_poses = r * ppr
-    w = spec.odometry_weight
-    base = []
-    for robot in range(r):
-        start = robot * ppr
-        for j in range(ppr - 1):
-            base.append((start + j, start + j + 1, w))
-        if robot + 1 < r:  # bridge to the next chain
-            base.append((start + ppr - 1, (robot + 1) * ppr, w))
+    r, nv = spec.num_robots, spec.vertices_per_robot
+    num_poses = r * nv
+    base = [(i, i + 1, 1.0) for i in range(num_poses - 1)]
     poses = tuple(
         (float(j), float(robot), 0.0)
         for robot in range(r)
-        for j in range(ppr)
+        for j in range(nv)
     )
-
-    def pose_of(vid):
-        v = graph.vertex(vid)
-        return v.robot * ppr + (vid - v.robot * spec.vertices_per_robot) % ppr
-
-    candidate_map = {
-        e.id: (pose_of(e.u), pose_of(e.v), spec.candidate_weight)
-        for e in graph.edges
-    }
+    candidate_map = {e.id: (e.u, e.v, 1.0) for e in graph.edges}
     pg = PoseGraph(
         num_poses=num_poses,
         base_edges=tuple(base),

@@ -30,6 +30,7 @@ __all__ = [
     "TotalNonuniform",
     "IndividualUniform",
     "CommBudget",
+    "within_limit",
     "min_vertex_cover_bruteforce",
 ]
 
@@ -67,6 +68,15 @@ class Plan:
     vertices: tuple[int, ...] = ()
     edges: tuple[int, ...] = ()
     achieved_value: float = 0.0
+
+
+def within_limit(weights, limit) -> bool:
+    """The budget fit rule: ``weights`` sum to at most ``limit + WEIGHT_TOL``.
+
+    ``math.fsum`` is the exact sum rounded once, so the verdict can only turn
+    false as a weight grows or joins, whatever the order of ``weights``.
+    """
+    return math.fsum(weights) <= limit + WEIGHT_TOL
 
 
 def _check_budget(value, what, kind):
@@ -291,7 +301,7 @@ class ExchangeGraph:
         for vid in set(vertex_ids):
             self.vertex(vid)
             spent[block_of[vid]].append(weight[vid])
-        return all(math.fsum(ws) <= limit + WEIGHT_TOL for ws, limit in zip(spent, limits))
+        return all(map(within_limit, spent, limits))
 
     def check_plan(self, plan, k, cb) -> bool:
         """Feasibility of a plan under (k, cb).

@@ -407,15 +407,11 @@ class TopKOracle:
         if k < 0:
             raise ValueError("k must be non-negative")
         self._k = k
+        self._graph = graph
         key = {e.id: (-e.p, e.id) for e in graph.edges}
         self._uncovered = {
             v.id: sorted(map(key.__getitem__, graph.incident(v.id))) for v in graph.vertices
         }
-        # the vertices whose lists hold each edge's key
-        self._holders: dict[int, list[int]] = {}
-        for vid, keys in self._uncovered.items():
-            for _, eid in keys:
-                self._holders.setdefault(eid, []).append(vid)
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []
@@ -447,9 +443,10 @@ class TopKOracle:
         keys = self._keys(vid)
         self._uncovered[vid] = []
         for key in keys:
-            for holder in self._holders[key[1]]:
-                if holder != vid:
-                    self._uncovered[holder].remove(key)
+            e = self._graph.edge(key[1])
+            other = e.u if e.v == vid else e.v
+            if other != vid:
+                self._uncovered[other].remove(key)
         # the entering keys of gain() are exactly those that make the merged top k
         self._top = sorted(self._top + keys)[: self._k]
         self._top_neg = [key[0] for key in self._top]

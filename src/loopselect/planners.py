@@ -31,13 +31,14 @@ of the pool per round would give, with fewer gain evaluations.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WEIGHT_TOL, Plan, TotalNonuniform, TotalUniform
+from .graph import Plan, TotalNonuniform, TotalUniform, within_limit
 from .objectives import TopKOracle, g_modular
 
 __all__ = [
@@ -156,56 +157,47 @@ class _Room:
     """What is left of a communication budget during one greedy run.
 
     ``fits(vid)`` tells whether vertex ``vid`` can still be broadcast and
-    ``charge(vid)`` books it. Charges only use the budget up, so ``fits``
-    only ever turns from true to false, as the feasibility predicate of
-    :class:`GreedySelector` must. ``full()`` tells that no vertex fits any
-    more, so a run can stop without rejecting the rest one by one.
+    ``charge(vid)`` books it. ``full()`` tells that no vertex fits any more,
+    so a run can stop without rejecting the rest one by one.
 
     Blocks, weights and limits come from
     :meth:`~loopselect.graph.ExchangeGraph.budget_blocks` at construction.
-    A weight fits a block when the ``math.fsum`` of the block's booked
-    weights and that weight is at most ``limit + WEIGHT_TOL``, the rule of
-    ``budget_satisfied`` to the last bit. A running sum decides that unless
-    it lands within its own rounding error of the limit; only then are the
-    booked weights summed exactly.
+    Each block keeps a threshold: the heaviest of its distinct weights that
+    :func:`~loopselect.graph.within_limit` still admits beside the booked
+    weights, or ``-inf`` when none is. ``within_limit`` only turns false as
+    a weight grows, so a bisection of the sorted weights finds it, and a
+    vertex fits exactly when its weight is at most its block's threshold:
+    the rule of ``budget_satisfied`` to the last bit. Bookings only lower a
+    threshold, so ``fits`` only ever turns from true to false, as the
+    feasibility predicate of :class:`GreedySelector` must.
     """
 
     def __init__(self, graph, cb):
-        self._block, self.weight, limits = graph.budget_blocks(cb)
-        self._cap = [limit + WEIGHT_TOL for limit in limits]
-        # the lightest vertex of a block is the last that can fit
-        self._floor = [math.inf] * len(limits)
+        self._block, self.weight, self._limits = graph.budget_blocks(cb)
+        # each block's distinct weights, lightest first
+        ladder = [set() for _ in self._limits]
         for vid, block in self._block.items():
-            self._floor[block] = min(self._floor[block], self.weight[vid])
-        self._booked = [[] for _ in limits]
-        self._spent = [0.0] * len(limits)
-        self._slop = [4 * math.ulp(1.0) * cap for cap in self._cap]
+            ladder[block].add(self.weight[vid])
+        self._ladder = list(map(sorted, ladder))
+        self._booked = [[] for _ in self._limits]
+        self._threshold = [self._heaviest_fit(block) for block in range(len(self._limits))]
 
-    def _admits(self, block, w) -> bool:
-        gap = self._cap[block] - self._spent[block] - w
-        if gap > self._slop[block]:
-            return True
-        if gap < -self._slop[block]:
-            return False
-        return math.fsum([*self._booked[block], w]) <= self._cap[block]
+    def _heaviest_fit(self, block):
+        booked, limit = self._booked[block], self._limits[block]
+        ladder = self._ladder[block]
+        i = bisect.bisect_left(ladder, True, key=lambda w: not within_limit([*booked, w], limit))
+        return ladder[i - 1] if i else -math.inf
 
     def fits(self, vid) -> bool:
-        return self._admits(self._block[vid], self.weight[vid])
+        return self.weight[vid] <= self._threshold[self._block[vid]]
 
     def full(self) -> bool:
-        return not any(map(self._admits, range(len(self._cap)), self._floor))
+        return max(self._threshold, default=-math.inf) == -math.inf
 
     def charge(self, vid):
         block = self._block[vid]
-        booked = self._booked[block]
-        booked.append(self.weight[vid])
-        self._spent[block] += self.weight[vid]
-        # with u = ulp(1) / 2: the running sum of n positive weights is off by
-        # (n - 1) u times their sum at most, cap - spent by u times its
-        # operands, and taking w off and rounding at the limit by u times the
-        # gap and the limit; twice all that is below this slop
-        scale = self._cap[block] + self._spent[block]
-        self._slop[block] = (len(booked) + 4) * math.ulp(1.0) * scale
+        self._booked[block].append(self.weight[vid])
+        self._threshold[block] = self._heaviest_fit(block)
 
 
 def _require_tu(cb, who):

@@ -105,6 +105,35 @@ class TestGenerate:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--robots", "1", "--edges", "1"], "need at least 2 robots"),
+        (["--verts", "0", "--edges", "1"], "need at least 1 vertex per robot"),
+        (["--density", "1.5"], "edge_density must be within [0, 1]"),
+        (["--robots", "2", "--verts", "2", "--edges", "5"], "want 5 edges out of 4"),
+        (["--edges", "3", "--cap-degree", "0"], "bad --cap-degree 0: must be at least 1"),
+    ], ids=["robots", "verts", "density", "edges", "cap-degree"])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "g.exg"
+        rc = main(["generate", *flags, "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "-b", "1", "-k", "1"],
+    ["sweep", "-b", "1", "-k", "1"],
+    ["certify", "--plan", "plan.json"],
+])
+@pytest.mark.parametrize("cap", ["0", "-2", "x"])
+def test_bad_cap_degree_is_usage_error_before_loading(tmp_path, capsys, argv, cap):
+    # the input file does not exist: a data error would be exit 2
+    rc = main([*argv, "--input", str(tmp_path / "none.exg"), "--cap-degree", cap])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--cap-degree" in err
+
 
 class TestPlan:
     def test_demo_sgreedy_budgets(self, instance, tmp_path, capsys):
@@ -415,6 +444,42 @@ class TestSweep:
 
         with pytest.raises(ValueError, match="empty budget grid"):
             SweepSpec(bs=(), ks=(1,))
+
+    def test_empty_planner_list_rejected(self):
+        from loopselect import SweepSpec
+
+        with pytest.raises(ValueError, match="empty planner list"):
+            SweepSpec(bs=(1,), ks=(1,), planners=())
+
+    @pytest.mark.parametrize("planners, message", [
+        ("", "empty planner list"),
+        (",", "empty planner list"),
+        ("mgreedy,wat", "unknown planner 'wat'"),
+    ])
+    def test_bad_planner_list_is_usage_error(self, instance, tmp_path, capsys, planners,
+                                             message):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", planners,
+            "-b", "2", "-k", "4", "--output", str(out),
+        ])
+        assert rc == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_planner_fails_before_any_bound(self, instance, tmp_path, monkeypatch):
+        from loopselect import cli
+
+        def brute(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli.cert, "brute_force_opt", brute)
+        monkeypatch.setattr(cli.cert, "lp_upper_bound_modular", brute)
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy,wat",
+            "--certify", "brute", "-b", "2", "-k", "4",
+        ])
+        assert rc == 1
 
     def test_deterministic_output(self, instance, tmp_path):
         texts = []

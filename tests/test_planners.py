@@ -33,7 +33,7 @@ from loopselect import (
 )
 
 from loopselect import planners
-from loopselect.graph import WEIGHT_TOL
+from loopselect.graph import WEIGHT_TOL, within_limit
 from loopselect.io import serialize_exchange_graph, serialize_pose_graph
 
 from conftest import (
@@ -153,6 +153,9 @@ class TestRoom:
             unbooked = [v for v in range(n) if v not in booked]
             fitting = [v for v in unbooked if room.fits(v)]
             assert fitting == [v for v in unbooked if graph.budget_satisfied([*booked, v], cb)]
+            # full exactly when no weight of the block fits beside the booked ones
+            spent = [weights[v] for v in booked]
+            assert room.full() == (not any(within_limit([*spent, w], limit) for w in weights))
             if room.full():
                 assert fitting == []
             elif lightest not in booked:
