@@ -5,12 +5,22 @@ For a grid of budget pairs we run the modular vertex greedy, compute the
 exact optimum two independent ways (nested enumeration and branch-and-bound
 on the LP relaxation), and the LP upper bound. The printed gap column is the
 normalized shortfall in percent; zero means the greedy plan was optimal.
+The grid covers all three communication budgets: a cardinality (tu), a
+knapsack over broadcast costs (tn, on a copy of the instance with costs in
+[0.5, 2]) and per-robot quotas (iu). The LP has one weighted row per block
+of the budget, so the same certificate serves all three.
 """
 
+import numpy as np
+
 from loopselect import (
+    ExchangeGraph,
     GenSpec,
+    IndividualUniform,
     ModularObjective,
+    TotalNonuniform,
     TotalUniform,
+    Vertex,
     brute_force_opt,
     generate_exchange_graph,
     ilp_opt_modular,
@@ -19,24 +29,30 @@ from loopselect import (
 )
 
 spec = GenSpec(num_robots=3, vertices_per_robot=4, num_edges=14, seed=17)
-graph = generate_exchange_graph(spec)
-obj = ModularObjective(graph)
-norm = obj.value([e.id for e in graph.edges])
-print(f"instance: {graph}, infinite-budget value = {norm:.3f}")
-print(f"{'b':>3} {'k':>3} {'greedy':>8} {'opt':>8} {'ilp':>8} {'upt':>8} {'gap%':>6}")
+unit = generate_exchange_graph(spec)
+rng = np.random.default_rng(17)
+costed = ExchangeGraph(unit.num_robots, [
+    Vertex(v.id, v.robot, round(float(rng.uniform(0.5, 2.0)), 2)) for v in unit.vertices
+], unit.edges)
+norm = ModularObjective(unit).value([e.id for e in unit.edges])
+print(f"instance: {unit}, infinite-budget value = {norm:.3f}")
+print(f"{'budget':>14} {'k':>3} {'greedy':>8} {'opt':>8} {'ilp':>8} {'upt':>8} {'gap%':>6}")
 
-for b in (1, 2, 3, 4):
+budgets = [(f"tu {b}", unit, TotalUniform(b)) for b in (1, 2, 3, 4)]
+budgets += [(f"tn {b}", costed, TotalNonuniform(b)) for b in (1.5, 3.0)]
+budgets += [(f"iu {q}/{q}/1", unit, IndividualUniform.by_robot(unit, (q, q, 1))) for q in (0, 1)]
+for label, graph, cb in budgets:
+    obj = ModularObjective(graph)
     for k in (2, 4, 8):
-        cb = TotalUniform(b)
         plan, _ = m_greedy(graph, k, cb, obj)
         opt, _ = brute_force_opt(graph, k, cb, obj)
-        ilp = ilp_opt_modular(graph, k, b)
-        upt = lp_upper_bound_modular(graph, k, b)
+        ilp = ilp_opt_modular(graph, k, cb)
+        upt = lp_upper_bound_modular(graph, k, cb)
         assert abs(ilp - opt) <= 1e-9, "two exact methods disagree"
         assert plan.achieved_value <= opt + 1e-9 <= upt + 1e-7
         gap = (opt - plan.achieved_value) / norm * 100
         print(
-            f"{b:>3} {k:>3} {plan.achieved_value:8.3f} {opt:8.3f} "
+            f"{label:>14} {k:>3} {plan.achieved_value:8.3f} {opt:8.3f} "
             f"{ilp:8.3f} {upt:8.3f} {gap:6.2f}"
         )
 

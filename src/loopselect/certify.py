@@ -7,8 +7,9 @@ guarantee the planners advertise:
   vertex subset (all counted against the guard first), with the inner edge problem
   solved by ``g_modular`` (modular) or by enumeration (general monotone objectives).
 * ``lp_upper_bound_modular`` / ``ilp_opt_modular`` — the natural LP
-  relaxation of the modular cardinality-budget problem over vertex and edge
-  indicators, and its exact integral optimum via branch and bound.
+  relaxation of the modular problem, one weighted row per budget block,
+  and its exact integral optimum via branch and bound.
+* ``bounds`` — what a certification level computes for one cell.
 * ``alpha_apriori`` / ``alpha_posteriori`` / ``alpha_tilde`` — the closed-form
   approximation factors of the combined greedy planner, before and after a
   run, plus the budget-ratio approximation used for plotting guarantees
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError
-from .graph import Plan, TotalUniform, within_limit
+from .errors import EnumerationGuardError, InstanceTooLargeError
+from .graph import WEIGHT_TOL, Plan, within_limit
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
 from .simplex import simplex_max
@@ -97,6 +98,12 @@ class Certificate:
 # -- exact optimum by enumeration -------------------------------------------
 
 
+def _fit_count(ws, limit) -> int:
+    """How many of the ascending weights ``ws``, lightest first, fit together."""
+    return bisect.bisect_left(
+        range(len(ws)), True, key=lambda s: not within_limit(ws[: s + 1], limit))
+
+
 def _fitting_subsets(ids, weight, limit):
     """Yield each subset of ``ids`` whose weights are ``within_limit`` of ``limit``, once.
 
@@ -139,12 +146,9 @@ def _feasible_vertex_subsets(graph, cb):
             walk = _fitting_subsets(ids, weight, limit)
             total *= sum(1 for _ in itertools.islice(walk, ENUM_GUARD // total + 1))
         else:
-            # how many of the block's equal weights fit together
-            fit = bisect.bisect_left(
-                range(len(ws)), True, key=lambda s: not within_limit(ws[: s + 1], limit))
-            total *= sum(math.comb(len(ids), s) for s in range(fit + 1))
+            total *= sum(math.comb(len(ids), s) for s in range(_fit_count(ws, limit) + 1))
         if total > ENUM_GUARD:
-            raise InstanceTooLargeError(
+            raise EnumerationGuardError(
                 f"instance too large: over {ENUM_GUARD} feasible vertex subsets"
             )
     walks = (_fitting_subsets(ids, weight, limit) for ids, limit in zip(members, limits))
@@ -181,7 +185,7 @@ def brute_force_opt(graph, k, cb, objective):
         for combo in combos:
             inner_count += 1
             if inner_count > ENUM_GUARD:
-                raise InstanceTooLargeError(
+                raise EnumerationGuardError(
                     "instance too large: inner edge enumeration exceeds guard"
                 )
             fs = frozenset(combo)
@@ -210,36 +214,47 @@ def brute_force_opt(graph, k, cb, objective):
     return best_value, plan
 
 
-# -- LP relaxation and exact ILP (modular, cardinality budget) ----------------
+# -- LP relaxation and exact ILP (modular, any budget) ------------------------
 
 
-def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
+def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     """LP relaxation value and free-vertex solution, with some vertices fixed.
 
     Variables are vertex indicators (free vertices only; fixed ones are
-    substituted out) and edge indicators. Returns ``(pi, value)`` where pi
-    maps free vertex id -> fractional value, or None when infeasible.
+    substituted out) and edge indicators. A block of ``graph.budget_blocks(cb)``
+    is one weighted row, bounded by the most any set ``within_limit`` admits
+    can weigh (the bare limit where that is more: unit weights keep it exactly)
+    less the weights fixed to 1. Returns ``(pi, value)``, pi mapping free vertex
+    id -> fractional value, or None when the fixed-to-1 vertices do not fit.
     """
-    n1 = len(fixed1)
-    if n1 > b:
-        return None
+    block_of, weight, limits = graph.budget_blocks(cb)
+    room = []
+    for block, limit in enumerate(limits):
+        ws = sorted(weight[vid] for vid in block_of if block_of[vid] == block)
+        held = [weight[vid] for vid in fixed1 if block_of[vid] == block]
+        if not within_limit(held, limit):
+            return None
+        top = math.fsum(ws[len(ws) - _fit_count(ws, limit):])  # the c heaviest, c = how many fit
+        room.append(min(limit + WEIGHT_TOL, max(limit, top)) - math.fsum(held))
     free = [v.id for v in graph.vertices if v.id not in fixed0 and v.id not in fixed1]
     col_of = {vid: i for i, vid in enumerate(free)}
     nf = len(free)
     m = len(graph.edges)
     nvar = nf + m
-    rows = nvar + 2 + m
+    nb = len(limits)
+    rows = nvar + nb + 1 + m
     if (rows + 1) * (nvar + rows + 1) > LP_GUARD:
         raise InstanceTooLargeError(f"instance too large: a {rows}x{nvar} dense LP")
 
-    # rows: pi <= 1 and ell <= 1 (nvar), sum pi <= b - |fixed1|, sum ell <= k,
+    # rows: pi <= 1 and ell <= 1 (nvar), one weighted pi row per block, sum ell <= k,
     # then ell_e <= pi_u + pi_v per edge, with fixed-to-1 ends moved to the rhs
     A = np.zeros((rows, nvar))
     bounds = np.arange(nvar)
     A[bounds, bounds] = 1.0
-    A[nvar, :nf] = 1.0
-    A[nvar + 1, nf:] = 1.0
-    link = np.arange(nvar + 2, nvar + 2 + m)
+    block_rows = nvar + np.array([block_of[vid] for vid in free], dtype=np.intp)
+    A[block_rows, np.arange(nf)] = [weight[vid] for vid in free]
+    A[nvar + nb, nf:] = 1.0
+    link = np.arange(nvar + nb + 1, rows)
     A[link, np.arange(nf, nvar)] = 1.0
     ones = np.zeros(m)
     for ends in ([e.u for e in graph.edges], [e.v for e in graph.edges]):
@@ -247,7 +262,7 @@ def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
         mask = cols >= 0
         A[link[mask], cols[mask]] = -1.0
         ones += [end in fixed1 for end in ends]
-    rhs = np.concatenate([np.ones(nvar), [float(b - n1), float(k)], ones])
+    rhs = np.concatenate([np.ones(nvar), room, [float(k)], ones])
     c = np.zeros(nvar)
     c[nf:] = [e.p for e in graph.edges]
     x, value = simplex_max(c, A, rhs)
@@ -255,72 +270,58 @@ def _modular_lp(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
     return pi, value
 
 
-def lp_upper_bound_modular(graph, k, b) -> float:
-    """Optimal value of the LP relaxation; an upper bound on the exact optimum.
+def lp_upper_bound_modular(graph, k, cb) -> float:
+    """Optimal value of the LP relaxation under ``cb``; an upper bound on the exact optimum.
 
     Raises :class:`InstanceTooLargeError` when the dense simplex tableau would
     exceed ``LP_GUARD`` entries.
     """
-    if k < 0 or b < 0:
-        raise ValueError("budgets must be non-negative")
-    _, value = _modular_lp(graph, k, b)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    _, value = _modular_lp(graph, k, cb)
     return value
 
 
-def ilp_opt_modular(graph, k, b, stats=None) -> float:
+def ilp_opt_modular(graph, k, cb, stats=None) -> float:
     """Exact integral optimum via branch and bound on the LP relaxation.
 
-    Branches on the most fractional vertex indicator, explores nodes in
+    Branches on the vertex indicator nearest 1/2, explores nodes in
     best-bound order, and evaluates integral nodes exactly through the
-    closed-form inner solve. ``stats``, when given a dict, receives the
-    number of branched nodes and LP solves. Raises
+    closed-form inner solve; an integral node whose rounded vertex set
+    breaks the budget branches too. ``stats``, when given a dict, receives
+    the number of branched nodes and LP solves. Raises
     :class:`InstanceTooLargeError` rather than branch more than
     ``NODE_GUARD`` nodes or build an LP past ``LP_GUARD``; the number of
     vertex subsets does not matter.
     """
-    if k < 0 or b < 0:
-        raise ValueError("budgets must be non-negative")
-
-    objective = ModularObjective(graph)
-    incumbent = m_greedy(graph, k, TotalUniform(b), objective)[0].achieved_value
+    objective = ModularObjective(graph)  # m_greedy rejects a negative k
+    incumbent = m_greedy(graph, k, cb, objective)[0].achieved_value
     nodes_branched = 0
-    lp_solves = 0
-
-    def solve(fixed0, fixed1):
-        nonlocal lp_solves
-        lp_solves += 1
-        return _modular_lp(graph, k, b, fixed0, fixed1)
-
-    root = solve(frozenset(), frozenset())
+    pi, bound = _modular_lp(graph, k, cb)  # no vertex fixed: always feasible
     counter = itertools.count()
-    heap = []
-    if root is not None:
-        pi, bound = root
-        heap.append((-bound, next(counter), frozenset(), frozenset(), pi))
+    heap = [(-bound, next(counter), frozenset(), frozenset(), pi)]
 
     while heap:
         neg_bound, _, fixed0, fixed1, pi = heapq.heappop(heap)
         bound = -neg_bound
         if bound <= incumbent + 1e-9:
             break  # best-bound order: nothing left can improve
-        frac = {vid: val for vid, val in pi.items() if min(val, 1.0 - val) > 1e-9}
-        if not frac:
-            chosen = set(fixed1) | {vid for vid, val in pi.items() if val > 0.5}
-            value = g_modular(graph, chosen, k)[0]
-            if value > incumbent:
-                incumbent = value
+        chosen = set(fixed1) | {vid for vid, val in pi.items() if val > 0.5}
+        if (all(min(val, 1.0 - val) <= 1e-9 for val in pi.values())
+                and graph.budget_satisfied(chosen, cb)):
+            incumbent = max(incumbent, g_modular(graph, chosen, k)[0])
             continue
         if nodes_branched == NODE_GUARD:
             raise InstanceTooLargeError(
                 f"instance too large: branch and bound exceeds {NODE_GUARD} nodes"
             )
-        branch_vid = min(frac, key=lambda vid: (abs(frac[vid] - 0.5), vid))
+        branch_vid = min(pi, key=lambda vid: (abs(pi[vid] - 0.5), vid))
         nodes_branched += 1
         for child0, child1 in (
             (fixed0 | {branch_vid}, fixed1),
             (fixed0, fixed1 | {branch_vid}),
         ):
-            sol = solve(child0, child1)
+            sol = _modular_lp(graph, k, cb, child0, child1)
             if sol is None:
                 continue
             child_pi, child_bound = sol
@@ -332,8 +333,19 @@ def ilp_opt_modular(graph, k, b, stats=None) -> float:
 
     if stats is not None:
         stats["nodes"] = nodes_branched
-        stats["lp_solves"] = lp_solves
+        stats["lp_solves"] = 1 + 2 * nodes_branched  # the root, then two children a branch
     return incumbent
+
+
+def bounds(graph, k, cb, objective, level):
+    """``(opt, upt)`` of one cell at ``level``, None where not computed: brute force
+    at "brute", then the LP at "lp" or "brute" for a modular objective, any budget."""
+    opt = upt = None
+    if level == "brute":
+        opt, _ = brute_force_opt(graph, k, cb, objective)
+    if level in ("lp", "brute") and getattr(objective, "kind", None) == "modular":
+        upt = lp_upper_bound_modular(graph, k, cb)
+    return opt, upt
 
 
 # -- approximation factors ----------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end: generate, plan, sweep, certify.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 exact-computation
-guard exceeded. All CSV outputs start with a metadata comment block (seed,
-instance size, maximum degree) followed by a header row, so every artifact
-is reproducible from its own header.
+guard exceeded (enumeration, branch-and-bound nodes or dense LP size; a sweep
+downgrades only the enumeration guard, to the LP bound). CSV outputs start
+with a metadata comment block (seed, instance size, maximum degree) and a
+header row, so every artifact is reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 
 from . import certify as cert
 from . import io as gio
-from .errors import InstanceTooLargeError, ParseError
+from .errors import EnumerationGuardError, InstanceTooLargeError, ParseError
 from .generate import GenSpec, generate_exchange_graph, generate_pose_graph, sample_ground_truth
 from .graph import IndividualUniform, Plan, TotalNonuniform, TotalUniform
 from .objectives import DCritObjective, ModularObjective, TreeConnObjective
@@ -307,16 +308,9 @@ def _cmd_certify(args):
         )
     delta = graph.max_degree()
 
-    opt = upt = None
-    if args.level == "brute":
-        opt, _ = cert.brute_force_opt(graph, k, cb, objective)
-    if payload["regime"] == "tu" and payload["objective"] == "modular":
-        upt = cert.lp_upper_bound_modular(graph, k, cb.b)
-    elif args.level == "lp":
-        print(
-            "warning: LP certification needs modular objective under tu; skipped",
-            file=sys.stderr,
-        )
+    opt, upt = cert.bounds(graph, k, cb, objective, args.level)
+    if upt is None and args.level == "lp":
+        print("warning: LP certification needs the modular objective; skipped", file=sys.stderr)
     c = cert.Certificate(
         achieved=achieved, opt=opt, upt=upt, alpha_apriori=_alpha(cb, k, delta) or 0.0
     )
@@ -331,9 +325,9 @@ def _cmd_certify(args):
 class SweepSpec:
     """One experiment grid: budgets x planners on a fixed instance.
 
-    ``certify`` is "none", "lp", or "brute"; guard violations during brute
-    certification downgrade that cell with a warning instead of aborting the
-    sweep. Cells are evaluated in deterministic (b, k, planner) order.
+    ``certify`` is "none", "lp", or "brute"; brute's enumeration guard downgrades
+    a cell to "lp" with a warning. Cells run in deterministic (b, k, planner)
+    order; a b, k (2 and 2.0 alike) or planner given twice is a ValueError.
     """
 
     bs: tuple = ()
@@ -351,6 +345,9 @@ class SweepSpec:
             raise ValueError("empty planner list")
         if self.certify not in ("none", "lp", "brute"):
             raise ValueError(f"unknown certification level {self.certify!r}")
+        for what, values in (("b", self.bs), ("k", self.ks), ("planner", self.planners)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
 
 
 def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
@@ -370,20 +367,12 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     )
     for b, cb in budgets:
         for k in ks:
-            opt = upt = None
-            level = spec.certify
-            if level == "brute":
-                try:
-                    opt, _ = cert.brute_force_opt(graph, k, cb, objective)
-                except InstanceTooLargeError:
-                    print(
-                        f"warning: brute guard exceeded at b={b} k={k}; "
-                        "downgrading certification",
-                        file=sys.stderr,
-                    )
-                    level = "lp"
-            if level in ("lp", "brute") and spec.regime == "tu" and spec.objective == "modular":
-                upt = cert.lp_upper_bound_modular(graph, k, cb.b)
+            try:
+                opt, upt = cert.bounds(graph, k, cb, objective, spec.certify)
+            except EnumerationGuardError:
+                print(f"warning: brute guard exceeded at b={b} k={k}; downgrading certification",
+                      file=sys.stderr)
+                opt, upt = cert.bounds(graph, k, cb, objective, "lp")
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
             for planner in spec.planners:
@@ -449,19 +438,19 @@ def _cmd_sweep(args):
 
     if not args.input:
         raise _UsageError("sweep needs --input (or use --alpha-only)")
-    planners = tuple(p.strip() for p in args.planners.split(",") if p.strip())
-    if not planners:
-        raise _UsageError("empty planner list")
+    try:
+        spec = SweepSpec(
+            bs=tuple(bs),
+            ks=tuple(ks),
+            objective=args.objective,
+            regime=args.regime,
+            planners=tuple(p.strip() for p in args.planners.split(",") if p.strip()),
+            certify=args.certify,
+            seed=args.seed,
+        )
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     graph, pose_graph = _load_inputs(args)
-    spec = SweepSpec(
-        bs=tuple(bs),
-        ks=tuple(ks),
-        objective=args.objective,
-        regime=args.regime,
-        planners=planners,
-        certify=args.certify,
-        seed=args.seed,
-    )
     _write_rows(sweep_rows(graph, pose_graph, spec), args.output)
     return 0
 
@@ -541,8 +530,12 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except InstanceTooLargeError as err:
+        # a cheaper setting of the command's own flag; lp helps only past brute force's guard
+        retry = {"sweep": "--certify none or "}.get(args.command, "")
+        if args.command == "certify" and isinstance(err, EnumerationGuardError):
+            retry = "--level lp or "
         print(f"guard exceeded: {err}", file=sys.stderr)
-        print("hint: retry with --certify lp or a smaller instance", file=sys.stderr)
+        print(f"hint: retry with {retry}a smaller instance", file=sys.stderr)
         return 3
     except (ParseError, OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -2,7 +2,11 @@
 
 
 class InstanceTooLargeError(ValueError):
-    """An exact-computation guard (enumeration or cover search) would be exceeded."""
+    """An exact-computation guard (enumeration, cover search, nodes, LP size) would be exceeded."""
+
+
+class EnumerationGuardError(InstanceTooLargeError):
+    """The brute-force enumeration guard; an LP bound may still fit."""
 
 
 class ParseError(ValueError):

@@ -28,9 +28,10 @@ Ground truth (``*.csv``)::
 
 Parsers are strict: unknown record types, wrong field counts, or invariant
 violations raise :class:`~loopselect.errors.ParseError` with the offending
-line number. Every number must be finite, and a pose graph has at most one
-``FIX`` record. Given the exchange graph's edge ids, the pose parser also
-rejects a ``CANDIDATE`` for an edge that graph does not have. The loaders
+line number. Every number must be finite and spelt in ASCII without ``_``
+(a leading sign is fine), and a pose graph has at most one ``FIX`` record.
+Given the exchange graph's edge ids, the pose parser also rejects a
+``CANDIDATE`` for an edge that graph does not have. The loaders
 read UTF-8 and reject a byte that is not UTF-8 at the line that holds it.
 """
 
@@ -67,16 +68,23 @@ def _fields(line_no, parts, expect, kind):
         )
 
 
+def _plain(token):
+    """``token`` if ASCII without ``_``; int() and float() read both, no format holds either."""
+    if token.isascii() and "_" not in token:
+        return token
+    raise ValueError(token)
+
+
 def _to_int(line_no, token, what):
     try:
-        return int(token)
+        return int(_plain(token))
     except ValueError:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
 
 def _to_float(line_no, token, what):
     try:
-        value = float(token)
+        value = float(_plain(token))
     except ValueError:
         raise ParseError(line_no, f"{what} must be a number, got {token!r}") from None
     if not math.isfinite(value):
@@ -134,18 +142,19 @@ def parse_exchange_graph(text) -> ExchangeGraph:
     robots_line = None
     vertices, vertex_lines = [], []
     edges, edge_lines = [], []
+    plain = text.isascii() and "_" not in text  # else every number is screened
     for line_no, parts in _records(text):
         tag = parts[0]
         # Well-formed records convert inline; anything else falls through to
         # the field-by-field checks below, which raise the precise error.
         try:
-            if tag == "edge" and len(parts) == 5:
+            if plain and tag == "edge" and len(parts) == 5:
                 p = float(parts[4])
                 if -_INF < p < _INF:
                     edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3]), p))
                     edge_lines.append(line_no)
                     continue
-            elif tag == "vertex" and len(parts) == 4:
+            elif plain and tag == "vertex" and len(parts) == 4:
                 weight = float(parts[3])
                 if -_INF < weight < _INF:
                     vertices.append(Vertex(int(parts[1]), int(parts[2]), weight))
@@ -225,27 +234,28 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
     anchor_line = None
     base_edges, base_lines = [], []
     candidate_map, candidate_lines = {}, []
+    plain = text.isascii() and text.count("_") == text.count("_SE2")  # "_" only in tags
     for line_no, parts in _records(text):
         tag = parts[0]
         # As in parse_exchange_graph: a record is accepted here only when no
         # check below would reject it. A sum of floats is finite only if every
         # term is; a sum that overflows only sends a good record the long way.
         try:
-            if tag == "CANDIDATE" and len(parts) == 5:
+            if plain and tag == "CANDIDATE" and len(parts) == 5:
                 eid, w = int(parts[1]), float(parts[4])
                 if (-_INF < w < _INF and eid not in candidate_map
                         and (edge_ids is None or eid in edge_ids)):
                     candidate_map[eid] = (int(parts[2]), int(parts[3]), w)
                     candidate_lines.append(line_no)
                     continue
-            elif tag == "EDGE_SE2" and len(parts) == 12:
+            elif plain and tag == "EDGE_SE2" and len(parts) == 12:
                 i, j = int(parts[1]), int(parts[2])
                 reals = [float(t) for t in parts[3:12]]
                 if -_INF < sum(reals) < _INF and reals[3] > 0:
                     base_edges.append((i, j, reals[3]))
                     base_lines.append(line_no)
                     continue
-            elif tag == "VERTEX_SE2" and len(parts) == 5:
+            elif plain and tag == "VERTEX_SE2" and len(parts) == 5:
                 pid = int(parts[1])
                 coords = (float(parts[2]), float(parts[3]), float(parts[4]))
                 if -_INF < sum(coords) < _INF and pid not in poses:

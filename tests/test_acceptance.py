@@ -231,8 +231,8 @@ def test_criterion_07_certification_sandwich(tu_suite):
     t0 = time.perf_counter()
     violations = []
     for seed, graph, b, k, plan, opt in tu_suite:
-        ilp = ilp_opt_modular(graph, k, b)
-        upt = lp_upper_bound_modular(graph, k, b)
+        ilp = ilp_opt_modular(graph, k, TotalUniform(b))
+        upt = lp_upper_bound_modular(graph, k, TotalUniform(b))
         if abs(ilp - opt) > 1e-9:
             violations.append(("ilp", seed))
         if plan.achieved_value > opt + 1e-9:

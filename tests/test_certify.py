@@ -129,28 +129,48 @@ class NoEvaluations:
         raise AssertionError("objective evaluated before the guard tripped")
 
 
+def draw_costed_instance(data, regime, with_edges=False):
+    """A small graph with broadcast costs and a ``regime`` budget for it.
+
+    ``tn`` limits are sums of some of the weights, shifted onto, just past or
+    just short of the fit tolerance. ``with_edges`` adds candidate matches
+    between some inter-robot pairs.
+    """
+    r = data.draw(st.integers(2, 3))
+    robot_of = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=8))
+    n = len(robot_of)
+    cost = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5]),
+                     st.floats(0.05, 3.0))
+    weights = data.draw(st.lists(cost, min_size=n, max_size=n))
+    pairs = []
+    if with_edges:
+        across = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                  if robot_of[u] != robot_of[v]]
+        if across:
+            pairs = data.draw(st.lists(st.sampled_from(across), max_size=10, unique=True))
+    probability = st.one_of(st.sampled_from([0.1, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+    ps = data.draw(st.lists(probability, min_size=len(pairs), max_size=len(pairs)))
+    graph = make_graph(r, robot_of, pairs, ps, weights=weights)
+    if regime == "tu":
+        cb = TotalUniform(data.draw(st.integers(0, n + 1)))
+    elif regime == "tn":
+        # sums of some weights put subsets exactly on the limit
+        picked = data.draw(st.lists(st.sampled_from(weights), max_size=n))
+        shift = data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.3]))
+        cb = TotalNonuniform(max(0.0, math.fsum(picked) + shift))
+    else:
+        limits = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+        cb = IndividualUniform.by_robot(graph, limits)
+    return graph, cb
+
+
 class TestFeasibleSubsets:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_yields_each_budget_feasible_subset_once(self, data):
-        r = data.draw(st.integers(2, 3))
-        robot_of = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=8))
-        n = len(robot_of)
-        cost = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 1.5]),
-                         st.floats(0.05, 3.0))
-        weights = data.draw(st.lists(cost, min_size=n, max_size=n))
-        graph = make_graph(r, robot_of, [], [], weights=weights)
         regime = data.draw(st.sampled_from(["tu", "tn", "iu"]))
-        if regime == "tu":
-            cb = TotalUniform(data.draw(st.integers(0, n + 1)))
-        elif regime == "tn":
-            # sums of some weights put subsets exactly on the limit
-            picked = data.draw(st.lists(st.sampled_from(weights), max_size=n))
-            shift = data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.3]))
-            cb = TotalNonuniform(max(0.0, math.fsum(picked) + shift))
-        else:
-            limits = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
-            cb = IndividualUniform.by_robot(graph, limits)
+        graph, cb = draw_costed_instance(data, regime)
+        n = graph.num_vertices
         got = list(certify._feasible_vertex_subsets(graph, cb))
         assert len(got) == len(set(got))
         assert all(list(s) == sorted(s) for s in got)
@@ -199,12 +219,12 @@ class TestFeasibleSubsets:
 
 class TestLP:
     def test_zero_budgets(self, demo_graph):
-        assert lp_upper_bound_modular(demo_graph, 0, 3) == pytest.approx(0.0, abs=1e-9)
-        assert lp_upper_bound_modular(demo_graph, 3, 0) == pytest.approx(0.0, abs=1e-9)
+        assert lp_upper_bound_modular(demo_graph, 0, TotalUniform(3)) == pytest.approx(0.0, abs=1e-9)
+        assert lp_upper_bound_modular(demo_graph, 3, TotalUniform(0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_edge_integral(self):
         g = make_graph(2, [0, 1], [(0, 1)], [0.6])
-        assert lp_upper_bound_modular(g, 1, 1) == pytest.approx(0.6, abs=1e-9)
+        assert lp_upper_bound_modular(g, 1, TotalUniform(1)) == pytest.approx(0.6, abs=1e-9)
 
     def test_upper_bounds_opt(self):
         gaps = []
@@ -212,12 +232,84 @@ class TestLP:
             graph, b, k = random_modular_instance(seed)
             obj = ModularObjective(graph)
             opt, _ = brute_force_opt(graph, k, TotalUniform(b), obj)
-            upt = lp_upper_bound_modular(graph, k, b)
+            upt = lp_upper_bound_modular(graph, k, TotalUniform(b))
             assert upt >= opt - 1e-7
             gaps.append(upt - opt)
         assert min(gaps) >= -1e-7  # sanity: never below
         print(f"mean integrality gap over {len(gaps)} instances: "
               f"{sum(gaps) / len(gaps):.4f}")
+
+
+class TestAnyBudget:
+    """The LP and the ILP under knapsack and partition budgets, against brute force."""
+
+    @pytest.mark.parametrize("regime", ["tu", "tn", "iu"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lp_bounds_and_ilp_equals_brute_force(self, regime, data):
+        graph, cb = draw_costed_instance(data, regime, with_edges=True)
+        k = data.draw(st.integers(0, graph.num_edges + 1))
+        opt, _ = brute_force_opt(graph, k, cb, ModularObjective(graph))
+        assert lp_upper_bound_modular(graph, k, cb) >= opt - 1e-7
+        assert ilp_opt_modular(graph, k, cb) == pytest.approx(opt, abs=1e-9)
+
+    def test_row_admits_a_vertex_that_fits_by_the_tolerance(self):
+        # 1.05e-8 > 1e-8 fits only through WEIGHT_TOL; a right-hand side of
+        # 1e-8 would cap pi_0 at 0.952 and the LP at 0.667, below the optimum
+        graph = make_graph(2, [0, 1], [(0, 1)], [0.7], weights=[1.05e-8, 1.0])
+        cb = TotalNonuniform(1e-8)
+        opt, _ = brute_force_opt(graph, 1, cb, ModularObjective(graph))
+        assert opt == 0.7
+        assert lp_upper_bound_modular(graph, 1, cb) >= opt - 1e-12
+        assert ilp_opt_modular(graph, 1, cb) == pytest.approx(opt, abs=1e-12)
+
+    def test_integral_node_over_budget_branches(self):
+        # the root LP sets pi_0 = 1 - 5e-10, integral within 1e-9, but the
+        # rounded set {0, 1} weighs 100 + 5e-8, past the 100 limit's tolerance
+        graph = make_graph(2, [0, 0, 1, 1], [(0, 2), (1, 3)], [0.5, 0.5],
+                           weights=[100.0, 5e-8, 1000.0, 1000.0])
+        cb = TotalNonuniform(100.0)
+        pi, value = certify._modular_lp(graph, 2, cb)
+        assert 0 < 1.0 - pi[0] <= 1e-9 and pi[1] == 1.0
+        assert not graph.budget_satisfied({0, 1}, cb)
+        stats = {}
+        assert ilp_opt_modular(graph, 2, cb, stats=stats) == pytest.approx(0.5, abs=1e-12)
+        assert stats["nodes"] >= 1
+
+    def test_fixed_set_over_budget_is_infeasible(self):
+        graph = make_graph(2, [0, 0, 1], [(0, 2), (1, 2)], [0.5, 0.5], weights=[0.6, 0.5, 1.0])
+        assert certify._modular_lp(graph, 2, TotalNonuniform(1.0), fixed1={0, 1}) is None
+        _, value = certify._modular_lp(graph, 2, TotalNonuniform(1.1), fixed1={0, 1})
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_unit_weight_block_is_the_cardinality_lp(self):
+        # a knapsack over unit weights and a one-block matroid build the tu
+        # row, right-hand side included, so the bound is the same to the bit
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=3, vertices_per_robot=5, num_edges=30, seed=4))
+        one_block = IndividualUniform(blocks=(tuple(range(graph.num_vertices)),), limits=(4,))
+        tu = lp_upper_bound_modular(graph, 6, TotalUniform(4))
+        assert lp_upper_bound_modular(graph, 6, TotalNonuniform(4.0)) == tu
+        assert lp_upper_bound_modular(graph, 6, one_block) == tu
+
+
+class TestBounds:
+    @pytest.mark.parametrize("level, want", [
+        ("none", (False, False)), ("lp", (False, True)), ("brute", (True, True)),
+    ])
+    def test_levels_under_every_regime(self, demo_graph, level, want):
+        obj = ModularObjective(demo_graph)
+        for cb in (TotalUniform(2), TotalNonuniform(2.5),
+                   IndividualUniform.by_robot(demo_graph, [1, 1, 0])):
+            opt, upt = certify.bounds(demo_graph, 3, cb, obj, level)
+            assert (opt is not None, upt is not None) == want
+            if opt is not None:
+                assert opt <= upt + 1e-7
+
+    def test_no_lp_for_a_submodular_objective(self):
+        graph, pg, b, k = random_treeconn_instance(2)
+        opt, upt = certify.bounds(graph, k, TotalUniform(b), TreeConnObjective(graph, pg), "brute")
+        assert opt is not None and upt is None
 
 
 class TestILP:
@@ -226,12 +318,12 @@ class TestILP:
             graph, b, k = random_modular_instance(seed)
             obj = ModularObjective(graph)
             opt, _ = brute_force_opt(graph, k, TotalUniform(b), obj)
-            assert ilp_opt_modular(graph, k, b) == pytest.approx(opt, abs=1e-9)
+            assert ilp_opt_modular(graph, k, TotalUniform(b)) == pytest.approx(opt, abs=1e-9)
 
     def test_integral_root_branches_nothing(self):
         g = make_graph(2, [0, 1], [(0, 1)], [0.6])
         stats = {}
-        ilp_opt_modular(g, 1, 1, stats=stats)
+        ilp_opt_modular(g, 1, TotalUniform(1), stats=stats)
         assert stats["nodes"] == 0
 
     def test_solves_past_the_subset_count_at_an_integral_root(self):
@@ -239,33 +331,33 @@ class TestILP:
         spec = GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=1)
         graph = generate_exchange_graph(spec)
         stats = {}
-        value = ilp_opt_modular(graph, 10, 4, stats=stats)
+        value = ilp_opt_modular(graph, 10, TotalUniform(4), stats=stats)
         assert stats == {"nodes": 0, "lp_solves": 1}
-        assert value == pytest.approx(lp_upper_bound_modular(graph, 10, 4), abs=1e-9)
+        assert value == pytest.approx(lp_upper_bound_modular(graph, 10, TotalUniform(4)), abs=1e-9)
 
     def test_node_guard_raises(self, monkeypatch):
         graph, b, k = random_modular_instance(169, max_vertices=16, max_edges=30)
         stats = {}
         opt, _ = brute_force_opt(graph, k, TotalUniform(b), ModularObjective(graph))
-        assert ilp_opt_modular(graph, k, b, stats=stats) == pytest.approx(opt, abs=1e-9)
+        assert ilp_opt_modular(graph, k, TotalUniform(b), stats=stats) == pytest.approx(opt, abs=1e-9)
         assert stats["nodes"] == 1
         monkeypatch.setattr(certify, "NODE_GUARD", 0)
         with pytest.raises(InstanceTooLargeError, match="branch and bound exceeds 0 nodes"):
-            ilp_opt_modular(graph, k, b)
+            ilp_opt_modular(graph, k, TotalUniform(b))
 
     def test_dense_lp_guard_raises_before_allocating(self):
         # 10x200/5000 would need a 12002x7000 constraint matrix and a 1.8 GB tableau
         spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
         graph = generate_exchange_graph(spec)
         with pytest.raises(InstanceTooLargeError, match="a 12002x7000 dense LP"):
-            lp_upper_bound_modular(graph, 40, 20)
+            lp_upper_bound_modular(graph, 40, TotalUniform(20))
         with pytest.raises(InstanceTooLargeError, match="dense LP"):
-            ilp_opt_modular(graph, 40, 20)
+            ilp_opt_modular(graph, 40, TotalUniform(20))
 
     def test_slack_budgets_take_all(self, demo_graph):
         total = sum(e.p for e in demo_graph.edges)
         value = ilp_opt_modular(
-            demo_graph, demo_graph.num_edges, demo_graph.num_vertices
+            demo_graph, demo_graph.num_edges, TotalUniform(demo_graph.num_vertices)
         )
         assert value == pytest.approx(total, abs=1e-9)
 
@@ -378,7 +470,7 @@ class TestCertificate:
             cb = TotalUniform(b)
             plan, _ = m_greedy(graph, k, cb, obj)
             opt, _ = brute_force_opt(graph, k, cb, obj)
-            upt = lp_upper_bound_modular(graph, k, b)
+            upt = lp_upper_bound_modular(graph, k, TotalUniform(b))
             cert = Certificate(achieved=plan.achieved_value, opt=opt, upt=upt)
             assert cert.achieved <= cert.opt + 1e-9
             assert cert.opt <= cert.upt + 1e-7

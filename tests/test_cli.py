@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from loopselect import (
+    ExchangeGraph,
     IndividualUniform,
     ModularObjective,
     Plan,
@@ -48,6 +49,25 @@ def wide_instance(tmp_path):
         "--seed", "0", "--output", str(path),
     ]) == 0
     return path
+
+
+@pytest.fixture
+def costed_instance(tmp_path):
+    """The demo graph with broadcast costs between 0.5 and 1.75."""
+    graph = demo_rendezvous_graph()
+    costs = [0.5, 1.25, 0.75, 1.0, 1.75, 0.5, 1.5, 0.75, 1.0]
+    graph = ExchangeGraph(3, [v._replace(weight=w) for v, w in zip(graph.vertices, costs)],
+                          graph.edges)
+    path = tmp_path / "costed.exg"
+    path.write_text(serialize_exchange_graph(graph))
+    return path
+
+
+def sweep_body(path):
+    return [
+        line.split(",") for line in path.read_text().splitlines()
+        if line and not line.startswith("#") and not line.startswith("b,")
+    ]
 
 
 class TestGenerate:
@@ -376,6 +396,66 @@ class TestSweep:
         row = out.read_text().splitlines()[-1].split(",")
         assert row[:3] == ["3", "5", "mgreedy"] and row[5] == ""
 
+    @pytest.mark.parametrize("certify", ["lp", "brute"])
+    @pytest.mark.parametrize("regime, b", [("tn", "1.5,2.25,4"), ("iu", "1/1/0,1/1/1,2/1/2")])
+    def test_every_regime_is_certified(self, costed_instance, tmp_path, regime, b, certify):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(costed_instance), "--planners", "mgreedy",
+            "--regime", regime, "-b", b, "-k", "2,4", "--certify", certify,
+            "--output", str(out),
+        ])
+        assert rc == 0
+        body = sweep_body(out)
+        assert len(body) == 6
+        for row in body:
+            achieved, upt = float(row[3]), float(row[6])
+            assert achieved <= upt + 1e-9 and float(row[11]) == achieved / upt
+            if certify == "brute":
+                assert achieved <= float(row[5]) + 1e-9 and float(row[5]) <= upt + 1e-7
+            else:
+                assert row[5] == ""
+
+    @pytest.mark.parametrize("certify", ["lp", "brute"])
+    def test_lp_guard_is_three_and_never_a_brute_guard(self, instance, tmp_path, capsys,
+                                                      monkeypatch, certify):
+        from loopselect import certify as cert
+
+        monkeypatch.setattr(cert, "LP_GUARD", 0)
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy",
+            "-b", "2", "-k", "3", "--certify", certify, "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "dense LP" in err and "brute guard" not in err
+        assert "hint: retry with --certify none or a smaller instance" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["-b", "2,2.0", "-k", "2"],
+        ["-b", "2", "-k", "2,3,2.0"],
+        ["-b", "2", "-k", "2", "--planners", "mgreedy,sgreedy,mgreedy"],
+        ["--regime", "iu", "-b", "1/1/1,1/1/1", "-k", "2"],
+    ], ids=["b", "k", "planner", "iu-limits"])
+    def test_repeated_cell_is_usage_error(self, tmp_path, capsys, monkeypatch, flags):
+        from loopselect import cli
+
+        def ran(*args):
+            raise AssertionError("a cell ran")
+
+        for name in ("m_greedy", "s_greedy", "_load_inputs"):
+            monkeypatch.setattr(cli, name, ran)
+        monkeypatch.setattr(cli.cert, "lp_upper_bound_modular", ran)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--input", str(tmp_path / "absent.exg"), "--planners", "mgreedy",
+                "--certify", "lp", *flags, "--output", str(out)]
+        rc = main(argv)
+        assert rc == 1
+        assert "usage error: repeated " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_iu_grid_takes_limit_lists(self, instance, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main([
@@ -573,6 +653,30 @@ class TestCertify:
         achieved, opt, alpha = float(row[4]), float(row[5]), float(row[7])
         assert row[6] == ""  # no LP bound for submodular objectives
         assert achieved >= alpha * opt - 1e-9
+        rc = main([
+            "certify", "--input", str(graph_path), "--pose-input", str(pose_path),
+            "--plan", str(plan_path), "--level", "lp",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "warning: LP certification needs the modular objective; skipped" in captured.err
+        assert captured.out.splitlines()[1].split(",")[6] == ""
+
+    @pytest.mark.parametrize("regime, b", [("tn", "2.25"), ("iu", "1/1/1")])
+    def test_lp_level_bounds_every_regime(self, costed_instance, tmp_path, capsys, regime, b):
+        plan_path = tmp_path / "plan.json"
+        assert main([
+            "plan", "--input", str(costed_instance), "--planner", "mgreedy",
+            "--regime", regime, "-b", b, "-k", "3", "--output", str(plan_path),
+        ]) == 0
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(costed_instance), "--plan", str(plan_path),
+                   "--level", "lp"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "warning" not in captured.err
+        row = captured.out.splitlines()[1].split(",")
+        assert row[5] == "" and float(row[4]) <= float(row[6]) + 1e-9
 
     def test_tampered_plan_rejected(self, instance, tmp_path):
         plan_path = tmp_path / "plan.json"
@@ -777,7 +881,27 @@ class TestExitCodes:
             "--level", "brute",
         ])
         assert rc == 3
-        assert "guard exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "guard exceeded" in err
+        assert "hint: retry with --level lp or a smaller instance" in err
+        assert "--certify" not in err
+
+    def test_certify_lp_guard_hint_does_not_suggest_lp(self, instance, tmp_path, capsys,
+                                                       monkeypatch):
+        from loopselect import certify as cert
+
+        plan_path = tmp_path / "plan.json"
+        assert main([
+            "plan", "--input", str(instance), "--planner", "mgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ]) == 0
+        monkeypatch.setattr(cert, "LP_GUARD", 0)
+        capsys.readouterr()
+        rc = main(["certify", "--input", str(instance), "--plan", str(plan_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "dense LP" in err
+        assert "hint: retry with a smaller instance" in err
 
 
 def test_python_dash_m_runs_the_cli():

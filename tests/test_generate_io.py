@@ -434,6 +434,37 @@ class TestStrictParsing:
             load(path)
         assert str(err.value) == message
 
+    POSE = (
+        "VERTEX_SE2 0 0.0 0.0 0.0\nVERTEX_SE2 1 1.0 0.0 0.0\nFIX 0\n"
+        "EDGE_SE2 0 1 1.0 0.0 0.0 1.0 0.0 0.0 1.0 0.0 1.0\nCANDIDATE 0 0 1 0.5\n"
+    )
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("VERTEX_SE2 1 1.0", "VERTEX_SE2 1 1_0.0", "line 2: pose coordinate must be a number, got '1_0.0'"),
+        ("VERTEX_SE2 1 1.0", "VERTEX_SE2 \u0661 1.0", "line 2: pose id must be an integer, got '\u0661'"),
+        ("FIX 0", "FIX 0_0", "line 3: anchor id must be an integer, got '0_0'"),
+        ("0.0 1.0 0.0 1.0\n", "0.0 1.0 0.0 1_0\n", "line 4: EDGE_SE2 field must be a number, got '1_0'"),
+        ("CANDIDATE 0 0 1 0.5", "CANDIDATE 0 0 1 0.\u0665", "line 5: candidate weight must be a number, got '0.\u0665'"),
+    ], ids=["underscore", "unicode-id", "anchor", "edge-field", "unicode-weight"])
+    def test_pose_graph_rejects_underscores_and_non_ascii_digits(self, old, new, message):
+        assert old in self.POSE
+        with pytest.raises(ParseError) as err:
+            parse_pose_graph(self.POSE.replace(old, new))
+        assert str(err.value) == message
+
+    def test_non_ascii_and_underscores_in_comments_still_parse(self):
+        pose = "# café_notes\n" + self.POSE
+        assert parse_pose_graph(pose) == parse_pose_graph(self.POSE)
+        exchange = "robots 2\nvertex 0 0 1.0\nvertex 1 1 +1.0\nedge 0 0 1 0.5\n"
+        assert parse_exchange_graph("# café_notes\n" + exchange) == parse_exchange_graph(exchange)
+
+    @pytest.mark.parametrize("row", ["1_0,1", "\u0661,1"])
+    def test_ground_truth_rejects_underscores_and_non_ascii_digits(self, row):
+        text = "edge_id,realized\n" + "\n".join(f"{i},0" for i in range(11)) + "\n" + row + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_ground_truth(text)
+        assert str(err.value) == f"line 13: edge id must be an integer, got {row.split(',')[0]!r}"
+
     def test_exchange_graph_rejects_non_finite(self):
         with pytest.raises(ParseError, match="^line 3: weight must be finite"):
             parse_exchange_graph("robots 2\nvertex 0 0 1.0\nvertex 1 1 inf\n")

@@ -16,7 +16,9 @@ import pytest
 from scipy.optimize import linprog
 
 import loopselect
-from loopselect import GenSpec, certify, generate_exchange_graph, lp_upper_bound_modular, simplex
+from loopselect import (
+    GenSpec, TotalUniform, certify, generate_exchange_graph, lp_upper_bound_modular, simplex,
+)
 from loopselect.certify import _modular_lp
 from loopselect.simplex import simplex_max
 
@@ -123,7 +125,7 @@ class TestAgainstHighs:
         perm = [int(v) for v in rng.permutation(graph.num_vertices)]
         fixed0, fixed1 = frozenset(perm[:3]), frozenset(perm[3:5])
         for b, k in ((2, 4), (4, 8), (7, 30)):
-            pi, value = _modular_lp(graph, k, b, fixed0, fixed1)
+            pi, value = _modular_lp(graph, k, TotalUniform(b), fixed0, fixed1)
             want = highs_modular(graph, k, b, fixed0, fixed1)
             assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
             assert set(pi) == set(range(graph.num_vertices)) - fixed0 - fixed1
@@ -133,7 +135,7 @@ class TestAgainstHighs:
         graph = generate_exchange_graph(
             GenSpec(num_robots=2, vertices_per_robot=3, num_edges=5, seed=0)
         )
-        assert _modular_lp(graph, 3, 1, fixed1=frozenset({0, 1})) is None
+        assert _modular_lp(graph, 3, TotalUniform(1), fixed1=frozenset({0, 1})) is None
 
     @pytest.mark.parametrize("b, k", [(4, 30), (12, 10)])
     def test_modular_lp_at_benchmark_scale(self, b, k, monkeypatch):
@@ -146,7 +148,7 @@ class TestAgainstHighs:
 
         monkeypatch.setattr(certify, "simplex_max", keep)
         graph = benchmark_graph(1)
-        _, value = _modular_lp(graph, k, b)
+        _, value = _modular_lp(graph, k, TotalUniform(b))
         assert value == pytest.approx(highs_modular(graph, k, b), rel=1e-9)
         [(c, A, rhs, x)] = solved
         assert_optimal_point(c, A, rhs, x, value)
@@ -166,7 +168,7 @@ class TestBlandFallback:
     def test_modular_lp_at_benchmark_scale(self):
         graph = benchmark_graph(1)
         with time_limit(30):
-            value = lp_upper_bound_modular(graph, 30, 4)
+            value = lp_upper_bound_modular(graph, 30, TotalUniform(4))
         assert value == pytest.approx(highs_modular(graph, 30, 4), rel=1e-9, abs=1e-9)
 
     def test_beale_terminates(self):
@@ -180,7 +182,7 @@ def test_lp_value_matches_golden(case):
     # bit for bit, so a changed pivot sequence shows in the last digits
     spec = dict(item.split("=") for item in case.split(","))
     graph = benchmark_graph(int(spec["seed"]))
-    value = lp_upper_bound_modular(graph, int(spec["k"]), int(spec["b"]))
+    value = lp_upper_bound_modular(graph, int(spec["k"]), TotalUniform(int(spec["b"])))
     assert value == float(GOLDEN_LP[case])
 
 
@@ -196,10 +198,11 @@ def test_runtime_does_not_import_scipy():
     code = (
         "import sys\n"
         "import loopselect.cli\n"
-        "from loopselect import demo_rendezvous_graph, ilp_opt_modular, lp_upper_bound_modular\n"
+        "from loopselect import TotalUniform, demo_rendezvous_graph, ilp_opt_modular,"
+        " lp_upper_bound_modular\n"
         "g = demo_rendezvous_graph()\n"
-        "lp_upper_bound_modular(g, 3, 2)\n"
-        "ilp_opt_modular(g, 3, 2)\n"
+        "lp_upper_bound_modular(g, 3, TotalUniform(2))\n"
+        "ilp_opt_modular(g, 3, TotalUniform(2))\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
