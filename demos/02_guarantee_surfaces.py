@@ -12,19 +12,19 @@ import math
 
 import numpy as np
 
-from loopselect import alpha_apriori_grid, alpha_tilde
+from loopselect import alpha_apriori, alpha_tilde
 
 bs = list(range(20, 101, 10))
 ks = list(range(20, 101, 10))
 
 for delta in (41, 5):
-    grid = alpha_apriori_grid(bs, ks, delta)
+    grid = [[alpha_apriori(b, k, delta) for k in ks] for b in bs]
     print(f"delta = {delta}: factor ranges over "
-          f"[{grid.min():.3f}, {grid.max():.3f}] on b, k in 20..100")
+          f"[{min(map(min, grid)):.3f}, {max(map(max, grid)):.3f}] on b, k in 20..100")
     header = "  b\\k " + " ".join(f"{k:5d}" for k in ks)
     print(header)
-    for i, b in enumerate(bs):
-        print(f"  {b:4d} " + " ".join(f"{grid[i, j]:.3f}" for j in range(len(ks))))
+    for b, row in zip(bs, grid):
+        print(f"  {b:4d} " + " ".join(f"{a:.3f}" for a in row))
     print()
 
 print("budget-ratio curves (kappa = b/k); flat at 1 - 1/e once kappa >= 1:")

@@ -38,9 +38,7 @@ from .planners import (
     v_greedy,
 )
 from .certify import (
-    Certificate,
     alpha_apriori,
-    alpha_apriori_grid,
     alpha_posteriori,
     alpha_tilde,
     brute_force_opt,

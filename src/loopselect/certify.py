@@ -14,6 +14,8 @@ guarantee the planners advertise:
   approximation factors of the combined greedy planner, before and after a
   run, plus the budget-ratio approximation used for plotting guarantees
   independent of any instance.
+
+These return numbers, never report text: the CLI writes every CSV cell.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +34,10 @@ from .planners import m_greedy
 from .simplex import simplex_max
 
 __all__ = [
-    "Certificate",
-    "CSV_HEADER",
     "brute_force_opt",
     "lp_upper_bound_modular",
     "ilp_opt_modular",
     "alpha_apriori",
-    "alpha_apriori_grid",
     "alpha_tilde",
     "alpha_posteriori",
 ]
@@ -48,51 +46,6 @@ ENUM_GUARD = 2**20   # max feasible vertex subsets / inner enumerations
 NODE_GUARD = 2**10   # max branched nodes of the ILP's branch and bound
 LP_GUARD = 2**24     # max entries of a dense simplex tableau (128 MiB)
 VALUE_TIE_TOL = 1e-12
-LP_TOL = 1e-7
-
-CSV_HEADER = (
-    "instance,b,k,delta,achieved,opt,upt,"
-    "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
-)
-
-
-@dataclass
-class Certificate:
-    """Achieved value next to whatever bounds were computed for one instance."""
-
-    achieved: float
-    opt: float | None = None
-    upt: float | None = None
-    alpha_apriori: float = 0.0
-    alpha_e_post: float = 0.0
-    alpha_v_post: float = 0.0
-
-    @property
-    def ratio_lb(self) -> float | None:
-        """Lower bound on the empirical approximation ratio, achieved / UPT."""
-        if self.upt is None or self.upt <= 0:
-            return None
-        return self.achieved / self.upt
-
-    def csv_row(self, instance_id, b, k, delta) -> str:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-
-        return ",".join(
-            [
-                str(instance_id),
-                str(b),
-                str(k),
-                str(delta),
-                fmt(self.achieved),
-                fmt(self.opt),
-                fmt(self.upt),
-                fmt(self.alpha_apriori),
-                fmt(self.alpha_e_post),
-                fmt(self.alpha_v_post),
-                fmt(self.ratio_lb),
-            ]
-        )
 
 
 # -- exact optimum by enumeration -------------------------------------------
@@ -224,19 +177,23 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     substituted out) and edge indicators. A block of ``graph.budget_blocks(cb)``
     is one weighted row, bounded by the most any set ``within_limit`` admits
     can weigh (the bare limit where that is more: unit weights keep it exactly)
-    less the weights fixed to 1. Returns ``(pi, value)``, pi mapping free vertex
-    id -> fractional value, or None when the fixed-to-1 vertices do not fit.
+    less the weights fixed to 1. A vertex that does not fit alone is in no
+    feasible set, so it gets no column and no weight in its row. Returns
+    ``(pi, value)``, pi mapping free vertex id -> fractional value, or None when
+    the fixed-to-1 vertices do not fit.
     """
     block_of, weight, limits = graph.budget_blocks(cb)
+    fits = {vid for vid, block in block_of.items() if within_limit([weight[vid]], limits[block])}
     room = []
     for block, limit in enumerate(limits):
-        ws = sorted(weight[vid] for vid in block_of if block_of[vid] == block)
+        ws = sorted(weight[vid] for vid in fits if block_of[vid] == block)
         held = [weight[vid] for vid in fixed1 if block_of[vid] == block]
         if not within_limit(held, limit):
             return None
         top = math.fsum(ws[len(ws) - _fit_count(ws, limit):])  # the c heaviest, c = how many fit
         room.append(min(limit + WEIGHT_TOL, max(limit, top)) - math.fsum(held))
-    free = [v.id for v in graph.vertices if v.id not in fixed0 and v.id not in fixed1]
+    free = [v.id for v in graph.vertices
+            if v.id in fits and v.id not in fixed0 and v.id not in fixed1]
     col_of = {vid: i for i, vid in enumerate(free)}
     nf = len(free)
     m = len(graph.edges)
@@ -361,18 +318,6 @@ def alpha_apriori(b, k, delta) -> float:
         raise ValueError("b, k, and delta must be at least 1")
     gamma = max(b / k, math.floor(k / delta) / b)
     return 1.0 - math.exp(-min(1.0, gamma))
-
-
-def alpha_apriori_grid(bs, ks, delta) -> np.ndarray:
-    """Vectorized :func:`alpha_apriori` over a budget grid; shape (len(bs), len(ks))."""
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
-    b = np.asarray(bs, dtype=float).reshape(-1, 1)
-    k = np.asarray(ks, dtype=float).reshape(1, -1)
-    if np.any(b < 1) or np.any(k < 1):
-        raise ValueError("b and k must be at least 1")
-    gamma = np.maximum(b / k, np.floor(k / delta) / b)
-    return 1.0 - np.exp(-np.minimum(1.0, gamma))
 
 
 def alpha_tilde(kappa, delta) -> float:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 exact-computation
 guard exceeded (enumeration, branch-and-bound nodes or dense LP size; a sweep
 downgrades only the enumeration guard, to the LP bound). CSV outputs start
 with a metadata comment block (seed, instance size, maximum degree) and a
-header row, so every artifact is reproducible from its own header.
+header row, so every artifact is reproducible from its own header. Numbers
+are read in the file formats' syntax and written by one rule, ``_cells``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from functools import partial
 
 from . import certify as cert
@@ -37,6 +39,9 @@ PLANNERS = ("mgreedy", "egreedy", "vgreedy", "sgreedy", "random")
 OBJECTIVES = ("modular", "dcrit", "treeconn")
 REGIMES = ("tu", "tn", "iu")
 LAZY_HELP = "no effect: lazy greedy evaluation is the only mode (kept for old scripts)"
+_FACTORS = "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
+SWEEP_HEADER = "b,k,planner,achieved,normalized,opt,upt,gap_pct," + _FACTORS
+CERTIFY_HEADER = "instance,b,k,delta,achieved,opt,upt," + _FACTORS
 
 
 class _UsageError(Exception):
@@ -49,29 +54,46 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _number(x) -> float:
+    """``x``, a JSON number or text in the file formats' number syntax, as a float."""
+    if isinstance(x, bool):
+        raise ValueError(f"not a number: {x!r}")
+    return float(gio._plain(x) if isinstance(x, str) else x)
+
+
+def _typed(convert):
+    """``convert`` (int or float) behind the file formats' number syntax, for ``type=``."""
+    def read(text):
+        return convert(gio._plain(text))
+    read.__name__ = convert.__name__  # argparse names the type in its error
+    return read
+
+
 def _parse_grid(spec):
-    """Grid syntax: a single value, 'a,b,c', or 'start:step:end' (inclusive)."""
+    """Grid syntax: a single value, 'a,b,c', or 'start:step:end' (inclusive), stepped
+    in exact decimal: '0:0.1:0.6' lists 0.3, not 0.30000000000000004."""
     try:
         if ":" in spec:
-            start, step, end = (float(t) for t in spec.split(":"))
-            if step <= 0:
+            start, step, end = (Decimal(gio._plain(t)) for t in spec.split(":"))
+            if not (start.is_finite() and end.is_finite() and step > 0):
                 raise ValueError
             values = []
-            while start <= end + 1e-9:
-                values.append(start)
+            while start <= end:
+                values.append(float(start))
                 start += step
         else:
-            values = [float(t) for t in spec.split(",") if t != ""]
-    except ValueError:
+            values = [_number(t) for t in spec.split(",") if t != ""]
+    except (ValueError, ArithmeticError):  # decimal's errors are ArithmeticErrors
         raise _UsageError(f"bad grid spec {spec!r}") from None
     return [int(v) if v.is_integer() else v for v in values]
 
 
 def _integer(x, what) -> int:
-    """``x`` (an int, or text such as '3' or '3.0') as an int; a fraction is a usage error."""
-    if not float(x).is_integer():
+    """``x`` (see ``_number``) as an int; a fraction is a usage error."""
+    value = _number(x)
+    if not value.is_integer():
         raise _UsageError(f"bad {what} {x!r}: not an integer")
-    return int(float(x))
+    return int(value)
 
 
 def _edge_budget(x) -> int:
@@ -88,7 +110,7 @@ def _budget(regime, b, graph):
         if regime == "tu":
             return TotalUniform(_integer(b, "tu budget"))
         if regime == "tn":
-            return TotalNonuniform(float(b))
+            return TotalNonuniform(_number(b))
         if regime == "iu":
             limits = [_integer(t, "iu limit") for t in str(b).split("/")]
             return IndividualUniform.by_robot(graph, limits)
@@ -102,6 +124,19 @@ def _alpha(cb, k, delta):
     if isinstance(cb, TotalUniform) and min(cb.b, k, delta) >= 1:
         return cert.alpha_apriori(cb.b, k, delta)
     return None
+
+
+def _ratio_lb(achieved, upt):
+    """Lower bound on the empirical approximation ratio, achieved / upt; None unless upt > 0."""
+    return achieved / upt if upt is not None and upt > 0 else None
+
+
+def _cells(*values) -> str:
+    """One CSV row: None is an empty cell, a number (a float) ``repr(float(x))``,
+    and a label (b, k, delta, planner, instance) ``str(x)``."""
+    return ",".join(
+        "" if x is None else repr(float(x)) if isinstance(x, float) else str(x) for x in values
+    )
 
 
 def _objective(name, graph, pose_graph):
@@ -139,10 +174,6 @@ def _meta_block(graph, seed):
         f"# robots={graph.num_robots} n={graph.num_vertices} m={graph.num_edges}",
         f"# delta={graph.max_degree()}",
     ]
-
-
-def _infinite_budget_value(graph, objective):
-    return objective.value([e.id for e in graph.edges])
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -284,7 +315,7 @@ def _load_plan(path, graph):
     plan = Plan(
         vertices=field("vertices", partial(_ids, "vertices")),
         edges=field("edges", partial(_ids, "edges")),
-        achieved_value=field("achieved_value", float),
+        achieved_value=field("achieved_value", _number),
     )
     return plan, payload, k, cb, line
 
@@ -311,13 +342,13 @@ def _cmd_certify(args):
     opt, upt = cert.bounds(graph, k, cb, objective, args.level)
     if upt is None and args.level == "lp":
         print("warning: LP certification needs the modular objective; skipped", file=sys.stderr)
-    c = cert.Certificate(
-        achieved=achieved, opt=opt, upt=upt, alpha_apriori=_alpha(cb, k, delta) or 0.0
-    )
-    print(cert.CSV_HEADER)
-    print(c.csv_row(args.input, payload["b"], k, delta))
-    if c.ratio_lb is not None:
-        print(f"ratio_lb={c.ratio_lb!r}", file=sys.stderr)
+    ratio = _ratio_lb(achieved, upt)
+    print(CERTIFY_HEADER)
+    # a plan file carries no trace, so the a-posteriori factors stay empty
+    print(_cells(args.input, payload["b"], k, delta, achieved, opt, upt,
+                 _alpha(cb, k, delta), None, None, ratio))
+    if ratio is not None:
+        print(f"ratio_lb={_cells(ratio)}", file=sys.stderr)
     return 0
 
 
@@ -357,14 +388,10 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     objective = _objective(spec.objective, graph, pose_graph)
     budgets = [(b, _budget(spec.regime, b, graph)) for b in spec.bs]
     ks = [_edge_budget(k) for k in spec.ks]
-    norm = _infinite_budget_value(graph, objective)
+    norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
     delta = graph.max_degree()
 
-    rows = _meta_block(graph, spec.seed)
-    rows.append(
-        "b,k,planner,achieved,normalized,opt,upt,gap_pct,"
-        "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
-    )
+    rows = [*_meta_block(graph, spec.seed), SWEEP_HEADER]
     for b, cb in budgets:
         for k in ks:
             try:
@@ -377,36 +404,17 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
             alpha = _alpha(cb, k, delta)
             for planner in spec.planners:
                 plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed)
-                posterior = ["", ""]
+                posterior = (None, None)
                 if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
-                    posterior = [repr(a) for a in cert.alpha_posteriori(trace, cb.b, k, delta)]
+                    posterior = cert.alpha_posteriori(trace, cb.b, k, delta)
                 achieved = plan.achieved_value
-                rows.append(",".join([
-                    str(b), str(k), planner, repr(achieved),
-                    repr(achieved / norm) if norm > 0 else "",
-                    "" if opt is None else repr(opt),
-                    "" if upt is None else repr(upt),
-                    repr((ref - achieved) / norm * 100.0) if ref is not None and norm > 0 else "",
-                    repr(alpha or 0.0),
-                    *posterior,
-                    repr(achieved / upt) if upt not in (None, 0) else "",
-                ]))
-    return rows
-
-
-def _alpha_surface_rows(bs, ks, delta, kappa_deltas):
-    rows = [f"# delta={delta}", "b,k,alpha_apriori"]
-    grid = cert.alpha_apriori_grid(bs, ks, delta)
-    for i, b in enumerate(bs):
-        for j, k in enumerate(ks):
-            rows.append(f"{b},{k},{float(grid[i, j])!r}")
-    if kappa_deltas:
-        rows.append("kappa,delta,alpha_tilde")
-        for d in kappa_deltas:
-            for b in bs:
-                for k in ks:
-                    kappa = b / k
-                    rows.append(f"{kappa!r},{d},{cert.alpha_tilde(kappa, d)!r}")
+                rows.append(_cells(
+                    b, k, planner, achieved,
+                    achieved / norm if norm > 0 else None,
+                    opt, upt,
+                    (ref - achieved) / norm * 100.0 if ref is not None and norm > 0 else None,
+                    alpha, *posterior, _ratio_lb(achieved, upt),
+                ))
     return rows
 
 
@@ -429,9 +437,14 @@ def _cmd_sweep(args):
 
     if args.alpha_only:
         kappa_deltas = _parse_grid(args.kappa_deltas) if args.kappa_deltas else ()
-        try:
-            rows = _alpha_surface_rows(bs, ks, args.delta, kappa_deltas)
-        except ValueError as err:  # no input file here: every value is an argument
+        rows = [f"# delta={args.delta}", "b,k,alpha_apriori"]
+        try:  # no input file here: every value is an argument
+            rows += [_cells(b, k, cert.alpha_apriori(b, k, args.delta)) for b in bs for k in ks]
+            if kappa_deltas:
+                rows.append("kappa,delta,alpha_tilde")
+                rows += [_cells(b / k, d, cert.alpha_tilde(b / k, d))
+                         for d in kappa_deltas for b in bs for k in ks]
+        except ValueError as err:
             raise _UsageError(str(err)) from None
         _write_rows(rows, args.output)
         return 0
@@ -463,12 +476,12 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic instance to disk")
-    g.add_argument("--robots", type=int, default=3)
-    g.add_argument("--verts", type=int, default=3, help="vertices per robot")
-    g.add_argument("--density", type=float, default=None)
-    g.add_argument("--edges", type=int, default=None)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cap-degree", type=int, default=None)
+    g.add_argument("--robots", type=_typed(int), default=3)
+    g.add_argument("--verts", type=_typed(int), default=3, help="vertices per robot")
+    g.add_argument("--density", type=_typed(float), default=None)
+    g.add_argument("--edges", type=_typed(int), default=None)
+    g.add_argument("--seed", type=_typed(int), default=0)
+    g.add_argument("--cap-degree", type=_typed(int), default=None)
     g.add_argument("--output", required=True)
     g.add_argument("--pose-output", default=None)
     g.add_argument("--truth-output", default=None)
@@ -481,10 +494,10 @@ def _build_parser():
     p.add_argument("--regime", default="tu", choices=REGIMES)
     p.add_argument("--planner", default="sgreedy", choices=PLANNERS)
     p.add_argument("-b", required=True, help="budget (tu: int, tn: float, iu: l0/l1/...)")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_typed(int), required=True)
     p.add_argument("--lazy", action="store_true", help=LAZY_HELP)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-degree", type=int, default=None)
+    p.add_argument("--seed", type=_typed(int), default=0)
+    p.add_argument("--cap-degree", type=_typed(int), default=None)
     p.add_argument("--output", default=None, help="plan JSON path")
     p.set_defaults(func=_cmd_plan)
 
@@ -498,10 +511,10 @@ def _build_parser():
     s.add_argument("-k", required=True, help="grid: value, list, or start:step:end")
     s.add_argument("--certify", default="none", choices=["none", "lp", "brute"])
     s.add_argument("--lazy", action="store_true", help=LAZY_HELP)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cap-degree", type=int, default=None)
+    s.add_argument("--seed", type=_typed(int), default=0)
+    s.add_argument("--cap-degree", type=_typed(int), default=None)
     s.add_argument("--alpha-only", action="store_true", help="emit guarantee surfaces, run nothing")
-    s.add_argument("--delta", type=int, default=None, help="max degree for --alpha-only")
+    s.add_argument("--delta", type=_typed(int), default=None, help="max degree for --alpha-only")
     s.add_argument("--kappa-deltas", default=None, help="emit budget-ratio curves for these deltas")
     s.add_argument("--output", default=None)
     s.set_defaults(func=_cmd_sweep)
@@ -511,7 +524,7 @@ def _build_parser():
     c.add_argument("--pose-input", default=None)
     c.add_argument("--plan", required=True)
     c.add_argument("--level", default="lp", choices=["lp", "brute"])
-    c.add_argument("--cap-degree", type=int, default=None)
+    c.add_argument("--cap-degree", type=_typed(int), default=None)
     c.set_defaults(func=_cmd_certify)
 
     return top

@@ -72,7 +72,7 @@ def _plain(token):
     """``token`` if ASCII without ``_``; int() and float() read both, no format holds either."""
     if token.isascii() and "_" not in token:
         return token
-    raise ValueError(token)
+    raise ValueError(f"not a number: {token!r}")
 
 
 def _to_int(line_no, token, what):
@@ -142,19 +142,21 @@ def parse_exchange_graph(text) -> ExchangeGraph:
     robots_line = None
     vertices, vertex_lines = [], []
     edges, edge_lines = [], []
-    plain = text.isascii() and "_" not in text  # else every number is screened
+    plain = text.isascii() and "_" not in text  # the common case: no record to screen
     for line_no, parts in _records(text):
         tag = parts[0]
         # Well-formed records convert inline; anything else falls through to
         # the field-by-field checks below, which raise the precise error.
         try:
-            if plain and tag == "edge" and len(parts) == 5:
+            if not plain:  # a ValueError sends this record the long way
+                _plain("".join(parts[1:]))
+            if tag == "edge" and len(parts) == 5:
                 p = float(parts[4])
                 if -_INF < p < _INF:
                     edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3]), p))
                     edge_lines.append(line_no)
                     continue
-            elif plain and tag == "vertex" and len(parts) == 4:
+            elif tag == "vertex" and len(parts) == 4:
                 weight = float(parts[3])
                 if -_INF < weight < _INF:
                     vertices.append(Vertex(int(parts[1]), int(parts[2]), weight))
@@ -241,21 +243,23 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
         # check below would reject it. A sum of floats is finite only if every
         # term is; a sum that overflows only sends a good record the long way.
         try:
-            if plain and tag == "CANDIDATE" and len(parts) == 5:
+            if not plain:  # as in parse_exchange_graph
+                _plain("".join(parts[1:]))
+            if tag == "CANDIDATE" and len(parts) == 5:
                 eid, w = int(parts[1]), float(parts[4])
                 if (-_INF < w < _INF and eid not in candidate_map
                         and (edge_ids is None or eid in edge_ids)):
                     candidate_map[eid] = (int(parts[2]), int(parts[3]), w)
                     candidate_lines.append(line_no)
                     continue
-            elif plain and tag == "EDGE_SE2" and len(parts) == 12:
+            elif tag == "EDGE_SE2" and len(parts) == 12:
                 i, j = int(parts[1]), int(parts[2])
                 reals = [float(t) for t in parts[3:12]]
                 if -_INF < sum(reals) < _INF and reals[3] > 0:
                     base_edges.append((i, j, reals[3]))
                     base_lines.append(line_no)
                     continue
-            elif plain and tag == "VERTEX_SE2" and len(parts) == 5:
+            elif tag == "VERTEX_SE2" and len(parts) == 5:
                 pid = int(parts[1])
                 coords = (float(parts[2]), float(parts[3]), float(parts[4]))
                 if -_INF < sum(coords) < _INF and pid not in poses:

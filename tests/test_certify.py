@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopselect import (
-    Certificate,
     ExchangeGraph,
     GenSpec,
     IndividualUniform,
@@ -20,7 +19,6 @@ from loopselect import (
     Vertex,
     TreeConnObjective,
     alpha_apriori,
-    alpha_apriori_grid,
     alpha_posteriori,
     alpha_tilde,
     brute_force_opt,
@@ -33,6 +31,7 @@ from loopselect import (
     v_greedy,
 )
 from loopselect import certify
+from loopselect.cli import _ratio_lb
 from loopselect.errors import InstanceTooLargeError
 
 from conftest import make_graph, random_modular_instance, random_treeconn_instance, time_limit
@@ -276,6 +275,15 @@ class TestAnyBudget:
         assert ilp_opt_modular(graph, 2, cb, stats=stats) == pytest.approx(0.5, abs=1e-12)
         assert stats["nodes"] >= 1
 
+    def test_vertex_that_cannot_fit_alone_gets_no_column(self):
+        # no feasible set holds a vertex of weight 2 under a limit of 1; as
+        # columns, both would take pi = 1/2 and lift the bound to 0.5
+        graph = make_graph(2, [0, 1], [(0, 1)], [1.0], weights=[2.0, 2.0])
+        cb = TotalNonuniform(1.0)
+        assert brute_force_opt(graph, 1, cb, ModularObjective(graph))[0] == 0.0
+        assert certify._modular_lp(graph, 1, cb) == ({}, 0.0)
+        assert ilp_opt_modular(graph, 1, cb) == 0.0
+
     def test_fixed_set_over_budget_is_infeasible(self):
         graph = make_graph(2, [0, 0, 1], [(0, 2), (1, 2)], [0.5, 0.5], weights=[0.6, 0.5, 1.0])
         assert certify._modular_lp(graph, 2, TotalNonuniform(1.0), fixed1={0, 1}) is None
@@ -380,14 +388,6 @@ class TestAlphaApriori:
             with pytest.raises(ValueError):
                 alpha_apriori(*bad)
 
-    def test_grid_matches_scalar(self):
-        bs = [20, 30, 40]
-        ks = [10, 50]
-        grid = alpha_apriori_grid(bs, ks, 5)
-        for i, b in enumerate(bs):
-            for j, k in enumerate(ks):
-                assert grid[i, j] == pytest.approx(alpha_apriori(b, k, 5), abs=1e-12)
-
     def test_degree_only_floor_sampled(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -471,14 +471,7 @@ class TestCertificate:
             plan, _ = m_greedy(graph, k, cb, obj)
             opt, _ = brute_force_opt(graph, k, cb, obj)
             upt = lp_upper_bound_modular(graph, k, TotalUniform(b))
-            cert = Certificate(achieved=plan.achieved_value, opt=opt, upt=upt)
-            assert cert.achieved <= cert.opt + 1e-9
-            assert cert.opt <= cert.upt + 1e-7
-            assert cert.ratio_lb is None or cert.ratio_lb <= 1.0 + 1e-9
-
-    def test_csv_row_shape(self):
-        cert = Certificate(achieved=1.5, opt=None, upt=2.0, alpha_apriori=0.5)
-        row = cert.csv_row("demo", 2, 3, 4)
-        fields = row.split(",")
-        assert len(fields) == 11
-        assert fields[0] == "demo" and fields[5] == ""
+            ratio = _ratio_lb(plan.achieved_value, upt)
+            assert plan.achieved_value <= opt + 1e-9
+            assert opt <= upt + 1e-7
+            assert ratio is None or ratio <= 1.0 + 1e-9

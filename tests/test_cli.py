@@ -12,6 +12,7 @@ import pytest
 
 from loopselect import (
     ExchangeGraph,
+    alpha_apriori,
     IndividualUniform,
     ModularObjective,
     Plan,
@@ -21,7 +22,8 @@ from loopselect import (
     m_greedy,
     s_greedy,
 )
-from loopselect.cli import main
+from loopselect import cli
+from loopselect.cli import CERTIFY_HEADER, main
 from loopselect.generate import demo_rendezvous_graph
 from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
 
@@ -131,7 +133,13 @@ class TestGenerate:
         (["--density", "1.5"], "edge_density must be within [0, 1]"),
         (["--robots", "2", "--verts", "2", "--edges", "5"], "want 5 edges out of 4"),
         (["--edges", "3", "--cap-degree", "0"], "bad --cap-degree 0: must be at least 1"),
-    ], ids=["robots", "verts", "density", "edges", "cap-degree"])
+        (["--verts", "1_0"], "argument --verts: invalid int value: '1_0'"),
+        (["--robots", "\u0663"], "argument --robots: invalid int value: '\u0663'"),
+        (["--edges", "1_0"], "argument --edges: invalid int value: '1_0'"),
+        (["--density", "0_5"], "argument --density: invalid float value: '0_5'"),
+        (["--edges", "3", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+    ], ids=["robots", "verts", "density", "edges", "cap-degree", "verts-underscore",
+            "robots-unicode", "edges-underscore", "density-underscore", "seed-underscore"])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "g.exg"
         rc = main(["generate", *flags, "--output", str(out)])
@@ -146,7 +154,7 @@ class TestGenerate:
     ["sweep", "-b", "1", "-k", "1"],
     ["certify", "--plan", "plan.json"],
 ])
-@pytest.mark.parametrize("cap", ["0", "-2", "x"])
+@pytest.mark.parametrize("cap", ["0", "-2", "x", "1_0", "\u0664"])
 def test_bad_cap_degree_is_usage_error_before_loading(tmp_path, capsys, argv, cap):
     # the input file does not exist: a data error would be exit 2
     rc = main([*argv, "--input", str(tmp_path / "none.exg"), "--cap-degree", cap])
@@ -272,8 +280,12 @@ class TestPlan:
         ("iu", "mgreedy", "1/0.5/1", "bad iu limit '0.5': not an integer"),
         ("iu", "mgreedy", "1/-1/1", "bad iu budget '1/-1/1'"),
         ("iu", "mgreedy", "1/1", "bad iu budget '1/1': expected 3 limits"),
+        ("tu", "sgreedy", "1_0", "bad tu budget '1_0': not a number: '1_0'"),
+        ("tn", "mgreedy", "2.5_0", "bad tn budget '2.5_0': not a number: '2.5_0'"),
+        ("iu", "mgreedy", "1/\u0661/1", "bad iu budget '1/\u0661/1': not a number: '\u0661'"),
     ], ids=["tu-fraction", "tu-negative", "tn-nan", "tn-inf", "tn-negative",
-            "iu-fraction", "iu-negative", "iu-count"])
+            "iu-fraction", "iu-negative", "iu-count", "tu-underscore", "tn-underscore",
+            "iu-unicode"])
     def test_bad_budget_is_usage_error(self, instance, tmp_path, capsys, regime, planner, b,
                                        message):
         plan_path = tmp_path / "plan.json"
@@ -484,8 +496,12 @@ class TestSweep:
         ("tn", "-1", "4", "bad tn budget"),
         ("iu", "1/1/1,1/1", "4", "bad iu budget"),
         ("iu", "1/1/1,1/x/1", "4", "bad iu budget"),
+        ("tu", "\u0662", "4", "bad grid spec"),
+        ("tu", "2", "1:1_0:3", "bad grid spec"),
+        ("iu", "1/1/1,1/1_0/1", "4", "bad iu budget"),
     ], ids=["tu-fraction", "tu-fractional-range", "k-fraction", "k-fraction-in-list",
-            "tn-nan", "tn-negative", "iu-count", "iu-not-a-number"])
+            "tn-nan", "tn-negative", "iu-count", "iu-not-a-number", "b-unicode",
+            "k-underscore-step", "iu-underscore"])
     def test_bad_grid_is_usage_error(self, instance, tmp_path, capsys, regime, b, k, message):
         out = tmp_path / "sweep.csv"
         rc = main([
@@ -713,13 +729,16 @@ class TestCertify:
         ("b", "nan", "plan file: bad tn budget 'nan'"),
         ("k", -1, "plan file: bad k -1"),
         ("k", "three", "plan file: could not convert"),
+        ("k", True, "plan file: not a number: True"),
+        ("k", "1_0", "plan file: not a number: '1_0'"),
+        ("b", False, "plan file: bad tn budget False: not a number: False"),
         ("regime", "xx", "plan file: unknown regime 'xx'"),
         ("objective", "xx", "plan file: unknown objective 'xx'"),
         ("vertices", [0, "1"], "plan file: vertices must be a list of integer ids"),
         ("edges", 7, "plan file: edges must be a list of integer ids"),
         ("achieved_value", "high", "plan file: could not convert"),
-    ], ids=["b", "k-negative", "k-text", "regime", "objective", "vertices", "edges",
-            "achieved"])
+    ], ids=["b", "k-negative", "k-text", "k-boolean", "k-underscore", "b-boolean", "regime",
+            "objective", "vertices", "edges", "achieved"])
     def test_bad_field_cites_its_line(self, instance, tmp_path, capsys, key, bad, message):
         plan_path = tmp_path / "plan.json"
         main([
@@ -915,3 +934,136 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert "generate" in proc.stdout
     assert proc.stderr == ""
+
+
+class TestReportCells:
+    """Every CSV cell comes from one rule: numbers as repr(float), None as an empty cell."""
+
+    @pytest.mark.parametrize("delta", [5, 41])
+    def test_alpha_only_cells_are_the_scalar_factor(self, tmp_path, delta):
+        # the README grid; (40, 70) is a cell where a numpy grid differs in the last bit
+        out = tmp_path / "alpha.csv"
+        assert main([
+            "sweep", "--alpha-only", "--delta", str(delta),
+            "-b", "20:10:100", "-k", "20:10:100", "--output", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [f"# delta={delta}", "b,k,alpha_apriori"]
+        want = [f"{b},{k},{alpha_apriori(b, k, delta)!r}"
+                for b in range(20, 101, 10) for k in range(20, 101, 10)]
+        assert lines[2:] == want
+        assert f"40,70,{alpha_apriori(40, 70, delta)!r}" in lines
+
+    def test_sweep_alpha_cell_equals_the_alpha_only_cell(self, instance, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--input", str(instance), "--planners", "sgreedy",
+            "-b", "1:1:3", "-k", "2,5", "--output", str(sweep),
+        ]) == 0
+        delta = int(sweep.read_text().splitlines()[2].removeprefix("# delta="))
+        capsys.readouterr()
+        assert main(["sweep", "--alpha-only", "--delta", str(delta), "-b", "1:1:3",
+                     "-k", "2,5"]) == 0
+        surface = {tuple(line.split(",")[:2]): line.split(",")[2]
+                   for line in capsys.readouterr().out.splitlines()[2:]}
+        body = sweep_body(sweep)
+        assert len(body) == 6
+        for row in body:
+            assert row[8] == surface[row[0], row[1]]
+
+    def test_certify_row(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert main([
+            "plan", "--input", str(instance), "--planner", "sgreedy",
+            "-b", "2", "-k", "3", "--output", str(plan_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--input", str(instance), "--plan", str(plan_path),
+                     "--level", "lp"]) == 0
+        captured = capsys.readouterr()
+        header, row = captured.out.splitlines()
+        assert header == CERTIFY_HEADER
+        cells = row.split(",")
+        assert len(cells) == 11
+        assert cells[:4] == [str(instance), "2", "3", "4"]
+        assert cells[5] == ""  # opt: brute force only
+        assert cells[8:10] == ["", ""]  # a plan file carries no trace
+        assert float(cells[6]) > 0
+        assert cells[10] == repr(float(cells[4]) / float(cells[6]))
+        assert captured.err == f"ratio_lb={cells[10]}\n"
+
+    def test_ratio_lb_is_empty_when_upt_is_zero(self, instance, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--input", str(instance), "--planners", "mgreedy",
+            "-b", "2", "-k", "0", "--certify", "lp", "--output", str(out),
+        ]) == 0
+        (row,) = sweep_body(out)
+        assert row[6] == "0.0" and row[11] == ""
+        assert cli._ratio_lb(0.0, 0.0) is None and cli._ratio_lb(1.0, None) is None
+
+    def test_factor_cells_outside_tu_are_empty(self, costed_instance, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--input", str(costed_instance), "--planners", "mgreedy",
+            "--regime", "tn", "-b", "2.25", "-k", "3", "--output", str(out),
+        ]) == 0
+        (row,) = sweep_body(out)
+        assert row[8:11] == ["", "", ""]
+
+
+class TestNumberSyntax:
+    """The command line reads numbers as the file formats spell them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "-b", "2", "-k", "1_0"],
+        ["plan", "-b", "2", "-k", "3", "--seed", "\u0661"],
+        ["sweep", "-b", "2", "-k", "3", "--seed", "1_0"],
+        ["sweep", "--alpha-only", "--delta", "\u0665", "-b", "2", "-k", "3"],
+        ["sweep", "--alpha-only", "--delta", "5", "-b", "2", "-k", "3", "--kappa-deltas", "4_1"],
+    ], ids=["plan-k", "plan-seed", "sweep-seed", "alpha-delta", "kappa-deltas"])
+    def test_bad_number_is_usage_error(self, instance, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(instance), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_boolean_k_in_plan_file_cites_its_line(self, instance, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", "--input", str(instance), "-b", "2", "-k", "1",
+                     "--output", str(plan_path)]) == 0
+        text = plan_path.read_text().replace('"k": 1', '"k": true')
+        plan_path.write_text(text)
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if '"k"' in row)
+        capsys.readouterr()
+        assert main(["certify", "--input", str(instance), "--plan", str(plan_path)]) == 2
+        assert f"error: line {line}: plan file: not a number: True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, values", [
+        ("0:0.1:0.6", [0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        ("1:1:6", [1, 2, 3, 4, 5, 6]),
+        ("20:10:100", [20, 30, 40, 50, 60, 70, 80, 90, 100]),
+        ("0.5:0.25:1.4", [0.5, 0.75, 1, 1.25]),
+        ("1e1:5:2e1", [10, 15, 20]),
+        ("+1,-0,2.5", [1, 0, 2.5]),
+    ])
+    def test_grid_steps_exactly(self, spec, values):
+        grid = cli._parse_grid(spec)
+        assert grid == values
+        assert [type(v) for v in grid] == [type(v) for v in values]
+
+    @pytest.mark.parametrize("spec", ["0:0:1", "0:-1:1", "0:1:inf", "-inf:1:0", "nan:1:2",
+                                      "0:nan:1", "1:x:2", "1:2", "1:1:2:3", "1,x"])
+    def test_bad_grid_is_rejected(self, spec):
+        with pytest.raises(cli._UsageError, match="bad grid spec"):
+            cli._parse_grid(spec)
+
+    def test_tn_sweep_lists_the_decimals_as_written(self, costed_instance, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--input", str(costed_instance), "--planners", "mgreedy",
+            "--regime", "tn", "-b", "0:0.1:0.6", "-k", "2", "--output", str(out),
+        ]) == 0
+        assert [row[0] for row in sweep_body(out)] == [
+            "0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]

@@ -21,6 +21,7 @@ from loopselect import (
     generate_pose_graph,
     sample_ground_truth,
 )
+from loopselect import io as lio
 from loopselect.generate import GroundTruth, decode_pairs, pair_count
 from loopselect.io import (
     load_exchange_graph,
@@ -457,6 +458,30 @@ class TestStrictParsing:
         assert parse_pose_graph(pose) == parse_pose_graph(self.POSE)
         exchange = "robots 2\nvertex 0 0 1.0\nvertex 1 1 +1.0\nedge 0 0 1 0.5\n"
         assert parse_exchange_graph("# café_notes\n" + exchange) == parse_exchange_graph(exchange)
+
+    def test_comments_keep_records_on_the_inline_path(self, monkeypatch):
+        # a comment that fails the whole-text screen sends no record to the
+        # field-by-field path; only the header records (robots, FIX) take it
+        graph = generate_exchange_graph(GenSpec(num_robots=3, vertices_per_robot=6,
+                                                num_edges=20, seed=2))
+        exchange = serialize_exchange_graph(graph)
+        pose = serialize_pose_graph(generate_pose_graph(GenSpec(
+            num_robots=3, vertices_per_robot=6, num_edges=20, seed=2), graph))
+        want = parse_exchange_graph(exchange), parse_pose_graph(pose)
+
+        def only_headers(convert):
+            def spy(line_no, token, what):
+                assert what in ("robot count", "anchor id"), f"line {line_no}: {what}"
+                return convert(line_no, token, what)
+            return spy
+
+        monkeypatch.setattr(lio, "_to_int", only_headers(lio._to_int))
+        monkeypatch.setattr(lio, "_to_float", only_headers(lio._to_float))
+        for text, parse, parsed in zip((exchange, pose), (parse_exchange_graph, parse_pose_graph),
+                                       want):
+            lines = text.splitlines(keepends=True)
+            commented = "".join([lines[0], "# note_\u00e9\n", *lines[1:4], "  # a_b\n", *lines[4:]])
+            assert parse(commented) == parsed
 
     @pytest.mark.parametrize("row", ["1_0,1", "\u0661,1"])
     def test_ground_truth_rejects_underscores_and_non_ascii_digits(self, row):
