@@ -243,9 +243,10 @@ def ilp_opt_modular(graph, k, cb, stats=None) -> float:
     """Exact integral optimum via branch and bound on the LP relaxation.
 
     Branches on the vertex indicator nearest 1/2, explores nodes in
-    best-bound order, and evaluates integral nodes exactly through the
-    closed-form inner solve; an integral node whose rounded vertex set
-    breaks the budget branches too. ``stats``, when given a dict, receives
+    best-bound order. Each node's rounded vertex set, when it fits the
+    budget, is evaluated exactly through the closed-form inner solve as soon
+    as its LP is solved, whatever the bound; an integral node whose rounded
+    set breaks the budget branches too. ``stats``, when given a dict, receives
     the number of branched nodes and LP solves. Raises
     :class:`InstanceTooLargeError` rather than branch more than
     ``NODE_GUARD`` nodes or build an LP past ``LP_GUARD``; the number of
@@ -254,20 +255,28 @@ def ilp_opt_modular(graph, k, cb, stats=None) -> float:
     objective = ModularObjective(graph)  # m_greedy rejects a negative k
     incumbent = m_greedy(graph, k, cb, objective)[0].achieved_value
     nodes_branched = 0
-    pi, bound = _modular_lp(graph, k, cb)  # no vertex fixed: always feasible
     counter = itertools.count()
-    heap = [(-bound, next(counter), frozenset(), frozenset(), pi)]
+    heap = []
 
+    def visit(fixed0, fixed1, pi, bound):
+        """Take the node's rounded set as a candidate; queue the node unless integral."""
+        nonlocal incumbent
+        chosen = set(fixed1) | {vid for vid, val in pi.items() if val > 0.5}
+        feasible = graph.budget_satisfied(chosen, cb)
+        if feasible:
+            # the simplex's tolerances can leave an optimum's LP bound at the
+            # incumbent and its indicators a few 1e-9 off integral; its exact
+            # value still counts
+            incumbent = max(incumbent, g_modular(graph, chosen, k)[0])
+        integral = all(min(val, 1.0 - val) <= 1e-9 for val in pi.values())
+        if not (integral and feasible) and bound > incumbent + 1e-9:
+            heapq.heappush(heap, (-bound, next(counter), fixed0, fixed1, pi))
+
+    visit(frozenset(), frozenset(), *_modular_lp(graph, k, cb))  # no vertex fixed: feasible
     while heap:
         neg_bound, _, fixed0, fixed1, pi = heapq.heappop(heap)
-        bound = -neg_bound
-        if bound <= incumbent + 1e-9:
+        if -neg_bound <= incumbent + 1e-9:
             break  # best-bound order: nothing left can improve
-        chosen = set(fixed1) | {vid for vid, val in pi.items() if val > 0.5}
-        if (all(min(val, 1.0 - val) <= 1e-9 for val in pi.values())
-                and graph.budget_satisfied(chosen, cb)):
-            incumbent = max(incumbent, g_modular(graph, chosen, k)[0])
-            continue
         if nodes_branched == NODE_GUARD:
             raise InstanceTooLargeError(
                 f"instance too large: branch and bound exceeds {NODE_GUARD} nodes"
@@ -279,14 +288,8 @@ def ilp_opt_modular(graph, k, cb, stats=None) -> float:
             (fixed0, fixed1 | {branch_vid}),
         ):
             sol = _modular_lp(graph, k, cb, child0, child1)
-            if sol is None:
-                continue
-            child_pi, child_bound = sol
-            if child_bound > incumbent + 1e-9:
-                heapq.heappush(
-                    heap,
-                    (-child_bound, next(counter), child0, child1, child_pi),
-                )
+            if sol is not None:
+                visit(child0, child1, *sol)
 
     if stats is not None:
         stats["nodes"] = nodes_branched

@@ -55,10 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(x) -> float:
-    """``x``, a JSON number or text in the file formats' number syntax, as a float."""
+    """``x``, a JSON number or text in the file formats' number syntax, as a float.
+
+    An int past the float range reads as ±inf, as its digits do as text.
+    """
     if isinstance(x, bool):
         raise ValueError(f"not a number: {x!r}")
-    return float(gio._plain(x) if isinstance(x, str) else x)
+    try:
+        return float(gio._plain(x) if isinstance(x, str) else x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _typed(convert):
@@ -69,9 +75,10 @@ def _typed(convert):
     return read
 
 
-def _parse_grid(spec):
+def _parse_grid(spec, what="grid value"):
     """Grid syntax: a single value, 'a,b,c', or 'start:step:end' (inclusive), stepped
-    in exact decimal: '0:0.1:0.6' lists 0.3, not 0.30000000000000004."""
+    in exact decimal: '0:0.1:0.6' lists 0.3, not 0.30000000000000004. A listed
+    value that is not finite is a usage error quoting ``what`` and its token."""
     try:
         if ":" in spec:
             start, step, end = (Decimal(gio._plain(t)) for t in spec.split(":"))
@@ -82,15 +89,21 @@ def _parse_grid(spec):
                 values.append(float(start))
                 start += step
         else:
-            values = [_number(t) for t in spec.split(",") if t != ""]
+            values = []
+            for t in filter(None, spec.split(",")):
+                values.append(_number(t))
+                if not math.isfinite(values[-1]):
+                    raise _UsageError(f"bad {what} {t!r}: not finite")
     except (ValueError, ArithmeticError):  # decimal's errors are ArithmeticErrors
         raise _UsageError(f"bad grid spec {spec!r}") from None
     return [int(v) if v.is_integer() else v for v in values]
 
 
 def _integer(x, what) -> int:
-    """``x`` (see ``_number``) as an int; a fraction is a usage error."""
+    """``x`` (see ``_number``) as an int; a fraction or a non-finite value is a usage error."""
     value = _number(x)
+    if not math.isfinite(value):
+        raise _UsageError(f"bad {what} {x!r}: not finite")
     if not value.is_integer():
         raise _UsageError(f"bad {what} {x!r}: not an integer")
     return int(value)
@@ -254,7 +267,7 @@ def _cmd_plan(args):
     print(
         f"planner={args.planner} value={plan.achieved_value!r} "
         f"|V|={len(plan.vertices)} |E|={len(plan.edges)} delta={delta} "
-        f"alpha_apriori={'' if alpha is None else alpha!r}"
+        f"alpha_apriori={_cells(alpha)}"
     )
     return 0
 
@@ -430,13 +443,13 @@ def _write_rows(rows, output):
 def _cmd_sweep(args):
     # an iu budget is itself a list (l0/l1/...), so an iu grid is a comma list of them
     iu = args.regime == "iu" and not args.alpha_only
-    bs = [t for t in args.b.split(",") if t] if iu else _parse_grid(args.b)
-    ks = _parse_grid(args.k)
+    bs = [t for t in args.b.split(",") if t] if iu else _parse_grid(args.b, f"{args.regime} budget")
+    ks = _parse_grid(args.k, "k")
     if not bs or not ks:
         raise _UsageError("empty budget grid")
 
     if args.alpha_only:
-        kappa_deltas = _parse_grid(args.kappa_deltas) if args.kappa_deltas else ()
+        kappa_deltas = _parse_grid(args.kappa_deltas, "delta") if args.kappa_deltas else ()
         rows = [f"# delta={args.delta}", "b,k,alpha_apriori"]
         try:  # no input file here: every value is an argument
             rows += [_cells(b, k, cert.alpha_apriori(b, k, args.delta)) for b in bs for k in ks]

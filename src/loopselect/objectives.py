@@ -17,10 +17,12 @@ dense, stateless reference: for the log-det objectives it rebuilds the matrix
 and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state
 of one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
 new edges to everything committed so far, ``commit(edge_ids)`` adds them, and
-``value`` is the running objective value. The log-det oracle inverts the base
-matrix once per run, reads a one-edge gain ``log1p(s aᵀM⁻¹a)`` off at most
-three entries of the cached inverse (matrix determinant lemma, so it is never
-negative) and commits by a Sherman–Morrison update, O(d²).
+``value`` is the running objective value. A log-det objective inverts its
+base matrix once, at its first ``oracle()``, and each oracle downdates its own
+copy of that inverse. A one-edge gain ``log1p(s aᵀM⁻¹a)`` reads at most three
+entries of it (matrix determinant lemma, so it is never negative), an r-edge
+gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a commit is
+a Sherman–Morrison update, O(d²).
 
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
@@ -226,6 +228,14 @@ class _LogDetOracle:
     ``_P`` holds M⁻¹ in pose coordinates with the anchor's row and column
     zero, so for an edge on pose pair (i, j) the incidence vector a gives
     ``aᵀM⁻¹a = P[i,i] + P[j,j] - 2 P[i,j]`` and ``M⁻¹a = P[:,i] - P[:,j]``.
+    The oracle owns ``_P`` and downdates it in place at each commit.
+
+    The gain of r ≥ 2 new edges is logdet(I + S½GS½) with G = AᵀM⁻¹A, read
+    off ``_P`` by one gather, by a Cholesky over Python floats (r is at most
+    the maximum degree, so LAPACK's call overhead would dominate). The pivot
+    of row c is 1 + x_c, x_c ≥ 0 its Schur increment, and the gain is the sum
+    of ``log1p(x_c)``: a gain near 0 keeps its relative precision, which the
+    log of a pivot rounded to 1 + ulp would lose.
 
     In exact arithmetic a gain never grows as edges are committed; the
     rounding of the downdates of ``_P`` can lift one by a few ulps (one ulp,
@@ -235,10 +245,8 @@ class _LogDetOracle:
 
     gain_slack = 1e-9
 
-    def __init__(self, pairs, M0, anchor):
-        n = M0.shape[0] + 1
-        self._P = np.zeros((n, n))
-        self._P[_anchored(n, anchor)] = inv_pd(M0)
+    def __init__(self, pairs, P):
+        self._P = P
         self._pairs = pairs
         self._committed: set[int] = set()
         self.value = 0.0
@@ -255,14 +263,24 @@ class _LogDetOracle:
         if len(terms) == 1:
             i, j, s = terms[0]
             return math.log1p(s * self._quad(i, j))
-        # logdet(I + S½ AᵀM⁻¹A S½) for the r new edges at once
-        I, J, s = (np.array(col) for col in zip(*terms))
-        P = self._P
-        G = P[np.ix_(I, I)] - P[np.ix_(I, J)] - P[np.ix_(J, I)] + P[np.ix_(J, J)]
-        root = np.sqrt(s)
-        K = np.eye(len(terms)) + root[:, None] * G * root[None, :]
-        # det(K) >= 1 exactly, so only rounding could push this below zero
-        return max(logdet_pd(K), 0.0)
+        # logdet(I + S½GS½) by a row-by-row Cholesky (see the class docstring)
+        I = [t[0] for t in terms]
+        J = [t[1] for t in terms]
+        D = self._P[:, I] - self._P[:, J]
+        G = (D[I] - D[J]).tolist()
+        root = [math.sqrt(t[2]) for t in terms]
+        rows = []
+        total = 0.0
+        for c, (t, Gc) in enumerate(zip(terms, G)):
+            row = [root[c] * g * r for g, r in zip(Gc[:c], root)]
+            for a, La in enumerate(rows):
+                row[a] = (row[a] - sum(x * y for x, y in zip(row[:a], La))) / La[a]
+            # the Schur increment; K's pivots are >= 1 exactly, so clamp the rounding
+            x = max(t[2] * Gc[c] - sum(v * v for v in row), 0.0)
+            row.append(math.sqrt(1.0 + x))
+            rows.append(row)
+            total += math.log1p(x)
+        return total
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)
@@ -299,6 +317,7 @@ class _RankOneLogDet:
         self.pose_graph = pose_graph
         self._M0 = np.asarray(M0, dtype=float)
         self._logdet0 = logdet_pd(self._M0)
+        self._P0 = None  # M0⁻¹ in pose coordinates, made by the first oracle()
         self._pairs = {}
         for e in graph.edges:
             i, j, w = pose_graph.candidate_map[e.id]
@@ -316,8 +335,16 @@ class _RankOneLogDet:
         return self.value(selected | {eid}) - self.value(selected)
 
     def oracle(self) -> _LogDetOracle:
-        """Fresh gain/commit state for one planner run (inverts M0 once)."""
-        return _LogDetOracle(self._pairs, self._M0, self.pose_graph.anchor)
+        """Fresh gain/commit state for one planner run.
+
+        The first call inverts M0 and keeps the inverse; every oracle gets its
+        own copy, since it downdates it in place.
+        """
+        if self._P0 is None:
+            n = self._M0.shape[0] + 1
+            self._P0 = np.zeros((n, n))
+            self._P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
+        return _LogDetOracle(self._pairs, self._P0.copy())
 
 
 class DCritObjective(_RankOneLogDet):

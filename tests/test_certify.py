@@ -275,6 +275,24 @@ class TestAnyBudget:
         assert ilp_opt_modular(graph, 2, cb, stats=stats) == pytest.approx(0.5, abs=1e-12)
         assert stats["nodes"] >= 1
 
+    @pytest.mark.parametrize("robot_of, pairs, ps", [
+        ([1, 0, 0, 0, 0, 0, 1, 1],
+         [(3, 6), (1, 6), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (4, 7), (1, 7)],
+         [0.1, 1.0, 0.1, 0.1, 0.1, 0.1, 0.1, 1e-9, 0.5, 0.1]),
+        ([1, 1, 0, 0, 0, 0, 0, 1],
+         [(2, 7), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 3), (4, 7), (1, 4)],
+         [0.1, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 1e-9, 0.5, 0.1]),
+    ], ids=["bound-at-incumbent", "noise-fraction"])
+    def test_optimum_one_edge_of_1e_9_above_greedy(self, robot_of, pairs, ps):
+        # the simplex never prices in the 1e-9 edge, so the node holding the
+        # optimum bounds it at the greedy value, in the second case with an
+        # indicator 5e-9 off zero; its rounded set must still be evaluated
+        graph = make_graph(2, robot_of, pairs, ps, weights=[0.1] * 4 + [0.2] + [0.1] * 3)
+        cb = TotalNonuniform(0.2)
+        opt, _ = brute_force_opt(graph, 5, cb, ModularObjective(graph))
+        assert opt == m_greedy(graph, 5, cb, ModularObjective(graph))[0].achieved_value + 1e-9
+        assert ilp_opt_modular(graph, 5, cb) == opt
+
     def test_vertex_that_cannot_fit_alone_gets_no_column(self):
         # no feasible set holds a vertex of weight 2 under a limit of 1; as
         # columns, both would take pi = 1/2 and lift the bound to 0.5

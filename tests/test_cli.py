@@ -184,6 +184,20 @@ class TestPlan:
         )
         assert graph.check_plan(plan, 3, TotalUniform(2))
 
+    @pytest.mark.parametrize("regime, planner, b", [
+        ("tu", "sgreedy", "2"), ("tn", "mgreedy", "2.5"), ("iu", "mgreedy", "1/1/1"),
+    ])
+    def test_stdout_line(self, instance, capsys, regime, planner, b):
+        # the alpha_apriori value is written as its CSV cell: empty outside tu
+        rc = main(["plan", "--input", str(instance), "--planner", planner,
+                   "--regime", regime, "-b", b, "-k", "3"])
+        assert rc == 0
+        line = capsys.readouterr().out
+        fields = dict(f.split("=", 1) for f in line.split())
+        assert set(fields) == {"planner", "value", "|V|", "|E|", "delta", "alpha_apriori"}
+        want = repr(alpha_apriori(2, 3, int(fields["delta"]))) if regime == "tu" else ""
+        assert line.endswith(f" alpha_apriori={want}\n")
+
     def test_zero_budget_empty_plan(self, instance, capsys):
         rc = main(["plan", "--input", str(instance), "-b", "0", "-k", "3"])
         assert rc == 0
@@ -1027,6 +1041,23 @@ class TestNumberSyntax:
         rc = main([*argv, "--input", str(instance), "--output", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "-b", "2", "-k", "1" * 400], f"bad k {'1' * 400}: not finite"),
+        (["plan", "-b", "2", "-k", "-" + "1" * 400], f"bad k -{'1' * 400}: not finite"),
+        (["plan", "-b", "1" * 400, "-k", "3"], f"bad tu budget '{'1' * 400}': not finite"),
+        (["sweep", "-b", "2", "-k", f"2,{'1' * 400}"], f"bad k '{'1' * 400}': not finite"),
+        (["sweep", "-b", "2", "-k", "2,1e400"], "bad k '1e400': not finite"),
+        (["sweep", "--alpha-only", "--delta", "5", "-b", "2", "-k", "inf"],
+         "bad k 'inf': not finite"),
+    ], ids=["plan-k", "plan-negative-k", "plan-b", "sweep-k", "sweep-k-exponent", "alpha-k"])
+    def test_number_past_the_float_range_is_usage_error(self, instance, tmp_path, capsys,
+                                                       argv, message):
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(instance), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_boolean_k_in_plan_file_cites_its_line(self, instance, tmp_path, capsys):

@@ -16,12 +16,15 @@ from loopselect import (
     ModularObjective,
     PoseGraph,
     TopKOracle,
+    TotalUniform,
     TreeConnObjective,
     Vertex,
     g_modular,
+    s_greedy,
 )
+from loopselect import cli, objectives
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
-from loopselect.linalg import logdet_pd
+from loopselect.linalg import inv_pd, logdet_pd
 from loopselect.objectives import DEFAULT_PRIOR_EPS
 
 from conftest import (
@@ -461,7 +464,7 @@ class TestOracle:
             exact = math.log1p(e.p * w * float(a @ np.linalg.solve(M, a)))
             gain = oracle.gain((e.id,))
             assert gain > 0.0
-            assert gain == pytest.approx(exact, rel=1e-9)
+            assert gain == pytest.approx(exact, rel=1e-9, abs=0)
 
     def test_commit_matches_refactorization(self):
         # each gain after Sherman-Morrison updates equals log1p(s aᵀM⁻¹a) with
@@ -522,6 +525,112 @@ class TestOracle:
         assert oracle.gain((5,)) == obj.marginal([0, 3], 5)
         assert oracle.gain((5, 6)) == obj.value([0, 3, 5, 6]) - obj.value([0, 3])
         assert oracle.gain(()) == 0.0
+
+
+class TestSharedInverse:
+    def test_one_inverse_per_objective(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape)
+            return inv_pd(M)
+
+        monkeypatch.setattr(objectives, "inv_pd", counted)
+        spec = GenSpec(num_robots=3, vertices_per_robot=8, num_edges=30, seed=6)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        obj = TreeConnObjective(graph, pg)
+        assert calls == []  # construction and value() never invert
+        obj.value([0, 1])
+        assert calls == []
+        s_greedy(graph, 6, TotalUniform(3), obj)
+        monkeypatch.setattr(cli, "TreeConnObjective", lambda g, p: obj)
+        rows = cli.sweep_rows(graph, pg, cli.SweepSpec(
+            bs=(3,), ks=(4, 6), objective="treeconn", planners=("sgreedy",)))
+        assert len(rows) == 6  # metadata, header and two cells: four more oracles
+        assert calls == [(pg.num_poses - 1,) * 2]
+
+    @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
+    def test_commits_leave_other_oracles_untouched(self, kind):
+        spec = GenSpec(num_robots=3, vertices_per_robot=8, num_edges=30, seed=7)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        make = TreeConnObjective if kind == "treeconn" else DCritObjective
+        obj = make(graph, pg)
+        before = obj.oracle()
+        used = obj.oracle()
+        used.commit((0, 5, 9))
+        used.commit(graph.edges_incident((3,)) - {0, 5, 9})
+        after = obj.oracle()
+        never = make(graph, pg).oracle()
+        queries = [(e.id,) for e in graph.edges]
+        queries += [tuple(sorted(graph.edges_incident((v.id,)))) for v in graph.vertices]
+        for X in queries:
+            want = never.gain(X)
+            assert before.gain(X) == want and after.gain(X) == want, X
+
+
+def small_block_cases():
+    """(label, objective, graph) of small instances for the r-edge vertex gains."""
+    cases = []
+    for seed in range(12):
+        graph, pg, _, _ = random_treeconn_instance(seed)
+        cases.append((f"treeconn-{seed}", TreeConnObjective(graph, pg), graph))
+    rng = np.random.default_rng(8)
+    for seed in range(100, 108):
+        graph, pg, _, _ = random_treeconn_instance(seed)
+        A = rng.normal(size=(pg.num_poses - 1,) * 2)
+        prior = A @ A.T + (pg.num_poses - 1) * np.eye(pg.num_poses - 1)
+        cases.append((f"dcrit-prior-{seed}", DCritObjective(graph, pg, prior=prior), graph))
+    return cases
+
+
+class TestSmallBlockGain:
+    def test_vertex_gains_match_dense_differences(self):
+        blocks = 0
+        for label, obj, graph in small_block_cases():
+            oracle = obj.oracle()
+            committed: set[int] = set()
+            for v in sorted(graph.vertices, key=lambda v: -len(graph.incident(v.id))):
+                base = obj.value(committed)
+                for u in graph.vertices:  # every vertex's block of new edges
+                    new = graph.edges_incident((u.id,)) - committed
+                    blocks += len(new) == graph.max_degree() >= 2
+                    gain = oracle.gain(new)
+                    dense = obj.value(committed | new) - base
+                    assert gain >= 0.0
+                    assert abs(gain - dense) <= 1e-9, (label, u.id, gain, dense)
+                new = graph.edges_incident((v.id,)) - committed
+                oracle.commit(new)
+                committed |= new
+        assert blocks > 0  # some gains took blocks as large as the maximum degree
+
+    @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
+    def test_tiny_block_gain_is_the_trace(self, kind):
+        # logdet(I + S½GS½) = Σ sₐGₐₐ to first order: log1p of each pivot's
+        # increment keeps that, where log of the pivot 1 + 1e-14 would not
+        spec = GenSpec(num_robots=3, vertices_per_robot=10, num_edges=40,
+                       probabilities=(1e-14,) * 40, seed=12)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        if kind == "treeconn":
+            obj, M0 = TreeConnObjective(graph, pg), pg.base_laplacian_reduced()
+        else:
+            obj = DCritObjective(graph, pg)
+            M0 = pg.base_laplacian_reduced() + DEFAULT_PRIOR_EPS * np.eye(pg.num_poses - 1)
+        oracle = obj.oracle()
+        M0_inv = np.linalg.inv(M0)
+        for v in graph.vertices:
+            new = sorted(graph.edges_incident((v.id,)))
+            if len(new) < 2:
+                continue
+            trace = 0.0
+            for eid in new:
+                i, j, w = pg.candidate_map[eid]
+                a = incidence(pg, i, j)
+                trace += graph.edge(eid).p * w * float(a @ M0_inv @ a)
+            gain = oracle.gain(new)
+            assert abs(gain - trace) <= 1e-6 * trace, (v.id, gain, trace)
 
 
 def dense_laplacian(pg):
