@@ -164,12 +164,16 @@ def _objective(name, graph, pose_graph):
     raise _UsageError(f"unknown objective {name!r}")
 
 
-def _run_planner(name, graph, k, cb, objective, seed):
-    """Run planner ``name``, a name ``_check_planner_regime`` has accepted."""
+def _run_planner(name, graph, k, cb, objective, seed, runs=None):
+    """Run planner ``name``, a name ``_check_planner_regime`` has accepted.
+
+    ``runs`` is the greedy planners' store of runs shared by the cells of one
+    sweep (see :mod:`loopselect.planners`).
+    """
     if name == "random":
         return random_baseline(graph, k, cb, objective, seed)
     planner = {"mgreedy": m_greedy, "egreedy": e_greedy, "vgreedy": v_greedy, "sgreedy": s_greedy}
-    return planner[name](graph, k, cb, objective)
+    return planner[name](graph, k, cb, objective, runs=runs)
 
 
 def _check_planner_regime(planner, regime, objective_name):
@@ -405,6 +409,7 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     delta = graph.max_degree()
 
     rows = [*_meta_block(graph, spec.seed), SWEEP_HEADER]
+    runs = {}  # one greedy run per grid line; the planners read tu cells off its prefixes
     for b, cb in budgets:
         for k in ks:
             try:
@@ -416,7 +421,7 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
             for planner in spec.planners:
-                plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed)
+                plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed, runs)
                 posterior = (None, None)
                 if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
                     posterior = cert.alpha_posteriori(trace, cb.b, k, delta)

@@ -161,6 +161,7 @@ class ExchangeGraph:
             if e.v in incident and e.v != e.u:
                 incident[e.v].append(e.id)
         self._incident = {vid: tuple(eids) for vid, eids in incident.items()}
+        self._ranked = None  # ranked_incident(), sorted at its first call
 
     # -- basic queries ----------------------------------------------------
 
@@ -188,6 +189,20 @@ class ExchangeGraph:
         """Edge ids incident to one vertex."""
         self.vertex(vid)
         return self._incident.get(vid, ())
+
+    def ranked_incident(self) -> dict[int, tuple[tuple[float, int], ...]]:
+        """Each vertex's incident edges as keys ``(-p, edge id)``, sorted best first.
+
+        Sorted once per graph, at the first call. The key tuples are
+        immutable, so a caller copies the ones it means to change.
+        """
+        if self._ranked is None:
+            key = {e.id: (-e.p, e.id) for e in self.edges}
+            self._ranked = {
+                vid: tuple(sorted(map(key.__getitem__, eids)))
+                for vid, eids in self._incident.items()
+            }
+        return self._ranked
 
     def degree(self, vid) -> int:
         return len(self.incident(vid))

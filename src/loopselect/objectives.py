@@ -435,10 +435,8 @@ class TopKOracle:
             raise ValueError("k must be non-negative")
         self._k = k
         self._graph = graph
-        key = {e.id: (-e.p, e.id) for e in graph.edges}
-        self._uncovered = {
-            v.id: sorted(map(key.__getitem__, graph.incident(v.id))) for v in graph.vertices
-        }
+        # the graph sorts once; each run changes its own copy of the lists
+        self._uncovered = {vid: list(keys) for vid, keys in graph.ranked_incident().items()}
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []

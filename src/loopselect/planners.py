@@ -27,6 +27,20 @@ round. That is valid because oracle gains are non-negative and never grow
 for monotone submodular objectives, except by rounding that each oracle
 bounds (``gain_slack``), so the selection sequence is the one a full scan
 of the pool per round would give, with fewer gain evaluations.
+
+A greedy pick depends only on the picks before it, so the i-th prefix of a
+run is the run stopped after i picks (Nemhauser, Wolsey and Fisher, 1978: the
+i-th greedy prefix is the greedy solution for cardinality i). Under a
+cardinality (``tu``) budget the greedy planners therefore read a cell off a
+longer run: ``m_greedy``'s first b picks of its run for k, ``e_greedy``'s
+phase 1 as the first min(b, k) edge picks, and ``v_greedy``'s longest prefix
+within b vertices and k induced edges. Only phase 2 of ``e_greedy`` is per
+cell. A sweep passes every cell one ``runs`` dict, which keeps these runs
+for one graph and objective, extended as far as some cell needed, so a grid
+costs one greedy run per line rather than per cell; a cell's trace counts
+only the evaluations its own call spent. Without ``runs`` each call runs
+privately. Knapsack and partition-matroid budgets have no prefix property,
+so ``m_greedy`` runs them per call whatever ``runs`` holds.
 """
 
 from __future__ import annotations
@@ -210,7 +224,66 @@ def _require_modular(objective):
         raise ValueError("m_greedy requires a modular objective")
 
 
-def m_greedy(graph, k, cb, objective):
+def _shared(runs, key, build):
+    """The run under ``key`` in ``runs``, built on first use; a private one when ``runs`` is None."""
+    if runs is None:
+        return build()
+    if key not in runs:
+        runs[key] = build()
+    return runs[key]
+
+
+class _Prefixes:
+    """One greedy run, extended on demand and read by its prefixes.
+
+    ``extend(count)`` picks with ``selector`` until the run holds ``count``
+    picks, ``full()`` turns true or the pool runs dry. ``take(item, gain)``
+    commits each pick to ``oracle`` (and whatever other state the run keeps)
+    and returns its :class:`TraceStep`. A pick depends only on the picks
+    before it, never on where the run will stop, so the first i steps are
+    those of a run stopped after i picks.
+    """
+
+    def __init__(self, oracle, selector, take, full=lambda: False):
+        self.oracle = oracle
+        self._sel = selector
+        self._take = take
+        self.full = full
+        self.steps: list[TraceStep] = []
+
+    def extend(self, count) -> int:
+        """Pick until the run holds ``count`` picks (or stops); the gain evaluations spent."""
+        sel = self._sel
+        spent = sel.evaluations
+        while len(self.steps) < count and not self.full() and (pick := sel.best()) is not None:
+            sel.commit(pick[0])
+            self.steps.append(self._take(*pick))
+        return sel.evaluations - spent
+
+
+def _m_run(graph, k, cb, per_weight=False):
+    """``m_greedy``'s run: gains from a TopKOracle, each pick booked in a ``_Room`` of ``cb``."""
+    oracle = TopKOracle(graph, k)
+    room = _Room(graph, cb)
+    if per_weight:
+        weight = room.weight
+
+        def score(vid):
+            return oracle.gain(vid) / weight[vid]
+    else:
+        score = oracle.gain
+
+    def take(vid, _score):
+        room.charge(vid)
+        before = oracle.value
+        oracle.commit(vid)
+        return TraceStep("vertex", vid, oracle.value - before, oracle.value)
+
+    sel = GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits)
+    return _Prefixes(oracle, sel, take, full=room.full)
+
+
+def m_greedy(graph, k, cb, objective, runs=None):
     """Vertex greedy on the nested objective g, then top-k edge extraction.
 
     One greedy run over the vertices takes every gain from a
@@ -219,7 +292,9 @@ def m_greedy(graph, k, cb, objective):
     rounds (zero-gain picks allowed, as in the plain greedy recipe) and
     partition-matroid budgets pick the best vertex whose block quota is open.
     Knapsack budgets run twice, scoring by gain and by gain per unit weight
-    (cost-benefit), and keep the better plan.
+    (cost-benefit), and keep the better plan. Under a cardinality budget the
+    plan is the first b picks of the run for this k, which ``runs`` (see the
+    module docstring) shares across the cells of a sweep.
     """
     _require_modular(objective)
     if k < 0:
@@ -227,39 +302,33 @@ def m_greedy(graph, k, cb, objective):
     if k == 0:
         # nothing is verifiable, so nothing is worth broadcasting
         return Plan(), PlannerTrace(algorithm="m-greedy")
+    n = graph.num_vertices
 
-    def run(per_weight):
-        trace = PlannerTrace(algorithm="m-greedy")
-        oracle = TopKOracle(graph, k)
-        room = _Room(graph, cb)
-
-        if per_weight:
-            weight = room.weight
-
-            def score(vid):
-                return oracle.gain(vid) / weight[vid]
-        else:
-            score = oracle.gain
-        sel = GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits)
-        selected: list[int] = []
-        while not room.full() and (pick := sel.best()) is not None:
-            vid = pick[0]
-            sel.commit(vid)
-            room.charge(vid)
-            selected.append(vid)
-            before = oracle.value
-            oracle.commit(vid)
-            trace.steps.append(TraceStep("vertex", vid, oracle.value - before, oracle.value))
-        trace.evaluations = sel.evaluations
-        # every vertex was picked and the budget could still afford more
-        trace.exhausted = len(selected) == graph.num_vertices and not room.full()
+    def planned(steps, evaluations, exhausted):
+        selected = [s.item for s in steps]
         value, witness = g_modular(graph, selected, k)
+        trace = PlannerTrace(
+            algorithm="m-greedy", steps=steps, evaluations=evaluations, exhausted=exhausted
+        )
         return Plan(vertices=tuple(selected), edges=witness, achieved_value=value), trace
 
+    if isinstance(cb, TotalUniform):
+        # a run that no cardinality stops; this cell is its first b picks
+        run = _shared(runs, ("m-greedy", k), lambda: _m_run(graph, k, TotalUniform(n)))
+        evaluations = run.extend(cb.b)
+        steps = run.steps[: cb.b]
+        # every vertex was picked and the budget could still afford more
+        return planned(steps, evaluations, len(steps) == n < cb.b)
+
+    def arm(per_weight):
+        run = _m_run(graph, k, cb, per_weight)
+        evaluations = run.extend(n)
+        return planned(run.steps, evaluations, len(run.steps) == n and not run.full())
+
     if not isinstance(cb, TotalNonuniform):
-        return run(per_weight=False)
+        return arm(per_weight=False)
     plan, trace = _best_arm(
-        "m-greedy", ("plain", run(per_weight=False)), ("cost-benefit", run(per_weight=True))
+        "m-greedy", ("plain", arm(per_weight=False)), ("cost-benefit", arm(per_weight=True))
     )
     trace.exhausted = trace.children[trace.winner].exhausted
     return plan, trace
@@ -302,94 +371,135 @@ def _witness_cover(graph, selected_edges):
     return cover
 
 
-def e_greedy(graph, k, cb, objective):
-    """Edge greedy with a witness cover and a communication-free second phase."""
+def _edge_run(oracle, candidates, phase):
+    """Edge greedy over ``candidates`` on ``oracle``, its steps marked ``phase``."""
+
+    def take(eid, g):
+        oracle.commit((eid,))
+        return TraceStep(phase, eid, g, oracle.value)
+
+    sel = GreedySelector(candidates, lambda eid: oracle.gain((eid,)), slack=oracle.gain_slack)
+    return _Prefixes(oracle, sel, take)
+
+
+def _replayed(objective, edge_ids):
+    """A fresh ``objective.oracle()`` with ``edge_ids`` committed one by one.
+
+    Every oracle is deterministic, so this is bit for bit the state of a run
+    that committed them in that order.
+    """
+    oracle = objective.oracle()
+    for eid in edge_ids:
+        oracle.commit((eid,))
+    return oracle
+
+
+def e_greedy(graph, k, cb, objective, runs=None):
+    """Edge greedy with a witness cover and a communication-free second phase.
+
+    Phase 1 is the first min(b, k) picks of one edge-greedy run, which
+    ``runs`` shares across the cells of a sweep. Phase 2 (k > b) is this
+    cell's own: it starts from the run's oracle when the run is private, and
+    from a fresh oracle that replays phase 1 when other cells read the run.
+    """
     _require_tu(cb, "e_greedy")
     if k < 0:
         raise ValueError("k must be non-negative")
     b = cb.b
-    trace = PlannerTrace(algorithm="e-greedy")
-    selected: list[int] = []
-    oracle = objective.oracle()
-
-    def gain(eid):
-        return oracle.gain((eid,))
-
-    def grow(sel, rounds, phase):
-        """Up to ``rounds`` greedy picks; whether the pool ran dry first."""
-        for _ in range(rounds):
-            pick = sel.best()
-            if pick is None:
-                return True
-            eid, g = pick
-            sel.commit(eid)
-            selected.append(eid)
-            oracle.commit((eid,))
-            trace.steps.append(TraceStep(phase, eid, g, oracle.value))
-        return False
-
-    sel = GreedySelector([e.id for e in graph.edges], gain, slack=oracle.gain_slack)
-    trace.exhausted = grow(sel, min(b, k), "phase1")
-    trace.evaluations = sel.evaluations
+    rounds = min(b, k)
+    run = _shared(
+        runs,
+        ("e-greedy",),
+        lambda: _edge_run(objective.oracle(), [e.id for e in graph.edges], "phase1"),
+    )
+    evaluations = run.extend(rounds)
+    steps = run.steps[:rounds]
+    exhausted = len(steps) < rounds  # the pool ran dry first
+    selected = [s.item for s in steps]
 
     cover = _witness_cover(graph, selected)
 
     if k > b:
-        free = graph.edges_incident(cover) - set(selected)
-        sel = GreedySelector(free, gain, slack=oracle.gain_slack)
-        grow(sel, k - b, "phase2")
-        trace.evaluations += sel.evaluations
+        oracle = run.oracle if runs is None else _replayed(objective, selected)
+        phase2 = _edge_run(oracle, graph.edges_incident(cover) - set(selected), "phase2")
+        evaluations += phase2.extend(k - b)
+        steps += phase2.steps
+        selected += [s.item for s in phase2.steps]
 
     value = objective.value(selected)
     plan = Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=value)
+    trace = PlannerTrace(
+        algorithm="e-greedy", steps=steps, evaluations=evaluations, exhausted=exhausted
+    )
     return plan, trace
 
 
-def v_greedy(graph, k, cb, objective):
-    """Vertex greedy on h(V) = f(edges(V)); stops before any budget violation."""
-    _require_tu(cb, "v_greedy")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    b = cb.b
-    trace = PlannerTrace(algorithm="v-greedy")
-    selected: list[int] = []
-    edge_order: list[int] = []
-    covered: set[int] = set()
+def _vertex_run(graph, objective):
+    """``v_greedy``'s run, which no budget stops, and the sorted new edges of each pick."""
     oracle = objective.oracle()
+    covered: set[int] = set()
+    news: list[list[int]] = []
 
     def new_edges(vid):
         return graph.edges_incident((vid,)) - covered
 
-    def gain(vid):
-        return oracle.gain(new_edges(vid))
-
-    sel = GreedySelector([v.id for v in graph.vertices], gain, slack=oracle.gain_slack)
-    while sel and len(selected) < b:
-        vid, g = sel.best()
+    def take(vid, g):
         new = new_edges(vid)
-        if len(covered) + len(new) > k:
-            break
-        sel.commit(vid)
-        selected.append(vid)
-        edge_order.extend(sorted(new))
-        covered |= new
+        news.append(sorted(new))
+        covered.update(new)
         oracle.commit(new)
-        trace.steps.append(TraceStep("vertex", vid, g, oracle.value))
-    trace.exhausted = not sel
-    trace.evaluations = sel.evaluations
+        return TraceStep("vertex", vid, g, oracle.value)
+
+    sel = GreedySelector(
+        [v.id for v in graph.vertices],
+        lambda vid: oracle.gain(new_edges(vid)),
+        slack=oracle.gain_slack,
+    )
+    return _Prefixes(oracle, sel, take), news
+
+
+def v_greedy(graph, k, cb, objective, runs=None):
+    """Vertex greedy on h(V) = f(edges(V)); stops before any budget violation.
+
+    The plan is the longest prefix of one vertex-greedy run with at most b
+    vertices and k induced edges, which ``runs`` shares across the cells of
+    a sweep: the run commits every pick it makes, and the budget only cuts it.
+    """
+    _require_tu(cb, "v_greedy")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    run, news = _shared(runs, ("v-greedy",), lambda: _vertex_run(graph, objective))
+    evaluations = picks = covered = 0
+    # stop at b picks, a dry pool, or the first pick whose new edges would pass k
+    while picks < cb.b:
+        evaluations += run.extend(picks + 1)
+        if len(run.steps) == picks or covered + len(news[picks]) > k:
+            break
+        covered += len(news[picks])
+        picks += 1
+    steps = run.steps[:picks]
+    edge_order = [eid for new in news[:picks] for eid in new]
 
     value = objective.value(edge_order)
-    plan = Plan(vertices=tuple(selected), edges=tuple(edge_order), achieved_value=value)
+    plan = Plan(
+        vertices=tuple(s.item for s in steps), edges=tuple(edge_order), achieved_value=value
+    )
+    trace = PlannerTrace(
+        algorithm="v-greedy",
+        steps=steps,
+        evaluations=evaluations,
+        exhausted=picks == graph.num_vertices,  # nothing left to pick
+    )
     return plan, trace
 
 
-def s_greedy(graph, k, cb, objective):
+def s_greedy(graph, k, cb, objective, runs=None):
     """Best of the edge arm and the vertex arm (ties keep the edge arm)."""
     _require_tu(cb, "s_greedy")
     return _best_arm(
         "s-greedy",
-        ("edge-arm", e_greedy(graph, k, cb, objective)),
-        ("vertex-arm", v_greedy(graph, k, cb, objective)),
+        ("edge-arm", e_greedy(graph, k, cb, objective, runs)),
+        ("vertex-arm", v_greedy(graph, k, cb, objective, runs)),
     )
 
 

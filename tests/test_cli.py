@@ -591,6 +591,37 @@ class TestSweep:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("objective, regime, planners, bs, certify", [
+        ("modular", "tu", "mgreedy,egreedy,vgreedy,sgreedy,random", "3,0,12,1", "lp"),
+        ("treeconn", "tu", "egreedy,sgreedy,vgreedy", "3,0,12,1", "none"),
+        ("modular", "tn", "mgreedy", "2.5,0,4", "lp"),
+        ("modular", "iu", "mgreedy", "1/1/1,0/2/1,2/2/2", "lp"),
+    ])
+    def test_grid_equals_its_one_cell_sweeps(self, tmp_path, objective, regime, planners, bs,
+                                              certify):
+        # tu cells share greedy runs across the grid; tn and iu cells run alone
+        exg, pose = tmp_path / "g.exg", tmp_path / "g.pose"
+        assert main([
+            "generate", "--robots", "3", "--verts", "4", "--edges", "14", "--seed", "3",
+            "--output", str(exg), "--pose-output", str(pose),
+        ]) == 0
+        ks = "6,0,2,30"
+
+        def sweep(b, k):
+            out = tmp_path / "sweep.csv"
+            assert main([
+                "sweep", "--input", str(exg), "--pose-input", str(pose),
+                "--objective", objective, "--regime", regime, "--planners", planners,
+                "-b", b, "-k", k, "--certify", certify, "--seed", "5", "--output", str(out),
+            ]) == 0
+            return out.read_text().splitlines()
+
+        grid = sweep(bs, ks)
+        cells = [sweep(b, k) for b in bs.split(",") for k in ks.split(",")]
+        assert all(cell[:4] == grid[:4] for cell in cells)  # metadata and header
+        assert grid[4:] == [row for cell in cells for row in cell[4:]]
+        assert len(grid[4:]) == len(cells) * len(planners.split(","))
+
     def test_deterministic_output(self, instance, tmp_path):
         texts = []
         for name in ("s1.csv", "s2.csv"):

@@ -187,6 +187,27 @@ class TestTopKOracle:
                 committed.append(vid)
             assert oracle.value == g_modular(graph, committed, k)[0]
 
+    def test_runs_on_one_graph_keep_their_own_lists(self):
+        # every oracle of a graph starts from the graph's one sorted copy
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=3, vertices_per_robot=6, num_edges=40, seed=5)
+        )
+        ranked = {
+            v.id: tuple(sorted((-graph.edge(e).p, e) for e in graph.incident(v.id)))
+            for v in graph.vertices
+        }
+        first, second = TopKOracle(graph, 4), TopKOracle(graph, 4)
+        for vid in (0, 7, 13, 3):
+            first.commit(vid)
+        assert {vid: tuple(keys) for vid, keys in graph.ranked_incident().items()} == ranked
+        fresh = TopKOracle(graph, 4)
+        for vid in range(graph.num_vertices):
+            assert second.gain(vid) == fresh.gain(vid) == g_modular(graph, [vid], 4)[0]
+        for vid in (13, 12):
+            second.commit(vid)
+        assert second.value == g_modular(graph, [13, 12], 4)[0]
+        assert first.value == g_modular(graph, [0, 7, 13, 3], 4)[0]
+
     def test_rejects_unknown_vertex(self, demo_graph):
         with pytest.raises(ValueError, match="unknown vertex"):
             TopKOracle(demo_graph, 3).gain(99)
