@@ -31,7 +31,7 @@ from .errors import EnumerationGuardError, InstanceTooLargeError
 from .graph import WEIGHT_TOL, Plan, within_limit
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
-from .simplex import simplex_max
+from .simplex import dual_bound, simplex_max
 
 __all__ = [
     "brute_force_opt",
@@ -180,7 +180,9 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     less the weights fixed to 1. A vertex that does not fit alone is in no
     feasible set, so it gets no column and no weight in its row. Returns
     ``(pi, value)``, pi mapping free vertex id -> fractional value, or None when
-    the fixed-to-1 vertices do not fit.
+    the fixed-to-1 vertices do not fit. ``value`` is never the simplex's own:
+    it is :func:`~loopselect.simplex.dual_bound` of the simplex's duals, at
+    or above the LP optimum however early the pivot loop stopped.
     """
     block_of, weight, limits = graph.budget_blocks(cb)
     fits = {vid for vid, block in block_of.items() if within_limit([weight[vid]], limits[block])}
@@ -199,32 +201,35 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     m = len(graph.edges)
     nvar = nf + m
     nb = len(limits)
-    rows = nvar + nb + 1 + m
+    rows = nb + 1 + m
     if (rows + 1) * (nvar + rows + 1) > LP_GUARD:
         raise InstanceTooLargeError(f"instance too large: a {rows}x{nvar} dense LP")
 
-    # rows: pi <= 1 and ell <= 1 (nvar), one weighted pi row per block, sum ell <= k,
-    # then ell_e <= pi_u + pi_v per edge, with fixed-to-1 ends moved to the rhs
-    A = np.zeros((rows, nvar))
-    bounds = np.arange(nvar)
-    A[bounds, bounds] = 1.0
-    block_rows = nvar + np.array([block_of[vid] for vid in free], dtype=np.intp)
-    A[block_rows, np.arange(nf)] = [weight[vid] for vid in free]
-    A[nvar + nb, nf:] = 1.0
-    link = np.arange(nvar + nb + 1, rows)
-    A[link, np.arange(nf, nvar)] = 1.0
+    # rows: one weighted pi row per block, sum ell <= k, then ell_e <= pi_u + pi_v
+    # per edge, with fixed-to-1 ends moved to the rhs; 0 <= pi, ell <= 1 is the
+    # solver's box. A's nonzeros, as (row, column, value) triples:
+    link = np.arange(nb + 1, rows)
+    ell = np.arange(nf, nvar)
+    r = [np.array([block_of[vid] for vid in free], dtype=np.intp), np.full(m, nb), link]
+    cl = [np.arange(nf), ell, ell]
+    v = [np.array([weight[vid] for vid in free], dtype=float), np.ones(m), np.ones(m)]
     ones = np.zeros(m)
     for ends in ([e.u for e in graph.edges], [e.v for e in graph.edges]):
         cols = np.array([col_of.get(end, -1) for end in ends], dtype=np.intp)
         mask = cols >= 0
-        A[link[mask], cols[mask]] = -1.0
+        r.append(link[mask])
+        cl.append(cols[mask])
+        v.append(np.full(mask.sum(), -1.0))
         ones += [end in fixed1 for end in ends]
-    rhs = np.concatenate([np.ones(nvar), room, [float(k)], ones])
+    entries = tuple(map(np.concatenate, (r, cl, v)))
+    A = np.zeros((rows, nvar))
+    A[entries[:2]] = entries[2]
+    rhs = np.concatenate([room, [float(k)], ones])
     c = np.zeros(nvar)
     c[nf:] = [e.p for e in graph.edges]
-    x, value = simplex_max(c, A, rhs)
+    x, _, y = simplex_max(c, A, rhs)
     pi = {vid: float(x[col_of[vid]]) for vid in free}
-    return pi, value
+    return pi, dual_bound(c, entries, rhs, y)
 
 
 def lp_upper_bound_modular(graph, k, cb) -> float:
@@ -264,9 +269,9 @@ def ilp_opt_modular(graph, k, cb, stats=None) -> float:
         chosen = set(fixed1) | {vid for vid, val in pi.items() if val > 0.5}
         feasible = graph.budget_satisfied(chosen, cb)
         if feasible:
-            # the simplex's tolerances can leave an optimum's LP bound at the
-            # incumbent and its indicators a few 1e-9 off integral; its exact
-            # value still counts
+            # an optimum within the pruning tolerance of the incumbent can be
+            # cut by its bound, and the simplex's tolerance can leave its
+            # indicators a few 1e-9 off integral; its exact value still counts
             incumbent = max(incumbent, g_modular(graph, chosen, k)[0])
         integral = all(min(val, 1.0 - val) <= 1e-9 for val in pi.values())
         if not (integral and feasible) and bound > incumbent + 1e-9:

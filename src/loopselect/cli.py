@@ -29,6 +29,7 @@ from .planners import (
     e_greedy,
     m_greedy,
     random_baseline,
+    release_runs,
     s_greedy,
     v_greedy,
 )
@@ -374,7 +375,7 @@ class SweepSpec:
     """One experiment grid: budgets x planners on a fixed instance.
 
     ``certify`` is "none", "lp", or "brute"; brute's enumeration guard downgrades
-    a cell to "lp" with a warning. Cells run in deterministic (b, k, planner)
+    a cell to "lp" with a warning. Rows come in deterministic (b, k, planner)
     order; a b, k (2 and 2.0 alike) or planner given twice is a ValueError.
     """
 
@@ -408,10 +409,11 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
     delta = graph.max_degree()
 
-    rows = [*_meta_block(graph, spec.seed), SWEEP_HEADER]
     runs = {}  # one greedy run per grid line; the planners read tu cells off its prefixes
-    for b, cb in budgets:
-        for k in ks:
+    cells = {}  # (b index, k index) -> rows; computed k-major, so that each k's
+    # runs go after its last b, and written b-major
+    for j, k in enumerate(ks):
+        for i, (b, cb) in enumerate(budgets):
             try:
                 opt, upt = cert.bounds(graph, k, cb, objective, spec.certify)
             except EnumerationGuardError:
@@ -420,20 +422,23 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
                 opt, upt = cert.bounds(graph, k, cb, objective, "lp")
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
+            cells[i, j] = []
             for planner in spec.planners:
                 plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed, runs)
                 posterior = (None, None)
                 if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
                     posterior = cert.alpha_posteriori(trace, cb.b, k, delta)
                 achieved = plan.achieved_value
-                rows.append(_cells(
+                cells[i, j].append(_cells(
                     b, k, planner, achieved,
                     achieved / norm if norm > 0 else None,
                     opt, upt,
                     (ref - achieved) / norm * 100.0 if ref is not None and norm > 0 else None,
                     alpha, *posterior, _ratio_lb(achieved, upt),
                 ))
-    return rows
+        release_runs(runs, k)
+    return [*_meta_block(graph, spec.seed), SWEEP_HEADER,
+            *(row for i in range(len(budgets)) for j in range(len(ks)) for row in cells[i, j])]
 
 
 def _write_rows(rows, output):

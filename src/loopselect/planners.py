@@ -38,9 +38,11 @@ within b vertices and k induced edges. Only phase 2 of ``e_greedy`` is per
 cell. A sweep passes every cell one ``runs`` dict, which keeps these runs
 for one graph and objective, extended as far as some cell needed, so a grid
 costs one greedy run per line rather than per cell; a cell's trace counts
-only the evaluations its own call spent. Without ``runs`` each call runs
-privately. Knapsack and partition-matroid budgets have no prefix property,
-so ``m_greedy`` runs them per call whatever ``runs`` holds.
+only the evaluations its own call spent. ``release_runs(runs, k)`` drops
+the runs that only cells of edge budget k read, once a sweep is past them.
+Without ``runs`` each call runs privately. Knapsack and partition-matroid
+budgets have no prefix property, so ``m_greedy`` runs them per call
+whatever ``runs`` holds.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +66,7 @@ __all__ = [
     "v_greedy",
     "s_greedy",
     "random_baseline",
+    "release_runs",
 ]
 
 
@@ -224,6 +227,11 @@ def _require_modular(objective):
         raise ValueError("m_greedy requires a modular objective")
 
 
+def release_runs(runs, k):
+    """Drop from a sweep's ``runs`` the runs that only cells of edge budget ``k`` read."""
+    runs.pop(("m-greedy", k), None)
+
+
 def _shared(runs, key, build):
     """The run under ``key`` in ``runs``, built on first use; a private one when ``runs`` is None."""
     if runs is None:
@@ -292,9 +300,12 @@ def m_greedy(graph, k, cb, objective, runs=None):
     rounds (zero-gain picks allowed, as in the plain greedy recipe) and
     partition-matroid budgets pick the best vertex whose block quota is open.
     Knapsack budgets run twice, scoring by gain and by gain per unit weight
-    (cost-benefit), and keep the better plan. Under a cardinality budget the
-    plan is the first b picks of the run for this k, which ``runs`` (see the
-    module docstring) shares across the cells of a sweep.
+    (cost-benefit), and keep the better plan; when every weight is 1.0 the
+    two runs agree step for step, so the cost-benefit child is a copy of the
+    plain one that spent no evaluations, and the plain arm wins the tie.
+    Under a cardinality budget the plan is the first b picks of the run for
+    this k, which ``runs`` (see the module docstring) shares across the cells
+    of a sweep.
     """
     _require_modular(objective)
     if k < 0:
@@ -327,9 +338,13 @@ def m_greedy(graph, k, cb, objective, runs=None):
 
     if not isinstance(cb, TotalNonuniform):
         return arm(per_weight=False)
-    plan, trace = _best_arm(
-        "m-greedy", ("plain", arm(per_weight=False)), ("cost-benefit", arm(per_weight=True))
-    )
+    plain = arm(per_weight=False)
+    if all(v.weight == 1.0 for v in graph.vertices):
+        # gain / 1.0 is the gain to the bit: the cost-benefit run is the plain one
+        cost_benefit = plain[0], replace(plain[1], evaluations=0)
+    else:
+        cost_benefit = arm(per_weight=True)
+    plan, trace = _best_arm("m-greedy", ("plain", plain), ("cost-benefit", cost_benefit))
     trace.exhausted = trace.children[trace.winner].exhausted
     return plan, trace
 

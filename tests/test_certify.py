@@ -128,12 +128,20 @@ class NoEvaluations:
         raise AssertionError("objective evaluated before the guard tripped")
 
 
-def draw_costed_instance(data, regime, with_edges=False):
+PROBABILITY = st.one_of(st.sampled_from([0.1, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+# down to 1e-12, far below the simplex's 1e-9 pivot tolerance
+TINY_PROBABILITY = st.one_of(
+    st.sampled_from([1e-12, 1e-10, 1e-9, 0.5, 1.0]),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+)
+
+
+def draw_costed_instance(data, regime, with_edges=False, probability=PROBABILITY):
     """A small graph with broadcast costs and a ``regime`` budget for it.
 
     ``tn`` limits are sums of some of the weights, shifted onto, just past or
     just short of the fit tolerance. ``with_edges`` adds candidate matches
-    between some inter-robot pairs.
+    between some inter-robot pairs, their probabilities drawn from ``probability``.
     """
     r = data.draw(st.integers(2, 3))
     robot_of = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=8))
@@ -147,7 +155,6 @@ def draw_costed_instance(data, regime, with_edges=False):
                   if robot_of[u] != robot_of[v]]
         if across:
             pairs = data.draw(st.lists(st.sampled_from(across), max_size=10, unique=True))
-    probability = st.one_of(st.sampled_from([0.1, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
     ps = data.draw(st.lists(probability, min_size=len(pairs), max_size=len(pairs)))
     graph = make_graph(r, robot_of, pairs, ps, weights=weights)
     if regime == "tu":
@@ -252,6 +259,18 @@ class TestAnyBudget:
         assert lp_upper_bound_modular(graph, k, cb) >= opt - 1e-7
         assert ilp_opt_modular(graph, k, cb) == pytest.approx(opt, abs=1e-9)
 
+    @pytest.mark.parametrize("regime", ["tu", "tn", "iu"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lp_bound_is_never_below_brute_force(self, regime, data):
+        # edges below the pivot tolerance never enter the simplex's basis; the
+        # dual bound counts them all the same, so no slack is forgiven
+        graph, cb = draw_costed_instance(data, regime, with_edges=True,
+                                         probability=TINY_PROBABILITY)
+        k = data.draw(st.integers(0, graph.num_edges + 1))
+        opt, _ = brute_force_opt(graph, k, cb, ModularObjective(graph))
+        assert lp_upper_bound_modular(graph, k, cb) >= opt
+
     def test_row_admits_a_vertex_that_fits_by_the_tolerance(self):
         # 1.05e-8 > 1e-8 fits only through WEIGHT_TOL; a right-hand side of
         # 1e-8 would cap pi_0 at 0.952 and the LP at 0.667, below the optimum
@@ -284,9 +303,9 @@ class TestAnyBudget:
          [0.1, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 1e-9, 0.5, 0.1]),
     ], ids=["bound-at-incumbent", "noise-fraction"])
     def test_optimum_one_edge_of_1e_9_above_greedy(self, robot_of, pairs, ps):
-        # the simplex never prices in the 1e-9 edge, so the node holding the
-        # optimum bounds it at the greedy value, in the second case with an
-        # indicator 5e-9 off zero; its rounded set must still be evaluated
+        # the simplex never prices in the 1e-9 edge (the dual bound still
+        # counts it), and in the second case leaves an indicator 5e-9 off
+        # zero; the node's rounded set must still be evaluated
         graph = make_graph(2, robot_of, pairs, ps, weights=[0.1] * 4 + [0.2] + [0.1] * 3)
         cb = TotalNonuniform(0.2)
         opt, _ = brute_force_opt(graph, 5, cb, ModularObjective(graph))
@@ -372,10 +391,10 @@ class TestILP:
             ilp_opt_modular(graph, k, TotalUniform(b))
 
     def test_dense_lp_guard_raises_before_allocating(self):
-        # 10x200/5000 would need a 12002x7000 constraint matrix and a 1.8 GB tableau
+        # 10x200/5000 would need a 5002x7000 constraint matrix and a 480 MB tableau
         spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
         graph = generate_exchange_graph(spec)
-        with pytest.raises(InstanceTooLargeError, match="a 12002x7000 dense LP"):
+        with pytest.raises(InstanceTooLargeError, match="a 5002x7000 dense LP"):
             lp_upper_bound_modular(graph, 40, TotalUniform(20))
         with pytest.raises(InstanceTooLargeError, match="dense LP"):
             ilp_opt_modular(graph, 40, TotalUniform(20))

@@ -27,6 +27,8 @@ from loopselect.cli import CERTIFY_HEADER, main
 from loopselect.generate import demo_rendezvous_graph
 from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
 
+from conftest import make_graph
+
 
 GOLDEN_GENERATE = json.loads(
     (Path(__file__).parent / "golden_generate.json").read_text()
@@ -410,6 +412,24 @@ class TestSweep:
             gap = float(row[7])
             assert gap >= -1e-9
             assert float(row[5]) <= float(row[6]) + 1e-7  # opt <= upt
+
+    def test_lp_bound_holds_over_a_1e_10_edge(self, tmp_path):
+        # the pivot loop stops before the 1e-10 edge enters, at 1.0; the dual
+        # bound still counts it, so upt is the optimum, never below a plan
+        path = tmp_path / "tiny.exg"
+        path.write_text(serialize_exchange_graph(
+            make_graph(2, [0, 1, 1], [(0, 1), (0, 2)], [1.0, 1e-10])))
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--input", str(path), "--planners", "mgreedy,sgreedy",
+            "-b", "3", "-k", "2", "--certify", "lp", "--output", str(out),
+        ])
+        assert rc == 0
+        body = sweep_body(out)
+        assert [row[2] for row in body] == ["mgreedy", "sgreedy"]
+        for row in body:
+            assert float(row[3]) == float(row[6]) == 1.0000000001  # achieved, upt
+            assert float(row[7]) == 0.0 and float(row[11]) == 1.0  # gap_pct, ratio_lb
 
     def test_brute_guard_under_tn_downgrades(self, wide_instance, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -32,7 +32,7 @@ from loopselect import (
     v_greedy,
 )
 
-from loopselect import planners
+from loopselect import objectives, planners
 from loopselect.graph import WEIGHT_TOL, within_limit
 from loopselect.io import serialize_exchange_graph, serialize_pose_graph
 
@@ -252,6 +252,29 @@ class TestMGreedy:
             assert trace.winner in ("plain", "cost-benefit")
             opt, _ = brute_force_opt(graph, k, cb, obj)
             assert plan.achieved_value >= 0.5 * ONE_MINUS_1_OVER_E * opt - 1e-9
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit-weights", "costed"])
+    def test_tn_cost_benefit_arm_runs_only_on_costed_vertices(self, monkeypatch, unit):
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=4, vertices_per_robot=10, num_edges=60, seed=3))
+        if not unit:
+            rng = np.random.default_rng(3)
+            graph = make_graph(graph.num_robots, [v.robot for v in graph.vertices],
+                               [(e.u, e.v) for e in graph.edges], [e.p for e in graph.edges],
+                               weights=[float(w) for w in rng.uniform(0.5, 3.0, graph.num_vertices)])
+        calls = []
+        gain = objectives.TopKOracle.gain
+        monkeypatch.setattr(objectives.TopKOracle, "gain",
+                            lambda oracle, vid: calls.append(vid) or gain(oracle, vid))
+        plan, trace = m_greedy(graph, 8, TotalNonuniform(5.0), ModularObjective(graph))
+        plain, cost_benefit = trace.children["plain"], trace.children["cost-benefit"]
+        assert len(calls) == trace.evaluations == plain.evaluations + cost_benefit.evaluations
+        assert plain.evaluations > 0
+        if unit:  # gain / 1.0 is the gain: the plain run, copied
+            assert cost_benefit.evaluations == 0 and cost_benefit.steps == plain.steps
+            assert trace.winner == "plain"
+        else:
+            assert cost_benefit.evaluations > 0
 
     def test_iu_respects_quotas(self):
         for seed in range(25):

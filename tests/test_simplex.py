@@ -1,4 +1,5 @@
-"""Direct tests of the dense simplex, with scipy's HiGHS as an independent oracle.
+"""Direct tests of the dense boxed simplex and its dual bound, with scipy's HiGHS as an
+independent oracle.
 
 scipy is a test-only dependency: the package itself must never import it, which
 the last test checks in a fresh interpreter.
@@ -9,10 +10,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import loopselect
@@ -20,7 +24,7 @@ from loopselect import (
     GenSpec, TotalUniform, certify, generate_exchange_graph, lp_upper_bound_modular, simplex,
 )
 from loopselect.certify import _modular_lp
-from loopselect.simplex import simplex_max
+from loopselect.simplex import dual_bound, simplex_max
 
 from conftest import time_limit
 
@@ -32,7 +36,7 @@ BEALE = (
 )
 
 
-def highs_max(c, A, b, bounds=(0, None)):
+def highs_max(c, A, b, bounds=(0, 1)):
     res = linprog(-np.asarray(c), A_ub=A, b_ub=b, bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return -res.fun
@@ -56,7 +60,7 @@ def highs_modular(graph, k, b, fixed0=frozenset(), fixed1=frozenset()):
 
 def certification_form_lp(seed):
     """Random A x <= b with b >= 0, zero right-hand sides for degeneracy, and
-    upper bounds on every variable as rows of A."""
+    upper bounds on every variable as rows of A, some inside the box."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 15))
     m = int(rng.integers(1, 12))
@@ -76,17 +80,26 @@ def benchmark_graph(seed):
     )
 
 
+def entries_of(A):
+    """The nonzeros of a dense A as ``dual_bound`` reads them."""
+    rows, cols = np.nonzero(A)
+    return rows, cols, np.asarray(A, dtype=float)[rows, cols]
+
+
 def assert_optimal_point(c, A, b, x, value):
-    assert np.all(x >= -1e-9)
+    assert np.all(x >= -1e-9) and np.all(x <= 1 + 1e-9)
     assert np.all(np.asarray(A) @ x <= np.asarray(b) + 1e-9)
     assert float(np.dot(c, x)) == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
 def assert_agrees_with_highs(c, A, b):
     with time_limit(10):
-        x, value = simplex_max(c, A, b)
-    assert value == pytest.approx(highs_max(c, A, b), rel=1e-9, abs=1e-9)
+        x, value, y = simplex_max(c, A, b)
+    want = highs_max(c, A, b)
+    assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
     assert_optimal_point(c, A, b, x, value)
+    assert np.all(y >= 0) and y.shape == (len(b),)
+    assert dual_bound(c, entries_of(A), b, y) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestTermination:
@@ -94,13 +107,18 @@ class TestTermination:
         # Beale (1955): Dantzig's rule with lowest-index ties cycles here
         c, A, b = BEALE
         with time_limit(10):
-            x, value = simplex_max(c, A, b)
+            x, value, _ = simplex_max(c, A, b)
         assert value == pytest.approx(1.25, abs=1e-12)
         assert_optimal_point(c, A, b, x, value)
 
-    def test_unbounded_raises(self):
-        with time_limit(10), pytest.raises(ValueError, match="unbounded"):
-            simplex_max([1.0, 1.0], [[1.0, -1.0]], [1.0])
+    def test_unbounded_without_the_box_returns_the_box_vertex(self):
+        # unbounded over x >= 0; the box stops it at (1, 1), HiGHS's value 2
+        c, A, b = [1.0, 1.0], [[1.0, -1.0]], [1.0]
+        with time_limit(10):
+            x, value, y = simplex_max(c, A, b)
+        assert list(x) == [1.0, 1.0]
+        assert value == highs_max(c, A, b) == 2.0
+        assert dual_bound(c, entries_of(A), b, y) == 2.0
 
     def test_negative_rhs_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -142,9 +160,9 @@ class TestAgainstHighs:
         solved = []
 
         def keep(c, A, rhs):
-            x, value = simplex_max(c, A, rhs)
+            x, value, y = simplex_max(c, A, rhs)
             solved.append((c, A, rhs, x))
-            return x, value
+            return x, value, y
 
         monkeypatch.setattr(certify, "simplex_max", keep)
         graph = benchmark_graph(1)
@@ -173,8 +191,67 @@ class TestBlandFallback:
 
     def test_beale_terminates(self):
         with time_limit(10):
-            _, value = simplex_max(*BEALE)
+            _, value, _ = simplex_max(*BEALE)
         assert value == pytest.approx(1.25, abs=1e-12)
+
+
+class TestDualBound:
+    """``dual_bound``: any y gives a bound, evaluated with outward rounding."""
+
+    @staticmethod
+    def exact_bound(c, A, b, y):
+        """bᵀy + Σ_j max(0, c_j - (Aᵀy)_j) over y clamped at 0, in exact rationals."""
+        y = [max(Fraction(v), Fraction(0)) for v in y]
+        box = (Fraction(cj) - sum(Fraction(row[j]) * yi for row, yi in zip(A, y))
+               for j, cj in enumerate(c))
+        return sum(Fraction(bi) * yi for bi, yi in zip(b, y)) + sum(max(d, 0) for d in box)
+
+    def test_negative_duals_count_as_zero(self):
+        # max x over -x <= 0 is 1; y = -1 taken as it is would claim 0 + max(0, 1 - 1) = 0
+        assert dual_bound([1.0], entries_of([[-1.0]]), [0.0], [-1.0]) == 1.0
+
+    def test_the_box_term_counts_what_the_rows_leave(self):
+        # y = 0 leaves every variable to its box: the bound is the sum of the positive c
+        c, A, b = [0.5, -2.0, 0.25], [[1.0, 1.0, 1.0]], [1.0]
+        assert dual_bound(c, entries_of(A), b, [0.0]) == 0.75
+        assert dual_bound(c, entries_of(A), b, [0.5]) == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rounds_up_from_the_exact_value(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        entry = st.one_of(st.sampled_from([0.0, 0.0, -1.0, 1.0]), st.floats(0.05, 3.0))
+        A = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+        c = data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(1e-12, 1e-9)),
+                               min_size=n, max_size=n))
+        b = data.draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+        y = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=m, max_size=m))
+        got = dual_bound(c, entries_of(A), b, y)
+        want = self.exact_bound(c, A, b, y)
+        assert Fraction(got) >= want  # sound: never below the exact bound
+        assert got <= float(want) + 1e-15 * (1.0 + abs(float(want)))  # and tight
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exact_when_nothing_rounds(self, data):
+        # eighths, small: every product and sum is a float, so no ulp is added
+        eighth = st.integers(-16, 16).map(lambda i: i / 8)
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        A = [data.draw(st.lists(eighth, min_size=n, max_size=n)) for _ in range(m)]
+        c = data.draw(st.lists(eighth, min_size=n, max_size=n))
+        b = data.draw(st.lists(eighth.map(abs), min_size=m, max_size=m))
+        y = data.draw(st.lists(eighth, min_size=m, max_size=m))
+        assert Fraction(dual_bound(c, entries_of(A), b, y)) == self.exact_bound(c, A, b, y)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_any_dual_vector_bounds_the_optimum(self, seed):
+        c, A, b = certification_form_lp(seed)
+        rng = np.random.default_rng(seed)
+        _, _, y = simplex_max(c, A, b)
+        for trial in (y, rng.uniform(-1.0, 2.0, size=len(b)), np.zeros(len(b))):
+            bound = dual_bound(c, entries_of(A), b, trial)
+            assert Fraction(bound) >= self.exact_bound(c, A, b, trial)
+            assert bound >= highs_max(c, A, b) - 1e-9
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_LP))

@@ -8,6 +8,8 @@ grid holds b = 0, a b past n, k = 0 and a k past m. The reference is the
 planners as one loop per cell, each stopped by its own budget.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,3 +244,21 @@ def test_sweep_cells_count_only_their_own_evaluations(monkeypatch, name, planner
     assert len(evaluations) == 16 * len(planners)
     assert sum(evaluations) == gains.calls
     assert gains.calls < alone  # the cells shared their runs
+
+
+def test_tu_sweep_memory_does_not_grow_with_the_k_grid():
+    # each k keeps one m_greedy run alive only until its last b
+    graph = generate_exchange_graph(
+        GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=1))
+
+    def peak(ks):
+        tracemalloc.start()
+        try:
+            sweep_rows(graph, None, SweepSpec(bs=(4, 8, 12), ks=ks, planners=("mgreedy",)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak((40,))  # the graph's own caches fill on the first sweep
+    one = peak((40,))
+    assert peak(tuple(range(2, 41, 2))) < 2 * one  # 20 k values against one
