@@ -49,7 +49,7 @@ for label, graph, cb in budgets:
         ilp = ilp_opt_modular(graph, k, cb)
         upt = lp_upper_bound_modular(graph, k, cb)
         assert abs(ilp - opt) <= 1e-9, "two exact methods disagree"
-        assert plan.achieved_value <= opt + 1e-9 <= upt + 1e-7
+        assert plan.achieved_value <= opt + 1e-9 and opt <= upt
         gap = (opt - plan.achieved_value) / norm * 100
         print(
             f"{label:>14} {k:>3} {plan.achieved_value:8.3f} {opt:8.3f} "

@@ -6,6 +6,8 @@ downgrades only the enumeration guard, to the LP bound). CSV outputs start
 with a metadata comment block (seed, instance size, maximum degree) and a
 header row, so every artifact is reproducible from its own header. Numbers
 are read in the file formats' syntax and written by one rule, ``_cells``.
+A plan file records its ``--cap-degree``, and certify loads the instance
+under it. A data error cites the line at fault and names its file.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from functools import partial
+from functools import cache, partial
 
 from . import certify as cert
 from . import io as gio
@@ -25,14 +27,7 @@ from .errors import EnumerationGuardError, InstanceTooLargeError, ParseError
 from .generate import GenSpec, generate_exchange_graph, generate_pose_graph, sample_ground_truth
 from .graph import IndividualUniform, Plan, TotalNonuniform, TotalUniform
 from .objectives import DCritObjective, ModularObjective, TreeConnObjective
-from .planners import (
-    e_greedy,
-    m_greedy,
-    random_baseline,
-    release_runs,
-    s_greedy,
-    v_greedy,
-)
+from .planners import e_greedy, m_greedy, random_baseline, s_greedy, v_greedy
 
 __all__ = ["main", "SweepSpec", "sweep_rows"]
 
@@ -116,6 +111,14 @@ def _edge_budget(x) -> int:
     if k < 0:
         raise _UsageError(f"bad k {x!r}: must be non-negative")
     return k
+
+
+def _degree_cap(x, what):
+    """``x`` (see ``_number``) as a degree cap: None (uncapped) or an int of at least 1."""
+    cap = None if x is None else _integer(x, what)
+    if cap is not None and cap < 1:
+        raise _UsageError(f"bad {what} {x!r}: must be at least 1")
+    return cap
 
 
 def _budget(regime, b, graph):
@@ -224,14 +227,14 @@ def _cmd_generate(args):
     return 0
 
 
-def _load_inputs(args):
+def _load_inputs(args, cap_degree):
     graph = gio.load_exchange_graph(args.input)
     pose_graph = None
     if args.pose_input:
         edge_ids = {e.id for e in graph.edges}
         pose_graph = gio.load_pose_graph(args.pose_input, edge_ids)
-    if args.cap_degree is not None:
-        capped = graph.cap_degree(args.cap_degree)
+    if cap_degree is not None:
+        capped = graph.cap_degree(cap_degree)
         if pose_graph is not None:
             # cap_degree renumbers the kept edges; rebind each by its endpoint pair
             old_id = {(e.u, e.v): e.id for e in graph.edges}
@@ -247,7 +250,7 @@ def _load_inputs(args):
 
 def _cmd_plan(args):
     _edge_budget(args.k)
-    graph, pose_graph = _load_inputs(args)
+    graph, pose_graph = _load_inputs(args, args.cap_degree)
     _check_planner_regime(args.planner, args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph)
     cb = _budget(args.regime, args.b, graph)
@@ -265,6 +268,7 @@ def _cmd_plan(args):
             "vertices": list(plan.vertices),
             "edges": list(plan.edges),
             "achieved_value": plan.achieved_value,
+            "cap_degree": args.cap_degree,
         }
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
@@ -304,29 +308,37 @@ def _ids(what, value) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _load_plan(path, graph):
-    """``(plan, payload, k, cb, line)`` of a ``plan --output`` file.
+def _load_plan(args):
+    """``(graph, objective, payload, k, cb, achieved)`` of the plan file ``args.plan``,
+    checked on the instance loaded under its ``cap_degree``; ``achieved`` is recomputed.
 
-    A bad field is a data error citing the line of its key (``line`` maps
-    each key to it), a byte that is not UTF-8 one citing its own line; a file
-    that is not a plan or lacks a field cites line 1.
+    A data error names the file and cites the line of the key at fault (of a
+    byte that is not UTF-8: its own line; of a file that is not a plan, lacks
+    a key or is infeasible: line 1).
     """
+    path = args.plan
     # newlines translated as text mode would; _key_lines counts "\n"
     text = gio._read_text(path).replace("\r\n", "\n").replace("\r", "\n")
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(err.lineno, f"plan file: {err.msg} (column {err.colno})", path) from None
     if not isinstance(payload, dict) or payload.get("format") != "loopselect-plan":
-        raise ParseError(1, "not a loopselect plan file")
+        raise ParseError(1, "not a loopselect plan file", path)
     line = _key_lines(text)
 
     def field(key, read):
         if key not in payload:
-            raise ParseError(1, f"plan file: no {key!r}")
+            raise ParseError(1, f"plan file: no {key!r}", path)
         try:
             return read(payload[key])
         except (_UsageError, ValueError, TypeError) as err:
-            raise ParseError(line[key], f"plan file: {err}") from None
+            raise ParseError(line[key], f"plan file: {err}", path) from None
 
-    field("objective", partial(_one_of, OBJECTIVES, "objective"))
+    payload.setdefault("cap_degree", None)  # a file without the key is uncapped
+    cap = field("cap_degree", partial(_degree_cap, what="cap_degree"))
+    graph, pose_graph = _load_inputs(args, cap)
+    name = field("objective", partial(_one_of, OBJECTIVES, "objective"))
     regime = field("regime", partial(_one_of, REGIMES, "regime"))
     k = field("k", _edge_budget)
     cb = field("b", lambda b: _budget(regime, b, graph))
@@ -335,26 +347,26 @@ def _load_plan(path, graph):
         edges=field("edges", partial(_ids, "edges")),
         achieved_value=field("achieved_value", _number),
     )
-    return plan, payload, k, cb, line
-
-
-def _cmd_certify(args):
-    graph, pose_graph = _load_inputs(args)
-    plan, payload, k, cb, line = _load_plan(args.plan, graph)
-    objective = _objective(payload["objective"], graph, pose_graph)
+    objective = _objective(name, graph, pose_graph)
     try:
         feasible, why = graph.check_plan(plan, k, cb), ""
     except ValueError as err:  # an id the graph does not have
         feasible, why = False, f": {err}"
     if not feasible:
-        raise ParseError(1, f"plan file fails feasibility against this graph{why}")
+        raise ParseError(1, f"plan file fails feasibility against this graph{why}", path)
     achieved = objective.value(plan.edges)
     if not math.isclose(plan.achieved_value, achieved, rel_tol=1e-9):
         raise ParseError(
             line["achieved_value"],
             f"plan file's achieved_value {plan.achieved_value!r} disagrees with "
             f"the recomputed {achieved!r}",
+            path,
         )
+    return graph, objective, payload, k, cb, achieved
+
+
+def _cmd_certify(args):
+    graph, objective, payload, k, cb, achieved = _load_plan(args)
     delta = graph.max_degree()
 
     opt, upt = cert.bounds(graph, k, cb, objective, args.level)
@@ -410,8 +422,8 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
     delta = graph.max_degree()
 
     runs = {}  # one greedy run per grid line; the planners read tu cells off its prefixes
-    cells = {}  # (b index, k index) -> rows; computed k-major, so that each k's
-    # runs go after its last b, and written b-major
+    cells = {}  # (b index, k index) -> rows; computed k-major, so that one
+    # m_greedy run serves every b of a k, and written b-major
     for j, k in enumerate(ks):
         for i, (b, cb) in enumerate(budgets):
             try:
@@ -436,7 +448,6 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
                     (ref - achieved) / norm * 100.0 if ref is not None and norm > 0 else None,
                     alpha, *posterior, _ratio_lb(achieved, upt),
                 ))
-        release_runs(runs, k)
     return [*_meta_block(graph, spec.seed), SWEEP_HEADER,
             *(row for i in range(len(budgets)) for j in range(len(ks)) for row in cells[i, j])]
 
@@ -486,7 +497,7 @@ def _cmd_sweep(args):
         )
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    graph, pose_graph = _load_inputs(args)
+    graph, pose_graph = _load_inputs(args, args.cap_degree)
     _write_rows(sweep_rows(graph, pose_graph, spec), args.output)
     return 0
 
@@ -494,7 +505,8 @@ def _cmd_sweep(args):
 # -- argument wiring --------------------------------------------------------------
 
 
-def _build_parser():
+@cache  # built on the first main() call, once per process
+def _parser():
     top = _Parser(prog="loopselect", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -547,20 +559,18 @@ def _build_parser():
     c.add_argument("--pose-input", default=None)
     c.add_argument("--plan", required=True)
     c.add_argument("--level", default="lp", choices=["lp", "brute"])
-    c.add_argument("--cap-degree", type=_typed(int), default=None)
     c.set_defaults(func=_cmd_certify)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "sweep" and args.alpha_only and args.delta is None:
             raise _UsageError("--alpha-only needs --delta")
-        if args.cap_degree is not None and args.cap_degree < 1:  # every command has it
-            raise _UsageError(f"bad --cap-degree {args.cap_degree}: must be at least 1")
+        # certify reads the cap from its plan file instead
+        _degree_cap(getattr(args, "cap_degree", None), "--cap-degree")
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -573,7 +583,7 @@ def main(argv=None) -> int:
         print(f"guard exceeded: {err}", file=sys.stderr)
         print(f"hint: retry with {retry}a smaller instance", file=sys.stderr)
         return 3
-    except (ParseError, OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ParseError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

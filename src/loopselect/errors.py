@@ -10,8 +10,9 @@ class EnumerationGuardError(InstanceTooLargeError):
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries the offending 1-based line number."""
+    """Malformed input file: the offending 1-based line number and, once known, the file."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no, message, path=None):
+        where = "" if path is None else f" (in {path})"
+        super().__init__(f"line {line_no}: {message}{where}")
+        self.line_no, self.message = line_no, message

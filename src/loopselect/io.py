@@ -32,7 +32,8 @@ line number. Every number must be finite and spelt in ASCII without ``_``
 (a leading sign is fine), and a pose graph has at most one ``FIX`` record.
 Given the exchange graph's edge ids, the pose parser also rejects a
 ``CANDIDATE`` for an edge that graph does not have. The loaders
-read UTF-8 and reject a byte that is not UTF-8 at the line that holds it.
+read UTF-8 and reject a byte that is not UTF-8 at the line that holds it;
+their errors name the file after the message.
 """
 
 from __future__ import annotations
@@ -126,8 +127,17 @@ def _read_text(path):
         before = data[: err.start].decode("utf-8")
         line_no = len((before + "x").splitlines())
         raise ParseError(
-            line_no, f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})"
+            line_no, f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})", path
         ) from None
+
+
+def _load(path, parse, *args):
+    """``parse`` of the text of the file at ``path``; a ParseError names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text, *args)
+    except ParseError as err:
+        raise ParseError(err.line_no, err.message, path) from None
 
 
 def _numbered(kind, lines):
@@ -218,7 +228,7 @@ def serialize_exchange_graph(graph) -> str:
 
 
 def load_exchange_graph(path) -> ExchangeGraph:
-    return parse_exchange_graph(_read_text(path))
+    return _load(path, parse_exchange_graph)
 
 
 def save_exchange_graph(graph, path):
@@ -354,7 +364,7 @@ def serialize_pose_graph(pg) -> str:
 
 
 def load_pose_graph(path, edge_ids=None) -> PoseGraph:
-    return parse_pose_graph(_read_text(path), edge_ids)
+    return _load(path, parse_pose_graph, edge_ids)
 
 
 def save_pose_graph(pg, path):

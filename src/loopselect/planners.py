@@ -38,11 +38,12 @@ within b vertices and k induced edges. Only phase 2 of ``e_greedy`` is per
 cell. A sweep passes every cell one ``runs`` dict, which keeps these runs
 for one graph and objective, extended as far as some cell needed, so a grid
 costs one greedy run per line rather than per cell; a cell's trace counts
-only the evaluations its own call spent. ``release_runs(runs, k)`` drops
-the runs that only cells of edge budget k read, once a sweep is past them.
-Without ``runs`` each call runs privately. Knapsack and partition-matroid
-budgets have no prefix property, so ``m_greedy`` runs them per call
-whatever ``runs`` holds.
+only the evaluations its own call spent. ``runs`` holds one run per
+planner: ``m_greedy``'s is for one k, and a call for another k drops it
+before building the next, so a sweep that asks for its cells k-major keeps
+one such run alive at a time. Without ``runs`` each call runs privately.
+Knapsack and partition-matroid budgets have no prefix property, so
+``m_greedy`` runs them per call whatever ``runs`` holds.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "v_greedy",
     "s_greedy",
     "random_baseline",
-    "release_runs",
 ]
 
 
@@ -227,18 +227,15 @@ def _require_modular(objective):
         raise ValueError("m_greedy requires a modular objective")
 
 
-def release_runs(runs, k):
-    """Drop from a sweep's ``runs`` the runs that only cells of edge budget ``k`` read."""
-    runs.pop(("m-greedy", k), None)
-
-
-def _shared(runs, key, build):
-    """The run under ``key`` in ``runs``, built on first use; a private one when ``runs`` is None."""
+def _shared(runs, name, build, key=None):
+    """Planner ``name``'s run for ``key`` in ``runs``, built on first use after dropping
+    its run for another key; a private one when ``runs`` is None."""
     if runs is None:
         return build()
-    if key not in runs:
-        runs[key] = build()
-    return runs[key]
+    if name not in runs or runs[name][0] != key:
+        runs.pop(name, None)
+        runs[name] = key, build()
+    return runs[name][1]
 
 
 class _Prefixes:
@@ -325,7 +322,7 @@ def m_greedy(graph, k, cb, objective, runs=None):
 
     if isinstance(cb, TotalUniform):
         # a run that no cardinality stops; this cell is its first b picks
-        run = _shared(runs, ("m-greedy", k), lambda: _m_run(graph, k, TotalUniform(n)))
+        run = _shared(runs, "m-greedy", lambda: _m_run(graph, k, TotalUniform(n)), key=k)
         evaluations = run.extend(cb.b)
         steps = run.steps[: cb.b]
         # every vertex was picked and the budget could still afford more
@@ -344,16 +341,14 @@ def m_greedy(graph, k, cb, objective, runs=None):
         cost_benefit = plain[0], replace(plain[1], evaluations=0)
     else:
         cost_benefit = arm(per_weight=True)
-    plan, trace = _best_arm("m-greedy", ("plain", plain), ("cost-benefit", cost_benefit))
-    trace.exhausted = trace.children[trace.winner].exhausted
-    return plan, trace
+    return _best_arm("m-greedy", ("plain", plain), ("cost-benefit", cost_benefit))
 
 
 def _best_arm(algorithm, first, second):
     """The better of two named ``(plan, trace)`` runs, with both traces as children.
 
     Ties keep the first run. The returned trace takes the winner's steps and
-    sums the evaluations of both.
+    ``exhausted`` flag and sums the evaluations of both.
     """
     (a, (a_plan, a_trace)), (b, (b_plan, b_trace)) = first, second
     won, plan, trace = a, a_plan, a_trace
@@ -363,6 +358,7 @@ def _best_arm(algorithm, first, second):
         algorithm=algorithm,
         steps=trace.steps,
         evaluations=a_trace.evaluations + b_trace.evaluations,
+        exhausted=trace.exhausted,
         children={a: a_trace, b: b_trace},
         winner=won,
     )
@@ -424,7 +420,7 @@ def e_greedy(graph, k, cb, objective, runs=None):
     rounds = min(b, k)
     run = _shared(
         runs,
-        ("e-greedy",),
+        "e-greedy",
         lambda: _edge_run(objective.oracle(), [e.id for e in graph.edges], "phase1"),
     )
     evaluations = run.extend(rounds)
@@ -483,7 +479,7 @@ def v_greedy(graph, k, cb, objective, runs=None):
     _require_tu(cb, "v_greedy")
     if k < 0:
         raise ValueError("k must be non-negative")
-    run, news = _shared(runs, ("v-greedy",), lambda: _vertex_run(graph, objective))
+    run, news = _shared(runs, "v-greedy", lambda: _vertex_run(graph, objective))
     evaluations = picks = covered = 0
     # stop at b picks, a dry pool, or the first pick whose new edges would pass k
     while picks < cb.b:

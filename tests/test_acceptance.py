@@ -235,7 +235,7 @@ def test_criterion_07_certification_sandwich(tu_suite):
             violations.append(("ilp", seed))
         if plan.achieved_value > opt + 1e-9:
             violations.append(("achieved", seed))
-        if opt > upt + 1e-7:
+        if opt > upt:
             violations.append(("upt", seed))
     elapsed = time.perf_counter() - t0
     _report(

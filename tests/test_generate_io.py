@@ -433,7 +433,7 @@ class TestStrictParsing:
         path.write_bytes(data)
         with pytest.raises(ParseError) as err:
             load(path)
-        assert str(err.value) == message
+        assert str(err.value) == f"{message} (in {path})"
 
     POSE = (
         "VERTEX_SE2 0 0.0 0.0 0.0\nVERTEX_SE2 1 1.0 0.0 0.0\nFIX 0\n"

@@ -433,6 +433,12 @@ class TestSGreedy:
         assert trace.winner == "vertex-arm"
         assert plan.achieved_value == pytest.approx(6.0, abs=1e-12)
 
+    def test_exhausted_is_the_winning_arms(self, demo_graph):
+        # b = k = 20 leave room in both arms after every candidate is taken
+        _, trace = s_greedy(demo_graph, 20, TotalUniform(20), ModularObjective(demo_graph))
+        assert trace.children["edge-arm"].exhausted and trace.children["vertex-arm"].exhausted
+        assert trace.exhausted is trace.children[trace.winner].exhausted
+
     def test_empty_graph(self):
         g = make_graph(2, [0, 1], [], [])
         obj = ModularObjective(g)

@@ -262,3 +262,15 @@ def test_tu_sweep_memory_does_not_grow_with_the_k_grid():
     peak((40,))  # the graph's own caches fill on the first sweep
     one = peak((40,))
     assert peak(tuple(range(2, 41, 2))) < 2 * one  # 20 k values against one
+
+
+def test_the_store_holds_one_m_greedy_run_at_a_time():
+    graph = generate_exchange_graph(
+        GenSpec(num_robots=3, vertices_per_robot=8, num_edges=60, seed=2))
+    objective = ModularObjective(graph)
+    runs = {}
+    for k in range(2, 41, 2):
+        for b in (6, 3, 9):  # a prefix of the run so far, then an extension
+            shared = m_greedy(graph, k, TotalUniform(b), objective, runs=runs)
+            assert len(runs) <= 1  # a call for a new k dropped the old k's run
+            assert shared[0] == m_greedy(graph, k, TotalUniform(b), objective)[0]
