@@ -131,6 +131,7 @@ def simplex_max(c, A, b):
 # -- the weak-duality bound, rounded upward --------------------------------------
 
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
+_TINY = 2.0**-969  # below this a product's split halves may underflow
 
 
 def _two_sum(a, b):
@@ -147,20 +148,25 @@ def _split(a):
 
 
 def _two_prod(a, b):
-    """``(p, e)`` with p = fl(a * b) and a * b = p + e exactly (Dekker)."""
+    """``(p, e)`` with p = fl(a * b) and a * b = p + e exactly (Dekker).
+
+    Where a nonzero product falls below ``_TINY`` the error term may itself
+    have underflowed; e is NaN there, as its sign is unknown.
+    """
     p = a * b
     (ah, al), (bh, bl) = _split(a), _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, np.where((np.abs(p) < _TINY) & (a != 0) & (b != 0), np.nan, e)
 
 
 def _up(x, err):
-    """The rounded results ``x``, one ulp up where the exact value ``x + err`` is above."""
-    return np.where(err > 0, np.nextafter(x, np.inf), x)
+    """The rounded results ``x``, one ulp up where the exact value ``x + err`` may be above."""
+    return np.where((err > 0) | np.isnan(err), np.nextafter(x, np.inf), x)
 
 
 def _down(x, err):
-    """The rounded results ``x``, one ulp down where the exact value ``x + err`` is below."""
-    return np.where(err < 0, np.nextafter(x, -np.inf), x)
+    """The rounded results ``x``, one ulp down where the exact value ``x + err`` may be below."""
+    return np.where((err < 0) | np.isnan(err), np.nextafter(x, -np.inf), x)
 
 
 def dual_bound(c, entries, b, y) -> float:
@@ -175,10 +181,10 @@ def dual_bound(c, entries, b, y) -> float:
     down, everything added to the bound up, and the last ``math.fsum`` up.
     So the returned float is never below the exact bound of the given y,
     and it is that bound exactly when no operation rounded. The cost is
-    O(nnz) plus O(n) per nonzero dual in the fullest column. Exact error
-    terms need products within the normal range; the certification LPs'
-    coefficients are indicators, probabilities and weights, and their duals
-    are bounded by the objective.
+    O(nnz) plus O(n) per nonzero dual in the fullest column. A product too
+    small for an exact error term moves one ulp outward unconditionally,
+    which covers its rounding error, underflow to zero included; the split
+    needs operands below 2**996, far above the certification LPs' weights.
     """
     c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
     y = np.maximum(np.asarray(y, dtype=float), 0.0)

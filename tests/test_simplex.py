@@ -216,6 +216,12 @@ class TestDualBound:
         assert dual_bound(c, entries_of(A), b, [0.0]) == 0.75
         assert dual_bound(c, entries_of(A), b, [0.5]) == 0.5
 
+    def test_products_that_underflow_round_outward(self):
+        # b·y = 2**-2044 rounds to 0; so does -1·y in Aᵀy, which must round below 0
+        tiny = 2.0**-1022
+        assert dual_bound([0.0], entries_of([[0.0]]), [tiny], [tiny]) > 0
+        assert dual_bound([0.0], entries_of([[-tiny]]), [0.0], [tiny]) > 0
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_rounds_up_from_the_exact_value(self, data):
