@@ -156,16 +156,21 @@ def _cells(*values) -> str:
     )
 
 
-def _objective(name, graph, pose_graph):
+def _objective(name, graph, pose_graph, pose_path=None):
+    """Objective ``name``; a pose graph it rejects is a data error naming ``pose_path``."""
     if name == "modular":
         return ModularObjective(graph)
     if pose_graph is None:
         raise _UsageError(f"objective {name!r} needs --pose-input")
-    if name == "dcrit":
-        return DCritObjective(graph, pose_graph)
-    if name == "treeconn":
-        return TreeConnObjective(graph, pose_graph)
-    raise _UsageError(f"unknown objective {name!r}")
+    make = {"dcrit": DCritObjective, "treeconn": TreeConnObjective}.get(name)
+    if make is None:
+        raise _UsageError(f"unknown objective {name!r}")
+    try:
+        return make(graph, pose_graph)
+    except ValueError as err:
+        if pose_path is None:
+            raise
+        raise ValueError(f"{err} (in {pose_path})") from None
 
 
 def _run_planner(name, graph, k, cb, objective, seed, runs=None):
@@ -252,7 +257,7 @@ def _cmd_plan(args):
     _edge_budget(args.k)
     graph, pose_graph = _load_inputs(args, args.cap_degree)
     _check_planner_regime(args.planner, args.regime, args.objective)
-    objective = _objective(args.objective, graph, pose_graph)
+    objective = _objective(args.objective, graph, pose_graph, args.pose_input)
     cb = _budget(args.regime, args.b, graph)
     plan, _trace = _run_planner(args.planner, graph, args.k, cb, objective, args.seed)
     delta = graph.max_degree()
@@ -347,7 +352,7 @@ def _load_plan(args):
         edges=field("edges", partial(_ids, "edges")),
         achieved_value=field("achieved_value", _number),
     )
-    objective = _objective(name, graph, pose_graph)
+    objective = _objective(name, graph, pose_graph, args.pose_input)
     try:
         feasible, why = graph.check_plan(plan, k, cb), ""
     except ValueError as err:  # an id the graph does not have
@@ -411,11 +416,14 @@ class SweepSpec:
                 raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
 
 
-def sweep_rows(graph, pose_graph, spec: SweepSpec) -> list[str]:
-    """CSV lines (metadata comments, header, one row per grid cell)."""
+def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
+    """CSV lines (metadata comments, header, one row per grid cell).
+
+    A pose graph the objective rejects is a ValueError that names ``pose_path``, if given.
+    """
     for p in spec.planners:
         _check_planner_regime(p, spec.regime, spec.objective)
-    objective = _objective(spec.objective, graph, pose_graph)
+    objective = _objective(spec.objective, graph, pose_graph, pose_path)
     budgets = [(b, _budget(spec.regime, b, graph)) for b in spec.bs]
     ks = [_edge_budget(k) for k in spec.ks]
     norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
@@ -498,7 +506,7 @@ def _cmd_sweep(args):
     except ValueError as err:
         raise _UsageError(str(err)) from None
     graph, pose_graph = _load_inputs(args, args.cap_degree)
-    _write_rows(sweep_rows(graph, pose_graph, spec), args.output)
+    _write_rows(sweep_rows(graph, pose_graph, spec, args.pose_input), args.output)
     return 0
 
 

@@ -204,9 +204,6 @@ class ExchangeGraph:
             }
         return self._ranked
 
-    def degree(self, vid) -> int:
-        return len(self.incident(vid))
-
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""
         if not self.vertices:

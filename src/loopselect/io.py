@@ -31,7 +31,9 @@ violations raise :class:`~loopselect.errors.ParseError` with the offending
 line number. Every number must be finite and spelt in ASCII without ``_``
 (a leading sign is fine), and a pose graph has at most one ``FIX`` record.
 Given the exchange graph's edge ids, the pose parser also rejects a
-``CANDIDATE`` for an edge that graph does not have. The loaders
+``CANDIDATE`` for an edge that graph does not have. Each record kind is
+accepted and built in one place only; a record refused there goes to
+field-by-field checks that build nothing and raise its first fault. The loaders
 read UTF-8 and reject a byte that is not UTF-8 at the line that holds it;
 their errors name the file after the message.
 """
@@ -93,6 +95,11 @@ def _to_float(line_no, token, what):
     return value
 
 
+def _finite(values):
+    """Whether every value is finite: their sum is, unless it overflowed."""
+    return -_INF < sum(values) < _INF or all(map(math.isfinite, values))
+
+
 def _records(text):
     """``(line number, fields)`` per line that is neither blank nor a ``#`` comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -148,17 +155,14 @@ def _numbered(kind, lines):
 
 
 def parse_exchange_graph(text) -> ExchangeGraph:
-    num_robots = None
-    robots_line = None
+    num_robots = robots_line = None
     vertices, vertex_lines = [], []
     edges, edge_lines = [], []
     plain = text.isascii() and "_" not in text  # the common case: no record to screen
     for line_no, parts in _records(text):
         tag = parts[0]
-        # Well-formed records convert inline; anything else falls through to
-        # the field-by-field checks below, which raise the precise error.
-        try:
-            if not plain:  # a ValueError sends this record the long way
+        try:  # the one path that accepts a record; a ValueError refuses it
+            if not plain:
                 _plain("".join(parts[1:]))
             if tag == "edge" and len(parts) == 5:
                 p = float(parts[4])
@@ -172,37 +176,31 @@ def parse_exchange_graph(text) -> ExchangeGraph:
                     vertices.append(Vertex(int(parts[1]), int(parts[2]), weight))
                     vertex_lines.append(line_no)
                     continue
+            elif tag == "robots" and len(parts) == 2 and num_robots is None:
+                num_robots, robots_line = int(parts[1]), line_no
+                continue
         except ValueError:
             pass
+        # refused: find the first fault, in field order; these checks build nothing
         if tag == "robots":
             _fields(line_no, parts, 2, "robots")
             if num_robots is not None:
                 raise ParseError(line_no, "duplicate robots header")
-            num_robots = _to_int(line_no, parts[1], "robot count")
-            robots_line = line_no
+            _to_int(line_no, parts[1], "robot count")
         elif tag == "vertex":
             _fields(line_no, parts, 4, "vertex")
-            vertices.append(
-                Vertex(
-                    id=_to_int(line_no, parts[1], "vertex id"),
-                    robot=_to_int(line_no, parts[2], "robot"),
-                    weight=_to_float(line_no, parts[3], "weight"),
-                )
-            )
-            vertex_lines.append(line_no)
+            _to_int(line_no, parts[1], "vertex id")
+            _to_int(line_no, parts[2], "robot")
+            _to_float(line_no, parts[3], "weight")
         elif tag == "edge":
             _fields(line_no, parts, 5, "edge")
-            edges.append(
-                Edge(
-                    id=_to_int(line_no, parts[1], "edge id"),
-                    u=_to_int(line_no, parts[2], "endpoint"),
-                    v=_to_int(line_no, parts[3], "endpoint"),
-                    p=_to_float(line_no, parts[4], "probability"),
-                )
-            )
-            edge_lines.append(line_no)
+            _to_int(line_no, parts[1], "edge id")
+            _to_int(line_no, parts[2], "endpoint")
+            _to_int(line_no, parts[3], "endpoint")
+            _to_float(line_no, parts[4], "probability")
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
+        raise AssertionError(f"line {line_no}: a faultless {tag} record was refused")
     if num_robots is None:
         raise ParseError(1, "missing robots header")
     graph = ExchangeGraph(num_robots, vertices, edges)
@@ -242,18 +240,14 @@ def save_exchange_graph(graph, path):
 def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
     """Parse a pose file; with ``edge_ids``, every CANDIDATE must name one of them."""
     poses = {}
-    anchor = None
-    anchor_line = None
+    anchor = anchor_line = None
     base_edges, base_lines = [], []
     candidate_map, candidate_lines = {}, []
     plain = text.isascii() and text.count("_") == text.count("_SE2")  # "_" only in tags
     for line_no, parts in _records(text):
         tag = parts[0]
-        # As in parse_exchange_graph: a record is accepted here only when no
-        # check below would reject it. A sum of floats is finite only if every
-        # term is; a sum that overflows only sends a good record the long way.
-        try:
-            if not plain:  # as in parse_exchange_graph
+        try:  # as in parse_exchange_graph
+            if not plain:
                 _plain("".join(parts[1:]))
             if tag == "CANDIDATE" and len(parts) == 5:
                 eid, w = int(parts[1]), float(parts[4])
@@ -265,43 +259,43 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
             elif tag == "EDGE_SE2" and len(parts) == 12:
                 i, j = int(parts[1]), int(parts[2])
                 reals = [float(t) for t in parts[3:12]]
-                if -_INF < sum(reals) < _INF and reals[3] > 0:
+                if _finite(reals) and reals[3] > 0:
                     base_edges.append((i, j, reals[3]))
                     base_lines.append(line_no)
                     continue
             elif tag == "VERTEX_SE2" and len(parts) == 5:
                 pid = int(parts[1])
                 coords = (float(parts[2]), float(parts[3]), float(parts[4]))
-                if -_INF < sum(coords) < _INF and pid not in poses:
+                if _finite(coords) and pid not in poses:
                     poses[pid] = coords
                     continue
+            elif tag == "FIX" and len(parts) == 2 and anchor is None:
+                anchor, anchor_line = int(parts[1]), line_no
+                continue
         except ValueError:
             pass
+        # refused: as in parse_exchange_graph
         if tag == "VERTEX_SE2":
             _fields(line_no, parts, 5, "VERTEX_SE2")
             pid = _to_int(line_no, parts[1], "pose id")
             if pid in poses:
                 raise ParseError(line_no, f"duplicate pose id {pid}")
-            poses[pid] = tuple(
-                _to_float(line_no, t, "pose coordinate") for t in parts[2:5]
-            )
+            for t in parts[2:5]:
+                _to_float(line_no, t, "pose coordinate")
         elif tag == "FIX":
             _fields(line_no, parts, 2, "FIX")
             if anchor is not None:
                 raise ParseError(line_no, "duplicate FIX record")
-            anchor = _to_int(line_no, parts[1], "anchor id")
-            anchor_line = line_no
+            _to_int(line_no, parts[1], "anchor id")
         elif tag == "EDGE_SE2":
             _fields(line_no, parts, 12, "EDGE_SE2")
-            i = _to_int(line_no, parts[1], "pose id")
-            j = _to_int(line_no, parts[2], "pose id")
+            _to_int(line_no, parts[1], "pose id")
+            _to_int(line_no, parts[2], "pose id")
             info11 = _to_float(line_no, parts[6], "information coefficient")
             for t in parts[3:12]:
                 _to_float(line_no, t, "EDGE_SE2 field")
             if info11 <= 0:
                 raise ParseError(line_no, "information coefficient must be positive")
-            base_edges.append((i, j, info11))
-            base_lines.append(line_no)
         elif tag == "CANDIDATE":
             _fields(line_no, parts, 5, "CANDIDATE")
             eid = _to_int(line_no, parts[1], "exchange edge id")
@@ -311,14 +305,12 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                 raise ParseError(
                     line_no, f"candidate for edge {eid}, which the exchange graph lacks"
                 )
-            candidate_map[eid] = (
-                _to_int(line_no, parts[2], "pose id"),
-                _to_int(line_no, parts[3], "pose id"),
-                _to_float(line_no, parts[4], "candidate weight"),
-            )
-            candidate_lines.append(line_no)
+            _to_int(line_no, parts[2], "pose id")
+            _to_int(line_no, parts[3], "pose id")
+            _to_float(line_no, parts[4], "candidate weight")
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
+        raise AssertionError(f"line {line_no}: a faultless {tag} record was refused")
     if not poses:
         raise ParseError(1, "missing VERTEX_SE2 records")
     ids = sorted(poses)

@@ -1056,6 +1056,72 @@ class TestExitCodes:
         assert "dense LP" in err
         assert "hint: retry with a smaller instance" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--objective", "treeconn", "--planner", "mgreedy", "-b", "2", "-k", "3"],
+         "usage error: mgreedy requires the modular objective"),
+        (["plan", "--objective", "treeconn", "-b", "2", "-k", "3"],
+         "usage error: objective 'treeconn' needs --pose-input"),
+        (["sweep", "-b", "2", "-k", "3"], "usage error: sweep needs --input (or use --alpha-only)"),
+        (["sweep", "--alpha-only", "--delta", "3", "-b", ",", "-k", "2"],
+         "usage error: empty budget grid"),
+    ], ids=["mgreedy-treeconn", "treeconn-without-pose", "sweep-without-input",
+            "alpha-only-empty-grid"])
+    def test_usage_errors_exit_one(self, treeconn_files, capsys, argv, message):
+        graph, pose, _ = treeconn_files
+        if argv[0] == "plan":
+            argv = [*argv, "--input", str(graph)]
+        if "mgreedy" in argv:
+            argv = [*argv, "--pose-input", str(pose)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.fixture
+def treeconn_files(tmp_path, capsys):
+    """A 3x4/10 instance, its pose file, and the argv of a treeconn plan, sweep
+    and certify (of a plan made on them) without their input flags."""
+    graph, pose, plan = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "plan.json"
+    assert main(["generate", "--robots", "3", "--verts", "4", "--edges", "10", "--seed", "1",
+                 "--output", str(graph), "--pose-output", str(pose)]) == 0
+    assert main(["plan", "--input", str(graph), "--pose-input", str(pose),
+                 "--objective", "treeconn", "-b", "2", "-k", "3", "--output", str(plan)]) == 0
+    capsys.readouterr()
+    return graph, pose, {
+        "plan": ["plan", "--objective", "treeconn", "-b", "2", "-k", "3"],
+        "sweep": ["sweep", "--objective", "treeconn", "-b", "2", "-k", "3"],
+        "certify": ["certify", "--plan", str(plan)],
+    }
+
+
+class TestObjectiveDataErrors:
+    @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
+    @pytest.mark.parametrize("drop, message", [
+        ("CANDIDATE 3 ", "candidate_map lacks exchange edges [3]"),
+        ("EDGE_SE2 ", "base pose graph must be connected"),
+    ], ids=["candidate-missing", "base-disconnected"])
+    def test_rejected_pose_graph_names_its_file(self, treeconn_files, tmp_path, capsys,
+                                                command, drop, message):
+        graph, pose, runs = treeconn_files
+        bad = tmp_path / "bad.pose"
+        lines = pose.read_text().splitlines(keepends=True)
+        bad.write_text("".join(line for line in lines if not line.startswith(drop)))
+        assert main([*runs[command], "--input", str(graph), "--pose-input", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message} (in {bad})\n"
+
+    @pytest.mark.parametrize("command, owner, name", [
+        ("plan", cli, "s_greedy"), ("sweep", cli, "s_greedy"), ("certify", cli.cert, "bounds"),
+    ])
+    def test_planner_and_certifier_errors_name_no_file(self, treeconn_files, capsys,
+                                                       monkeypatch, command, owner, name):
+        graph, pose, runs = treeconn_files
+
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(owner, name, fail)
+        assert main([*runs[command], "--input", str(graph), "--pose-input", str(pose)]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")

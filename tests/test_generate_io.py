@@ -459,29 +459,43 @@ class TestStrictParsing:
         exchange = "robots 2\nvertex 0 0 1.0\nvertex 1 1 +1.0\nedge 0 0 1 0.5\n"
         assert parse_exchange_graph("# café_notes\n" + exchange) == parse_exchange_graph(exchange)
 
+    @staticmethod
+    def never_refused(monkeypatch):
+        """Fail on any call of the field-by-field converters: a refused record."""
+        def refused(line_no, token, what):
+            raise AssertionError(f"line {line_no}: {what} {token!r} left the inline path")
+
+        monkeypatch.setattr(lio, "_to_int", refused)
+        monkeypatch.setattr(lio, "_to_float", refused)
+
     def test_comments_keep_records_on_the_inline_path(self, monkeypatch):
-        # a comment that fails the whole-text screen sends no record to the
-        # field-by-field path; only the header records (robots, FIX) take it
-        graph = generate_exchange_graph(GenSpec(num_robots=3, vertices_per_robot=6,
-                                                num_edges=20, seed=2))
+        # every record of a well-formed file, robots and FIX headers included,
+        # is accepted inline, with or without comments that fail the whole-text screen
+        spec = GenSpec(num_robots=3, vertices_per_robot=6, num_edges=20, seed=2)
+        graph = generate_exchange_graph(spec)
         exchange = serialize_exchange_graph(graph)
-        pose = serialize_pose_graph(generate_pose_graph(GenSpec(
-            num_robots=3, vertices_per_robot=6, num_edges=20, seed=2), graph))
+        pose = serialize_pose_graph(generate_pose_graph(spec, graph))
         want = parse_exchange_graph(exchange), parse_pose_graph(pose)
-
-        def only_headers(convert):
-            def spy(line_no, token, what):
-                assert what in ("robot count", "anchor id"), f"line {line_no}: {what}"
-                return convert(line_no, token, what)
-            return spy
-
-        monkeypatch.setattr(lio, "_to_int", only_headers(lio._to_int))
-        monkeypatch.setattr(lio, "_to_float", only_headers(lio._to_float))
+        self.never_refused(monkeypatch)
         for text, parse, parsed in zip((exchange, pose), (parse_exchange_graph, parse_pose_graph),
                                        want):
+            assert parse(text) == parsed
             lines = text.splitlines(keepends=True)
             commented = "".join([lines[0], "# note_\u00e9\n", *lines[1:4], "  # a_b\n", *lines[4:]])
             assert parse(commented) == parsed
+
+    def test_finite_reals_whose_sum_overflows_are_accepted_inline(self, monkeypatch):
+        text = (
+            "VERTEX_SE2 0 1e308 1e308 0.0\n"
+            "VERTEX_SE2 1 0.0 0.0 0.0\n"
+            "EDGE_SE2 0 1 1e308 1e308 0.0 2.0 0.0 0.0 1e308 0.0 1e308\n"
+        )
+        self.never_refused(monkeypatch)
+        assert parse_pose_graph(text) == PoseGraph(
+            num_poses=2,
+            base_edges=((0, 1, 2.0),),
+            poses=((1e308, 1e308, 0.0), (0.0, 0.0, 0.0)),
+        )
 
     @pytest.mark.parametrize("row", ["1_0,1", "\u0661,1"])
     def test_ground_truth_rejects_underscores_and_non_ascii_digits(self, row):
@@ -500,6 +514,15 @@ class TestStrictParsing:
         cand = PoseGraph(num_poses=2, base_edges=((0, 1, 1.0),), candidate_map={0: (0, 1, w)})
         assert any("positive and finite" in msg for msg in base.validate())
         assert any("positive and finite" in msg for msg in cand.validate())
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n1,0\n0,1\n", "line 4: duplicate edge id 0"),
+        ("0,1\n2,0\n", "line 1: edge ids must be dense and 0-based"),
+    ], ids=["repeated-id", "id-gap"])
+    def test_ground_truth_id_faults_cite_their_line(self, rows, message):
+        with pytest.raises(ParseError) as err:
+            parse_ground_truth("edge_id,realized\n" + rows)
+        assert str(err.value) == message
 
     def test_ground_truth_bad_flag(self):
         with pytest.raises(ParseError, match="0 or 1"):

@@ -343,6 +343,10 @@ class TestCheckPlan:
         plan = Plan(vertices=(0,), edges=(7,))  # edge 7 = (5, 6)
         assert not demo_graph.check_plan(plan, 3, TotalUniform(2))
 
+    def test_more_edges_than_k_fails(self, demo_graph):
+        plan = Plan(vertices=(1, 4), edges=(0, 1, 2))
+        assert not demo_graph.check_plan(plan, 2, TotalUniform(2))
+
     def test_monotone_false_when_dropping_vertices(self, demo_graph):
         plan = Plan(vertices=(1, 4), edges=(0, 1, 2))
         cb = TotalUniform(2)

@@ -6,7 +6,9 @@ broadcast costs and pose weights from short lists so that gains tie often and
 the lowest-id tie rule is exercised.
 """
 
+import itertools
 import math
+import operator
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from loopselect import (
     DCritObjective,
+    GreedySelector,
     IndividualUniform,
     ModularObjective,
     PoseGraph,
@@ -26,7 +29,7 @@ from loopselect import (
     v_greedy,
 )
 
-from conftest import eager, make_graph, random_connected_pose_graph
+from conftest import EagerSelector, eager, make_graph, random_connected_pose_graph
 
 PROBABILITY = st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9])
 COST = st.sampled_from([0.5, 1.0, 1.5, 2.0]) | st.floats(0.1, 3.0)
@@ -105,3 +108,37 @@ def test_logdet_planners_match_eager(data, seed, kind):
     objective = kind(graph, pose_graph)
     for planner in (e_greedy, v_greedy, s_greedy):
         assert_same_choices(planner, graph, k, cb, objective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), slack=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
+    # gains fall round by round in tie-prone steps; a candidate stops fitting
+    # once the picks have spent too much of the budget
+    n = data.draw(st.integers(1, 8))
+    drops = st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
+    gains = [
+        list(itertools.accumulate(data.draw(drops), operator.sub,
+                                  initial=data.draw(st.sampled_from([1.0, 2.0, 3.0]))))
+        for _ in range(n)
+    ]
+    cost = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
+    budget = data.draw(st.integers(0, sum(cost)))
+
+    def run(selector):
+        picks, spent = [], 0
+
+        def fits(c):
+            return cost[c] <= budget - spent
+
+        sel = selector(range(n), lambda c: gains[c][len(picks)], feasible=fits, slack=slack)
+        while (pick := sel.best()) is not None:
+            sel.commit(pick[0])
+            picks.append(pick)
+            spent += cost[pick[0]]
+        return picks, sel.evaluations
+
+    picks, evaluations = run(GreedySelector)
+    want, want_evaluations = run(EagerSelector)
+    assert picks == want
+    assert evaluations <= want_evaluations

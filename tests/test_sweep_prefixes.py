@@ -3,8 +3,8 @@
 Under a cardinality budget the greedy planners share one run per grid line
 through ``runs`` (see ``loopselect.planners``): ``m_greedy`` one per k,
 ``e_greedy``'s phase 1 and ``v_greedy`` one per grid. The cells here come in
-random order, as a sweep over an unsorted grid would ask for them, and every
-grid holds b = 0, a b past n, k = 0 and a k past m. The reference is the
+random order, b-major or k-major, as a sweep over an unsorted grid would ask
+for them, and every grid holds b = 0, a b past n, k = 0 and a k past m. The reference is the
 planners as one loop per cell, each stopped by its own budget.
 """
 
@@ -185,16 +185,23 @@ def test_shared_runs_give_the_per_cell_plans(data, instance, name):
     planners = data.draw(st.permutations(planners))
     bs, ks = grid(data.draw, graph.num_vertices), grid(data.draw, graph.num_edges)
     delta = graph.max_degree()
+    k_major = data.draw(st.booleans())
+    cells = [(b, k) for k in ks for b in bs] if k_major else [(b, k) for b in bs for k in ks]
     runs = {}
-    for b in bs:
-        for k in ks:
-            cb = TotalUniform(b)
-            for p in planners:
-                want = REFERENCES[p](graph, k, b, objective)
-                alone = PLANNERS[p](graph, k, cb, objective)
-                assert_same_cell(alone, want, b, k, delta)
-                assert alone[1].evaluations == want[1].evaluations
-                assert_same_cell(PLANNERS[p](graph, k, cb, objective, runs=runs), want, b, k, delta)
+    served = {}  # k -> the largest b a shared m_greedy call has served
+    for b, k in cells:
+        cb = TotalUniform(b)
+        for p in planners:
+            want = REFERENCES[p](graph, k, b, objective)
+            alone = PLANNERS[p](graph, k, cb, objective)
+            assert_same_cell(alone, want, b, k, delta)
+            assert alone[1].evaluations == want[1].evaluations
+            shared = PLANNERS[p](graph, k, cb, objective, runs=runs)
+            assert_same_cell(shared, want, b, k, delta)
+            if p == "mgreedy" and k_major:
+                if b <= served.get(k, -1):  # the cell is a prefix of the run this k holds
+                    assert shared[1].evaluations == 0
+                served[k] = max(b, served.get(k, -1))
 
 
 class CountedGains:
