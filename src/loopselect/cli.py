@@ -232,7 +232,13 @@ def _cmd_generate(args):
     return 0
 
 
-def _load_inputs(args, cap_degree):
+def _load_inputs(args, cap_degree, objective):
+    """The exchange and pose graphs of ``args`` under ``cap_degree``.
+
+    The cap renumbers the kept edges, so for a log-det ``objective`` the pose
+    file must bind every kept edge, checked before the renumbering so that
+    an error cites the pose file's own ids.
+    """
     graph = gio.load_exchange_graph(args.input)
     pose_graph = None
     if args.pose_input:
@@ -243,11 +249,15 @@ def _load_inputs(args, cap_degree):
         if pose_graph is not None:
             # cap_degree renumbers the kept edges; rebind each by its endpoint pair
             old_id = {(e.u, e.v): e.id for e in graph.edges}
+            kept = {e.id: old_id[e.u, e.v] for e in capped.edges}
+            if objective != "modular":
+                try:
+                    pose_graph.require_bound(kept.values())
+                except ValueError as err:
+                    raise ValueError(f"{err} (in {args.pose_input})") from None
             bound = pose_graph.candidate_map
             pose_graph = replace(pose_graph, candidate_map={
-                e.id: bound[old_id[e.u, e.v]]
-                for e in capped.edges
-                if old_id[e.u, e.v] in bound
+                new: bound[old] for new, old in kept.items() if old in bound
             })
         graph = capped
     return graph, pose_graph
@@ -255,7 +265,7 @@ def _load_inputs(args, cap_degree):
 
 def _cmd_plan(args):
     _edge_budget(args.k)
-    graph, pose_graph = _load_inputs(args, args.cap_degree)
+    graph, pose_graph = _load_inputs(args, args.cap_degree, args.objective)
     _check_planner_regime(args.planner, args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph, args.pose_input)
     cb = _budget(args.regime, args.b, graph)
@@ -342,8 +352,8 @@ def _load_plan(args):
 
     payload.setdefault("cap_degree", None)  # a file without the key is uncapped
     cap = field("cap_degree", partial(_degree_cap, what="cap_degree"))
-    graph, pose_graph = _load_inputs(args, cap)
     name = field("objective", partial(_one_of, OBJECTIVES, "objective"))
+    graph, pose_graph = _load_inputs(args, cap, name)
     regime = field("regime", partial(_one_of, REGIMES, "regime"))
     k = field("k", _edge_budget)
     cb = field("b", lambda b: _budget(regime, b, graph))
@@ -393,7 +403,8 @@ class SweepSpec:
 
     ``certify`` is "none", "lp", or "brute"; brute's enumeration guard downgrades
     a cell to "lp" with a warning. Rows come in deterministic (b, k, planner)
-    order; a b, k (2 and 2.0 alike) or planner given twice is a ValueError.
+    order; a b, k or planner given twice is a ValueError, however a number in
+    it is spelt (2 and 2.0 alike, and so the iu limits 1/1 and 1/1.0).
     """
 
     bs: tuple = ()
@@ -411,9 +422,23 @@ class SweepSpec:
             raise ValueError("empty planner list")
         if self.certify not in ("none", "lp", "brute"):
             raise ValueError(f"unknown certification level {self.certify!r}")
-        for what, values in (("b", self.bs), ("k", self.ks), ("planner", self.planners)):
-            if len(set(values)) < len(values):
+        for what, values, keys in (
+            ("b", self.bs, [_budget_key(self.regime, b) for b in self.bs]),
+            ("k", self.ks, self.ks),
+            ("planner", self.planners, self.planners),
+        ):
+            if len(set(keys)) < len(keys):
                 raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
+
+
+def _budget_key(regime, b):
+    """The number(s) ``b`` spells, so that a budget compares equal however it is
+    written: an iu budget's limits, any other budget's value; ``b`` itself when
+    it spells no number, which ``_budget`` reports."""
+    try:
+        return tuple(map(_number, str(b).split("/"))) if regime == "iu" else _number(b)
+    except ValueError:
+        return b
 
 
 def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
@@ -505,7 +530,7 @@ def _cmd_sweep(args):
         )
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    graph, pose_graph = _load_inputs(args, args.cap_degree)
+    graph, pose_graph = _load_inputs(args, args.cap_degree, spec.objective)
     _write_rows(sweep_rows(graph, pose_graph, spec, args.pose_input), args.output)
     return 0
 

@@ -18,11 +18,13 @@ and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state
 of one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
 new edges to everything committed so far, ``commit(edge_ids)`` adds them, and
 ``value`` is the running objective value. A log-det objective inverts its
-base matrix once, at its first ``oracle()``, and each oracle downdates its own
-copy of that inverse. A one-edge gain ``log1p(s aᵀM⁻¹a)`` reads at most three
-entries of it (matrix determinant lemma, so it is never negative), an r-edge
-gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a commit is
-a Sherman–Morrison update, O(d²).
+base matrix once, at its first ``oracle()``, into a read-only P0 that every
+oracle shares; an oracle keeps its committed edges as a low-rank factor U,
+so that its inverse is P0 − UUᵀ, and never writes P0. A one-edge gain
+``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row difference
+of U, O(|S|) (matrix determinant lemma, so it is never negative), an r-edge
+gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a commit
+appends one column to U, O(d·|S|).
 
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
@@ -103,6 +105,12 @@ class PoseGraph:
                 yield ("candidate", eid), f"candidate {eid}: pose pair ({i},{j}) invalid"
             if not 0 < w < math.inf:
                 yield ("candidate", eid), f"candidate {eid}: weight must be positive and finite"
+
+    def require_bound(self, edge_ids):
+        """Raise ValueError unless ``candidate_map`` binds every id in ``edge_ids``."""
+        missing = [eid for eid in edge_ids if eid not in self.candidate_map]
+        if missing:
+            raise ValueError(f"candidate_map lacks exchange edges {missing}")
 
     def is_connected(self) -> bool:
         """Connectivity of the base graph over all poses (union-find)."""
@@ -223,51 +231,60 @@ class _ModularOracle:
 
 
 class _LogDetOracle:
-    """Determinant-lemma gains of one planner run over a cached inverse.
+    """Determinant-lemma gains of one planner run over a shared base inverse.
 
-    ``_P`` holds M⁻¹ in pose coordinates with the anchor's row and column
-    zero, so for an edge on pose pair (i, j) the incidence vector a gives
-    ``aᵀM⁻¹a = P[i,i] + P[j,j] - 2 P[i,j]`` and ``M⁻¹a = P[:,i] - P[:,j]``.
-    The oracle owns ``_P`` and downdates it in place at each commit.
+    ``_P0`` holds M0⁻¹ in pose coordinates with the anchor's row and column
+    zero. The objective owns it, every oracle reads it and none writes it
+    (it is read-only). The run's committed edges are the columns of a factor
+    U, one row per pose, so that the current inverse is M⁻¹ = P0 − UUᵀ. For
+    an edge on pose pair (i, j) with incidence vector a, and U_i the i-th row
+    of U, ``aᵀM⁻¹a = P0[i,i] + P0[j,j] - 2 P0[i,j] - ‖U_i - U_j‖²`` and
+    ``M⁻¹a = P0[:,i] - P0[:,j] - U(U_i - U_j)``. A commit of edge (i, j, s)
+    takes u = M⁻¹a and sr = s aᵀu and appends the column ``u √(s/(1+sr))``,
+    the Sherman–Morrison downdate of M⁻¹ written as a factor, at O(d·|S|).
 
-    The gain of r ≥ 2 new edges is logdet(I + S½GS½) with G = AᵀM⁻¹A, read
-    off ``_P`` by one gather, by a Cholesky over Python floats (r is at most
-    the maximum degree, so LAPACK's call overhead would dominate). The pivot
-    of row c is 1 + x_c, x_c ≥ 0 its Schur increment, and the gain is the sum
-    of ``log1p(x_c)``: a gain near 0 keeps its relative precision, which the
-    log of a pivot rounded to 1 + ulp would lose.
+    The gain of r ≥ 2 new edges is logdet(I + S½GS½) with G = AᵀM⁻¹A, the
+    gather of ``_P0`` minus WWᵀ, W = U_I − U_J, by a Cholesky over Python
+    floats (r is at most the maximum degree, so LAPACK's call overhead would
+    dominate). The pivot of row c is 1 + x_c, x_c ≥ 0 its Schur increment,
+    and the gain is the sum of ``log1p(x_c)``: a gain near 0 keeps its
+    relative precision, which the log of a pivot rounded to 1 + ulp would
+    lose.
 
-    In exact arithmetic a gain never grows as edges are committed; the
-    rounding of the downdates of ``_P`` can lift one by a few ulps (one ulp,
-    2.2e-16, at most over the 5×40 benchmark instances and 200 small random
-    ones). ``gain_slack`` bounds that growth with a wide margin.
+    In exact arithmetic a gain never grows as edges are committed; rounding
+    could lift one by a few ulps, though none grew at all over the 5×40
+    benchmark instances and 200 small random ones. ``gain_slack`` bounds
+    that growth with a wide margin.
     """
 
     gain_slack = 1e-9
 
-    def __init__(self, pairs, P):
-        self._P = P
+    def __init__(self, pairs, P0):
+        self._P0 = P0
         self._pairs = pairs
+        # the first _m columns of _U are U; the rest is room to append
+        self._U = np.empty((P0.shape[0], 8))
+        self._m = 0
         self._committed: set[int] = set()
         self.value = 0.0
-
-    def _quad(self, i, j) -> float:
-        P = self._P
-        # a quadratic form of a PD matrix; clamp the rounding below zero
-        return max(float(P[i, i] + P[j, j] - 2.0 * P[i, j]), 0.0)
 
     def gain(self, edge_ids) -> float:
         terms = _edges(self._pairs, sorted(_fresh(self._committed, edge_ids)))
         if not terms:
             return 0.0
+        P0, U = self._P0, self._U[:, : self._m]
         if len(terms) == 1:
             i, j, s = terms[0]
-            return math.log1p(s * self._quad(i, j))
+            w = U[i] - U[j]
+            # a quadratic form of a PD matrix; clamp the rounding below zero
+            return math.log1p(s * max(float(P0[i, i] + P0[j, j] - 2.0 * P0[i, j] - w.dot(w)), 0.0))
         # logdet(I + S½GS½) by a row-by-row Cholesky (see the class docstring)
         I = [t[0] for t in terms]
         J = [t[1] for t in terms]
-        D = self._P[:, I] - self._P[:, J]
-        G = (D[I] - D[J]).tolist()
+        gathered = P0[I + J]
+        D = gathered[:, I] - gathered[:, J]
+        W = U[I] - U[J]
+        G = (D[: len(I)] - D[len(I) :] - W @ W.T).tolist()
         root = [math.sqrt(t[2]) for t in terms]
         rows = []
         total = 0.0
@@ -286,11 +303,18 @@ class _LogDetOracle:
         new = _fresh(self._committed, edge_ids)
         terms = _edges(self._pairs, sorted(new))
         self._committed |= new
-        P = self._P
+        P0 = self._P0
         for i, j, s in terms:
-            u = P[:, i] - P[:, j]
+            m = self._m
+            if m == self._U.shape[1]:
+                grown = np.empty((P0.shape[0], 2 * m))
+                grown[:, :m] = self._U
+                self._U = grown
+            U = self._U[:, :m]
+            u = P0[:, i] - P0[:, j] - U @ (U[i] - U[j])
             sr = s * max(float(u[i] - u[j]), 0.0)
-            P -= (s / (1.0 + sr)) * (u[:, None] * u)
+            self._U[:, m] = u * math.sqrt(s / (1.0 + sr))
+            self._m = m + 1
             self.value += math.log1p(sr)
 
 
@@ -310,9 +334,7 @@ class _RankOneLogDet:
         bad = pose_graph.validate()
         if bad:
             raise ValueError("invalid pose graph: " + "; ".join(bad))
-        missing = [e.id for e in graph.edges if e.id not in pose_graph.candidate_map]
-        if missing:
-            raise ValueError(f"candidate_map lacks exchange edges {missing}")
+        pose_graph.require_bound(e.id for e in graph.edges)
         self.graph = graph
         self.pose_graph = pose_graph
         self._M0 = np.asarray(M0, dtype=float)
@@ -337,30 +359,32 @@ class _RankOneLogDet:
     def oracle(self) -> _LogDetOracle:
         """Fresh gain/commit state for one planner run.
 
-        The first call inverts M0 and keeps the inverse; every oracle gets its
-        own copy, since it downdates it in place.
+        The first call inverts M0 and keeps the inverse, read-only; every
+        oracle reads that one array and copies nothing.
         """
         if self._P0 is None:
             n = self._M0.shape[0] + 1
-            self._P0 = np.zeros((n, n))
-            self._P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
-        return _LogDetOracle(self._pairs, self._P0.copy())
+            P0 = np.zeros((n, n))
+            P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
+            P0.flags.writeable = False
+            self._P0 = P0
+        return _LogDetOracle(self._pairs, self._P0)
 
 
 class DCritObjective(_RankOneLogDet):
     """Expected information gain in the D-optimality criterion.
 
     The prior must be symmetric positive definite. By default it is the base
-    (odometry) information plus ``eps`` on the diagonal; pass ``prior`` to
-    supply the matrix explicitly (shape ``(num_poses - 1,) * 2``).
+    (odometry) information plus ``DEFAULT_PRIOR_EPS`` on the diagonal; pass
+    ``prior`` to supply the matrix explicitly (shape ``(num_poses - 1,) * 2``).
     """
 
     kind = "dcrit"
 
-    def __init__(self, graph, pose_graph, prior=None, eps=DEFAULT_PRIOR_EPS):
+    def __init__(self, graph, pose_graph, prior=None):
         if prior is None:
             d = pose_graph.num_poses - 1
-            M0 = pose_graph.base_laplacian_reduced() + eps * np.eye(d)
+            M0 = pose_graph.base_laplacian_reduced() + DEFAULT_PRIOR_EPS * np.eye(d)
         else:
             M0 = np.asarray(prior, dtype=float)
             if M0.ndim != 2 or M0.shape[0] != M0.shape[1]:

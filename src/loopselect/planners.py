@@ -35,10 +35,13 @@ cardinality (``tu``) budget the greedy planners therefore read a cell off a
 longer run: ``m_greedy``'s first b picks of its run for k, ``e_greedy``'s
 phase 1 as the first min(b, k) edge picks, and ``v_greedy``'s longest prefix
 within b vertices and k induced edges. Only phase 2 of ``e_greedy`` is per
-cell. A sweep passes every cell one ``runs`` dict, which keeps these runs
-for one graph and objective, extended as far as some cell needed, so a grid
-costs one greedy run per line rather than per cell; a cell's trace counts
-only the evaluations its own call spent. ``runs`` holds one run per
+call: it starts from a fresh oracle that replays the call's phase-1 picks,
+the one way an oracle forks, which for a log-det objective copies no matrix
+(its oracles share one read-only base inverse). A sweep passes every cell
+one ``runs`` dict, which keeps these runs for one graph and objective,
+extended as far as some cell needed, so a grid costs one greedy run per line
+rather than per cell; a cell's trace counts only the evaluations its own
+call spent. ``runs`` holds one run per
 planner: ``m_greedy``'s is for one k, and a call for another k drops it
 before building the next, so a sweep that asks for its cells k-major keeps
 one such run alive at a time. Without ``runs`` each call runs privately.
@@ -243,14 +246,13 @@ class _Prefixes:
 
     ``extend(count)`` picks with ``selector`` until the run holds ``count``
     picks, ``full()`` turns true or the pool runs dry. ``take(item, gain)``
-    commits each pick to ``oracle`` (and whatever other state the run keeps)
-    and returns its :class:`TraceStep`. A pick depends only on the picks
-    before it, never on where the run will stop, so the first i steps are
-    those of a run stopped after i picks.
+    commits each pick to the run's oracle (and whatever other state the run
+    keeps) and returns its :class:`TraceStep`. A pick depends only on the
+    picks before it, never on where the run will stop, so the first i steps
+    are those of a run stopped after i picks.
     """
 
-    def __init__(self, oracle, selector, take, full=lambda: False):
-        self.oracle = oracle
+    def __init__(self, selector, take, full=lambda: False):
         self._sel = selector
         self._take = take
         self.full = full
@@ -285,7 +287,7 @@ def _m_run(graph, k, cb, per_weight=False):
         return TraceStep("vertex", vid, oracle.value - before, oracle.value)
 
     sel = GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits)
-    return _Prefixes(oracle, sel, take, full=room.full)
+    return _Prefixes(sel, take, full=room.full)
 
 
 def m_greedy(graph, k, cb, objective, runs=None):
@@ -390,7 +392,7 @@ def _edge_run(oracle, candidates, phase):
         return TraceStep(phase, eid, g, oracle.value)
 
     sel = GreedySelector(candidates, lambda eid: oracle.gain((eid,)), slack=oracle.gain_slack)
-    return _Prefixes(oracle, sel, take)
+    return _Prefixes(sel, take)
 
 
 def _replayed(objective, edge_ids):
@@ -410,8 +412,8 @@ def e_greedy(graph, k, cb, objective, runs=None):
 
     Phase 1 is the first min(b, k) picks of one edge-greedy run, which
     ``runs`` shares across the cells of a sweep. Phase 2 (k > b) is this
-    cell's own: it starts from the run's oracle when the run is private, and
-    from a fresh oracle that replays phase 1 when other cells read the run.
+    cell's own: it starts from a fresh oracle that replays phase 1, so a
+    private run and a shared one fork the same way.
     """
     _require_tu(cb, "e_greedy")
     if k < 0:
@@ -431,7 +433,7 @@ def e_greedy(graph, k, cb, objective, runs=None):
     cover = _witness_cover(graph, selected)
 
     if k > b:
-        oracle = run.oracle if runs is None else _replayed(objective, selected)
+        oracle = _replayed(objective, selected)
         phase2 = _edge_run(oracle, graph.edges_incident(cover) - set(selected), "phase2")
         evaluations += phase2.extend(k - b)
         steps += phase2.steps
@@ -466,7 +468,7 @@ def _vertex_run(graph, objective):
         lambda vid: oracle.gain(new_edges(vid)),
         slack=oracle.gain_slack,
     )
-    return _Prefixes(oracle, sel, take), news
+    return _Prefixes(sel, take), news
 
 
 def v_greedy(graph, k, cb, objective, runs=None):

@@ -500,7 +500,9 @@ class TestSweep:
         ["-b", "2", "-k", "2,3,2.0"],
         ["-b", "2", "-k", "2", "--planners", "mgreedy,sgreedy,mgreedy"],
         ["--regime", "iu", "-b", "1/1/1,1/1/1", "-k", "2"],
-    ], ids=["b", "k", "planner", "iu-limits"])
+        ["--regime", "iu", "-b", "1/1/1,1/1/1.0", "-k", "2"],
+        ["--regime", "tn", "-b", "2,2.0", "-k", "2"],
+    ], ids=["b", "k", "planner", "iu-limits", "iu-spelling", "tn"])
     def test_repeated_cell_is_usage_error(self, tmp_path, capsys, monkeypatch, flags):
         from loopselect import cli
 
@@ -1107,6 +1109,27 @@ class TestObjectiveDataErrors:
         bad.write_text("".join(line for line in lines if not line.startswith(drop)))
         assert main([*runs[command], "--input", str(graph), "--pose-input", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message} (in {bad})\n"
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
+    def test_capped_pose_error_cites_the_pose_files_ids(self, tmp_path, capsys, command):
+        # --cap-degree 3 renumbers candidate 9 to 7; the error names the file's id
+        graph, pose, plan = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "plan.json"
+        assert main(["generate", "--robots", "3", "--verts", "4", "--edges", "16", "--seed",
+                     "1", "--output", str(graph), "--pose-output", str(pose)]) == 0
+        capped = ["--input", str(graph), "--cap-degree", "3"]
+        flags = ["--objective", "treeconn", "-b", "2", "-k", "3", *capped]
+        assert main(["plan", *flags, "--pose-input", str(pose), "--output", str(plan)]) == 0
+        bad = tmp_path / "c9.pose"
+        lines = pose.read_text().splitlines(keepends=True)
+        bad.write_text("".join(line for line in lines if not line.startswith("CANDIDATE 9 ")))
+        capsys.readouterr()
+        argv = {"plan": ["plan", *flags], "sweep": ["sweep", *flags],
+                "certify": ["certify", "--input", str(graph), "--plan", str(plan)]}[command]
+        assert main([*argv, "--pose-input", str(bad)]) == 2
+        message = f"error: candidate_map lacks exchange edges [9] (in {bad})\n"
+        assert capsys.readouterr().err == message
+        if command != "certify":  # the modular objective reads no pose graph
+            assert main([command, "-b", "2", "-k", "3", *capped, "--pose-input", str(bad)]) == 0
 
     @pytest.mark.parametrize("command, owner, name", [
         ("plan", cli, "s_greedy"), ("sweep", cli, "s_greedy"), ("certify", cli.cert, "bounds"),

@@ -488,8 +488,8 @@ class TestOracle:
             assert gain == pytest.approx(exact, rel=1e-9, abs=0)
 
     def test_commit_matches_refactorization(self):
-        # each gain after Sherman-Morrison updates equals log1p(s aᵀM⁻¹a) with
-        # M⁻¹a from a dense solve of the refactorized matrix
+        # each gain over the base inverse less the committed factor UUᵀ equals
+        # log1p(s aᵀM⁻¹a) with M⁻¹a from a dense solve of the refactorized matrix
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = int(rng.integers(2, 8))
@@ -549,6 +549,22 @@ class TestOracle:
 
 
 class TestSharedInverse:
+    def test_base_inverse_is_read_only_and_never_changes(self, monkeypatch):
+        spec = GenSpec(num_robots=3, vertices_per_robot=8, num_edges=30, seed=6)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        obj = TreeConnObjective(graph, pg)
+        P0 = obj.oracle()._P0
+        assert P0 is obj._P0 and not P0.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            P0[1, 1] = 0.0
+        before = P0.tobytes()
+        s_greedy(graph, 6, TotalUniform(3), obj)
+        monkeypatch.setattr(cli, "TreeConnObjective", lambda g, p: obj)
+        cli.sweep_rows(graph, pg, cli.SweepSpec(
+            bs=(2, 3), ks=(2, 6), objective="treeconn", planners=("sgreedy",)))
+        assert obj._P0 is P0 and P0.tobytes() == before
+
     def test_one_inverse_per_objective(self, monkeypatch):
         calls = []
 
@@ -720,6 +736,40 @@ class TestScatterMatchesDense:
             assert obj.value(eids) == dense_value(obj, M0, eids)
             with pytest.raises(ValueError, match="unknown edge id"):
                 obj.value(S + [len(eids)])
+
+
+class TestFactorOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_gains_and_value_match_dense_after_commits(self, instance, data):
+        # the oracle reads P0 - UUᵀ; after any commits its one-edge and r-edge
+        # gains and its value agree with refactorizations of the dense matrix
+        graph, pg, prior = instance
+        eids = [e.id for e in graph.edges]
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg),
+                    DCritObjective(graph, pg, prior=prior)):
+            oracle = obj.oracle()
+            committed: list[int] = []
+            order = data.draw(st.permutations(eids))
+            while True:
+                base = obj.value(committed)
+                rest = [e for e in eids if e not in committed]
+                queries = [(e,) for e in rest]
+                if len(rest) >= 2:
+                    queries.append(tuple(data.draw(st.lists(
+                        st.sampled_from(rest), min_size=2, max_size=len(rest), unique=True))))
+                for X in queries:
+                    dense = obj.value(committed + list(X)) - base
+                    gain = oracle.gain(X)
+                    assert gain >= 0.0
+                    assert abs(gain - dense) <= 1e-9 * max(1.0, abs(dense)), (X, gain, dense)
+                assert abs(oracle.value - base) <= 1e-9 * max(1.0, abs(base))
+                if not order:
+                    break
+                size = data.draw(st.integers(1, min(3, len(order))))
+                batch, order = order[:size], order[size:]
+                oracle.commit(batch)
+                committed += batch
 
 
 class TestLinalg:
