@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import re
 import sys
@@ -38,6 +39,8 @@ LAZY_HELP = "no effect: lazy greedy evaluation is the only mode (kept for old sc
 _FACTORS = "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
 SWEEP_HEADER = "b,k,planner,achieved,normalized,opt,upt,gap_pct," + _FACTORS
 CERTIFY_HEADER = "instance,b,k,delta,achieved,opt,upt," + _FACTORS
+
+log = logging.getLogger(__name__)
 
 
 class _UsageError(Exception):
@@ -92,7 +95,20 @@ def _parse_grid(spec, what="grid value"):
                     raise _UsageError(f"bad {what} {t!r}: not finite")
     except (ValueError, ArithmeticError):  # decimal's errors are ArithmeticErrors
         raise _UsageError(f"bad grid spec {spec!r}") from None
-    return [int(v) if v.is_integer() else v for v in values]
+    return list(map(_grid_value, values))
+
+
+def _grid_tokens(spec, what):
+    """A sweep grid as given: the tokens of a comma list, once ``_parse_grid`` has
+    checked them, so that a repeated value is quoted as spelt; a range's values."""
+    values = _parse_grid(spec, what)
+    return values if ":" in spec else [t for t in spec.split(",") if t]
+
+
+def _grid_value(x):
+    """``x`` (see ``_number``) as a grid cell prints it: an int when it is integral."""
+    value = _number(x)
+    return int(value) if value.is_integer() else value
 
 
 def _integer(x, what) -> int:
@@ -386,7 +402,7 @@ def _cmd_certify(args):
 
     opt, upt = cert.bounds(graph, k, cb, objective, args.level)
     if upt is None and args.level == "lp":
-        print("warning: LP certification needs the modular objective; skipped", file=sys.stderr)
+        log.warning("LP certification needs the modular objective; skipped")
     ratio = _ratio_lb(achieved, upt)
     print(CERTIFY_HEADER)
     # a plan file carries no trace, so the a-posteriori factors stay empty
@@ -402,9 +418,11 @@ class SweepSpec:
     """One experiment grid: budgets x planners on a fixed instance.
 
     ``certify`` is "none", "lp", or "brute"; brute's enumeration guard downgrades
-    a cell to "lp" with a warning. Rows come in deterministic (b, k, planner)
-    order; a b, k or planner given twice is a ValueError, however a number in
-    it is spelt (2 and 2.0 alike, and so the iu limits 1/1 and 1/1.0).
+    a cell to "lp" with a warning, logged. Rows come in deterministic (b, k,
+    planner) order; a b, k or planner given twice is a ValueError quoting the
+    grid as given, however a number in it is spelt (2 and 2.0 alike, and so
+    the iu limits 1/1 and 1/1.0). A b or k may be given as its text: a row
+    prints the number (2.0 as 2), or an iu budget as given.
     """
 
     bs: tuple = ()
@@ -423,22 +441,22 @@ class SweepSpec:
         if self.certify not in ("none", "lp", "brute"):
             raise ValueError(f"unknown certification level {self.certify!r}")
         for what, values, keys in (
-            ("b", self.bs, [_budget_key(self.regime, b) for b in self.bs]),
-            ("k", self.ks, self.ks),
+            ("b", self.bs, [_grid_key(b, limits=self.regime == "iu") for b in self.bs]),
+            ("k", self.ks, list(map(_grid_key, self.ks))),
             ("planner", self.planners, self.planners),
         ):
             if len(set(keys)) < len(keys):
                 raise ValueError(f"repeated {what} in {','.join(map(str, values))}")
 
 
-def _budget_key(regime, b):
-    """The number(s) ``b`` spells, so that a budget compares equal however it is
-    written: an iu budget's limits, any other budget's value; ``b`` itself when
-    it spells no number, which ``_budget`` reports."""
+def _grid_key(x, limits=False):
+    """The number(s) ``x`` spells, so that a grid value compares equal however it
+    is written: an iu budget's limits when ``limits``, else its value; ``x``
+    itself when it spells no number, which the cell's own parse reports."""
     try:
-        return tuple(map(_number, str(b).split("/"))) if regime == "iu" else _number(b)
+        return tuple(map(_number, str(x).split("/"))) if limits else _number(x)
     except ValueError:
-        return b
+        return x
 
 
 def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
@@ -449,7 +467,10 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
     for p in spec.planners:
         _check_planner_regime(p, spec.regime, spec.objective)
     objective = _objective(spec.objective, graph, pose_graph, pose_path)
-    budgets = [(b, _budget(spec.regime, b, graph)) for b in spec.bs]
+    budgets = []  # (the b its rows print, the budget)
+    for b in spec.bs:
+        cb = _budget(spec.regime, b, graph)
+        budgets.append((b if spec.regime == "iu" else _grid_value(b), cb))
     ks = [_edge_budget(k) for k in spec.ks]
     norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
     delta = graph.max_degree()
@@ -462,8 +483,7 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
             try:
                 opt, upt = cert.bounds(graph, k, cb, objective, spec.certify)
             except EnumerationGuardError:
-                print(f"warning: brute guard exceeded at b={b} k={k}; downgrading certification",
-                      file=sys.stderr)
+                log.warning("brute guard exceeded at b=%s k=%s; downgrading certification", b, k)
                 opt, upt = cert.bounds(graph, k, cb, objective, "lp")
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
@@ -497,8 +517,10 @@ def _write_rows(rows, output):
 def _cmd_sweep(args):
     # an iu budget is itself a list (l0/l1/...), so an iu grid is a comma list of them
     iu = args.regime == "iu" and not args.alpha_only
-    bs = [t for t in args.b.split(",") if t] if iu else _parse_grid(args.b, f"{args.regime} budget")
-    ks = _parse_grid(args.k, "k")
+    # a sweep keeps a list's tokens, so that a repeated value is quoted as given
+    grid = _parse_grid if args.alpha_only else _grid_tokens
+    bs = [t for t in args.b.split(",") if t] if iu else grid(args.b, f"{args.regime} budget")
+    ks = grid(args.k, "k")
     if not bs or not ks:
         raise _UsageError("empty budget grid")
 
@@ -597,7 +619,25 @@ def _parser():
     return top
 
 
+class _StderrLines(logging.Handler):
+    """Writes a record as ``level: message`` to ``sys.stderr`` as it is when the record
+    comes, so that a caller who swaps the stream (as capturing tests do) gets it."""
+
+    def emit(self, record):
+        print(f"{record.levelname.lower()}: {record.getMessage()}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    # the package's warnings go to stderr while a command runs
+    package, handler = logging.getLogger("loopselect"), _StderrLines()
+    package.addHandler(handler)
+    try:
+        return _main(argv)
+    finally:
+        package.removeHandler(handler)
+
+
+def _main(argv):
     try:
         args = _parser().parse_args(argv)
         if args.command == "sweep" and args.alpha_only and args.delta is None:

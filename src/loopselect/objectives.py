@@ -14,24 +14,30 @@ Three normalized monotone objectives are provided:
 
 Every objective offers two ways to evaluate it. ``value(edge_ids)`` is the
 dense, stateless reference: for the log-det objectives it rebuilds the matrix
-and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state
-of one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
-new edges to everything committed so far, ``commit(edge_ids)`` adds them, and
-``value`` is the running objective value. A log-det objective inverts its
-base matrix once, at its first ``oracle()``, into a read-only P0 that every
-oracle shares; an oracle keeps its committed edges as a low-rank factor U,
-so that its inverse is P0 − UUᵀ, and never writes P0. A one-edge gain
-``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row difference
-of U, O(|S|) (matrix determinant lemma, so it is never negative), an r-edge
-gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a commit
-appends one column to U, O(d·|S|).
+and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state of
+one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
+new edges to everything committed so far, ``gains(edge_sets)`` is that gain
+for each of many sets at once, as an array, ``commit(edge_ids)`` adds them,
+and ``value`` is the running objective value. A greedy run takes ``gains``
+once, for the bounds its lazy heap starts from, and ``gain`` for every pick it
+makes. A modular batch is bit for bit the scalar gains; a log-det batch is
+numpy passes over the same quantities and agrees to a few ulps. A log-det
+objective inverts its base matrix once, at its first ``oracle()``, into a
+read-only P0 that every oracle shares; an oracle keeps its committed edges as
+a low-rank factor U, so that its inverse is P0 − UUᵀ, and never writes P0. A
+one-edge gain ``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row
+difference of U, O(|S|) (matrix determinant lemma, so it is never negative),
+an r-edge gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a
+commit appends one column to U, O(d·|S|). The batch groups its sets by r and
+runs each group as one gather and one batched Cholesky.
 
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
-``gain(vid)``, ``commit(vid)`` and ``value``, in the same style as ``oracle()``.
+``gain(vid)``, ``commit(vid)`` and ``value``, in the same style as ``oracle()``,
+and ``gains(vids)`` while nothing is committed.
 It keeps each vertex's uncovered incident keys up to date as vertices are
 committed, O(degree) per covered edge, so a gain walks only the keys that
 enter the top k plus one, and is ``0.0`` after one comparison when none does.
@@ -39,6 +45,7 @@ enter the top k plus one, and is ``0.0`` after one comparison when none does.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -224,6 +231,11 @@ class _ModularOracle:
     def gain(self, edge_ids) -> float:
         return self._sum(_fresh(self._committed, edge_ids))
 
+    def gains(self, edge_sets) -> np.ndarray:
+        """The gain of each set in ``edge_sets``, bit for bit as :meth:`gain` gives it."""
+        committed = self._committed
+        return np.array([self._sum(_fresh(committed, X)) for X in edge_sets], dtype=float)
+
     def commit(self, edge_ids):
         committed = self._committed | _fresh(self._committed, edge_ids)
         self.value = self._sum(committed)
@@ -259,9 +271,10 @@ class _LogDetOracle:
 
     gain_slack = 1e-9
 
-    def __init__(self, pairs, P0):
+    def __init__(self, pairs, row, ijs, P0):
         self._P0 = P0
         self._pairs = pairs
+        self._row, self._ijs = row, ijs
         # the first _m columns of _U are U; the rest is room to append
         self._U = np.empty((P0.shape[0], 8))
         self._m = 0
@@ -298,6 +311,46 @@ class _LogDetOracle:
             rows.append(row)
             total += math.log1p(x)
         return total
+
+    def gains(self, edge_sets) -> np.ndarray:
+        """The gain of each set in ``edge_sets`` (each of distinct ids), in numpy passes.
+
+        The edges are looked up in the objective's (i, j, s) arrays, and the
+        sets grouped by their number r of edges; each group is one pass: the
+        gathers of ``_P0`` less WWᵀ give every set's G at once, r = 1 takes
+        ``log1p(s·G)`` as :meth:`gain` does, and r ≥ 2 one batched Cholesky of
+        I + S½GS½. An edge with s = 0 adds exactly nothing (a unit row and
+        column of I + S½GS½), so unlike :meth:`gain` the batch keeps it.
+        Rounding in another order, a value can differ from :meth:`gain` by a
+        few ulps either way, far inside ``gain_slack``.
+        """
+        n = len(edge_sets)
+        ids = list(itertools.chain.from_iterable(map(sorted, edge_sets)))
+        _fresh(self._committed, ids)
+        try:
+            rows = np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
+        except KeyError as err:
+            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+        size = np.fromiter(map(len, edge_sets), np.intp, n)
+        I, J, s = (col[rows] for col in self._ijs)
+        of_size = np.repeat(size, size)  # the size of each edge's set
+        out = np.zeros(n)
+        P0, U = self._P0, self._U[:, : self._m]
+        a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
+        for r in set(size.tolist()) - {0}:
+            # the edges of the sets with r of them, one row per set
+            In, Jn, sn = (x[of_size == r].reshape(-1, r) for x in (I, J, s))
+            W = U[In] - U[Jn]
+            G = (P0[In[a], In[b]] - P0[In[a], Jn[b]] - P0[Jn[a], In[b]] + P0[Jn[a], Jn[b]]
+                 - np.einsum("xam,xbm->xab", W, W))
+            if r == 1:
+                # a quadratic form of a PD matrix; clamp the rounding below zero
+                out[size == 1] = np.log1p(sn[:, 0] * np.maximum(G[:, 0, 0], 0.0))
+            else:
+                root = np.sqrt(sn)
+                L = np.linalg.cholesky(root[a] * G * root[b] + np.eye(r))
+                out[size == r] = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        return out
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)
@@ -344,6 +397,10 @@ class _RankOneLogDet:
         for e in graph.edges:
             i, j, w = pose_graph.candidate_map[e.id]
             self._pairs[e.id] = (i, j, e.p * w)
+        # the same triples as three arrays, with the row of each edge id in them
+        self._row = {eid: r for r, eid in enumerate(self._pairs)}
+        table = np.array(list(self._pairs.values()), dtype=float).reshape(-1, 3)
+        self._ijs = (table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2])
 
     def value(self, edge_ids) -> float:
         edges = _edges(self._pairs, sorted(set(edge_ids)))
@@ -368,7 +425,7 @@ class _RankOneLogDet:
             P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
             P0.flags.writeable = False
             self._P0 = P0
-        return _LogDetOracle(self._pairs, self._P0)
+        return _LogDetOracle(self._pairs, self._row, self._ijs, self._P0)
 
 
 class DCritObjective(_RankOneLogDet):
@@ -464,6 +521,7 @@ class TopKOracle:
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []
+        self._committed = False  # whether a vertex is; gains() needs a fresh oracle
         self.value = 0.0
 
     def _keys(self, vid):
@@ -488,8 +546,22 @@ class TopKOracle:
         terms += self._top_neg[k - len(terms):]
         return math.fsum(terms)
 
+    def gains(self, vids) -> np.ndarray:
+        """The gain of each vertex in ``vids``, bit for bit as :meth:`gain` gives it.
+
+        Only a fresh oracle has one: with nothing committed, a vertex gains the
+        ``math.fsum`` of its first k keys' probabilities. After a commit it
+        raises ValueError.
+        """
+        if self._committed:
+            raise ValueError("batch gains need a fresh TopKOracle: a vertex is committed")
+        k = self._k
+        return np.array([math.fsum(-key[0] for key in self._keys(vid)[:k]) for vid in vids],
+                        dtype=float)
+
     def commit(self, vid):
         keys = self._keys(vid)
+        self._committed = True
         self._uncovered[vid] = []
         for key in keys:
             e = self._graph.edge(key[1])

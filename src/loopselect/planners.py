@@ -23,10 +23,14 @@ and ``v_greedy`` from one ``objective.oracle()``, which tracks the committed
 edges; only the final achieved value comes from ``g_modular`` or the dense
 ``objective.value``. The selector is lazy (Minoux): it keeps stale gains as
 upper bounds and re-evaluates only the candidates that could still win a
-round. That is valid because oracle gains are non-negative and never grow
-for monotone submodular objectives, except by rounding that each oracle
-bounds (``gain_slack``), so the selection sequence is the one a full scan
-of the pool per round would give, with fewer gain evaluations.
+round. Its heap starts from one batch of gains, the oracle's ``gains`` over
+the whole pool (as CELF does), so even the first round re-evaluates only
+the candidates near the top. That is valid because oracle gains are
+non-negative and never grow for monotone submodular objectives, except by
+rounding that each oracle bounds (``gain_slack``, which also covers a batch
+gain a few ulps below the scalar one), so the selection sequence is the one
+a full scan of the pool per round would give, with fewer gain evaluations.
+A trace's ``evaluations`` counts the scalar gains; the batch is not one.
 
 A greedy pick depends only on the picks before it, so the i-th prefix of a
 run is the run stopped after i picks (Nemhauser, Wolsey and Fisher, 1978: the
@@ -106,28 +110,35 @@ class GreedySelector:
     """Lazy repeated argmax over a shrinking candidate pool with a global tie rule.
 
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
-    ties break to the lowest candidate id. ``feasible(c)`` is asked before a
+    ties break to the lowest candidate id. ``bounds(cs)`` returns, as an
+    array, the gains of the candidates ``cs`` (a sorted list) at the start,
+    in one batch (an oracle's ``gains``). ``feasible(c)`` is asked before a
     candidate is evaluated, and a candidate it rejects leaves the pool for
     good, so it must only ever turn from true to false as the run goes on (a
     budget being used up); rejections are not evaluations. A min-heap of
-    ``(-gain, id, round)`` holds every candidate's last gain as a stale bound;
-    an entry is only trusted once re-evaluated in the current round. Gains of
-    monotone submodular objectives never grow, except by rounding: ``slack``
-    bounds that growth, and a stale entry within ``slack`` of the round's
-    best is re-evaluated before the best is taken. So each pick is the one
-    evaluating the whole pool every round would make, while most
-    evaluations are skipped.
+    ``(-gain, id, round)`` holds every candidate's last gain as a stale bound,
+    starting from ``bounds`` (as CELF does: Leskovec et al., "Cost-effective
+    Outbreak Detection in Networks", 2007); an entry is only trusted once
+    ``gain_fn`` re-evaluated it in the current round. Gains of monotone
+    submodular objectives never grow, except by rounding: ``slack`` bounds
+    that growth, and how far a batch gain may sit below ``gain_fn``'s, and a
+    stale entry within ``slack`` of the round's best is re-evaluated before
+    the best is taken. So each pick is the one evaluating the whole pool
+    every round would make, while most evaluations are skipped.
+    ``evaluations`` counts the calls of ``gain_fn``; the batch is not one.
     """
 
-    def __init__(self, candidates, gain_fn, feasible=lambda c: True, slack=0.0):
+    def __init__(self, candidates, gain_fn, bounds, feasible=lambda c: True, slack=0.0):
         self._pool = set(candidates)
         self._gain = gain_fn
         self._feasible = feasible
         self._slack = slack
         self._round = 0
         self.evaluations = 0
-        # a sorted list is a heap; bound +inf marks "never evaluated"
-        self._heap = [(-math.inf, c, -1) for c in sorted(self._pool)]
+        order = sorted(self._pool)
+        # round -1 marks a bound that gain_fn never gave
+        self._heap = [(-g, c, -1) for g, c in zip(bounds(order).tolist(), order)]
+        heapq.heapify(self._heap)
 
     def __len__(self):
         return len(self._pool)
@@ -277,8 +288,11 @@ def _m_run(graph, k, cb, per_weight=False):
 
         def score(vid):
             return oracle.gain(vid) / weight[vid]
+
+        def bounds(vids):
+            return oracle.gains(vids) / np.array([weight[vid] for vid in vids], dtype=float)
     else:
-        score = oracle.gain
+        score, bounds = oracle.gain, oracle.gains
 
     def take(vid, _score):
         room.charge(vid)
@@ -286,7 +300,7 @@ def _m_run(graph, k, cb, per_weight=False):
         oracle.commit(vid)
         return TraceStep("vertex", vid, oracle.value - before, oracle.value)
 
-    sel = GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits)
+    sel = GreedySelector([v.id for v in graph.vertices], score, bounds, feasible=room.fits)
     return _Prefixes(sel, take, full=room.full)
 
 
@@ -391,7 +405,12 @@ def _edge_run(oracle, candidates, phase):
         oracle.commit((eid,))
         return TraceStep(phase, eid, g, oracle.value)
 
-    sel = GreedySelector(candidates, lambda eid: oracle.gain((eid,)), slack=oracle.gain_slack)
+    sel = GreedySelector(
+        candidates,
+        lambda eid: oracle.gain((eid,)),
+        lambda eids: oracle.gains([(eid,) for eid in eids]),
+        slack=oracle.gain_slack,
+    )
     return _Prefixes(sel, take)
 
 
@@ -466,6 +485,7 @@ def _vertex_run(graph, objective):
     sel = GreedySelector(
         [v.id for v in graph.vertices],
         lambda vid: oracle.gain(new_edges(vid)),
+        lambda vids: oracle.gains([new_edges(vid) for vid in vids]),
         slack=oracle.gain_slack,
     )
     return _Prefixes(sel, take), news

@@ -39,9 +39,9 @@ def time_limit(seconds):
 class EagerSelector:
     """Reference argmax for ``planners.GreedySelector``: every round evaluates
     every feasible candidate left, in id order, and keeps the first maximum.
-    It trusts no stale gain, so it has no use for ``slack``."""
+    It trusts no stale gain, so it has no use for ``bounds`` or ``slack``."""
 
-    def __init__(self, candidates, gain_fn, feasible=lambda c: True, slack=0.0):
+    def __init__(self, candidates, gain_fn, bounds=None, feasible=lambda c: True, slack=0.0):
         self._pool, self._gain, self._feasible = sorted(set(candidates)), gain_fn, feasible
         self.evaluations = 0
 

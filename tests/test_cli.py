@@ -458,6 +458,16 @@ class TestSweep:
         row = out.read_text().splitlines()[-1].split(",")
         assert row[:3] == ["3", "5", "mgreedy"] and row[5] == ""
 
+    def test_downgrade_warning_is_logged(self, wide_instance, tmp_path, capsys, caplog):
+        rc = main([
+            "sweep", "--input", str(wide_instance), "--planners", "mgreedy", "--regime", "tn",
+            "-b", "3.0", "-k", "5", "--certify", "brute", "--output", str(tmp_path / "s.csv"),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: brute guard exceeded at b=3 k=5; downgrading certification\n")
+        assert [(r.name, r.levelname) for r in caplog.records] == [("loopselect.cli", "WARNING")]
+
     @pytest.mark.parametrize("certify", ["lp", "brute"])
     @pytest.mark.parametrize("regime, b", [("tn", "1.5,2.25,4"), ("iu", "1/1/0,1/1/1,2/1/2")])
     def test_every_regime_is_certified(self, costed_instance, tmp_path, regime, b, certify):
@@ -519,6 +529,28 @@ class TestSweep:
         assert rc == 1
         assert "usage error: repeated " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("regime", ["tu", "tn"])
+    @pytest.mark.parametrize("flags, grid", [
+        (["-b", "2,2.0", "-k", "3"], "b in 2,2.0"),
+        (["-b", "2", "-k", "3,1e0,3.0"], "k in 3,1e0,3.0"),
+    ], ids=["b", "k"])
+    def test_repeated_value_quotes_the_tokens_given(self, tmp_path, capsys, regime, flags, grid):
+        rc = main(["sweep", "--input", str(tmp_path / "absent.exg"), "--regime", regime, *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: repeated {grid}\n"
+
+    @pytest.mark.parametrize("regime", ["tu", "tn"])
+    def test_a_budget_cell_prints_its_number(self, instance, tmp_path, regime):
+        # a grid list reaches the sweep as given; its rows print the numbers
+        rows = {}
+        for b in ("2.0,3", "2:1:3"):
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--input", str(instance), "--planners", "mgreedy",
+                         "--regime", regime, "-b", b, "-k", "2.0,4", "--output", str(out)]) == 0
+            rows[b] = [row[:3] for row in sweep_body(out)]
+        assert rows["2.0,3"] == rows["2:1:3"] == [
+            ["2", "2", "mgreedy"], ["2", "4", "mgreedy"], ["3", "2", "mgreedy"], ["3", "4", "mgreedy"]]
 
     def test_iu_grid_takes_limit_lists(self, instance, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -758,7 +790,7 @@ class TestCertify:
         ])
         captured = capsys.readouterr()
         assert rc == 0
-        assert "warning: LP certification needs the modular objective; skipped" in captured.err
+        assert captured.err == "warning: LP certification needs the modular objective; skipped\n"
         assert captured.out.splitlines()[1].split(",")[6] == ""
 
     @pytest.mark.parametrize("regime, b", [("tn", "2.25"), ("iu", "1/1/1")])

@@ -124,6 +124,11 @@ def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
     ]
     cost = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
     budget = data.draw(st.integers(0, sum(cost)))
+    # a batch bound may sit below the first gain, by less than the slack
+    low = data.draw(st.lists(st.sampled_from([0.0, slack / 2]), min_size=n, max_size=n))
+
+    def bounds(cs):
+        return np.array([gains[c][0] - low[c] for c in cs])
 
     def run(selector):
         picks, spent = [], 0
@@ -131,7 +136,8 @@ def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
         def fits(c):
             return cost[c] <= budget - spent
 
-        sel = selector(range(n), lambda c: gains[c][len(picks)], feasible=fits, slack=slack)
+        sel = selector(range(n), lambda c: gains[c][len(picks)], bounds, feasible=fits,
+                       slack=slack)
         while (pick := sel.best()) is not None:
             sel.commit(pick[0])
             picks.append(pick)

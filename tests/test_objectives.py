@@ -772,6 +772,84 @@ class TestFactorOracle:
                 committed += batch
 
 
+class TestBatchGains:
+    """``gains`` against one ``gain`` call per candidate: the values the lazy heap starts from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_logdet_batch_within_slack_after_commits(self, instance, data):
+        # one-edge sets, and sets of several new edges as a vertex has them,
+        # with repeated pose pairs and zero-probability edges among them
+        graph, pg, prior = instance
+        eids = [e.id for e in graph.edges]
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg),
+                    DCritObjective(graph, pg, prior=prior)):
+            oracle = obj.oracle()
+            order = data.draw(st.permutations(eids))
+            while True:
+                rest = [e for e in eids if e not in oracle._committed]
+                sets = [(e,) for e in rest] + data.draw(st.lists(
+                    st.sets(st.sampled_from(rest), min_size=1), max_size=6)) if rest else []
+                batch = oracle.gains(sets)
+                assert batch.shape == (len(sets),)
+                for X, g in zip(sets, batch.tolist()):
+                    assert g >= 0.0
+                    assert abs(g - oracle.gain(X)) <= oracle.gain_slack / 1000, X
+                if not order:
+                    break
+                size = data.draw(st.integers(1, min(3, len(order))))
+                oracle.commit(order[:size])
+                order = order[size:]
+
+    def test_logdet_batch_rejects_what_gain_rejects(self):
+        graph, pg, _, _ = random_treeconn_instance(4)
+        oracle = TreeConnObjective(graph, pg).oracle()
+        oracle.commit((0,))
+        with pytest.raises(ValueError, match="already committed"):
+            oracle.gains([(1,), (0,)])
+        with pytest.raises(ValueError, match="unknown edge id"):
+            oracle.gains([(graph.num_edges,)])
+        assert oracle.gains([]).shape == (0,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=topk_runs(), data=st.data())
+    def test_modular_batch_is_gain_bit_for_bit(self, instance, data):
+        graph, _, order = instance
+        oracle = ModularObjective(graph).oracle()
+        for vid in [None, *order]:
+            if vid is not None:
+                oracle.commit(graph.edges_incident((vid,)) - oracle._committed)
+            rest = [e.id for e in graph.edges if e.id not in oracle._committed]
+            sets = [(e,) for e in rest] + [
+                graph.edges_incident((v,)) - oracle._committed for v in range(graph.num_vertices)
+            ]
+            batch = oracle.gains(sets).tolist()
+            assert [g.hex() for g in batch] == [oracle.gain(X).hex() for X in sets]
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=topk_runs(), k=st.integers(0, 16))
+    def test_fresh_topk_batch_is_gain_bit_for_bit(self, instance, k):
+        graph, _, order = instance
+        oracle = TopKOracle(graph, k)
+        vids = list(range(graph.num_vertices))
+        batch = oracle.gains(vids).tolist()
+        assert [g.hex() for g in batch] == [oracle.gain(vid).hex() for vid in vids]
+        if order:
+            oracle.commit(order[0])
+            with pytest.raises(ValueError, match="fresh"):
+                oracle.gains(vids)
+
+    def test_topk_batch_raises_after_any_commit(self, demo_graph):
+        oracle = TopKOracle(demo_graph, 3)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            oracle.gains([99])
+        oracle.commit(0)
+        with pytest.raises(ValueError, match="fresh"):
+            oracle.gains([1])
+        with pytest.raises(ValueError, match="fresh"):
+            oracle.gains([])
+
+
 class TestLinalg:
     def test_logdet_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):

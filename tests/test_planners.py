@@ -97,8 +97,11 @@ class TestGreedySelector:
                 return False
             return True
 
+        def bounds(cs):
+            return np.array([gains[c] for c in cs])
+
         selector = GreedySelector if lazy else EagerSelector
-        sel = selector(gains, gains.__getitem__, feasible=fits)
+        sel = selector(gains, gains.__getitem__, bounds, feasible=fits)
         picks = []
         while (pick := sel.best()) is not None:
             c, g = pick
@@ -111,8 +114,9 @@ class TestGreedySelector:
         assert len(sel) == 0
         assert asked_after_rejection == []
         # rejections are not evaluations: eager scans 6, then 3 affordable;
-        # lazy re-evaluates only the one affordable candidate it pops
-        assert sel.evaluations == (7 if lazy else 9)
+        # lazy, from exact bounds, re-evaluates only the candidate it takes
+        assert sel.evaluations == (2 if lazy else 9)
+        assert not lazy or sel.evaluations < 7  # an unseeded heap scanned all 6 first
 
 
 class TestRoom:
@@ -544,8 +548,9 @@ class TestLazyMode:
         obj = ModularObjective(demo_graph)
         _, trace = e_greedy(demo_graph, 3, TotalUniform(3), obj)
         m = demo_graph.num_edges
-        # first round scans everything; later rounds re-evaluate once
-        assert trace.evaluations == m + (3 - 1)
+        # the seeded bounds are the exact gains, so every round re-evaluates
+        # only the candidate it takes; a heap that started unseeded scanned all m
+        assert trace.evaluations == 3 < m + (3 - 1)
 
     def test_lazy_matches_eager_for_m_greedy(self):
         # a gain taken as a difference of two rounded g values can grow by an

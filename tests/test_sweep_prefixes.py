@@ -51,7 +51,7 @@ def reference_m_greedy(graph, k, b, objective):
     if k == 0:
         return Plan(), trace
     oracle = TopKOracle(graph, k)
-    sel = GreedySelector([v.id for v in graph.vertices], oracle.gain)
+    sel = GreedySelector([v.id for v in graph.vertices], oracle.gain, oracle.gains)
     selected = []
     while len(selected) < b and (pick := sel.best()) is not None:
         vid = pick[0]
@@ -72,7 +72,9 @@ def reference_e_greedy(graph, k, b, objective):
     oracle = objective.oracle()
 
     def grow(candidates, rounds, phase):
-        sel = GreedySelector(candidates, lambda eid: oracle.gain((eid,)), slack=oracle.gain_slack)
+        sel = GreedySelector(candidates, lambda eid: oracle.gain((eid,)),
+                             lambda eids: oracle.gains([(eid,) for eid in eids]),
+                             slack=oracle.gain_slack)
         for _ in range(rounds):
             pick = sel.best()
             if pick is None:
@@ -102,7 +104,7 @@ def reference_v_greedy(graph, k, b, objective):
 
     sel = GreedySelector(
         [v.id for v in graph.vertices], lambda vid: oracle.gain(new_edges(vid)),
-        slack=oracle.gain_slack,
+        lambda vids: oracle.gains([new_edges(vid) for vid in vids]), slack=oracle.gain_slack,
     )
     while sel and len(selected) < b:
         vid, g = sel.best()
