@@ -14,22 +14,27 @@ Three normalized monotone objectives are provided:
 
 Every objective offers two ways to evaluate it. ``value(edge_ids)`` is the
 dense, stateless reference: for the log-det objectives it rebuilds the matrix
-and refactorizes it, O(|S| + d³) per call. ``oracle()`` returns the state of
-one planner run: ``gain(edge_ids)`` is the marginal gain of adding a set of
-new edges to everything committed so far, ``gains(edge_sets)`` is that gain
-for each of many sets at once, as an array, ``commit(edge_ids)`` adds them,
-and ``value`` is the running objective value. A greedy run takes ``gains``
-once, for the bounds its lazy heap starts from, and ``gain`` for every pick it
-makes. A modular batch is bit for bit the scalar gains; a log-det batch is
-numpy passes over the same quantities and agrees to a few ulps. A log-det
-objective inverts its base matrix once, at its first ``oracle()``, into a
-read-only P0 that every oracle shares; an oracle keeps its committed edges as
-a low-rank factor U, so that its inverse is P0 − UUᵀ, and never writes P0. A
-one-edge gain ``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row
-difference of U, O(|S|) (matrix determinant lemma, so it is never negative),
-an r-edge gain runs a Cholesky of an r×r matrix in Python floats, O(r³), and a
-commit appends one column to U, O(d·|S|). The batch groups its sets by r and
-runs each group as one gather and one batched Cholesky.
+and refactorizes it, O(|S| + d³) per call, and its first call factorizes M0.
+``oracle()`` returns the state of one planner run: ``gain(edge_ids)`` is the
+marginal gain of adding a set of new edges to everything committed so far,
+``gains(edge_sets)`` is that gain for each of many sets at once, as an array,
+``commit(edge_ids)`` adds them, and ``value`` is the running objective value,
+which the greedy planners report as their achieved value. A greedy run takes
+``gains`` once, for the bounds its lazy heap starts from, and ``gain`` for
+every pick it makes. A modular batch is bit for bit the scalar gains; a
+log-det batch is numpy passes over the same quantities and agrees to a few
+ulps. A log-det objective makes its base inverse once, at its first
+``oracle()``, into a read-only P0 that every oracle shares: ``treeconn``
+from a spanning tree of the base graph in O(d²) writes with no factorization
+(non-tree base edges folded in as low-rank columns), ``dcrit`` by a Cholesky
+inverse of its prior. An oracle keeps its committed edges as a low-rank factor
+U, so that its inverse is P0 − UUᵀ, and never writes P0. A one-edge gain
+``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row difference
+of U (none while U is empty), O(|S|) (matrix determinant lemma, so it is
+never negative), an r-edge gain runs a Cholesky of an r×r matrix in Python
+floats, O(r³), and a commit appends one column to U, O(d·|S|). The batch
+groups its sets by r and runs each group as one gather and one batched
+Cholesky.
 
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
@@ -119,20 +124,39 @@ class PoseGraph:
         if missing:
             raise ValueError(f"candidate_map lacks exchange edges {missing}")
 
+    def spanning_tree(self) -> tuple[list[int], list[int | None]]:
+        """Depth-first search of the base edges from the anchor (of a valid pose graph).
+
+        Returns ``(order, up)``: the poses the anchor reaches, in preorder (so
+        every subtree is a contiguous run of ``order``), and per pose the
+        index in ``base_edges`` of its tree edge, the one that reached it
+        (-1 for the anchor, None for a pose it does not reach). The other
+        base edges, parallel ones included, are the non-tree edges. Edges
+        are explored in ``base_edges`` order.
+        """
+        edges = self.base_edges
+        adjacent = [[] for _ in range(self.num_poses)]
+        for idx, (i, j, _) in enumerate(edges):
+            adjacent[i].append(idx)
+            adjacent[j].append(idx)
+        up: list[int | None] = [None] * self.num_poses
+        order: list[int] = []
+        stack = [(self.anchor, -1)]
+        while stack:
+            v, idx = stack.pop()
+            if up[v] is None:
+                up[v] = idx
+                order.append(v)
+                for idx in reversed(adjacent[v]):
+                    i, j, _ = edges[idx]
+                    u = j if i == v else i
+                    if up[u] is None:
+                        stack.append((u, idx))
+        return order, up
+
     def is_connected(self) -> bool:
-        """Connectivity of the base graph over all poses (union-find)."""
-        parent = list(range(self.num_poses))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, _ in self.base_edges:
-            parent[find(i)] = find(j)
-        roots = {find(i) for i in range(self.num_poses)}
-        return len(roots) <= 1
+        """Connectivity of the base graph over all poses (its spanning-tree search)."""
+        return len(self.spanning_tree()[0]) == self.num_poses
 
     def base_laplacian_reduced(self) -> np.ndarray:
         """Weighted Laplacian of the base edges, anchor row/column dropped."""
@@ -282,15 +306,27 @@ class _LogDetOracle:
         self.value = 0.0
 
     def gain(self, edge_ids) -> float:
+        if len(edge_ids) == 1:
+            # one edge: no set to build and no order to fix
+            (eid,) = edge_ids
+            if eid in self._committed:
+                raise ValueError(f"edges [{eid}] already committed")
+            try:
+                i, j, s = self._pairs[eid]
+            except KeyError:
+                raise ValueError(f"unknown edge id {eid!r}") from None
+            P0 = self._P0
+            q = P0[i, i] + P0[j, j] - 2.0 * P0[i, j]
+            if self._m:  # less ‖U_i − U_j‖², which is exactly 0 while U has no column
+                U = self._U[:, : self._m]
+                w = U[i] - U[j]
+                q -= w.dot(w)
+            # a quadratic form of a PD matrix; clamp the rounding below zero
+            return math.log1p(s * max(float(q), 0.0))
         terms = _edges(self._pairs, sorted(_fresh(self._committed, edge_ids)))
         if not terms:
             return 0.0
         P0, U = self._P0, self._U[:, : self._m]
-        if len(terms) == 1:
-            i, j, s = terms[0]
-            w = U[i] - U[j]
-            # a quadratic form of a PD matrix; clamp the rounding below zero
-            return math.log1p(s * max(float(P0[i, i] + P0[j, j] - 2.0 * P0[i, j] - w.dot(w)), 0.0))
         # logdet(I + S½GS½) by a row-by-row Cholesky (see the class docstring)
         I = [t[0] for t in terms]
         J = [t[1] for t in terms]
@@ -356,42 +392,89 @@ class _LogDetOracle:
         new = _fresh(self._committed, edge_ids)
         terms = _edges(self._pairs, sorted(new))
         self._committed |= new
-        P0 = self._P0
         for i, j, s in terms:
             m = self._m
             if m == self._U.shape[1]:
-                grown = np.empty((P0.shape[0], 2 * m))
+                grown = np.empty((self._U.shape[0], 2 * m))
                 grown[:, :m] = self._U
                 self._U = grown
-            U = self._U[:, :m]
-            u = P0[:, i] - P0[:, j] - U @ (U[i] - U[j])
-            sr = s * max(float(u[i] - u[j]), 0.0)
-            self._U[:, m] = u * math.sqrt(s / (1.0 + sr))
+            self._U[:, m], sr = _downdate(self._P0, self._U[:, :m], i, j, s)
             self._m = m + 1
             self.value += math.log1p(sr)
+
+
+def _downdate(P0, U, i, j, s):
+    """The factor column that adds edge (i, j, s) to M when M⁻¹ = P0 − UUᵀ, and s·aᵀM⁻¹a.
+
+    With u = M⁻¹a, the column is ``u √(s/(1+sr))`` for sr = s aᵀu: the
+    Sherman–Morrison downdate of M⁻¹ written as a factor, at O(d·|U|).
+    """
+    u = P0[:, i] - P0[:, j] - U @ (U[i] - U[j])
+    sr = s * max(float(u[i] - u[j]), 0.0)
+    return u * math.sqrt(s / (1.0 + sr)), sr
+
+
+def _tree_inverse(pose_graph, order, up) -> np.ndarray:
+    """M0⁻¹ of a connected base graph, in pose coordinates, from its spanning tree.
+
+    ``(order, up)`` is :meth:`PoseGraph.spanning_tree`, rooted at the anchor.
+    For the tree alone, with R(v) the sum of 1/w along the anchor-to-v path,
+    the inverse of the reduced Laplacian is P_T[i,j] = R(lca(i,j)), and the
+    anchor's row and column are 0. A pose's row is its parent's row with R(v)
+    written over the pose's own subtree, a contiguous run of the preorder, so
+    P_T costs O(d²) writes and no factorization. Each non-tree base edge
+    (extra or parallel) is then folded in once as a factor column, exactly as
+    an oracle commits an edge, and P0 = P_T − U₀U₀ᵀ.
+    """
+    edges = pose_graph.base_edges
+    n = len(order)
+    at = {v: a for a, v in enumerate(order)}  # each pose's position in the preorder
+    parent = [0] * n  # by position
+    reach = [0.0] * n  # R(v), by position
+    for a in range(1, n):
+        i, j, w = edges[up[order[a]]]
+        parent[a] = at[j if i == order[a] else i]
+        reach[a] = reach[parent[a]] + 1.0 / w
+    size = [1] * n  # of each subtree, by position
+    for a in range(n - 1, 0, -1):
+        size[parent[a]] += size[a]
+    P = np.zeros((n, n))
+    poses = np.array(order, dtype=np.intp)
+    for a in range(1, n):
+        P[order[a]] = P[order[parent[a]]]
+        P[order[a], poses[a : a + size[a]]] = reach[a]
+    tree = {up[v] for v in order}
+    extra = [edge for idx, edge in enumerate(edges) if idx not in tree]
+    if extra:
+        U0 = np.empty((n, len(extra)))
+        for c, (i, j, w) in enumerate(extra):
+            U0[:, c], _ = _downdate(P, U0[:, :c], i, j, w)
+        P -= U0 @ U0.T
+    return P
 
 
 class _RankOneLogDet:
     """logdet(M0 + sum of per-edge rank-one terms) - logdet(M0).
 
-    Subclasses fix the base matrix M0. Each exchange edge e mapped to pose
-    pair (i, j) with candidate weight w is the triple ``(i, j, p(e) * w)`` and
-    contributes ``p(e) * w * a aᵀ``, where a is the incidence vector of (i, j).
-    ``value`` rebuilds and refactorizes the matrix per query and is the dense
-    reference; planners take their gains from :meth:`oracle`. Contributions
-    are accumulated in ascending edge-id order so that zero-probability edges
-    change nothing, bit for bit.
+    Subclasses fix the base matrix M0 (``_base``) and how its inverse is
+    made (``_base_inverse``). Each exchange edge e mapped to pose pair (i, j)
+    with candidate weight w is the triple ``(i, j, p(e) * w)`` and contributes
+    ``p(e) * w * a aᵀ``, where a is the incidence vector of (i, j). ``value``
+    rebuilds and refactorizes the matrix per query and is the dense
+    reference; its first call builds M0 and logdet M0, so an objective that
+    only plans never does. Planners take their gains from :meth:`oracle`.
+    Contributions are accumulated in ascending edge-id order so that
+    zero-probability edges change nothing, bit for bit.
     """
 
-    def __init__(self, graph, pose_graph, M0):
+    def __init__(self, graph, pose_graph):
         bad = pose_graph.validate()
         if bad:
             raise ValueError("invalid pose graph: " + "; ".join(bad))
         pose_graph.require_bound(e.id for e in graph.edges)
         self.graph = graph
         self.pose_graph = pose_graph
-        self._M0 = np.asarray(M0, dtype=float)
-        self._logdet0 = logdet_pd(self._M0)
+        self._reference = None  # (M0, logdet M0), made by the first value()
         self._P0 = None  # M0⁻¹ in pose coordinates, made by the first oracle()
         self._pairs = {}
         for e in graph.edges:
@@ -402,10 +485,17 @@ class _RankOneLogDet:
         table = np.array(list(self._pairs.values()), dtype=float).reshape(-1, 3)
         self._ijs = (table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2])
 
+    def _dense(self):
+        """(M0, logdet M0), built on first use."""
+        if self._reference is None:
+            M0 = self._base()
+            self._reference = M0, logdet_pd(M0)
+        return self._reference
+
     def value(self, edge_ids) -> float:
+        M0, logdet0 = self._dense()
         edges = _edges(self._pairs, sorted(set(edge_ids)))
-        M = _with_edges(self._M0, edges, self.pose_graph.anchor)
-        return logdet_pd(M) - self._logdet0
+        return logdet_pd(_with_edges(M0, edges, self.pose_graph.anchor)) - logdet0
 
     def marginal(self, edge_ids, eid) -> float:
         selected = set(edge_ids)
@@ -416,13 +506,11 @@ class _RankOneLogDet:
     def oracle(self) -> _LogDetOracle:
         """Fresh gain/commit state for one planner run.
 
-        The first call inverts M0 and keeps the inverse, read-only; every
+        The first call makes the base inverse and keeps it, read-only; every
         oracle reads that one array and copies nothing.
         """
         if self._P0 is None:
-            n = self._M0.shape[0] + 1
-            P0 = np.zeros((n, n))
-            P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
+            P0 = self._base_inverse()
             P0.flags.writeable = False
             self._P0 = P0
         return _LogDetOracle(self._pairs, self._row, self._ijs, self._P0)
@@ -434,6 +522,8 @@ class DCritObjective(_RankOneLogDet):
     The prior must be symmetric positive definite. By default it is the base
     (odometry) information plus ``DEFAULT_PRIOR_EPS`` on the diagonal; pass
     ``prior`` to supply the matrix explicitly (shape ``(num_poses - 1,) * 2``).
+    The constructor factorizes M0 once to check that; the base inverse is
+    ``inv_pd(M0)``, since M0 is not a Laplacian.
     """
 
     kind = "dcrit"
@@ -452,12 +542,21 @@ class DCritObjective(_RankOneLogDet):
                 )
             if not np.allclose(M0, M0.T, atol=1e-12):
                 raise ValueError("prior must be symmetric")
+        super().__init__(graph, pose_graph)
+        self._M0 = M0
         try:
-            super().__init__(graph, pose_graph, M0)
-        except ValueError as err:
-            if "positive definite" in str(err):
-                raise ValueError("prior must be positive definite") from None
-            raise
+            self._dense()
+        except ValueError:
+            raise ValueError("prior must be positive definite") from None
+
+    def _base(self):
+        return self._M0
+
+    def _base_inverse(self):
+        n = self._M0.shape[0] + 1
+        P0 = np.zeros((n, n))
+        P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
+        return P0
 
 
 class TreeConnObjective(_RankOneLogDet):
@@ -467,15 +566,24 @@ class TreeConnObjective(_RankOneLogDet):
     Laplacian equals the log of the weighted number of spanning trees, so the
     value of an edge set is the tree-connectivity gain over the base graph.
     The base graph must be connected (otherwise the base Laplacian is
-    singular and the objective is not defined).
+    singular and the objective is not defined). Its spanning tree, rooted at
+    the anchor, gives the base inverse with no factorization
+    (:func:`_tree_inverse`).
     """
 
     kind = "treeconn"
 
     def __init__(self, graph, pose_graph):
-        if not pose_graph.is_connected():
+        super().__init__(graph, pose_graph)
+        self._tree = pose_graph.spanning_tree()
+        if len(self._tree[0]) < pose_graph.num_poses:
             raise ValueError("base pose graph must be connected")
-        super().__init__(graph, pose_graph, pose_graph.base_laplacian_reduced())
+
+    def _base(self):
+        return self.pose_graph.base_laplacian_reduced()
+
+    def _base_inverse(self):
+        return _tree_inverse(self.pose_graph, *self._tree)
 
 
 def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:

@@ -20,8 +20,10 @@ compute a-posteriori approximation factors.
 Every greedy loop is a ``GreedySelector`` run over a per-run oracle:
 ``m_greedy`` takes its gains from a ``TopKOracle`` (g itself), ``e_greedy``
 and ``v_greedy`` from one ``objective.oracle()``, which tracks the committed
-edges; only the final achieved value comes from ``g_modular`` or the dense
-``objective.value``. The selector is lazy (Minoux): it keeps stale gains as
+edges. The achieved value is the running value of that same oracle (for
+``m_greedy``, ``g_modular`` of the picks), so no greedy planner calls the
+dense ``objective.value``; ``random_baseline``, which runs no oracle, does.
+The selector is lazy (Minoux): it keeps stale gains as
 upper bounds and re-evaluates only the candidates that could still win a
 round. Its heap starts from one batch of gains, the oracle's ``gains`` over
 the whole pool (as CELF does), so even the first round re-evaluates only
@@ -363,12 +365,16 @@ def m_greedy(graph, k, cb, objective, runs=None):
 def _best_arm(algorithm, first, second):
     """The better of two named ``(plan, trace)`` runs, with both traces as children.
 
-    Ties keep the first run. The returned trace takes the winner's steps and
+    Ties keep the first run, and two plans with the same edge set tie
+    whatever their values: each value comes from its own run's oracle, and
+    two oracles that committed the same edges in different orders can round
+    them an ulp apart. The returned trace takes the winner's steps and
     ``exhausted`` flag and sums the evaluations of both.
     """
     (a, (a_plan, a_trace)), (b, (b_plan, b_trace)) = first, second
     won, plan, trace = a, a_plan, a_trace
-    if b_plan.achieved_value > a_plan.achieved_value:
+    if (b_plan.achieved_value > a_plan.achieved_value
+            and set(b_plan.edges) != set(a_plan.edges)):
         won, plan, trace = b, b_plan, b_trace
     return plan, PlannerTrace(
         algorithm=algorithm,
@@ -412,6 +418,11 @@ def _edge_run(oracle, candidates, phase):
         slack=oracle.gain_slack,
     )
     return _Prefixes(sel, take)
+
+
+def _achieved(steps) -> float:
+    """A run's value from the oracle that made its picks: its last step's, 0.0 if none."""
+    return steps[-1].value if steps else 0.0
 
 
 def _replayed(objective, edge_ids):
@@ -458,8 +469,7 @@ def e_greedy(graph, k, cb, objective, runs=None):
         steps += phase2.steps
         selected += [s.item for s in phase2.steps]
 
-    value = objective.value(selected)
-    plan = Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=value)
+    plan = Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=_achieved(steps))
     trace = PlannerTrace(
         algorithm="e-greedy", steps=steps, evaluations=evaluations, exhausted=exhausted
     )
@@ -513,9 +523,10 @@ def v_greedy(graph, k, cb, objective, runs=None):
     steps = run.steps[:picks]
     edge_order = [eid for new in news[:picks] for eid in new]
 
-    value = objective.value(edge_order)
     plan = Plan(
-        vertices=tuple(s.item for s in steps), edges=tuple(edge_order), achieved_value=value
+        vertices=tuple(s.item for s in steps),
+        edges=tuple(edge_order),
+        achieved_value=_achieved(steps),
     )
     trace = PlannerTrace(
         algorithm="v-greedy",

@@ -34,6 +34,13 @@ def test_traced_plan_and_sweep(tmp_path):
             "plan", "--input", str(exg), "--pose-input", str(pose),
             "--objective", "treeconn", "--planner", "sgreedy", "-b", "3", "-k", "6",
         ]) == 0
+        # the plan's value comes from its oracle; the sweep's normalized column
+        # is the dense value(), which reaches objectives.logdet_pd
+        assert cli.main([
+            "sweep", "--input", str(exg), "--pose-input", str(pose),
+            "--objective", "treeconn", "--planners", "sgreedy", "-b", "3", "-k", "6",
+            "--output", str(tmp_path / "treeconn.csv"),
+        ]) == 0
         assert cli.main([
             "sweep", "--input", str(exg), "--planners", "mgreedy,sgreedy,random",
             "-b", "2,3", "-k", "4", "--certify", "lp",

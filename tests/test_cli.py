@@ -262,6 +262,23 @@ class TestPlan:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("planner", ["sgreedy", "egreedy", "vgreedy"])
+    def test_treeconn_plan_factorizes_nothing(self, treeconn_files, monkeypatch, capsys,
+                                              planner):
+        # the base inverse comes from the spanning tree and the achieved value
+        # from the run's oracle, so a treeconn plan never reaches dense algebra
+        from loopselect import objectives
+
+        graph, pose, _ = treeconn_files
+        calls = []
+        for name in ("logdet_pd", "inv_pd"):
+            monkeypatch.setattr(objectives, name, lambda M, name=name: calls.append(name))
+        assert main(["plan", "--input", str(graph), "--pose-input", str(pose),
+                     "--objective", "treeconn", "--planner", planner,
+                     "-b", "3", "-k", "6"]) == 0
+        assert calls == []
+        assert capsys.readouterr().out.startswith(f"planner={planner} value=")
+
     def test_candidate_for_unknown_edge_is_data_error(self, tmp_path, capsys):
         graph_path, pose_path = tmp_path / "g.exg", tmp_path / "g.pose"
         rc = main([

@@ -19,8 +19,11 @@ from loopselect import (
     TotalUniform,
     TreeConnObjective,
     Vertex,
+    e_greedy,
     g_modular,
+    m_greedy,
     s_greedy,
+    v_greedy,
 )
 from loopselect import cli, objectives
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
@@ -566,26 +569,40 @@ class TestSharedInverse:
         assert obj._P0 is P0 and P0.tobytes() == before
 
     def test_one_inverse_per_objective(self, monkeypatch):
-        calls = []
+        # treeconn builds its base inverse from the spanning tree and never
+        # calls inv_pd; dcrit's M0 is not a Laplacian and takes one inv_pd
+        builds, inversions = [], []
 
-        def counted(M):
-            calls.append(M.shape)
+        def built(pose_graph, order, up):
+            builds.append(pose_graph.num_poses)
+            return tree_inverse(pose_graph, order, up)
+
+        def inverted(M):
+            inversions.append(M.shape)
             return inv_pd(M)
 
-        monkeypatch.setattr(objectives, "inv_pd", counted)
+        tree_inverse = objectives._tree_inverse
+        monkeypatch.setattr(objectives, "_tree_inverse", built)
+        monkeypatch.setattr(objectives, "inv_pd", inverted)
         spec = GenSpec(num_robots=3, vertices_per_robot=8, num_edges=30, seed=6)
         graph = generate_exchange_graph(spec)
         pg = generate_pose_graph(spec, graph)
-        obj = TreeConnObjective(graph, pg)
-        assert calls == []  # construction and value() never invert
-        obj.value([0, 1])
-        assert calls == []
-        s_greedy(graph, 6, TotalUniform(3), obj)
-        monkeypatch.setattr(cli, "TreeConnObjective", lambda g, p: obj)
-        rows = cli.sweep_rows(graph, pg, cli.SweepSpec(
-            bs=(3,), ks=(4, 6), objective="treeconn", planners=("sgreedy",)))
-        assert len(rows) == 6  # metadata, header and two cells: four more oracles
-        assert calls == [(pg.num_poses - 1,) * 2]
+        for make, kind in ((TreeConnObjective, "treeconn"), (DCritObjective, "dcrit")):
+            obj = make(graph, pg)
+            assert builds == [] and inversions == []  # construction and value() never invert
+            obj.value([0, 1])
+            assert builds == [] and inversions == []
+            s_greedy(graph, 6, TotalUniform(3), obj)
+            monkeypatch.setattr(cli, make.__name__, lambda g, p, obj=obj: obj)
+            rows = cli.sweep_rows(graph, pg, cli.SweepSpec(
+                bs=(3,), ks=(4, 6), objective=kind, planners=("sgreedy",)))
+            assert len(rows) == 6  # metadata, header and two cells: four more oracles
+            if kind == "treeconn":
+                assert builds == [pg.num_poses] and inversions == []
+            else:
+                assert inversions == [(pg.num_poses - 1,) * 2]
+            builds.clear()
+            inversions.clear()
 
     @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
     def test_commits_leave_other_oracles_untouched(self, kind):
@@ -770,6 +787,99 @@ class TestFactorOracle:
                 batch, order = order[:size], order[size:]
                 oracle.commit(batch)
                 committed += batch
+
+
+class TestTreeInverse:
+    """The tree-built base inverse of ``TreeConnObjective`` against the dense one."""
+
+    # max-norm error relative to max |inv_pd(M0)|; 2,000 draws of the first
+    # kind and 3,000 of the second stayed below 8e-14, a wide margin
+    TOL = 1e-11
+
+    def assert_matches_dense(self, pg):
+        n = pg.num_poses
+        dense = np.zeros((n, n))
+        dense[objectives._anchored(n, pg.anchor)] = inv_pd(pg.base_laplacian_reduced())
+        P0 = TreeConnObjective(make_graph(1, [0], [], []), pg).oracle()._P0
+        assert not P0.flags.writeable
+        assert not P0[pg.anchor].any() and not P0[:, pg.anchor].any()
+        assert np.abs(P0 - dense).max() <= self.TOL * np.abs(dense).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=logdet_instances())
+    def test_matches_dense_inverse(self, instance):
+        # a spanning path in random order plus extra and parallel edges, any anchor
+        _, pg, _ = instance
+        self.assert_matches_dense(dataclasses.replace(pg, candidate_map={}))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_dense_inverse_on_random_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        pg = random_connected_pose_graph(rng, max_poses=9, extra_edges=6)
+        pg = dataclasses.replace(pg, anchor=int(rng.integers(0, pg.num_poses)))
+        self.assert_matches_dense(pg)
+
+    def test_spanning_tree_searches_from_the_anchor(self):
+        pg = PoseGraph(num_poses=4, base_edges=((1, 2, 1.0), (0, 1, 2.0), (0, 1, 3.0)), anchor=1)
+        order, up = pg.spanning_tree()
+        assert order[0] == 1 and sorted(order) == [0, 1, 2]
+        assert up == [1, -1, 0, None]  # 0 by the first of its two parallel edges
+        assert not pg.is_connected()
+        with pytest.raises(ValueError, match="must be connected"):
+            TreeConnObjective(make_graph(1, [0], [], []), pg)
+
+
+class TestOneEdgeGain:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_bit_identical_to_the_general_expression(self, instance, data):
+        # the one-id path skips the set, the sort and, while nothing is
+        # committed, the U term; it must round exactly as the full expression
+        graph, pg, prior = instance
+        eids = [e.id for e in graph.edges]
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg, prior=prior)):
+            oracle = obj.oracle()
+            for eid in data.draw(st.permutations(eids)):
+                P0, U = oracle._P0, oracle._U[:, : oracle._m]
+                for other in eids:
+                    if other in oracle._committed:
+                        continue
+                    i, j, s = obj._pairs[other]
+                    w = U[i] - U[j]
+                    want = math.log1p(
+                        s * max(float(P0[i, i] + P0[j, j] - 2.0 * P0[i, j] - w.dot(w)), 0.0))
+                    assert oracle.gain((other,)).hex() == want.hex()
+                    assert oracle.gain({other}).hex() == want.hex()
+                oracle.commit((eid,))
+                with pytest.raises(ValueError, match=rf"edges \[{eid}\] already committed"):
+                    oracle.gain((eid,))
+            with pytest.raises(ValueError, match="unknown edge id"):
+                oracle.gain((len(eids),))
+
+
+class TestAchievedFromOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_every_planner_agrees_with_the_dense_value(self, instance, data):
+        # achieved values come from the run's oracle: within 1e-9 of the dense
+        # value() for log-det objectives and bit-equal to it for modular
+        graph, pg, prior = instance
+        b = data.draw(st.integers(0, graph.num_vertices + 1))
+        k = data.draw(st.integers(0, graph.num_edges + 1))
+        cases = [
+            (ModularObjective(graph), (m_greedy, e_greedy, v_greedy, s_greedy)),
+            (TreeConnObjective(graph, pg), (e_greedy, v_greedy, s_greedy)),
+            (DCritObjective(graph, pg), (e_greedy, v_greedy, s_greedy)),
+            (DCritObjective(graph, pg, prior=prior), (e_greedy, v_greedy, s_greedy)),
+        ]
+        for obj, planners in cases:
+            for planner in planners:
+                plan, _ = planner(graph, k, TotalUniform(b), obj)
+                dense = obj.value(plan.edges)
+                if obj.kind == "modular":
+                    assert plan.achieved_value.hex() == dense.hex(), planner
+                else:
+                    assert abs(plan.achieved_value - dense) <= 1e-9 * max(1.0, abs(dense))
 
 
 class TestBatchGains:

@@ -17,6 +17,8 @@ from loopselect import (
     GreedySelector,
     IndividualUniform,
     ModularObjective,
+    Plan,
+    PlannerTrace,
     PoseGraph,
     TotalNonuniform,
     TotalUniform,
@@ -416,6 +418,33 @@ class TestSGreedy:
                 assert trace.winner == "edge-arm"  # ties keep the edge arm
             else:
                 assert trace.winner == "vertex-arm"
+
+    def test_arms_with_the_same_edge_set_tie(self):
+        # each arm's value comes from its own run's oracle; both arms commit
+        # the same 8 edges in different orders, and the vertex arm's value
+        # rounds one ulp higher, which must not make it win
+        spec = GenSpec(num_robots=3, vertices_per_robot=3, num_edges=8, seed=0)
+        graph = generate_exchange_graph(spec)
+        obj = DCritObjective(graph, generate_pose_graph(spec, graph))
+        cb = TotalUniform(6)
+        e_plan, _ = e_greedy(graph, 8, cb, obj)
+        v_plan, _ = v_greedy(graph, 8, cb, obj)
+        assert set(e_plan.edges) == set(v_plan.edges) and e_plan.edges != v_plan.edges
+        assert v_plan.achieved_value == math.nextafter(e_plan.achieved_value, math.inf)
+        plan, trace = s_greedy(graph, 8, cb, obj)
+        assert trace.winner == "edge-arm" and plan == e_plan
+        assert plan.vertices == (1, 0, 2, 5) and v_plan.vertices == (1, 0, 2, 5, 3, 4)
+
+    def test_best_arm_compares_values_only_across_edge_sets(self):
+        def run(vertices, edges, value):
+            return Plan(vertices=vertices, edges=edges, achieved_value=value), PlannerTrace("x")
+
+        first = run((0,), (1, 2), 1.0)
+        same = run((0, 3), (2, 1), 2.0)
+        other = run((0, 3), (1, 3), math.nextafter(1.0, 2.0))
+        assert planners._best_arm("s", ("a", first), ("b", same))[1].winner == "a"
+        assert planners._best_arm("s", ("a", first), ("b", other))[1].winner == "b"
+        assert planners._best_arm("s", ("a", other), ("b", first))[1].winner == "a"
 
     def test_vertex_arm_wins_when_communication_scarce(self):
         # two high-probability decoy edges are disjoint, so the edge arm

@@ -5,7 +5,9 @@ through ``runs`` (see ``loopselect.planners``): ``m_greedy`` one per k,
 ``e_greedy``'s phase 1 and ``v_greedy`` one per grid. The cells here come in
 random order, b-major or k-major, as a sweep over an unsorted grid would ask
 for them, and every grid holds b = 0, a b past n, k = 0 and a k past m. The reference is the
-planners as one loop per cell, each stopped by its own budget.
+planners as one loop per cell, each stopped by its own budget, whose achieved
+value is its oracle's running value; that value is checked against the dense
+``objective.value`` separately.
 """
 
 import tracemalloc
@@ -90,8 +92,8 @@ def reference_e_greedy(graph, k, b, objective):
     cover = planners._witness_cover(graph, selected)
     if k > b:
         grow(graph.edges_incident(cover) - set(selected), k - b, "phase2")
-    value = objective.value(selected)
-    return Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=value), trace
+    plan = Plan(vertices=tuple(cover), edges=tuple(selected), achieved_value=oracle.value)
+    return plan, trace
 
 
 def reference_v_greedy(graph, k, b, objective):
@@ -119,8 +121,8 @@ def reference_v_greedy(graph, k, b, objective):
         trace.steps.append(TraceStep("vertex", vid, g, oracle.value))
     trace.exhausted = not sel
     trace.evaluations = sel.evaluations
-    value = objective.value(edge_order)
-    return Plan(vertices=tuple(selected), edges=tuple(edge_order), achieved_value=value), trace
+    plan = Plan(vertices=tuple(selected), edges=tuple(edge_order), achieved_value=oracle.value)
+    return plan, trace
 
 
 def reference_s_greedy(graph, k, b, objective):
@@ -178,6 +180,15 @@ def assert_same_cell(got, want, b, k, delta):
         assert alpha_posteriori(trace, b, k, delta) == alpha_posteriori(want_trace, b, k, delta)
 
 
+def assert_dense_value(plan, objective):
+    """A plan's achieved value, from its run's oracle, against the dense reference."""
+    dense = objective.value(plan.edges)
+    if objective.kind == "modular":
+        assert plan.achieved_value.hex() == dense.hex()
+    else:
+        assert abs(plan.achieved_value - dense) <= 1e-9 * max(1.0, abs(dense))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), instance=instances(), name=st.sampled_from(sorted(OBJECTIVES)))
 def test_shared_runs_give_the_per_cell_plans(data, instance, name):
@@ -195,6 +206,7 @@ def test_shared_runs_give_the_per_cell_plans(data, instance, name):
         cb = TotalUniform(b)
         for p in planners:
             want = REFERENCES[p](graph, k, b, objective)
+            assert_dense_value(want[0], objective)
             alone = PLANNERS[p](graph, k, cb, objective)
             assert_same_cell(alone, want, b, k, delta)
             assert alone[1].evaluations == want[1].evaluations
