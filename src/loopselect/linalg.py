@@ -1,17 +1,26 @@
-"""Dense symmetric-positive-definite helpers: log-determinant and inverse."""
+"""Dense symmetric-positive-definite helpers: Cholesky factor and log-determinant."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["logdet_pd", "inv_pd"]
+__all__ = ["cholesky_pd", "chol_logdet", "logdet_pd"]
 
 
-def _cholesky(M) -> np.ndarray:
+def cholesky_pd(M) -> np.ndarray:
+    """Lower Cholesky factor L of a symmetric positive-definite M = LLᵀ.
+
+    Raises ValueError if the factorization fails (matrix not PD).
+    """
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive definite") from None
+
+
+def chol_logdet(L) -> float:
+    """log det LLᵀ = 2 Σ log L_ii, from a Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def logdet_pd(M) -> float:
@@ -19,14 +28,4 @@ def logdet_pd(M) -> float:
 
     Raises ValueError if the factorization fails (matrix not PD).
     """
-    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(M)))))
-
-
-def inv_pd(M) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix as ``L⁻ᵀ L⁻¹``.
-
-    Built from the Cholesky factor, so the result is a Gram matrix: symmetric
-    positive definite up to rounding. Raises ValueError if M is not PD.
-    """
-    L_inv = np.linalg.inv(_cholesky(M))
-    return L_inv.T @ L_inv
+    return chol_logdet(cholesky_pd(M))

@@ -14,38 +14,36 @@ Three normalized monotone objectives are provided:
 
 Every objective offers two ways to evaluate it. ``value(edge_ids)`` is the
 dense, stateless reference: for the log-det objectives it rebuilds the matrix
-and refactorizes it, O(|S| + d³) per call, and its first call factorizes M0.
+and refactorizes it, O(|S| + d³) per call; M0 itself is factorized once.
 ``oracle()`` returns the state of one planner run: ``gain(edge_ids)`` is the
 marginal gain of adding a set of new edges to everything committed so far,
 ``gains(edge_sets)`` is that gain for each of many sets at once, as an array,
 ``commit(edge_ids)`` adds them, and ``value`` is the running objective value,
 which the greedy planners report as their achieved value. A greedy run takes
 ``gains`` once, for the bounds its lazy heap starts from, and ``gain`` for
-every pick it makes. A modular batch is bit for bit the scalar gains; a
-log-det batch is numpy passes over the same quantities and agrees to a few
-ulps. A log-det objective makes its base inverse once, at its first
-``oracle()``, into a read-only P0 that every oracle shares: ``treeconn``
-from a spanning tree of the base graph in O(d²) writes with no factorization
-(non-tree base edges folded in as low-rank columns), ``dcrit`` by a Cholesky
-inverse of its prior. An oracle keeps its committed edges as a low-rank factor
-U, so that its inverse is P0 − UUᵀ, and never writes P0. A one-edge gain
-``log1p(s aᵀM⁻¹a)`` reads three entries of P0 less a squared row difference
-of U (none while U is empty), O(|S|) (matrix determinant lemma, so it is
-never negative), an r-edge gain runs a Cholesky of an r×r matrix in Python
-floats, O(r³), and a commit appends one column to U, O(d·|S|). The batch
-groups its sets by r and runs each group as one gather and one batched
-Cholesky.
+every pick it makes. Each oracle writes its gain arithmetic once, so a batch
+gain is bit for bit the scalar one. A log-det objective makes its base
+inverse once, at its first ``oracle()``, into a read-only P0 that every
+oracle shares: ``treeconn`` from a spanning tree of the base graph in O(d²)
+writes with no factorization (non-tree base edges folded in as low-rank
+columns), ``dcrit`` from the Cholesky factor of its prior. An oracle keeps its
+committed edges as a low-rank factor U, so that its inverse is P0 − UUᵀ, and
+never writes P0. A one-edge gain ``log1p(s aᵀM⁻¹a)`` reads three entries of
+P0 less a squared row difference of U (none while U is empty), O(|S|)
+(matrix determinant lemma, so it is never negative), an r-edge gain is one
+Cholesky of an r×r matrix, O(r³), and a commit appends one column to U,
+O(d·|S|).
 
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
-``gain(vid)``, ``commit(vid)`` and ``value``, in the same style as ``oracle()``,
-and ``gains(vids)`` while nothing is committed.
-It keeps each vertex's uncovered incident keys up to date as vertices are
-committed, O(degree) per covered edge, so a gain walks only the keys that
-enter the top k plus one, and is ``0.0`` after one comparison when none does.
+``gain(vid)``, ``gains(vids)``, ``commit(vid)`` and ``value``, in the same
+style as ``oracle()``. It keeps each vertex's uncovered incident keys up to
+date as vertices are committed, O(degree) per covered edge, so a gain walks
+only the keys that enter the top k plus one, and is ``0.0`` after one
+comparison when none does.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import inv_pd, logdet_pd
+from .linalg import chol_logdet, cholesky_pd, logdet_pd
 
 __all__ = [
     "PoseGraph",
@@ -279,13 +277,9 @@ class _LogDetOracle:
     takes u = M⁻¹a and sr = s aᵀu and appends the column ``u √(s/(1+sr))``,
     the Sherman–Morrison downdate of M⁻¹ written as a factor, at O(d·|S|).
 
-    The gain of r ≥ 2 new edges is logdet(I + S½GS½) with G = AᵀM⁻¹A, the
-    gather of ``_P0`` minus WWᵀ, W = U_I − U_J, by a Cholesky over Python
-    floats (r is at most the maximum degree, so LAPACK's call overhead would
-    dominate). The pivot of row c is 1 + x_c, x_c ≥ 0 its Schur increment,
-    and the gain is the sum of ``log1p(x_c)``: a gain near 0 keeps its
-    relative precision, which the log of a pivot rounded to 1 + ulp would
-    lose.
+    :func:`_set_gains` is the one gain arithmetic: :meth:`gains` runs it per
+    group of sets of one size and :meth:`gain` on a batch of one, except that
+    a one-edge :meth:`gain` takes a short path that rounds as its r = 1 does.
 
     In exact arithmetic a gain never grows as edges are committed; rounding
     could lift one by a few ulps, though none grew at all over the 5×40
@@ -323,69 +317,39 @@ class _LogDetOracle:
                 q -= w.dot(w)
             # a quadratic form of a PD matrix; clamp the rounding below zero
             return math.log1p(s * max(float(q), 0.0))
-        terms = _edges(self._pairs, sorted(_fresh(self._committed, edge_ids)))
-        if not terms:
+        ids = sorted(_fresh(self._committed, edge_ids))
+        if not ids:
             return 0.0
-        P0, U = self._P0, self._U[:, : self._m]
-        # logdet(I + S½GS½) by a row-by-row Cholesky (see the class docstring)
-        I = [t[0] for t in terms]
-        J = [t[1] for t in terms]
-        gathered = P0[I + J]
-        D = gathered[:, I] - gathered[:, J]
-        W = U[I] - U[J]
-        G = (D[: len(I)] - D[len(I) :] - W @ W.T).tolist()
-        root = [math.sqrt(t[2]) for t in terms]
-        rows = []
-        total = 0.0
-        for c, (t, Gc) in enumerate(zip(terms, G)):
-            row = [root[c] * g * r for g, r in zip(Gc[:c], root)]
-            for a, La in enumerate(rows):
-                row[a] = (row[a] - sum(x * y for x, y in zip(row[:a], La))) / La[a]
-            # the Schur increment; K's pivots are >= 1 exactly, so clamp the rounding
-            x = max(t[2] * Gc[c] - sum(v * v for v in row), 0.0)
-            row.append(math.sqrt(1.0 + x))
-            rows.append(row)
-            total += math.log1p(x)
-        return total
+        try:
+            I, J, s = zip(*[self._pairs[eid] for eid in ids])
+        except KeyError as err:
+            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+        U = self._U[:, : self._m]
+        return _set_gains(self._P0, U, np.array([I]), np.array([J]), np.array([s]))[0]
 
     def gains(self, edge_sets) -> np.ndarray:
-        """The gain of each set in ``edge_sets`` (each of distinct ids), in numpy passes.
+        """The gain of each set in ``edge_sets``, bit for bit as :meth:`gain` gives it.
 
-        The edges are looked up in the objective's (i, j, s) arrays, and the
-        sets grouped by their number r of edges; each group is one pass: the
-        gathers of ``_P0`` less WWᵀ give every set's G at once, r = 1 takes
-        ``log1p(s·G)`` as :meth:`gain` does, and r ≥ 2 one batched Cholesky of
-        I + S½GS½. An edge with s = 0 adds exactly nothing (a unit row and
-        column of I + S½GS½), so unlike :meth:`gain` the batch keeps it.
-        Rounding in another order, a value can differ from :meth:`gain` by a
-        few ulps either way, far inside ``gain_slack``.
+        The edges are looked up in the objective's (i, j, s) arrays and the
+        sets grouped by their number r of edges, one :func:`_set_gains` each.
         """
         n = len(edge_sets)
-        ids = list(itertools.chain.from_iterable(map(sorted, edge_sets)))
+        sets = [X if len(X) == 1 else sorted(set(X)) for X in edge_sets]
+        ids = list(itertools.chain.from_iterable(sets))
         _fresh(self._committed, ids)
         try:
             rows = np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
         except KeyError as err:
             raise ValueError(f"unknown edge id {err.args[0]!r}") from None
-        size = np.fromiter(map(len, edge_sets), np.intp, n)
+        size = np.fromiter(map(len, sets), np.intp, n)
         I, J, s = (col[rows] for col in self._ijs)
         of_size = np.repeat(size, size)  # the size of each edge's set
         out = np.zeros(n)
-        P0, U = self._P0, self._U[:, : self._m]
-        a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
+        U = self._U[:, : self._m]
         for r in set(size.tolist()) - {0}:
             # the edges of the sets with r of them, one row per set
-            In, Jn, sn = (x[of_size == r].reshape(-1, r) for x in (I, J, s))
-            W = U[In] - U[Jn]
-            G = (P0[In[a], In[b]] - P0[In[a], Jn[b]] - P0[Jn[a], In[b]] + P0[Jn[a], Jn[b]]
-                 - np.einsum("xam,xbm->xab", W, W))
-            if r == 1:
-                # a quadratic form of a PD matrix; clamp the rounding below zero
-                out[size == 1] = np.log1p(sn[:, 0] * np.maximum(G[:, 0, 0], 0.0))
-            else:
-                root = np.sqrt(sn)
-                L = np.linalg.cholesky(root[a] * G * root[b] + np.eye(r))
-                out[size == r] = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+            group = (x[of_size == r].reshape(-1, r) for x in (I, J, s))
+            out[size == r] = _set_gains(self._P0, U, *group)
         return out
 
     def commit(self, edge_ids):
@@ -401,6 +365,46 @@ class _LogDetOracle:
             self._U[:, m], sr = _downdate(self._P0, self._U[:, :m], i, j, s)
             self._m = m + 1
             self.value += math.log1p(sr)
+
+
+def _set_gains(P0, U, I, J, s) -> list[float]:
+    """The gains over M⁻¹ = P0 − UUᵀ of n sets of r new edges, given as (n, r) arrays.
+
+    Every step is elementwise, one BLAS or LAPACK call per set, or Python per
+    element, so a set gains the same bit for bit alone or in any batch. G =
+    AᵀM⁻¹A is the gathers of P0 less WWᵀ, W = U_I − U_J. For r = 1 it is
+    summed in the one-edge path's float order, w·w by the BLAS dot that
+    ``w.dot(w)`` calls, and the gain is ``math.log1p(s·max(G, 0))``. For r ≥ 2
+    the gain is logdet(I + K), K = S½GS½: with I + K = LLᵀ, the sum of
+    ``log1p(x_c)`` over the pivots' Schur increments x_c = K_cc − Σ_{a<c}
+    L_ca², so a gain near 0 keeps its relative precision.
+    """
+    r = I.shape[1]
+    if r == 1:
+        I, J, s = I[:, 0], J[:, 0], s[:, 0]
+        q = P0[I, I] + P0[J, J] - 2.0 * P0[I, J]
+        if U.shape[1]:
+            W = U[I] - U[J]
+            q -= (W[:, None, :] @ W[:, :, None])[:, 0, 0]
+        q[0.0 > q] = 0.0  # max(q, 0.0), as gain() clamps the rounding
+        return list(map(math.log1p, (s * q).tolist()))
+    a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
+    IJ = np.concatenate((I, J), axis=1)
+    D = P0[IJ[a], IJ[b]]  # each set's 2r × 2r block of P0
+    D = D[:, :, :r] - D[:, :, r:]
+    K = D[:, :r] - D[:, r:]
+    if U.shape[1]:
+        W = U[I] - U[J]
+        K -= W @ W.transpose(0, 2, 1)
+    root = np.sqrt(s)
+    K *= root[a] * root[b]
+    x = K.diagonal(0, 1, 2).copy()
+    L = np.linalg.cholesky(K + np.eye(r))
+    L *= L
+    for c in range(r - 1):
+        x[:, c + 1 :] -= L[:, c + 1 :, c]
+    x[0.0 > x] = 0.0  # I + K's pivots are >= 1 exactly; clamp the rounding
+    return [math.fsum(map(math.log1p, row)) for row in x.tolist()]
 
 
 def _downdate(P0, U, i, j, s):
@@ -461,10 +465,11 @@ class _RankOneLogDet:
     with candidate weight w is the triple ``(i, j, p(e) * w)`` and contributes
     ``p(e) * w * a aᵀ``, where a is the incidence vector of (i, j). ``value``
     rebuilds and refactorizes the matrix per query and is the dense
-    reference; its first call builds M0 and logdet M0, so an objective that
-    only plans never does. Planners take their gains from :meth:`oracle`.
-    Contributions are accumulated in ascending edge-id order so that
-    zero-probability edges change nothing, bit for bit.
+    reference; its first call builds M0 and logdet M0 unless the constructor
+    did, so a ``treeconn`` objective that only plans never does. Planners
+    take their gains from :meth:`oracle`. Contributions are accumulated in
+    ascending edge-id order so that zero-probability edges change nothing,
+    bit for bit.
     """
 
     def __init__(self, graph, pose_graph):
@@ -474,7 +479,7 @@ class _RankOneLogDet:
         pose_graph.require_bound(e.id for e in graph.edges)
         self.graph = graph
         self.pose_graph = pose_graph
-        self._reference = None  # (M0, logdet M0), made by the first value()
+        self._reference = None  # (M0, logdet M0), made by _dense() on first use
         self._P0 = None  # M0⁻¹ in pose coordinates, made by the first oracle()
         self._pairs = {}
         for e in graph.edges:
@@ -522,8 +527,8 @@ class DCritObjective(_RankOneLogDet):
     The prior must be symmetric positive definite. By default it is the base
     (odometry) information plus ``DEFAULT_PRIOR_EPS`` on the diagonal; pass
     ``prior`` to supply the matrix explicitly (shape ``(num_poses - 1,) * 2``).
-    The constructor factorizes M0 once to check that; the base inverse is
-    ``inv_pd(M0)``, since M0 is not a Laplacian.
+    The constructor's factor M0 = LLᵀ, the only one, checks that and gives
+    logdet M0; the first :meth:`oracle` makes the base inverse L⁻ᵀL⁻¹ of it.
     """
 
     kind = "dcrit"
@@ -543,19 +548,18 @@ class DCritObjective(_RankOneLogDet):
             if not np.allclose(M0, M0.T, atol=1e-12):
                 raise ValueError("prior must be symmetric")
         super().__init__(graph, pose_graph)
-        self._M0 = M0
         try:
-            self._dense()
+            self._factor = cholesky_pd(M0)
         except ValueError:
             raise ValueError("prior must be positive definite") from None
-
-    def _base(self):
-        return self._M0
+        self._reference = M0, chol_logdet(self._factor)
 
     def _base_inverse(self):
-        n = self._M0.shape[0] + 1
+        L_inv = np.linalg.inv(self._factor)
+        self._factor = None  # P0 is made once per objective; free L before L⁻ᵀL⁻¹
+        n = L_inv.shape[0] + 1
         P0 = np.zeros((n, n))
-        P0[_anchored(n, self.pose_graph.anchor)] = inv_pd(self._M0)
+        P0[_anchored(n, self.pose_graph.anchor)] = L_inv.T @ L_inv
         return P0
 
 
@@ -629,7 +633,6 @@ class TopKOracle:
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []
-        self._committed = False  # whether a vertex is; gains() needs a fresh oracle
         self.value = 0.0
 
     def _keys(self, vid):
@@ -638,7 +641,7 @@ class TopKOracle:
         except KeyError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
 
-    def gain(self, vid) -> float:
+    def _gain(self, vid) -> float:
         keys = self._keys(vid)
         top, k = self._top, self._k
         size = len(top)
@@ -654,22 +657,16 @@ class TopKOracle:
         terms += self._top_neg[k - len(terms):]
         return math.fsum(terms)
 
-    def gains(self, vids) -> np.ndarray:
-        """The gain of each vertex in ``vids``, bit for bit as :meth:`gain` gives it.
+    # the batch runs the same arithmetic under its own name, so that only the
+    # selector's re-evaluations go through ``gain``
+    gain = _gain
 
-        Only a fresh oracle has one: with nothing committed, a vertex gains the
-        ``math.fsum`` of its first k keys' probabilities. After a commit it
-        raises ValueError.
-        """
-        if self._committed:
-            raise ValueError("batch gains need a fresh TopKOracle: a vertex is committed")
-        k = self._k
-        return np.array([math.fsum(-key[0] for key in self._keys(vid)[:k]) for vid in vids],
-                        dtype=float)
+    def gains(self, vids) -> np.ndarray:
+        """The gain of each vertex in ``vids``, bit for bit as :meth:`gain` gives it."""
+        return np.array([self._gain(vid) for vid in vids], dtype=float)
 
     def commit(self, vid):
         keys = self._keys(vid)
-        self._committed = True
         self._uncovered[vid] = []
         for key in keys:
             e = self._graph.edge(key[1])

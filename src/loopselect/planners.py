@@ -29,9 +29,9 @@ round. Its heap starts from one batch of gains, the oracle's ``gains`` over
 the whole pool (as CELF does), so even the first round re-evaluates only
 the candidates near the top. That is valid because oracle gains are
 non-negative and never grow for monotone submodular objectives, except by
-rounding that each oracle bounds (``gain_slack``, which also covers a batch
-gain a few ulps below the scalar one), so the selection sequence is the one
-a full scan of the pool per round would give, with fewer gain evaluations.
+rounding that each oracle bounds (``gain_slack``), and a batch gain is bit
+for bit the scalar one, so the selection sequence is the one a full scan of
+the pool per round would give, with fewer gain evaluations.
 A trace's ``evaluations`` counts the scalar gains; the batch is not one.
 
 A greedy pick depends only on the picks before it, so the i-th prefix of a
@@ -114,20 +114,20 @@ class GreedySelector:
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
     ties break to the lowest candidate id. ``bounds(cs)`` returns, as an
     array, the gains of the candidates ``cs`` (a sorted list) at the start,
-    in one batch (an oracle's ``gains``). ``feasible(c)`` is asked before a
-    candidate is evaluated, and a candidate it rejects leaves the pool for
-    good, so it must only ever turn from true to false as the run goes on (a
-    budget being used up); rejections are not evaluations. A min-heap of
-    ``(-gain, id, round)`` holds every candidate's last gain as a stale bound,
-    starting from ``bounds`` (as CELF does: Leskovec et al., "Cost-effective
-    Outbreak Detection in Networks", 2007); an entry is only trusted once
-    ``gain_fn`` re-evaluated it in the current round. Gains of monotone
-    submodular objectives never grow, except by rounding: ``slack`` bounds
-    that growth, and how far a batch gain may sit below ``gain_fn``'s, and a
-    stale entry within ``slack`` of the round's best is re-evaluated before
-    the best is taken. So each pick is the one evaluating the whole pool
-    every round would make, while most evaluations are skipped.
-    ``evaluations`` counts the calls of ``gain_fn``; the batch is not one.
+    in one batch (an oracle's ``gains``, bit for bit what ``gain_fn`` gives).
+    ``feasible(c)`` is asked before a candidate is evaluated, and a candidate
+    it rejects leaves the pool for good, so it must only ever turn from true
+    to false as the run goes on (a budget being used up); rejections are not
+    evaluations. A min-heap of ``(-gain, id, round)`` holds every candidate's
+    last gain as a stale bound, starting from ``bounds`` (as CELF does:
+    Leskovec et al., "Cost-effective Outbreak Detection in Networks", 2007);
+    an entry is only trusted once ``gain_fn`` re-evaluated it in the current
+    round. Gains of monotone submodular objectives never grow, except by
+    rounding: ``slack`` bounds that growth, and a stale entry within
+    ``slack`` of the round's best is re-evaluated before the best is taken.
+    So each pick is the one evaluating the whole pool every round would
+    make, while most evaluations are skipped. ``evaluations`` counts the
+    calls of ``gain_fn``; the batch is not one.
     """
 
     def __init__(self, candidates, gain_fn, bounds, feasible=lambda c: True, slack=0.0):

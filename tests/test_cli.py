@@ -271,7 +271,7 @@ class TestPlan:
 
         graph, pose, _ = treeconn_files
         calls = []
-        for name in ("logdet_pd", "inv_pd"):
+        for name in ("logdet_pd", "cholesky_pd"):
             monkeypatch.setattr(objectives, name, lambda M, name=name: calls.append(name))
         assert main(["plan", "--input", str(graph), "--pose-input", str(pose),
                      "--objective", "treeconn", "--planner", planner,
