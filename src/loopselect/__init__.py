@@ -53,6 +53,6 @@ from .generate import (
     generate_pose_graph,
     sample_ground_truth,
 )
-from .cli import SweepSpec, sweep_rows
+from .cli import SweepCell, SweepSpec, sweep_cells
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import certify as cert
 from . import io as gio
@@ -30,21 +31,40 @@ from .graph import IndividualUniform, Plan, TotalNonuniform, TotalUniform
 from .objectives import DCritObjective, ModularObjective, TreeConnObjective
 from .planners import e_greedy, m_greedy, random_baseline, s_greedy, v_greedy
 
-__all__ = ["main", "SweepSpec", "sweep_rows"]
+__all__ = ["main", "SweepCell", "SweepSpec", "sweep_cells"]
 
 PLANNERS = ("mgreedy", "egreedy", "vgreedy", "sgreedy", "random")
 OBJECTIVES = ("modular", "dcrit", "treeconn")
 REGIMES = ("tu", "tn", "iu")
 LAZY_HELP = "no effect: lazy greedy evaluation is the only mode (kept for old scripts)"
-_FACTORS = "alpha_apriori,alpha_e_post,alpha_v_post,ratio_lb"
-SWEEP_HEADER = "b,k,planner,achieved,normalized,opt,upt,gap_pct," + _FACTORS
-CERTIFY_HEADER = "instance,b,k,delta,achieved,opt,upt," + _FACTORS
+GRID_MAX = 1000  # values one start:step:end range may list
 
+
+class SweepCell(NamedTuple):
+    """One sweep row, typed: its fields are the CSV columns, in order; a bound or
+    factor not computed is None, and ``b`` is as its row prints it."""
+
+    b: int | float | str
+    k: int
+    planner: str
+    achieved: float
+    normalized: float | None
+    opt: float | None
+    upt: float | None
+    gap_pct: float | None
+    alpha_apriori: float | None
+    alpha_e_post: float | None
+    alpha_v_post: float | None
+    ratio_lb: float | None
+
+
+SWEEP_HEADER = ",".join(SweepCell._fields)
+CERTIFY_HEADER = "instance,b,k,delta,achieved,opt,upt," + ",".join(SweepCell._fields[-4:])
 log = logging.getLogger(__name__)
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A bad argument: exit 1 from the CLI, a ValueError to a library caller."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,23 +96,27 @@ def _typed(convert):
 
 def _parse_grid(spec, what="grid value"):
     """Grid syntax: a single value, 'a,b,c', or 'start:step:end' (inclusive), stepped
-    in exact decimal: '0:0.1:0.6' lists 0.3, not 0.30000000000000004. A listed
-    value that is not finite is a usage error quoting ``what`` and its token."""
+    in exact decimal: '0:0.1:0.6' lists 0.3, not 0.30000000000000004. A value that is
+    not finite is a usage error quoting ``what`` and its token; a range of more than
+    ``GRID_MAX`` values, counted before any is listed, is one quoting the spec."""
     try:
         if ":" in spec:
             start, step, end = (Decimal(gio._plain(t)) for t in spec.split(":"))
             if not (start.is_finite() and end.is_finite() and step > 0):
                 raise ValueError
-            values = []
-            while start <= end:
-                values.append(float(start))
-                start += step
+            count = (end - start) / step + 1 if start <= end else 0
+            if count > GRID_MAX:  # as a Decimal: a huge count is slow to make an int
+                raise _UsageError(f"bad grid spec {spec!r}: more than {GRID_MAX} values")
+            # the quotient is rounded, so it may count one value past the end
+            values = [float(v) for i in range(int(count)) if (v := start + i * step) <= end]
         else:
             values = []
             for t in filter(None, spec.split(",")):
                 values.append(_number(t))
                 if not math.isfinite(values[-1]):
                     raise _UsageError(f"bad {what} {t!r}: not finite")
+    except _UsageError:
+        raise
     except (ValueError, ArithmeticError):  # decimal's errors are ArithmeticErrors
         raise _UsageError(f"bad grid spec {spec!r}") from None
     return list(map(_grid_value, values))
@@ -147,6 +171,8 @@ def _budget(regime, b, graph):
         if regime == "iu":
             limits = [_integer(t, "iu limit") for t in str(b).split("/")]
             return IndividualUniform.by_robot(graph, limits)
+    except _UsageError:
+        raise
     except ValueError as err:
         raise _UsageError(f"bad {regime} budget {b!r}: {err}") from None
     raise _UsageError(f"unknown regime {regime!r}")
@@ -172,25 +198,20 @@ def _cells(*values) -> str:
     )
 
 
-def _objective(name, graph, pose_graph, pose_path=None):
+def _objective(name, graph, pose_graph, pose_path):
     """Objective ``name``; a pose graph it rejects is a data error naming ``pose_path``."""
     if name == "modular":
         return ModularObjective(graph)
     if pose_graph is None:
         raise _UsageError(f"objective {name!r} needs --pose-input")
-    make = {"dcrit": DCritObjective, "treeconn": TreeConnObjective}.get(name)
-    if make is None:
-        raise _UsageError(f"unknown objective {name!r}")
     try:
-        return make(graph, pose_graph)
+        return {"dcrit": DCritObjective, "treeconn": TreeConnObjective}[name](graph, pose_graph)
     except ValueError as err:
-        if pose_path is None:
-            raise
         raise ValueError(f"{err} (in {pose_path})") from None
 
 
 def _run_planner(name, graph, k, cb, objective, seed, runs=None):
-    """Run planner ``name``, a name ``_check_planner_regime`` has accepted.
+    """Run planner ``name``, a name ``_check_planners`` has accepted.
 
     ``runs`` is the greedy planners' store of runs shared by the cells of one
     sweep (see :mod:`loopselect.planners`).
@@ -201,13 +222,14 @@ def _run_planner(name, graph, k, cb, objective, seed, runs=None):
     return planner[name](graph, k, cb, objective, runs=runs)
 
 
-def _check_planner_regime(planner, regime, objective_name):
-    if planner not in PLANNERS:
-        raise _UsageError(f"unknown planner {planner!r}")
-    if planner == "mgreedy" and objective_name != "modular":
-        raise _UsageError("mgreedy requires the modular objective")
-    if planner in ("egreedy", "vgreedy", "sgreedy", "random") and regime != "tu":
-        raise _UsageError(f"{planner} requires the tu regime")
+def _check_planners(planners, regime, objective_name):
+    for planner in planners:
+        if planner not in PLANNERS:
+            raise _UsageError(f"unknown planner {planner!r}")
+        if planner == "mgreedy" and objective_name != "modular":
+            raise _UsageError("mgreedy requires the modular objective")
+        if planner in ("egreedy", "vgreedy", "sgreedy", "random") and regime != "tu":
+            raise _UsageError(f"{planner} requires the tu regime")
 
 
 def _meta_block(graph, seed):
@@ -282,7 +304,7 @@ def _load_inputs(args, cap_degree, objective):
 def _cmd_plan(args):
     _edge_budget(args.k)
     graph, pose_graph = _load_inputs(args, args.cap_degree, args.objective)
-    _check_planner_regime(args.planner, args.regime, args.objective)
+    _check_planners([args.planner], args.regime, args.objective)
     objective = _objective(args.objective, graph, pose_graph, args.pose_input)
     cb = _budget(args.regime, args.b, graph)
     plan, _trace = _run_planner(args.planner, graph, args.k, cb, objective, args.seed)
@@ -363,7 +385,7 @@ def _load_plan(args):
             raise ParseError(1, f"plan file: no {key!r}", path)
         try:
             return read(payload[key])
-        except (_UsageError, ValueError, TypeError) as err:
+        except (ValueError, TypeError) as err:
             raise ParseError(line[key], f"plan file: {err}", path) from None
 
     payload.setdefault("cap_degree", None)  # a file without the key is uncapped
@@ -418,16 +440,15 @@ class SweepSpec:
     """One experiment grid: budgets x planners on a fixed instance.
 
     ``certify`` is "none", "lp", or "brute"; brute's enumeration guard downgrades
-    a cell to "lp" with a warning, logged. Rows come in deterministic (b, k,
+    a cell to "lp" with a warning, logged. Cells come in deterministic (b, k,
     planner) order; a b, k or planner given twice is a ValueError quoting the
     grid as given, however a number in it is spelt (2 and 2.0 alike, and so
-    the iu limits 1/1 and 1/1.0). A b or k may be given as its text: a row
-    prints the number (2.0 as 2), or an iu budget as given.
+    the iu limits 1/1 and 1/1.0). A b or k may be given as its text: a cell
+    holds the number (2.0 as 2), or an iu budget as given.
     """
 
     bs: tuple = ()
     ks: tuple = ()
-    objective: str = "modular"
     regime: str = "tu"
     planners: tuple = ("sgreedy",)
     certify: str = "none"
@@ -459,27 +480,27 @@ def _grid_key(x, limits=False):
         return x
 
 
-def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
-    """CSV lines (metadata comments, header, one row per grid cell).
-
-    A pose graph the objective rejects is a ValueError that names ``pose_path``, if given.
-    """
-    for p in spec.planners:
-        _check_planner_regime(p, spec.regime, spec.objective)
-    objective = _objective(spec.objective, graph, pose_graph, pose_path)
-    budgets = []  # (the b its rows print, the budget)
+def sweep_cells(graph, objective, spec: SweepSpec) -> list[SweepCell]:
+    """One record per grid cell and planner, b-major. A planner the regime or
+    ``objective`` rules out, or a b or k that is no budget, is a ValueError."""
+    _check_planners(spec.planners, spec.regime, objective.kind)
+    budgets = []  # (the b its cells hold, the budget)
     for b in spec.bs:
         cb = _budget(spec.regime, b, graph)
         budgets.append((b if spec.regime == "iu" else _grid_value(b), cb))
     ks = [_edge_budget(k) for k in spec.ks]
+    if spec.certify == "lp" and objective.kind != "modular":
+        log.warning("LP certification needs the modular objective; skipped")
     norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
     delta = graph.max_degree()
 
     runs = {}  # one greedy run per grid line; the planners read tu cells off its prefixes
-    cells = {}  # (b index, k index) -> rows; computed k-major, so that one
-    # m_greedy run serves every b of a k, and written b-major
+    cells = {}  # (b index, k index) -> records; computed k-major, so that one
+    # m_greedy run serves every b of a k, and returned b-major
     for j, k in enumerate(ks):
         for i, (b, cb) in enumerate(budgets):
+            ran = [(p, *_run_planner(p, graph, k, cb, objective, spec.seed, runs))
+                   for p in spec.planners]
             try:
                 opt, upt = cert.bounds(graph, k, cb, objective, spec.certify)
             except EnumerationGuardError:
@@ -488,21 +509,19 @@ def sweep_rows(graph, pose_graph, spec: SweepSpec, pose_path=None) -> list[str]:
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
             cells[i, j] = []
-            for planner in spec.planners:
-                plan, trace = _run_planner(planner, graph, k, cb, objective, spec.seed, runs)
+            for planner, plan, trace in ran:
                 posterior = (None, None)
                 if planner in ("egreedy", "vgreedy", "sgreedy") and alpha is not None:
                     posterior = cert.alpha_posteriori(trace, cb.b, k, delta)
                 achieved = plan.achieved_value
-                cells[i, j].append(_cells(
+                cells[i, j].append(SweepCell(
                     b, k, planner, achieved,
                     achieved / norm if norm > 0 else None,
                     opt, upt,
                     (ref - achieved) / norm * 100.0 if ref is not None and norm > 0 else None,
                     alpha, *posterior, _ratio_lb(achieved, upt),
                 ))
-    return [*_meta_block(graph, spec.seed), SWEEP_HEADER,
-            *(row for i in range(len(budgets)) for j in range(len(ks)) for row in cells[i, j])]
+    return [cell for i in range(len(budgets)) for j in range(len(ks)) for cell in cells[i, j]]
 
 
 def _write_rows(rows, output):
@@ -544,7 +563,6 @@ def _cmd_sweep(args):
         spec = SweepSpec(
             bs=tuple(bs),
             ks=tuple(ks),
-            objective=args.objective,
             regime=args.regime,
             planners=tuple(p.strip() for p in args.planners.split(",") if p.strip()),
             certify=args.certify,
@@ -552,8 +570,11 @@ def _cmd_sweep(args):
         )
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    graph, pose_graph = _load_inputs(args, args.cap_degree, spec.objective)
-    _write_rows(sweep_rows(graph, pose_graph, spec, args.pose_input), args.output)
+    graph, pose_graph = _load_inputs(args, args.cap_degree, args.objective)
+    _check_planners(spec.planners, spec.regime, args.objective)  # before a data error
+    objective = _objective(args.objective, graph, pose_graph, args.pose_input)
+    rows = (_cells(*cell) for cell in sweep_cells(graph, objective, spec))
+    _write_rows([*_meta_block(graph, spec.seed), SWEEP_HEADER, *rows], args.output)
     return 0
 
 

@@ -61,3 +61,12 @@ def test_traced_plan_and_sweep(tmp_path):
     # (on unit weights its cost-benefit variant is a copy), two sweep cells
     assert metrics["objectives.g_modular_calls"] == 5
     assert 0 < metrics["planners.useful_eval_ratio"] <= 1.0
+
+    # a sweep alone: the plans above would mask one that bypassed cli's names
+    tracer.new_round()
+    with spans.installed(tracer):
+        assert cli.main(["sweep", "--input", str(exg), "--planners", "sgreedy", "-b", "2,3",
+                         "-k", "4", "--output", str(tmp_path / "alone.csv")]) == 0
+    alone = spans.layer_metrics(tracer, tracer.spans, tracer.counters)
+    for name in ("planners.gain_evals", "planners.s_greedy_s", "objectives.construct_s"):
+        assert alone[name] > 0, name

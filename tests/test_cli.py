@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from loopselect.cli import CERTIFY_HEADER, main
 from loopselect.generate import demo_rendezvous_graph
 from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
 
-from conftest import make_graph
+from conftest import make_graph, time_limit
 
 
 GOLDEN_GENERATE = json.loads(
@@ -390,10 +391,7 @@ class TestSweep:
             "-b", "20:10:100", "-k", "20:10:100", "--output", str(out),
         ])
         assert rc == 0
-        rows = [
-            line.split(",") for line in out.read_text().splitlines()
-            if line and not line.startswith("#") and not line.startswith("b,")
-        ]
+        rows = sweep_body(out)
         values = [float(r[2]) for r in rows]
         assert min(values) == pytest.approx(0.18, abs=0.01)
         assert max(values) == pytest.approx(1 - math.exp(-1), abs=0.01)
@@ -416,10 +414,12 @@ class TestSweep:
         ["--delta", "5", "-b", "10", "-k", "-1"],
         ["--delta", "5", "-b", "0", "-k", "4"],
         ["--delta", "-3", "-b", "10", "-k", "4"],
-    ], ids=["k-negative", "b-zero", "delta-negative"])
+        ["--delta", "3", "-b", "1", "-k", "1:1e-12:2"],
+    ], ids=["k-negative", "b-zero", "delta-negative", "k-range-too-long"])
     def test_alpha_only_bad_grid_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "alpha.csv"
-        rc = main(["sweep", "--alpha-only", *flags, "--output", str(out)])
+        with time_limit(10):
+            rc = main(["sweep", "--alpha-only", *flags, "--output", str(out)])
         assert rc == 1
         assert "usage error: " in capsys.readouterr().err
         assert not out.exists()
@@ -436,10 +436,7 @@ class TestSweep:
             "--output", str(out),
         ])
         assert rc == 0
-        body = [
-            line.split(",") for line in out.read_text().splitlines()
-            if line and not line.startswith("#") and not line.startswith("b,")
-        ]
+        body = sweep_body(out)
         assert len(body) == 3 * 3 * 3
         for row in body:
             gap = float(row[7])
@@ -576,10 +573,7 @@ class TestSweep:
             "-b", "1/1/1,2/0/1", "-k", "4", "--output", str(out),
         ])
         assert rc == 0
-        body = [
-            line.split(",") for line in out.read_text().splitlines()
-            if line and not line.startswith("#") and not line.startswith("b,")
-        ]
+        body = sweep_body(out)
         graph = demo_rendezvous_graph()
         assert [row[0] for row in body] == ["1/1/1", "2/0/1"]
         for row, limits in zip(body, ([1, 1, 1], [2, 0, 1])):
@@ -625,16 +619,62 @@ class TestSweep:
         assert not out.exists()
 
     def test_sweep_spec_library_entry(self):
-        from loopselect import SweepSpec, sweep_rows
+        from loopselect import SweepSpec, sweep_cells
 
         graph = demo_rendezvous_graph()
         spec = SweepSpec(bs=(1, 2), ks=(2, 4), planners=("mgreedy",), certify="brute")
-        rows = sweep_rows(graph, None, spec)
-        body = [r for r in rows if not r.startswith("#") and not r.startswith("b,")]
-        assert len(body) == 4
-        for row in body:
-            fields = row.split(",")
-            assert float(fields[3]) <= float(fields[5]) + 1e-9  # achieved <= opt
+        cells = sweep_cells(graph, ModularObjective(graph), spec)
+        assert len(cells) == 4
+        for cell in cells:
+            assert cell.achieved <= cell.opt + 1e-9
+
+    @pytest.mark.parametrize("regime, planners, bs, certify", [
+        ("tu", "mgreedy,egreedy,vgreedy,sgreedy,random", "1,3", "lp"),
+        ("tn", "mgreedy", "1.5,2.25", "lp"),
+        ("iu", "mgreedy", "1/1/0,2/1/2", "lp"),
+        ("tu", "mgreedy,sgreedy", "3", "brute"),  # past the brute guard: lp
+    ], ids=["tu", "tn", "iu", "brute-to-lp"])
+    def test_cells_render_as_the_csv_rows(self, request, tmp_path, caplog, regime, planners, bs,
+                                          certify):
+        path = request.getfixturevalue(
+            "wide_instance" if certify == "brute" else "costed_instance")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--input", str(path), "--regime", regime, "--planners", planners,
+                     "-b", bs, "-k", "2,4", "--certify", certify, "--seed", "3",
+                     "--output", str(out)]) == 0
+        graph = load_exchange_graph(path)
+        spec = cli.SweepSpec(bs=tuple(bs.split(",")), ks=(2, 4), regime=regime,
+                             planners=tuple(planners.split(",")), certify=certify, seed=3)
+        cells = cli.sweep_cells(graph, ModularObjective(graph), spec)
+        assert [cli._cells(*cell) for cell in cells] == out.read_text().splitlines()[4:]
+        assert all(cell.opt is None and cell.upt is not None for cell in cells)
+        assert ("brute guard exceeded" in caplog.text) == (certify == "brute")
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"planners": ("mgreedy", "wat")}, "unknown planner 'wat'"),
+        ({"bs": ("x",)}, "bad tu budget 'x': could not convert string to float: 'x'"),
+        ({"bs": ("2.5",)}, "bad tu budget '2.5': not an integer"),
+        ({"ks": (-1,)}, "bad k -1: must be non-negative"),
+    ], ids=["planner", "budget", "fraction", "k"])
+    def test_library_errors_are_value_errors(self, grid, message):
+        graph = demo_rendezvous_graph()
+        spec = cli.SweepSpec(**{"bs": (2,), "ks": (3,), "planners": ("mgreedy",), **grid})
+        with pytest.raises(ValueError) as err:
+            cli.sweep_cells(graph, ModularObjective(graph), spec)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("objective", ["dcrit", "treeconn"])
+    def test_lp_on_a_log_det_objective_warns_once(self, tmp_path, capsys, objective):
+        exg, pose, out = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "sweep.csv"
+        assert main(["generate", "--robots", "3", "--verts", "5", "--edges", "20", "--seed", "1",
+                     "--output", str(exg), "--pose-output", str(pose)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--input", str(exg), "--pose-input", str(pose), "--objective",
+                     objective, "-b", "2,3", "-k", "3,4", "--certify", "lp",
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: LP certification needs the modular objective; skipped\n")
+        assert [row[6] for row in sweep_body(out)] == [""] * 4
 
     def test_empty_grid_rejected(self):
         from loopselect import SweepSpec
@@ -1363,6 +1403,7 @@ class TestNumberSyntax:
         ("0.5:0.25:1.4", [0.5, 0.75, 1, 1.25]),
         ("1e1:5:2e1", [10, 15, 20]),
         ("+1,-0,2.5", [1, 0, 2.5]),
+        (f"1:1:{cli.GRID_MAX}", list(range(1, cli.GRID_MAX + 1))),
     ])
     def test_grid_steps_exactly(self, spec, values):
         grid = cli._parse_grid(spec)
@@ -1370,9 +1411,11 @@ class TestNumberSyntax:
         assert [type(v) for v in grid] == [type(v) for v in values]
 
     @pytest.mark.parametrize("spec", ["0:0:1", "0:-1:1", "0:1:inf", "-inf:1:0", "nan:1:2",
-                                      "0:nan:1", "1:x:2", "1:2", "1:1:2:3", "1,x"])
+                                      "0:nan:1", "1:x:2", "1:2", "1:1:2:3", "1,x",
+                                      "1:1e-12:2", "1:1e-999999:2", f"1:1:{cli.GRID_MAX + 1}"])
     def test_bad_grid_is_rejected(self, spec):
-        with pytest.raises(cli._UsageError, match="bad grid spec"):
+        quoted = re.escape(f"bad grid spec {spec!r}")
+        with time_limit(10), pytest.raises(cli._UsageError, match=quoted):
             cli._parse_grid(spec)
 
     def test_tn_sweep_lists_the_decimals_as_written(self, costed_instance, tmp_path):

@@ -552,7 +552,7 @@ class TestOracle:
 
 
 class TestSharedInverse:
-    def test_base_inverse_is_read_only_and_never_changes(self, monkeypatch):
+    def test_base_inverse_is_read_only_and_never_changes(self):
         spec = GenSpec(num_robots=3, vertices_per_robot=8, num_edges=30, seed=6)
         graph = generate_exchange_graph(spec)
         pg = generate_pose_graph(spec, graph)
@@ -563,9 +563,7 @@ class TestSharedInverse:
             P0[1, 1] = 0.0
         before = P0.tobytes()
         s_greedy(graph, 6, TotalUniform(3), obj)
-        monkeypatch.setattr(cli, "TreeConnObjective", lambda g, p: obj)
-        cli.sweep_rows(graph, pg, cli.SweepSpec(
-            bs=(2, 3), ks=(2, 6), objective="treeconn", planners=("sgreedy",)))
+        cli.sweep_cells(graph, obj, cli.SweepSpec(bs=(2, 3), ks=(2, 6), planners=("sgreedy",)))
         assert obj._P0 is P0 and P0.tobytes() == before
 
     def test_one_inverse_per_objective(self, monkeypatch):
@@ -601,10 +599,9 @@ class TestSharedInverse:
             obj.value([0, 1])
             assert builds == [] and inversions == []
             s_greedy(graph, 6, TotalUniform(3), obj)
-            monkeypatch.setattr(cli, make.__name__, lambda g, p, obj=obj: obj)
-            rows = cli.sweep_rows(graph, pg, cli.SweepSpec(
-                bs=(3,), ks=(4, 6), objective=kind, planners=("sgreedy",)))
-            assert len(rows) == 6  # metadata, header and two cells: four more oracles
+            cells = cli.sweep_cells(graph, obj, cli.SweepSpec(bs=(3,), ks=(4, 6),
+                                                              planners=("sgreedy",)))
+            assert len(cells) == 2  # two cells: four more oracles
             if kind == "treeconn":
                 assert builds == [pg.num_poses] and inversions == []
             else:

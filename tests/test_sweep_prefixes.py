@@ -35,7 +35,7 @@ from loopselect import (
     objectives,
     planners,
     s_greedy,
-    sweep_rows,
+    sweep_cells,
     v_greedy,
 )
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
@@ -243,7 +243,7 @@ def test_sweep_cells_count_only_their_own_evaluations(monkeypatch, name, planner
     graph = generate_exchange_graph(spec)
     pose_graph = generate_pose_graph(spec, graph)
     objective = OBJECTIVES[name](graph, pose_graph)
-    grid_spec = SweepSpec(bs=(4, 0, 9, 2), ks=(12, 3, 0, 60), objective=name, planners=planners)
+    grid_spec = SweepSpec(bs=(4, 0, 9, 2), ks=(12, 3, 0, 60), planners=planners)
     evaluations = []
 
     def recorded(planner):
@@ -261,7 +261,7 @@ def test_sweep_cells_count_only_their_own_evaluations(monkeypatch, name, planner
     for p in ("m_greedy", "e_greedy", "v_greedy", "s_greedy"):
         monkeypatch.setattr(cli, p, recorded(getattr(cli, p)))
     gains = CountedGains(monkeypatch)
-    sweep_rows(graph, pose_graph, grid_spec)
+    sweep_cells(graph, objective, grid_spec)
     assert len(evaluations) == 16 * len(planners)
     assert sum(evaluations) == gains.calls
     assert gains.calls < alone  # the cells shared their runs
@@ -275,7 +275,8 @@ def test_tu_sweep_memory_does_not_grow_with_the_k_grid():
     def peak(ks):
         tracemalloc.start()
         try:
-            sweep_rows(graph, None, SweepSpec(bs=(4, 8, 12), ks=ks, planners=("mgreedy",)))
+            sweep_cells(graph, ModularObjective(graph),
+                        SweepSpec(bs=(4, 8, 12), ks=ks, planners=("mgreedy",)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
