@@ -7,7 +7,7 @@ normalized monotone (sub)modular objective, with certified approximation
 factors and exact small-instance oracles.
 """
 
-from .errors import InstanceTooLargeError, ParseError
+from .errors import DataError, InstanceTooLargeError, ParseError
 from .graph import (
     CommBudget,
     Edge,

@@ -1,8 +1,10 @@
 """Command-line front end: generate, plan, sweep, certify.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 exact-computation
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable file, or
+an input file's content at fault: ``errors.DataError``), 3 exact-computation
 guard exceeded (enumeration, branch-and-bound nodes or dense LP size; a sweep
-downgrades only the enumeration guard, to the LP bound). CSV outputs start
+downgrades only the enumeration guard, to the LP bound). Any other exception
+is a bug and propagates. CSV outputs start
 with a metadata comment block (seed, instance size, maximum degree) and a
 header row, so every artifact is reproducible from its own header. Numbers
 are read in the file formats' syntax and written by one rule, ``_cells``.
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 from . import certify as cert
 from . import io as gio
-from .errors import EnumerationGuardError, InstanceTooLargeError, ParseError
+from .errors import DataError, EnumerationGuardError, InstanceTooLargeError, ParseError
 from .generate import GenSpec, generate_exchange_graph, generate_pose_graph, sample_ground_truth
 from .graph import IndividualUniform, Plan, TotalNonuniform, TotalUniform
 from .objectives import DCritObjective, ModularObjective, TreeConnObjective
@@ -38,6 +40,7 @@ OBJECTIVES = ("modular", "dcrit", "treeconn")
 REGIMES = ("tu", "tn", "iu")
 LAZY_HELP = "no effect: lazy greedy evaluation is the only mode (kept for old scripts)"
 GRID_MAX = 1000  # values one start:step:end range may list
+ALPHA_ROWS_MAX = GRID_MAX**2  # rows one --alpha-only grid may write
 
 
 class SweepCell(NamedTuple):
@@ -207,7 +210,7 @@ def _objective(name, graph, pose_graph, pose_path):
     try:
         return {"dcrit": DCritObjective, "treeconn": TreeConnObjective}[name](graph, pose_graph)
     except ValueError as err:
-        raise ValueError(f"{err} (in {pose_path})") from None
+        raise DataError(f"{err} (in {pose_path})") from None
 
 
 def _run_planner(name, graph, k, cb, objective, seed, runs=None):
@@ -292,7 +295,7 @@ def _load_inputs(args, cap_degree, objective):
                 try:
                     pose_graph.require_bound(kept.values())
                 except ValueError as err:
-                    raise ValueError(f"{err} (in {args.pose_input})") from None
+                    raise DataError(f"{err} (in {args.pose_input})") from None
             bound = pose_graph.candidate_map
             pose_graph = replace(pose_graph, candidate_map={
                 new: bound[old] for new, old in kept.items() if old in bound
@@ -504,7 +507,9 @@ def sweep_cells(graph, objective, spec: SweepSpec) -> list[SweepCell]:
             try:
                 opt, upt = cert.bounds(graph, k, cb, objective, spec.certify)
             except EnumerationGuardError:
-                log.warning("brute guard exceeded at b=%s k=%s; downgrading certification", b, k)
+                why = ("downgrading certification" if objective.kind == "modular"
+                       else "no bound ran: the LP certifies only the modular objective")
+                log.warning("brute guard exceeded at b=%s k=%s; %s", b, k, why)
                 opt, upt = cert.bounds(graph, k, cb, objective, "lp")
             ref = opt if opt is not None else upt
             alpha = _alpha(cb, k, delta)
@@ -545,6 +550,9 @@ def _cmd_sweep(args):
 
     if args.alpha_only:
         kappa_deltas = _parse_grid(args.kappa_deltas, "delta") if args.kappa_deltas else ()
+        count = len(bs) * len(ks) * (1 + len(kappa_deltas))
+        if count > ALPHA_ROWS_MAX:
+            raise _UsageError(f"--alpha-only grid of {count} rows: more than {ALPHA_ROWS_MAX}")
         rows = [f"# delta={args.delta}", "b,k,alpha_apriori"]
         try:  # no input file here: every value is an argument
             rows += [_cells(b, k, cert.alpha_apriori(b, k, args.delta)) for b in bs for k in ks]
@@ -677,7 +685,7 @@ def _main(argv):
         print(f"guard exceeded: {err}", file=sys.stderr)
         print(f"hint: retry with {retry}a smaller instance", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as err:  # ParseError is a ValueError
+    except (OSError, DataError) as err:  # anything else is a bug: it propagates
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,11 @@ class EnumerationGuardError(InstanceTooLargeError):
     """The brute-force enumeration guard; an LP bound may still fit."""
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """An input file's content is at fault: the CLI's exit 2. Its message names the file."""
+
+
+class ParseError(DataError):
     """Malformed input file: the offending 1-based line number and, once known, the file."""
 
     def __init__(self, line_no, message, path=None):

@@ -17,21 +17,23 @@ compute a-posteriori approximation factors.
 * ``random_baseline`` — seeded uniform vertex sample, then a uniform edge
   sample from the covered edges; its trace has no steps.
 
-Every greedy loop is a ``GreedySelector`` run over a per-run oracle:
-``m_greedy`` takes its gains from a ``TopKOracle`` (g itself), ``e_greedy``
-and ``v_greedy`` from one ``objective.oracle()``, which tracks the committed
+Every greedy loop is one ``GreedySelector``, a run from the batch that
+seeds it to the steps of its trace, over a per-run oracle: ``m_greedy``
+takes its gains from a ``TopKOracle`` (g itself), ``e_greedy`` and
+``v_greedy`` from one ``objective.oracle()``, which tracks the committed
 edges. The achieved value is the running value of that same oracle (for
 ``m_greedy``, ``g_modular`` of the picks), so no greedy planner calls the
 dense ``objective.value``; ``random_baseline``, which runs no oracle, does.
 The selector is lazy (Minoux): it keeps stale gains as
 upper bounds and re-evaluates only the candidates that could still win a
 round. Its heap starts from one batch of gains, the oracle's ``gains`` over
-the whole pool (as CELF does), so even the first round re-evaluates only
-the candidates near the top. That is valid because oracle gains are
-non-negative and never grow for monotone submodular objectives, except by
-rounding that each oracle bounds (``gain_slack``), and a batch gain is bit
-for bit the scalar one, so the selection sequence is the one a full scan of
-the pool per round would give, with fewer gain evaluations.
+the whole pool (as CELF does). Every oracle's batch gain is bit for bit its
+scalar ``gain`` at the same state, so the batch counts as the first round's
+evaluation and the first pick costs none. Later rounds are valid because
+oracle gains are non-negative and never grow for monotone submodular
+objectives, except by rounding that each oracle bounds (``gain_slack``), so
+the selection sequence is the one a full scan of the pool per round would
+give, with fewer gain evaluations. Each pick leaves the pool as it is made.
 A trace's ``evaluations`` counts the scalar gains; the batch is not one.
 
 A greedy pick depends only on the picks before it, so the i-th prefix of a
@@ -109,81 +111,102 @@ class PlannerTrace:
 
 
 class GreedySelector:
-    """Lazy repeated argmax over a shrinking candidate pool with a global tie rule.
+    """One lazy greedy run: repeated argmax over a shrinking candidate pool with a
+    global tie rule, and the steps it took.
 
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
     ties break to the lowest candidate id. ``bounds(cs)`` returns, as an
-    array, the gains of the candidates ``cs`` (a sorted list) at the start,
-    in one batch (an oracle's ``gains``, bit for bit what ``gain_fn`` gives).
-    ``feasible(c)`` is asked before a candidate is evaluated, and a candidate
-    it rejects leaves the pool for good, so it must only ever turn from true
-    to false as the run goes on (a budget being used up); rejections are not
-    evaluations. A min-heap of ``(-gain, id, round)`` holds every candidate's
-    last gain as a stale bound, starting from ``bounds`` (as CELF does:
-    Leskovec et al., "Cost-effective Outbreak Detection in Networks", 2007);
-    an entry is only trusted once ``gain_fn`` re-evaluated it in the current
+    array, the gains of the candidates ``cs`` (a sorted list) in one batch,
+    each bit for bit what ``gain_fn`` returns at the state the selector is
+    built in (every oracle's ``gains`` is its ``gain`` so), so the batch
+    counts as evaluated in the first round and the first pick costs no call
+    of ``gain_fn``. ``feasible(c)`` is asked before a candidate is taken or
+    evaluated, and a candidate it rejects leaves the pool for good, so it
+    must only ever turn from true to false as the run goes on (a budget
+    being used up); rejections are not evaluations. A min-heap of
+    ``(-gain, id, round)`` holds one entry per candidate left in the pool:
+    its last gain, a stale bound after the round it was taken in, starting
+    from ``bounds`` (as CELF does: Leskovec et al., "Cost-effective Outbreak
+    Detection in Networks", 2007); an entry is only trusted in its own
     round. Gains of monotone submodular objectives never grow, except by
     rounding: ``slack`` bounds that growth, and a stale entry within
     ``slack`` of the round's best is re-evaluated before the best is taken.
     So each pick is the one evaluating the whole pool every round would
     make, while most evaluations are skipped. ``evaluations`` counts the
     calls of ``gain_fn``; the batch is not one.
+
+    ``best()`` takes the round's pick out of the pool. ``extend(count)``
+    takes picks until the run holds ``count`` steps, ``full()`` turns true
+    or the pool runs dry, and passes each to ``take(item, gain)``, which
+    commits it to the run's oracle (and whatever other state the run keeps)
+    and returns its :class:`TraceStep`. A pick depends only on the picks
+    before it, never on where the run will stop, so the first i ``steps``
+    are those of a run stopped after i picks.
     """
 
-    def __init__(self, candidates, gain_fn, bounds, feasible=lambda c: True, slack=0.0):
-        self._pool = set(candidates)
+    def __init__(self, candidates, gain_fn, bounds, feasible=lambda c: True, slack=0.0,
+                 take=None, full=lambda: False):
         self._gain = gain_fn
         self._feasible = feasible
         self._slack = slack
+        self._take = take
+        self.full = full
         self._round = 0
         self.evaluations = 0
-        order = sorted(self._pool)
-        # round -1 marks a bound that gain_fn never gave
-        self._heap = [(-g, c, -1) for g, c in zip(bounds(order).tolist(), order)]
+        self.steps: list[TraceStep] = []
+        order = sorted(set(candidates))
+        self._heap = [(-g, c, 1) for g, c in zip(bounds(order).tolist(), order)]
         heapq.heapify(self._heap)
 
     def __len__(self):
-        return len(self._pool)
+        return len(self._heap)
 
     def best(self):
-        """Best feasible (candidate, gain) under current state, or None if there is none."""
+        """Take the best feasible candidate: its (candidate, gain), or None if there is none."""
         self._round += 1
-        heap, pool = self._heap, self._pool
-        # every pool member has one heap entry; committed ones linger until popped
-        while pool:
+        heap = self._heap
+        while heap:
             neg_g, c, tag = heap[0]
-            if c not in pool or not self._feasible(c):
-                pool.discard(c)
+            if not self._feasible(c):
                 heapq.heappop(heap)
             elif tag != self._round:
                 self.evaluations += 1
                 heapq.heapreplace(heap, (-self._gain(c), c, self._round))
             elif not (self._slack and self._refresh(-neg_g)):
+                heapq.heappop(heap)
                 return c, -neg_g
         return None
 
     def _refresh(self, g) -> bool:
-        """Re-evaluate the stale entries within slack of ``g``; whether there were any."""
+        """Re-evaluate the stale entries within slack of ``g``, dropping those
+        ``feasible`` rejects; whether there were any."""
         heap, stale, todo = self._heap, [], [0]
         while todo:  # the entries at least g - slack form a subtree at the root
             i = todo.pop()
             if i < len(heap) and -heap[i][0] + self._slack >= g:
-                if heap[i][2] != self._round and heap[i][1] in self._pool:
+                if heap[i][2] != self._round:
                     stale.append(i)
                 todo += (2 * i + 1, 2 * i + 2)
-        for i in stale:
+        # from the back, so that a rejected entry's slot takes the last entry,
+        # which is either done or not stale
+        for i in sorted(stale, reverse=True):
             c = heap[i][1]
             if self._feasible(c):
                 self.evaluations += 1
                 heap[i] = (-self._gain(c), c, self._round)
             else:
-                self._pool.discard(c)
+                heap[i] = heap[-1]
+                heap.pop()
         if stale:
             heapq.heapify(heap)
         return bool(stale)
 
-    def commit(self, candidate):
-        self._pool.discard(candidate)
+    def extend(self, count) -> int:
+        """Pick until the run holds ``count`` steps (or stops); the gain evaluations spent."""
+        spent = self.evaluations
+        while len(self.steps) < count and not self.full() and (pick := self.best()) is not None:
+            self.steps.append(self._take(*pick))
+        return self.evaluations - spent
 
 
 class _Room:
@@ -254,33 +277,6 @@ def _shared(runs, name, build, key=None):
     return runs[name][1]
 
 
-class _Prefixes:
-    """One greedy run, extended on demand and read by its prefixes.
-
-    ``extend(count)`` picks with ``selector`` until the run holds ``count``
-    picks, ``full()`` turns true or the pool runs dry. ``take(item, gain)``
-    commits each pick to the run's oracle (and whatever other state the run
-    keeps) and returns its :class:`TraceStep`. A pick depends only on the
-    picks before it, never on where the run will stop, so the first i steps
-    are those of a run stopped after i picks.
-    """
-
-    def __init__(self, selector, take, full=lambda: False):
-        self._sel = selector
-        self._take = take
-        self.full = full
-        self.steps: list[TraceStep] = []
-
-    def extend(self, count) -> int:
-        """Pick until the run holds ``count`` picks (or stops); the gain evaluations spent."""
-        sel = self._sel
-        spent = sel.evaluations
-        while len(self.steps) < count and not self.full() and (pick := sel.best()) is not None:
-            sel.commit(pick[0])
-            self.steps.append(self._take(*pick))
-        return sel.evaluations - spent
-
-
 def _m_run(graph, k, cb, per_weight=False):
     """``m_greedy``'s run: gains from a TopKOracle, each pick booked in a ``_Room`` of ``cb``."""
     oracle = TopKOracle(graph, k)
@@ -302,8 +298,8 @@ def _m_run(graph, k, cb, per_weight=False):
         oracle.commit(vid)
         return TraceStep("vertex", vid, oracle.value - before, oracle.value)
 
-    sel = GreedySelector([v.id for v in graph.vertices], score, bounds, feasible=room.fits)
-    return _Prefixes(sel, take, full=room.full)
+    return GreedySelector([v.id for v in graph.vertices], score, bounds, feasible=room.fits,
+                          take=take, full=room.full)
 
 
 def m_greedy(graph, k, cb, objective, runs=None):
@@ -411,13 +407,13 @@ def _edge_run(oracle, candidates, phase):
         oracle.commit((eid,))
         return TraceStep(phase, eid, g, oracle.value)
 
-    sel = GreedySelector(
+    return GreedySelector(
         candidates,
         lambda eid: oracle.gain((eid,)),
         lambda eids: oracle.gains([(eid,) for eid in eids]),
         slack=oracle.gain_slack,
+        take=take,
     )
-    return _Prefixes(sel, take)
 
 
 def _achieved(steps) -> float:
@@ -492,13 +488,13 @@ def _vertex_run(graph, objective):
         oracle.commit(new)
         return TraceStep("vertex", vid, g, oracle.value)
 
-    sel = GreedySelector(
+    return GreedySelector(
         [v.id for v in graph.vertices],
         lambda vid: oracle.gain(new_edges(vid)),
         lambda vids: oracle.gains([new_edges(vid) for vid in vids]),
         slack=oracle.gain_slack,
-    )
-    return _Prefixes(sel, take), news
+        take=take,
+    ), news
 
 
 def v_greedy(graph, k, cb, objective, runs=None):

@@ -36,14 +36,16 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-class EagerSelector:
-    """Reference argmax for ``planners.GreedySelector``: every round evaluates
-    every feasible candidate left, in id order, and keeps the first maximum.
-    It trusts no stale gain, so it has no use for ``bounds`` or ``slack``."""
+class EagerSelector(planners.GreedySelector):
+    """Reference argmax for ``planners.GreedySelector``, which it replaces only in
+    its heap: every round evaluates every feasible candidate left, in id order,
+    and takes the first maximum out of the pool. It trusts no stale gain, so it
+    has no use for ``bounds`` or ``slack``; ``extend`` and ``steps`` are the
+    shipped run's."""
 
-    def __init__(self, candidates, gain_fn, bounds=None, feasible=lambda c: True, slack=0.0):
-        self._pool, self._gain, self._feasible = sorted(set(candidates)), gain_fn, feasible
-        self.evaluations = 0
+    def __init__(self, candidates, gain_fn, bounds=None, **run):
+        super().__init__((), gain_fn, lambda order: np.zeros(0), **run)
+        self._pool = sorted(set(candidates))
 
     def __len__(self):
         return len(self._pool)
@@ -55,11 +57,7 @@ class EagerSelector:
         gains = [self._gain(c) for c in self._pool]
         self.evaluations += len(gains)
         best_g = max(gains)
-        return self._pool[gains.index(best_g)], best_g
-
-    def commit(self, candidate):
-        if candidate in self._pool:
-            self._pool.remove(candidate)
+        return self._pool.pop(gains.index(best_g)), best_g
 
 
 def eager(planner, *args):

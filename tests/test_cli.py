@@ -415,7 +415,9 @@ class TestSweep:
         ["--delta", "5", "-b", "0", "-k", "4"],
         ["--delta", "-3", "-b", "10", "-k", "4"],
         ["--delta", "3", "-b", "1", "-k", "1:1e-12:2"],
-    ], ids=["k-negative", "b-zero", "delta-negative", "k-range-too-long"])
+        # 10**9 rows: refused by their count before any is computed
+        ["--delta", "3", "-b", "1:1:1000", "-k", "1:1:1000", "--kappa-deltas", "1:1:1000"],
+    ], ids=["k-negative", "b-zero", "delta-negative", "k-range-too-long", "grid-too-many-rows"])
     def test_alpha_only_bad_grid_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "alpha.csv"
         with time_limit(10):
@@ -481,6 +483,23 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "warning: brute guard exceeded at b=3 k=5; downgrading certification\n")
         assert [(r.name, r.levelname) for r in caplog.records] == [("loopselect.cli", "WARNING")]
+
+    def test_downgrade_on_a_logdet_objective_says_no_bound_ran(self, tmp_path, capsys):
+        # the LP certifies only the modular objective, so past the brute guard
+        # a treeconn cell is left without opt and upt
+        graph, pose, out = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "s.csv"
+        assert main(["generate", "--robots", "5", "--verts", "40", "--edges", "300",
+                     "--seed", "1", "--output", str(graph), "--pose-output", str(pose)]) == 0
+        capsys.readouterr()
+        assert main([
+            "sweep", "--input", str(graph), "--pose-input", str(pose), "--objective", "treeconn",
+            "-b", "10", "-k", "10", "--certify", "brute", "--output", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == (
+            "warning: brute guard exceeded at b=10 k=10; no bound ran: "
+            "the LP certifies only the modular objective\n")
+        (row,) = sweep_body(out)
+        assert row[:3] == ["10", "10", "sgreedy"] and row[5:7] == ["", ""]
 
     @pytest.mark.parametrize("certify", ["lp", "brute"])
     @pytest.mark.parametrize("regime, b", [("tn", "1.5,2.25,4"), ("iu", "1/1/0,1/1/1,2/1/2")])
@@ -1231,8 +1250,12 @@ class TestObjectiveDataErrors:
             raise ValueError("boom")
 
         monkeypatch.setattr(owner, name, fail)
-        assert main([*runs[command], "--input", str(graph), "--pose-input", str(pose)]) == 2
-        assert capsys.readouterr().err == "error: boom\n"
+        # a ValueError that is no DataError is a bug, not a data error: it leaves
+        # main unchanged rather than exiting 2 as "error: boom"
+        with pytest.raises(ValueError, match="^boom$") as raised:
+            main([*runs[command], "--input", str(graph), "--pose-input", str(pose)])
+        assert type(raised.value) is ValueError
+        assert capsys.readouterr().err == ""
 
 
 def test_python_dash_m_runs_the_cli():

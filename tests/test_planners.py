@@ -108,7 +108,6 @@ class TestGreedySelector:
         while (pick := sel.best()) is not None:
             c, g = pick
             assert g == gains[c]
-            sel.commit(c)
             left -= weight[c]
             picks.append(c)
         # 3 and 4 tie: the lower id wins, then nothing fits the last unit
@@ -116,9 +115,50 @@ class TestGreedySelector:
         assert len(sel) == 0
         assert asked_after_rejection == []
         # rejections are not evaluations: eager scans 6, then 3 affordable;
-        # lazy, from exact bounds, re-evaluates only the candidate it takes
-        assert sel.evaluations == (2 if lazy else 9)
+        # lazy takes its first pick off the exact bounds and then re-evaluates
+        # only the candidate it takes
+        assert sel.evaluations == (1 if lazy else 9)
         assert not lazy or sel.evaluations < 7  # an unseeded heap scanned all 6 first
+
+    @pytest.mark.parametrize("committed", [0, 5])
+    @pytest.mark.parametrize("kind, unit", [
+        ("modular", "edge"), ("modular", "vertex"), ("topk", "vertex"),
+        ("treeconn", "edge"), ("treeconn", "vertex"), ("dcrit", "edge"), ("dcrit", "vertex"),
+        ("dcrit-prior", "edge"), ("dcrit-prior", "vertex"),
+    ])
+    def test_exact_seed_takes_the_first_pick_unevaluated(self, kind, unit, committed):
+        # every oracle's gains is bit for bit its gain at the state the selector
+        # is built in, so the first round trusts the batch: no call of gain
+        graph, pg = instance_5x40(1)
+        prior = pg.base_laplacian_reduced() + np.eye(pg.num_poses - 1)
+        oracle = {
+            "modular": lambda: ModularObjective(graph).oracle(),
+            "topk": lambda: objectives.TopKOracle(graph, 20),
+            "treeconn": lambda: TreeConnObjective(graph, pg).oracle(),
+            "dcrit": lambda: DCritObjective(graph, pg).oracle(),
+            "dcrit-prior": lambda: DCritObjective(graph, pg, prior=prior).oracle(),
+        }[kind]()
+        slack = getattr(oracle, "gain_slack", 0.0)  # m_greedy passes TopKOracle none
+
+        def candidate(c):  # what the oracle scores for candidate c
+            if kind == "topk":
+                return c
+            return (c,) if unit == "edge" else graph.edges_incident((c,)) - oracle._committed
+
+        for c in range(committed):
+            oracle.commit(candidate(c))
+        ids = [u.id for u in (graph.edges if unit == "edge" else graph.vertices)][committed:]
+
+        def gain(c):
+            return oracle.gain(candidate(c))
+
+        def gains(cs):
+            return oracle.gains([candidate(c) for c in cs])
+
+        lazy = GreedySelector(ids, gain, gains, slack=slack)
+        want = EagerSelector(ids, gain, gains, slack=slack).best()
+        assert lazy.best() == want
+        assert lazy.evaluations == 0
 
 
 class TestRoom:
@@ -577,9 +617,10 @@ class TestLazyMode:
         obj = ModularObjective(demo_graph)
         _, trace = e_greedy(demo_graph, 3, TotalUniform(3), obj)
         m = demo_graph.num_edges
-        # the seeded bounds are the exact gains, so every round re-evaluates
-        # only the candidate it takes; a heap that started unseeded scanned all m
-        assert trace.evaluations == 3 < m + (3 - 1)
+        # the seeded bounds are the exact gains, so the first round evaluates
+        # nothing and every later one only the candidate it takes; a heap that
+        # started unseeded scanned all m
+        assert trace.evaluations == 2 < m + (3 - 1)
 
     def test_lazy_matches_eager_for_m_greedy(self):
         # a gain taken as a difference of two rounded g values can grow by an

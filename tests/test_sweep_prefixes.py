@@ -57,7 +57,6 @@ def reference_m_greedy(graph, k, b, objective):
     selected = []
     while len(selected) < b and (pick := sel.best()) is not None:
         vid = pick[0]
-        sel.commit(vid)
         selected.append(vid)
         before = oracle.value
         oracle.commit(vid)
@@ -82,7 +81,6 @@ def reference_e_greedy(graph, k, b, objective):
             if pick is None:
                 trace.exhausted |= phase == "phase1"
                 break
-            sel.commit(pick[0])
             selected.append(pick[0])
             oracle.commit((pick[0],))
             trace.steps.append(TraceStep(phase, pick[0], pick[1], oracle.value))
@@ -113,13 +111,12 @@ def reference_v_greedy(graph, k, b, objective):
         new = new_edges(vid)
         if len(covered) + len(new) > k:
             break
-        sel.commit(vid)
         selected.append(vid)
         edge_order.extend(sorted(new))
         covered |= new
         oracle.commit(new)
         trace.steps.append(TraceStep("vertex", vid, g, oracle.value))
-    trace.exhausted = not sel
+    trace.exhausted = len(selected) == graph.num_vertices  # nothing left to pick
     trace.evaluations = sel.evaluations
     plan = Plan(vertices=tuple(selected), edges=tuple(edge_order), achieved_value=oracle.value)
     return plan, trace
