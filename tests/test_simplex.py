@@ -21,14 +21,16 @@ from scipy.optimize import linprog
 
 import loopselect
 from loopselect import (
-    GenSpec, TotalUniform, certify, generate_exchange_graph, lp_upper_bound_modular, simplex,
+    ExchangeGraph, GenSpec, IndividualUniform, TotalNonuniform, TotalUniform, Vertex, certify,
+    generate_exchange_graph, ilp_opt_modular, lp_upper_bound_modular, simplex,
 )
 from loopselect.certify import _modular_lp
 from loopselect.simplex import dual_bound, simplex_max
 
 from conftest import time_limit
 
-GOLDEN_LP = json.loads((Path(__file__).parent / "golden_lp_modular.json").read_text())["values"]
+GOLDEN = json.loads((Path(__file__).parent / "golden_lp_modular.json").read_text())
+GOLDEN_LP = GOLDEN["values"]
 BEALE = (
     [0.75, -20.0, 0.5, -6.0],
     [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
@@ -275,6 +277,48 @@ def test_golden_lp_covers_every_case():
         for s in (1, 2, 3, 9101) for b in (4, 8, 12) for k in (10, 20, 30)
     }
     assert set(GOLDEN_LP) == want
+
+
+def golden_instance(regime, b, graph):
+    """``(graph, cb)`` of a golden case: tn weighs the vertices, iu reads one limit per robot."""
+    if regime == "tu":
+        return graph, TotalUniform(int(b))
+    if regime == "tn":
+        weights = [Vertex(v.id, v.robot, 0.5 + (7 * v.id % 5) * 0.25) for v in graph.vertices]
+        return ExchangeGraph(graph.num_robots, weights, graph.edges), TotalNonuniform(float(b))
+    return graph, IndividualUniform.by_robot(graph, [int(limit) for limit in b.split("/")])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["regimes"]["values"]))
+def test_lp_value_matches_golden_under_every_regime(case):
+    regime, *fields = case.split(",")
+    spec = dict(item.split("=") for item in fields)
+    graph, cb = golden_instance(regime, spec["b"], benchmark_graph(int(spec["seed"])))
+    value = lp_upper_bound_modular(graph, int(spec["k"]), cb)
+    assert value == float(GOLDEN["regimes"]["values"][case])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["ilp"]["cases"]))
+def test_ilp_value_and_branching_match_golden(case):
+    regime, shape, *fields = case.split(",")
+    spec = dict(item.split("=") for item in fields)
+    robots, rest = shape.split("x")
+    per_robot, edges = rest.split("/")
+    graph = generate_exchange_graph(GenSpec(
+        num_robots=int(robots), vertices_per_robot=int(per_robot), num_edges=int(edges),
+        seed=int(spec["seed"]),
+    ))
+    graph, cb = golden_instance(regime, spec["b"], graph)
+    stats = {}
+    value = ilp_opt_modular(graph, int(spec["k"]), cb, stats=stats)
+    want, nodes, lp_solves = GOLDEN["ilp"]["cases"][case]
+    assert (value, stats["nodes"], stats["lp_solves"]) == (float(want), nodes, lp_solves)
+
+
+def test_golden_branching_covers_every_regime():
+    cases = GOLDEN["ilp"]["cases"].items()
+    assert {case.split(",")[0] for case, _ in cases} == {"tu", "tn", "iu"}
+    assert any(nodes > 1 for _, (_, nodes, _) in cases)
 
 
 def test_runtime_does_not_import_scipy():
