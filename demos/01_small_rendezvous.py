@@ -7,13 +7,14 @@ through tight budgets (broadcast 2 observations, verify 3 matches) with every
 planner and compare what each one salvages.
 """
 
+import itertools
+
 from loopselect import (
     ModularObjective,
     TotalUniform,
     demo_rendezvous_graph,
     e_greedy,
     m_greedy,
-    min_vertex_cover_bruteforce,
     random_baseline,
     s_greedy,
     v_greedy,
@@ -25,7 +26,14 @@ print(f"instance: {graph}")
 print(f"max degree: {graph.max_degree()}")
 
 all_edges = [e.id for e in graph.edges]
-cover = sorted(min_vertex_cover_bruteforce(graph, all_edges))
+# the smallest vertex set covering every edge: nine vertices are few enough to try every subset
+vids = [v.id for v in graph.vertices]
+cover = next(
+    list(subset)
+    for size in range(len(vids) + 1)
+    for subset in itertools.combinations(vids, size)
+    if graph.is_cover(subset, all_edges)
+)
 print(f"\nwith no budgets, broadcasting a minimum cover verifies everything:")
 print(f"  cover = {cover} (size {len(cover)})")
 print(f"  total expected true matches = {obj.value(all_edges):.3f}")

@@ -17,7 +17,6 @@ from .graph import (
     TotalNonuniform,
     TotalUniform,
     Vertex,
-    min_vertex_cover_bruteforce,
 )
 from .objectives import (
     DCritObjective,

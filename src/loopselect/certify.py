@@ -44,7 +44,7 @@ __all__ = [
 
 ENUM_GUARD = 2**20   # max feasible vertex subsets / inner enumerations
 NODE_GUARD = 2**10   # max branched nodes of the ILP's branch and bound
-LP_GUARD = 2**24     # max entries of a dense simplex tableau (128 MiB)
+LP_GUARD = 2**24     # max floats of a dense LP: A and its simplex tableau together (128 MiB)
 VALUE_TIE_TOL = 1e-12
 
 
@@ -182,53 +182,57 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     ``(pi, value)``, pi mapping free vertex id -> fractional value, or None when
     the fixed-to-1 vertices do not fit. ``value`` is never the simplex's own:
     it is :func:`~loopselect.simplex.dual_bound` of the simplex's duals, at
-    or above the LP optimum however early the pivot loop stopped.
+    or above the LP optimum however early the pivot loop stopped. What does
+    not depend on k, the budget or the fixings comes from
+    ``graph.index_arrays()``, built once per graph; each call places only its
+    block rows, fixings and right-hand side.
     """
+    ids, ends, p = graph.index_arrays()
     block_of, weight, limits = graph.budget_blocks(cb)
-    fits = {vid for vid, block in block_of.items() if within_limit([weight[vid]], limits[block])}
+    n, m = len(ids), len(p)
+    vids = ids.tolist()
+    block = np.fromiter(map(block_of.__getitem__, vids), np.intp, n)
+    w = np.fromiter(map(weight.__getitem__, vids), float, n)
+    fits = w <= np.array(limits, dtype=float)[block] + WEIGHT_TOL  # within_limit alone
+    held = np.isin(ids, list(fixed1))
     room = []
-    for block, limit in enumerate(limits):
-        ws = sorted(weight[vid] for vid in fits if block_of[vid] == block)
-        held = [weight[vid] for vid in fixed1 if block_of[vid] == block]
-        if not within_limit(held, limit):
+    for b, limit in enumerate(limits):
+        mine = block == b
+        spent = w[held & mine].tolist()
+        if not within_limit(spent, limit):
             return None
+        ws = np.sort(w[fits & mine]).tolist()
         top = math.fsum(ws[len(ws) - _fit_count(ws, limit):])  # the c heaviest, c = how many fit
-        room.append(min(limit + WEIGHT_TOL, max(limit, top)) - math.fsum(held))
-    free = [v.id for v in graph.vertices
-            if v.id in fits and v.id not in fixed0 and v.id not in fixed1]
-    col_of = {vid: i for i, vid in enumerate(free)}
-    nf = len(free)
-    m = len(graph.edges)
+        room.append(min(limit + WEIGHT_TOL, max(limit, top)) - math.fsum(spent))
+    free = fits & ~held & ~np.isin(ids, list(fixed0))
+    nf = int(np.count_nonzero(free))
     nvar = nf + m
     nb = len(limits)
     rows = nb + 1 + m
-    if (rows + 1) * (nvar + rows + 1) > LP_GUARD:
+    if rows * nvar + (rows + 1) * (nvar + rows + 1) > LP_GUARD:
         raise InstanceTooLargeError(f"instance too large: a {rows}x{nvar} dense LP")
 
     # rows: one weighted pi row per block, sum ell <= k, then ell_e <= pi_u + pi_v
     # per edge, with fixed-to-1 ends moved to the rhs; 0 <= pi, ell <= 1 is the
     # solver's box. A's nonzeros, as (row, column, value) triples:
-    link = np.arange(nb + 1, rows)
-    ell = np.arange(nf, nvar)
-    r = [np.array([block_of[vid] for vid in free], dtype=np.intp), np.full(m, nb), link]
+    column = np.full(n, -1, dtype=np.intp)
+    column[free] = np.arange(nf)
+    link, ell = np.arange(nb + 1, rows), np.arange(nf, nvar)
+    r = [block[free], np.full(m, nb), link]
     cl = [np.arange(nf), ell, ell]
-    v = [np.array([weight[vid] for vid in free], dtype=float), np.ones(m), np.ones(m)]
-    ones = np.zeros(m)
-    for ends in ([e.u for e in graph.edges], [e.v for e in graph.edges]):
-        cols = np.array([col_of.get(end, -1) for end in ends], dtype=np.intp)
+    v = [w[free], np.ones(m), np.ones(m)]
+    for cols in column[ends]:
         mask = cols >= 0
         r.append(link[mask])
         cl.append(cols[mask])
-        v.append(np.full(mask.sum(), -1.0))
-        ones += [end in fixed1 for end in ends]
+        v.append(np.full(np.count_nonzero(mask), -1.0))
     entries = tuple(map(np.concatenate, (r, cl, v)))
     A = np.zeros((rows, nvar))
     A[entries[:2]] = entries[2]
-    rhs = np.concatenate([room, [float(k)], ones])
-    c = np.zeros(nvar)
-    c[nf:] = [e.p for e in graph.edges]
+    rhs = np.concatenate([room, [float(k)], held[ends].sum(axis=0, dtype=float)])
+    c = np.concatenate([np.zeros(nf), p])
     x, _, y = simplex_max(c, A, rhs)
-    pi = {vid: float(x[col_of[vid]]) for vid in free}
+    pi = dict(zip(ids[free].tolist(), x[:nf].tolist()))
     return pi, dual_bound(c, entries, rhs, y)
 
 

@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InstanceTooLargeError
+import numpy as np
 
 __all__ = [
     "Vertex",
@@ -31,11 +31,9 @@ __all__ = [
     "IndividualUniform",
     "CommBudget",
     "within_limit",
-    "min_vertex_cover_bruteforce",
 ]
 
 WEIGHT_TOL = 1e-9  # absolute tolerance for real-valued budget comparisons
-COVER_GUARD = 25   # max distinct endpoints for the exact cover search
 
 
 class Vertex(NamedTuple):
@@ -162,6 +160,7 @@ class ExchangeGraph:
                 incident[e.v].append(e.id)
         self._incident = {vid: tuple(eids) for vid, eids in incident.items()}
         self._ranked = None  # ranked_incident(), sorted at its first call
+        self._arrays = None  # index_arrays(), built at its first call
 
     # -- basic queries ----------------------------------------------------
 
@@ -203,6 +202,24 @@ class ExchangeGraph:
                 for vid, eids in self._incident.items()
             }
         return self._ranked
+
+    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, ends, p)``: the vertex ids in graph order, each edge's two
+        endpoints as indices into ``vertices`` (a 2 x m array), and each edge's
+        probability, in edge order.
+
+        Built once per graph, at the first call. The arrays are read-only.
+        """
+        if self._arrays is None:
+            index = {v.id: i for i, v in enumerate(self.vertices)}
+            ids = np.array([v.id for v in self.vertices], dtype=np.intp)
+            ends = np.array([[index[e.u] for e in self.edges], [index[e.v] for e in self.edges]],
+                            dtype=np.intp)
+            p = np.array([e.p for e in self.edges], dtype=float)
+            for array in (ids, ends, p):
+                array.setflags(write=False)
+            self._arrays = ids, ends, p
+        return self._arrays
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""
@@ -391,54 +408,3 @@ def _id_set_violations(kind, records, by_id):
             break
         seen.add(record.id)
     yield at, f"{kind} ids must be dense, 0-based, and unique"
-
-
-def min_vertex_cover_bruteforce(graph, edge_ids, weighted=False) -> set[int]:
-    """Exact minimum vertex cover of the edge set ``edge_ids``.
-
-    Minimizes cardinality, or total vertex weight when ``weighted``; ties
-    break to the lexicographically smallest id set. Exponential-time branch
-    and bound on the endpoints of the edge set, guarded to at most
-    ``COVER_GUARD`` distinct endpoints.
-    """
-    edges = [graph.edge(eid) for eid in sorted(set(edge_ids))]
-    if not edges:
-        return set()
-    candidates = sorted({e.u for e in edges} | {e.v for e in edges})
-    if len(candidates) > COVER_GUARD:
-        raise InstanceTooLargeError(
-            f"instance too large for exact cover ({len(candidates)} candidate vertices)"
-        )
-    cost_of = {
-        vid: (graph.vertex(vid).weight if weighted else 1.0) for vid in candidates
-    }
-
-    best_cost = math.inf
-    best_key = None
-
-    def covered(e, sel):
-        return e.u in sel or e.v in sel
-
-    def search(idx, selected, cost):
-        nonlocal best_cost, best_key
-        if cost - best_cost > WEIGHT_TOL:
-            return
-        while idx < len(edges) and covered(edges[idx], selected):
-            idx += 1
-        if idx == len(edges):
-            key = tuple(sorted(selected))
-            if cost < best_cost - WEIGHT_TOL or (
-                abs(cost - best_cost) <= WEIGHT_TOL
-                and (best_key is None or key < best_key)
-            ):
-                best_cost = cost
-                best_key = key
-            return
-        e = edges[idx]
-        for vid in sorted((e.u, e.v)):
-            selected.add(vid)
-            search(idx + 1, selected, cost + cost_of[vid])
-            selected.discard(vid)
-
-    search(0, set(), 0.0)
-    return set(best_key)

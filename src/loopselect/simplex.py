@@ -22,13 +22,20 @@ index among ratio ties. A bound flip moves its variable by 1, so it is never
 degenerate; a cycle consists of degenerate pivots only, and Bland's rule
 cannot cycle, so the method terminates.
 
-Each pivot scans the entering column once. Its nonzero rows feed the ratio
-test (entries above ``PIVOT_TOL`` bound a basic variable falling to 0,
-entries below ``-PIVOT_TOL`` an indicator rising to 1) and one broadcast
-rank-one update over the pivot row's nonzero columns; the update also hits
-the pivot row, which is then rewritten (cheaper than a mask). The solver is
-numpy only on purpose: importing ``scipy.optimize`` for HiGHS adds about
-49 MiB of resident memory, for no speed (README has the measurements).
+A step costs its array calls, not its arithmetic. On the 36 benchmark-shape
+LPs pinned in the tests (402 x 580) the solver takes 4,042 pivots, 4,016 of
+them degenerate, and 669 bound flips; the entering column has a median of 3
+nonzero rows (p90 16) and the pivot row a median of 4 nonzero columns (p90 8).
+So each step scans the entering column once and runs the ratio test and
+Bland's tie rule over its few nonzero rows in Python floats: the same IEEE
+double operations numpy would run, without an array call each. A pivot is one
+broadcast rank-one update through a flat view over the pivot row's nonzero
+columns; it also hits the pivot row, which is then rewritten (cheaper than a
+mask). Each solve emits one DEBUG record on the ``loopselect.simplex`` logger
+with its pivots, degenerate pivots, pivots by Bland's rule and bound flips;
+below DEBUG the logger builds no record. The solver is numpy only on purpose:
+importing ``scipy.optimize`` for HiGHS adds about 49 MiB of resident memory,
+for no speed (README has the measurements).
 
 The loop stops once no reduced cost is below ``-PIVOT_TOL``, so its value can
 sit below the optimum (a column worth less than the tolerance never enters).
@@ -40,6 +47,7 @@ arithmetic would, so the bound holds whatever the pivot loop did.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -48,6 +56,8 @@ __all__ = ["simplex_max", "dual_bound"]
 
 PIVOT_TOL = 1e-9
 STALL = 50  # consecutive degenerate pivots before Bland's entering rule
+
+log = logging.getLogger(__name__)
 
 
 def simplex_max(c, A, b):
@@ -69,12 +79,11 @@ def simplex_max(c, A, b):
     T[np.arange(m), np.arange(n, n + m)] = 1.0
     T[:m, -1] = b
     T[-1, :n] = -c
-    basis = np.arange(n, n + m)
-    cap = np.concatenate([np.ones(n), np.full(m, math.inf)])  # upper bound of each variable
+    basis = list(range(n, n + m))
     upper = np.zeros(n, dtype=bool)  # structural variables held complemented, at 1
     reduced, rhs = T[-1, :-1], T[:, -1]  # views: track the objective row, rhs
     flat, width = T.ravel(), n + m + 1
-    degenerate = 0
+    degenerate = pivots = degenerate_pivots = bland_pivots = flips = 0
 
     while True:
         if degenerate < STALL:  # Dantzig: most negative reduced cost
@@ -88,39 +97,54 @@ def simplex_max(c, A, b):
             entering = int(improving[0])
         nonzero = (T[:, entering] != 0).nonzero()[0]  # a mask scans faster than floats
         col = T[nonzero, entering]
-        # the objective row is the last nonzero; in the others, a basic variable
-        # falls to 0 (entry > 0) or a basic indicator rises to 1 (entry < 0)
-        rows, entries = nonzero[:-1], col[:-1]
-        at = rhs[rows]
-        size = np.abs(entries)
-        ratios = np.where(entries > 0, at, cap[basis[rows]] - at) / size
-        ratios[size <= PIVOT_TOL] = math.inf
-        best = ratios.min(initial=math.inf)
+        # the ratio test in Python floats over the column's nonzero rows but the
+        # last, the objective row: a basic variable falls to 0 (entry > 0) or a
+        # basic indicator rises to 1 (entry < 0); a basic slack has no upper
+        # bound, and an entry within PIVOT_TOL of 0 bounds nothing
+        rows = nonzero[:-1]
+        best, ratios = math.inf, []
+        for row, entry, at in zip(rows.tolist(), col.tolist(), rhs[rows].tolist()):
+            if entry > PIVOT_TOL:
+                ratio = at / entry
+            elif entry < -PIVOT_TOL and basis[row] < n:
+                ratio = (1.0 - at) / -entry
+            else:
+                continue
+            ratios.append((ratio, row, entry))
+            if ratio < best:
+                best = ratio
 
-        if best >= cap[entering]:  # the entering indicator reaches its other bound first
+        if best >= (1.0 if entering < n else math.inf):  # it reaches its other bound first
             rhs[nonzero] -= col
             T[nonzero, entering] = -col
             upper[entering] = not upper[entering]
             degenerate = 0
+            flips += 1
             continue
 
-        ties = rows[ratios <= best + PIVOT_TOL]
-        leaving = int(ties[basis[ties].argmin()] if ties.size > 1 else ties[0])  # Bland
+        # Bland: the lowest basis index among the ties
+        _, leaving, element = min((basis[row], row, entry) for ratio, row, entry in ratios
+                                  if ratio <= best + PIVOT_TOL)
+        pivots += 1
+        degenerate_pivots += best <= PIVOT_TOL
+        bland_pivots += degenerate >= STALL
         degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
-        if T[leaving, entering] < 0:  # the basic indicator leaves at 1: complement it
+        if element < 0:  # the basic indicator leaves at 1: complement it
             out = basis[leaving]
             T[leaving, out] = -1.0
             T[leaving, -1] -= 1.0
             upper[out] = not upper[out]
 
         cols = (T[leaving] != 0).nonzero()[0]
-        kept = T[leaving, cols] / T[leaving, entering]  # the pivot row, divided
+        kept = T[leaving, cols] / element  # the pivot row, divided
         # one rank-one update through the flat view; it spoils the pivot row,
         # which is then rewritten (cheaper than a mask)
         flat[nonzero[:, None] * width + cols] -= col[:, None] * kept
         T[leaving, cols] = kept
         basis[leaving] = entering
 
+    log.debug("simplex %dx%d: %d pivots (%d degenerate, %d by Bland's rule), %d bound flips",
+              m, n, pivots, degenerate_pivots, bland_pivots, flips)
     x = np.zeros(n + m)
     x[basis] = T[:m, -1]
     x = x[:n]

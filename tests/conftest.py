@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import signal
 
 import numpy as np
@@ -11,6 +12,7 @@ from loopselect import (
     Edge,
     ExchangeGraph,
     GenSpec,
+    InstanceTooLargeError,
     PoseGraph,
     Vertex,
     demo_rendezvous_graph,
@@ -18,6 +20,9 @@ from loopselect import (
     generate_pose_graph,
     planners,
 )
+from loopselect.graph import WEIGHT_TOL
+
+COVER_GUARD = 25   # max distinct endpoints for the exact cover search
 
 
 @contextlib.contextmanager
@@ -192,3 +197,55 @@ def spanning_tree_weight_sum(num_poses, weighted_edges):
         if acyclic:
             total += prod
     return total
+
+
+def min_vertex_cover_bruteforce(graph, edge_ids, weighted=False) -> set[int]:
+    """Exact minimum vertex cover of the edge set ``edge_ids``.
+
+    Minimizes cardinality, or total vertex weight when ``weighted``; ties
+    break to the lexicographically smallest id set. Exponential-time branch
+    and bound on the endpoints of the edge set, guarded to at most
+    ``COVER_GUARD`` distinct endpoints. The tests' exact reference: the
+    package itself needs no vertex cover.
+    """
+    edges = [graph.edge(eid) for eid in sorted(set(edge_ids))]
+    if not edges:
+        return set()
+    candidates = sorted({e.u for e in edges} | {e.v for e in edges})
+    if len(candidates) > COVER_GUARD:
+        raise InstanceTooLargeError(
+            f"instance too large for exact cover ({len(candidates)} candidate vertices)"
+        )
+    cost_of = {
+        vid: (graph.vertex(vid).weight if weighted else 1.0) for vid in candidates
+    }
+
+    best_cost = math.inf
+    best_key = None
+
+    def covered(e, sel):
+        return e.u in sel or e.v in sel
+
+    def search(idx, selected, cost):
+        nonlocal best_cost, best_key
+        if cost - best_cost > WEIGHT_TOL:
+            return
+        while idx < len(edges) and covered(edges[idx], selected):
+            idx += 1
+        if idx == len(edges):
+            key = tuple(sorted(selected))
+            if cost < best_cost - WEIGHT_TOL or (
+                abs(cost - best_cost) <= WEIGHT_TOL
+                and (best_key is None or key < best_key)
+            ):
+                best_cost = cost
+                best_key = key
+            return
+        e = edges[idx]
+        for vid in sorted((e.u, e.v)):
+            selected.add(vid)
+            search(idx + 1, selected, cost + cost_of[vid])
+            selected.discard(vid)
+
+    search(0, set(), 0.0)
+    return set(best_key)

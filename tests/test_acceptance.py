@@ -30,7 +30,6 @@ from loopselect import (
     ilp_opt_modular,
     lp_upper_bound_modular,
     m_greedy,
-    min_vertex_cover_bruteforce,
     random_baseline,
     s_greedy,
     v_greedy,
@@ -41,6 +40,7 @@ from loopselect.graph import Edge, ExchangeGraph, Vertex
 from conftest import (
     eager,
     make_graph,
+    min_vertex_cover_bruteforce,
     random_connected_pose_graph,
     random_modular_instance,
     random_treeconn_instance,

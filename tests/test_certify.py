@@ -399,6 +399,18 @@ class TestILP:
         with pytest.raises(InstanceTooLargeError, match="dense LP"):
             ilp_opt_modular(graph, 40, TotalUniform(20))
 
+    def test_dense_lp_guard_counts_the_matrix_and_the_tableau(self, monkeypatch):
+        # 3x5/30: one block row, the k row and 30 link rows over 15 + 30 columns;
+        # the solve holds A (32 x 45) and the tableau beside it (33 x 78)
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=3, vertices_per_robot=5, num_edges=30, seed=0))
+        both = 32 * 45 + 33 * 78
+        monkeypatch.setattr(certify, "LP_GUARD", both)
+        assert lp_upper_bound_modular(graph, 4, TotalUniform(2)) > 0
+        monkeypatch.setattr(certify, "LP_GUARD", both - 1)
+        with pytest.raises(InstanceTooLargeError, match="a 32x45 dense LP"):
+            lp_upper_bound_modular(graph, 4, TotalUniform(2))
+
     def test_slack_budgets_take_all(self, demo_graph):
         total = sum(e.p for e in demo_graph.edges)
         value = ilp_opt_modular(

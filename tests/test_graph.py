@@ -22,11 +22,10 @@ from loopselect import (
     brute_force_opt,
     e_greedy,
     m_greedy,
-    min_vertex_cover_bruteforce,
 )
 from loopselect.generate import GenSpec, generate_exchange_graph
 
-from conftest import make_graph
+from conftest import make_graph, min_vertex_cover_bruteforce
 
 
 class TestValidate:
@@ -195,6 +194,21 @@ class TestEdgesIncident:
             for v in sel:
                 union |= demo_graph.edges_incident([v])
             assert demo_graph.edges_incident(sel) == union
+
+
+class TestIndexArrays:
+    def test_ends_index_the_vertex_order_not_the_ids(self):
+        g = ExchangeGraph(2, [Vertex(1, 1), Vertex(0, 0), Vertex(2, 1)],
+                          [Edge(0, 0, 1, 0.25), Edge(1, 2, 0, 0.5)])
+        ids, ends, p = g.index_arrays()
+        assert ids.tolist() == [1, 0, 2]
+        assert ends.tolist() == [[1, 2], [0, 1]]
+        assert p.tolist() == [0.25, 0.5]
+
+    def test_built_once_and_read_only(self, demo_graph):
+        arrays = demo_graph.index_arrays()
+        assert demo_graph.index_arrays() is arrays
+        assert not any(array.flags.writeable for array in arrays)
 
 
 class TestIsCover:

@@ -7,6 +7,7 @@ the last test checks in a fresh interpreter.
 
 import functools
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -277,6 +278,27 @@ def test_golden_lp_covers_every_case():
         for s in (1, 2, 3, 9101) for b in (4, 8, 12) for k in (10, 20, 30)
     }
     assert set(GOLDEN_LP) == want
+
+
+def test_golden_lps_take_the_pinned_pivots(caplog):
+    # one DEBUG record per solve: (rows, columns, pivots, degenerate pivots,
+    # pivots by Bland's rule, bound flips); the counts pin the pivot sequence
+    # whatever its float bits
+    caplog.set_level(logging.DEBUG, logger="loopselect.simplex")
+    for case in GOLDEN_LP:
+        spec = dict(item.split("=") for item in case.split(","))
+        lp_upper_bound_modular(
+            benchmark_graph(int(spec["seed"])), int(spec["k"]), TotalUniform(int(spec["b"])))
+    counts = [record.args for record in caplog.records if record.name == "loopselect.simplex"]
+    assert len(counts) == len(GOLDEN_LP) == 36
+    assert all(c[:2] == (402, 580) for c in counts)
+    assert tuple(sum(c[i] for c in counts) for i in range(2, 6)) == (4042, 4016, 74, 669)
+
+
+def test_pivot_counts_make_no_record_below_debug(caplog):
+    caplog.set_level(logging.INFO, logger="loopselect")
+    simplex_max(*BEALE)
+    assert caplog.records == []
 
 
 def golden_instance(regime, b, graph):
