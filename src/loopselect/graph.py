@@ -159,8 +159,8 @@ class ExchangeGraph:
             if e.v in incident and e.v != e.u:
                 incident[e.v].append(e.id)
         self._incident = {vid: tuple(eids) for vid, eids in incident.items()}
-        self._ranked = None  # ranked_incident(), sorted at its first call
         self._arrays = None  # index_arrays(), built at its first call
+        self._ranked = None  # ranked_incidences(), sorted at its first call
 
     # -- basic queries ----------------------------------------------------
 
@@ -189,20 +189,6 @@ class ExchangeGraph:
         self.vertex(vid)
         return self._incident.get(vid, ())
 
-    def ranked_incident(self) -> dict[int, tuple[tuple[float, int], ...]]:
-        """Each vertex's incident edges as keys ``(-p, edge id)``, sorted best first.
-
-        Sorted once per graph, at the first call. The key tuples are
-        immutable, so a caller copies the ones it means to change.
-        """
-        if self._ranked is None:
-            key = {e.id: (-e.p, e.id) for e in self.edges}
-            self._ranked = {
-                vid: tuple(sorted(map(key.__getitem__, eids)))
-                for vid, eids in self._incident.items()
-            }
-        return self._ranked
-
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, ends, p)``: the vertex ids in graph order, each edge's two
         endpoints as indices into ``vertices`` (a 2 x m array), and each edge's
@@ -220,6 +206,30 @@ class ExchangeGraph:
                 array.setflags(write=False)
             self._arrays = ids, ends, p
         return self._arrays
+
+    def ranked_incidences(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, edges)``: every vertex's incident edges in one flat array, best first.
+
+        ``edges[starts[i]:starts[i + 1]]`` holds the incident edges of
+        ``vertices[i]`` as indices into ``edges``, by descending probability,
+        ties to the lower edge id. Sorted once per graph, at the first call,
+        by one ``np.lexsort`` over :meth:`index_arrays`. The arrays are
+        read-only.
+        """
+        if self._ranked is None:
+            ids, ends, p = self.index_arrays()
+            m = len(self.edges)
+            eids = np.fromiter((e.id for e in self.edges), np.int64, m)
+            # each edge once per endpoint, a self-loop once
+            edges = np.concatenate((np.arange(m), np.flatnonzero(ends[0] != ends[1])))
+            owner = np.concatenate((ends[0], ends[1, edges[m:]]))
+            edges = edges[np.lexsort((eids[edges], -p[edges], owner))]
+            starts = np.zeros(len(ids) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(owner, minlength=len(ids)), out=starts[1:])
+            for array in (starts, edges):
+                array.setflags(write=False)
+            self._ranked = starts, edges
+        return self._ranked
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""

@@ -40,10 +40,11 @@ objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
 ``gain(vid)``, ``gains(vids)``, ``commit(vid)`` and ``value``, in the same
-style as ``oracle()``. It keeps each vertex's uncovered incident keys up to
-date as vertices are committed, O(degree) per covered edge, so a gain walks
-only the keys that enter the top k plus one, and is ``0.0`` after one
-comparison when none does.
+style as ``oracle()``, plus ``upper_bounds()``, one numpy pass that bounds
+every vertex's gain from above. It reads each vertex's incident keys from
+the graph's one flat array and skips the edges that committed vertices
+cover, so a gain walks only the keys that enter the top k plus one, and is
+``0.0`` after one comparison when none does.
 """
 
 from __future__ import annotations
@@ -609,44 +610,85 @@ def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
 class TopKOracle:
     """Incremental ``g_modular`` of one vertex-greedy run.
 
-    Keeps, best first, the keys ``(-p, edge id)`` of the top k covered edges
-    and, per vertex, the keys of its incident edges that no committed vertex
-    covers yet. A commit moves the vertex's keys out of its neighbours'
-    lists, O(degree) per edge, so a gain reads its list as it stands. A
-    vertex's gain is the probabilities of the keys that enter the top k minus
-    those of the keys they push out, summed by one ``math.fsum``: the exact
-    difference rounded once, so a gain never grows as vertices are committed
-    (lazy greedy relies on this), where a difference of two rounded values
-    can grow by an ulp. The first key that does not enter ends the scan, so a
-    vertex none of whose keys enters costs one comparison and gains ``0.0``.
-    ``value`` is the ``math.fsum`` of the current top k, bit-identical to
-    ``g_modular`` of the committed vertices.
+    Keeps, best first, the keys ``(-p, edge id)`` of the top k covered edges,
+    and which edges the committed vertices cover. Each vertex's incident
+    edges come best first from the graph's one flat array,
+    :meth:`~loopselect.graph.ExchangeGraph.ranked_incidences`; a vertex's
+    keys are those of its segment that no committed vertex covers yet. A
+    commit marks the vertex's edges covered, which drops them from its
+    neighbours' segments too, O(degree).
+
+    A vertex's gain is the probabilities of the keys that enter the top k
+    minus those of the keys they push out, summed by one ``math.fsum``: the
+    exact difference rounded once, so a gain never grows as vertices are
+    committed (lazy greedy relies on this), where a difference of two rounded
+    values can grow by an ulp. The first key that does not enter ends the
+    scan, so a vertex none of whose keys enters costs one comparison and
+    gains ``0.0``. ``value`` is the ``math.fsum`` of the current top k,
+    bit-identical to ``g_modular`` of the committed vertices.
+
+    :meth:`upper_bounds` bounds the gains of many vertices in one numpy
+    pass. With a vertex's uncovered probabilities q₁ ≥ q₂ ≥ … and the top
+    k's values t₁ ≤ t₂ ≤ … (an empty slot counts as 0), the terms qᵢ − tᵢ
+    decrease, so the keys that enter are those with a positive term (an
+    equal one adds exactly 0) and the exact gain is the sum of the positive
+    parts (qᵢ − tᵢ)⁺ over the first min(k, degree) uncovered keys. One
+    segmented sum takes it for every vertex at once, O(m) work and memory
+    whatever the degrees. Its at most L = min(k, degree) nonzero terms and
+    their sums each round by at most half an ulp of a result no larger than
+    the segment's sum S, so widening S by the allowance ``(L + 2)·2⁻⁵²·S``
+    covers that rounding and the rounding of the gain itself. A sum of
+    exactly 0.0 stays 0.0: no key enters such a vertex, and its gain is
+    exactly 0.0.
     """
 
     def __init__(self, graph, k):
         if k < 0:
             raise ValueError("k must be non-negative")
         self._k = k
-        self._graph = graph
-        # the graph sorts once; each run changes its own copy of the lists
-        self._uncovered = {vid: list(keys) for vid, keys in graph.ranked_incident().items()}
+        self._edge_list = graph.edges
+        ids, _, p = graph.index_arrays()
+        self._row = dict(zip(ids.tolist(), range(len(ids))))
+        self._by_id = np.lexsort((ids,))  # the rows in id order
+        self._starts, self._flat = graph.ranked_incidences()
+        degree = np.diff(self._starts)
+        self._flat_p = p[self._flat]
+        self._flat_row = np.repeat(np.arange(len(ids)), degree)
+        self._touched = degree > 0
+        self._heads = self._starts[:-1][self._touched]  # where each nonempty segment begins
+        # 1 + the allowance (L + 2)·2⁻⁵² for L = min(k, degree) terms, exact in floats
+        self._widen = 1.0 + (np.minimum(degree[self._touched], k) + 2) * 2.0**-52
+        self._seen = np.zeros(len(self._flat) + 1, dtype=np.intp)
+        self._covered = np.zeros(len(graph.edges), dtype=bool)
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []
+        # tᵢ of the bound pass, ascending, by rank within a segment; past the
+        # k-th, +inf, so that no key there adds to a bound
+        self._floor = np.zeros(int(degree.max(initial=0)))
+        self._floor[k:] = math.inf
         self.value = 0.0
 
-    def _keys(self, vid):
+    def _at(self, vid) -> int:
         try:
-            return self._uncovered[vid]
+            return self._row[vid]
         except KeyError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
 
+    def _uncovered(self, vid) -> np.ndarray:
+        """``vid``'s incident edges that no committed vertex covers, best first."""
+        i = self._at(vid)
+        edges = self._flat[self._starts[i]:self._starts[i + 1]]
+        return edges[~self._covered[edges]]
+
+    def _keys(self, edges) -> list[tuple[float, int]]:
+        return [(-self._edge_list[e].p, self._edge_list[e].id) for e in edges.tolist()]
+
     def _gain(self, vid) -> float:
-        keys = self._keys(vid)
         top, k = self._top, self._k
         size = len(top)
         terms = []
-        for key in keys:
+        for key in self._keys(self._uncovered(vid)[:k]):
             # the top entry this key would push out (none while there is room)
             slot = k - len(terms) - 1
             if slot < 0 or (slot < size and key > top[slot]):
@@ -665,15 +707,35 @@ class TopKOracle:
         """The gain of each vertex in ``vids``, bit for bit as :meth:`gain` gives it."""
         return np.array([self._gain(vid) for vid in vids], dtype=float)
 
+    def upper_bounds(self) -> np.ndarray:
+        """An upper bound on the gain of every vertex, in ascending id order, 0.0
+        exactly where the gain is 0.0.
+
+        One segmented sum over every vertex's first min(k, degree) uncovered
+        keys, widened by the allowance for its rounding (see the class).
+        """
+        alive = ~self._covered[self._flat]
+        seen = self._seen  # seen[j]: the uncovered keys among the first j
+        np.cumsum(alive, out=seen[1:])
+        rank = seen[1:] - 1
+        rank -= seen[self._starts][self._flat_row]  # among its segment's uncovered keys
+        terms = self._floor[rank]
+        # a covered key is -inf, so that it adds nothing either
+        np.subtract(np.where(alive, self._flat_p, -math.inf), terms, out=terms)
+        np.maximum(terms, 0.0, out=terms)
+        bounds = np.zeros(len(self._touched))
+        # reduceat would give an empty segment the next one's first term
+        bounds[self._touched] = np.add.reduceat(terms, self._heads) * self._widen
+        return bounds[self._by_id]
+
     def commit(self, vid):
-        keys = self._keys(vid)
-        self._uncovered[vid] = []
-        for key in keys:
-            e = self._graph.edge(key[1])
-            other = e.u if e.v == vid else e.v
-            if other != vid:
-                self._uncovered[other].remove(key)
+        edges = self._uncovered(vid)
+        self._covered[edges] = True
         # the entering keys of gain() are exactly those that make the merged top k
-        self._top = sorted(self._top + keys)[: self._k]
+        self._top = sorted(self._top + self._keys(edges))[: self._k]
         self._top_neg = [key[0] for key in self._top]
         self.value = math.fsum(-key[0] for key in self._top)
+        # the bound pass's tᵢ: the empty slots, then the top k from its lowest value up
+        empty, reach = self._k - len(self._top), min(self._k, len(self._floor))
+        if empty < reach:
+            self._floor[empty:reach] = [-neg for neg in self._top_neg[::-1][: reach - empty]]

@@ -145,3 +145,42 @@ def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
     want, want_evaluations = run(EagerSelector)
     assert picks == want
     assert evaluations <= want_evaluations
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selector_with_upper_bounds_matches_eager(data):
+    # gains fall round by round in tie-prone steps down to exactly 0; each
+    # round's bounds lie at or above its gains and are 0.0 only where a gain is
+    n = data.draw(st.integers(1, 8))
+    drops = st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
+    start = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    gains = [
+        [max(g, 0.0) for g in itertools.accumulate(data.draw(drops), operator.sub,
+                                                   initial=data.draw(start))]
+        for _ in range(n)
+    ]
+    margins = st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), min_size=n + 1, max_size=n + 1)
+    over = [data.draw(margins) for _ in range(n)]
+    cost = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
+    budget = data.draw(st.integers(0, sum(cost)))
+
+    def run(selector):
+        picks, spent = [], 0
+
+        def fits(c):
+            return cost[c] <= budget - spent
+
+        def upper():
+            return np.array([gains[c][len(picks)] + over[c][len(picks)] for c in range(n)])
+
+        sel = selector(range(n), lambda c: gains[c][len(picks)], feasible=fits, upper=upper)
+        while (pick := sel.best()) is not None:
+            picks.append(pick)
+            spent += cost[pick[0]]
+        return picks, sel.evaluations
+
+    picks, evaluations = run(GreedySelector)
+    want, want_evaluations = run(EagerSelector)
+    assert picks == want
+    assert evaluations <= want_evaluations

@@ -137,18 +137,19 @@ class TestGModular:
 
 
 @st.composite
-def topk_runs(draw):
-    """A small exchange graph with tied and zero probabilities, a k from 1 to past
-    the edge count, and a commit order over some of its vertices."""
+def topk_runs(draw, least_k=1):
+    """A small exchange graph with tied, zero and extreme probabilities, a k from
+    ``least_k`` to past the edge count, and a commit order over some of its vertices."""
     r = draw(st.integers(2, 3))
     robot_of = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=9))
     n = len(robot_of)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if robot_of[u] != robot_of[v]]
     pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
-    p = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    p = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1 - 2**-53, 2**-1074]),
+                  st.floats(0.0, 1.0))
     ps = draw(st.lists(p, min_size=len(pairs), max_size=len(pairs)))
     graph = make_graph(r, robot_of, pairs, ps)
-    k = draw(st.integers(1, len(pairs) + 2))
+    k = draw(st.integers(least_k, len(pairs) + 2))
     order = draw(st.permutations(range(n)))
     return graph, k, order[: draw(st.integers(0, n))]
 
@@ -199,10 +200,22 @@ class TestTopKOracle:
             v.id: tuple(sorted((-graph.edge(e).p, e) for e in graph.incident(v.id)))
             for v in graph.vertices
         }
+        starts, edges = graph.ranked_incidences()
+
+        def flat():
+            return {
+                v.id: tuple((-graph.edges[e].p, graph.edges[e].id)
+                            for e in edges[starts[i]:starts[i + 1]].tolist())
+                for i, v in enumerate(graph.vertices)
+            }
+
+        assert flat() == ranked
         first, second = TopKOracle(graph, 4), TopKOracle(graph, 4)
         for vid in (0, 7, 13, 3):
             first.commit(vid)
-        assert {vid: tuple(keys) for vid, keys in graph.ranked_incident().items()} == ranked
+        again = graph.ranked_incidences()
+        assert again[0] is starts and again[1] is edges and flat() == ranked
+        assert not edges.flags.writeable
         fresh = TopKOracle(graph, 4)
         for vid in range(graph.num_vertices):
             assert second.gain(vid) == fresh.gain(vid) == g_modular(graph, [vid], 4)[0]
@@ -216,6 +229,55 @@ class TestTopKOracle:
             TopKOracle(demo_graph, 3).gain(99)
         with pytest.raises(ValueError, match="unknown vertex"):
             TopKOracle(demo_graph, 3).commit(99)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=topk_runs(least_k=0))
+    def test_upper_bounds_hold_every_gain(self, instance):
+        # isolated vertices have empty segments, which reduceat does not sum to 0
+        graph, k, order = instance
+        oracle = TopKOracle(graph, k)
+        for vid in [None, *order]:
+            if vid is not None:
+                oracle.commit(vid)
+            for other, bound in enumerate(oracle.upper_bounds().tolist()):
+                gain = oracle.gain(other)
+                assert bound >= gain, (k, order, other)
+                # a gain is 0.0 exactly when no key enters, and then so is the bound
+                assert (bound == 0.0) == (gain == 0.0), (k, order, other)
+
+    def test_upper_bound_needs_its_allowance(self):
+        # vertex 0 fills the top 2 with 0.32 and 0.59; vertex 1's keys 0.98 and
+        # 0.77 push both out. Summed in floats, (0.98 - 0.32) + (0.77 - 0.59) is
+        # 0.84, one ulp below the exact difference rounded once
+        graph = make_graph(2, [0, 0, 1, 1, 1, 1], [(0, 2), (0, 3), (1, 4), (1, 5)],
+                           [0.32, 0.59, 0.98, 0.77])
+        oracle = TopKOracle(graph, 2)
+        oracle.commit(0)
+        unwidened = (0.98 - 0.32) + (0.77 - 0.59)
+        gain = oracle.gain(1)
+        assert gain == math.fsum([0.98, 0.77, -0.32, -0.59]) == 0.8400000000000001
+        assert unwidened == 0.84 < gain <= oracle.upper_bounds()[1]
+
+    def test_upper_bounds_are_exact_zero_where_nothing_enters(self):
+        graph = make_graph(2, [0, 0, 1, 1, 1], [(0, 2), (0, 3), (1, 4)], [0.5, 0.5, 0.5])
+        oracle = TopKOracle(graph, 2)
+        oracle.commit(0)
+        # vertex 1's 0.5 ties the top's lowest and loses on edge id: it gains 0
+        assert oracle.gain(1) == 0.0
+        assert oracle.upper_bounds().tolist() == [0.0] * 5
+        # with k = 0 no key ever enters
+        assert TopKOracle(graph, 0).upper_bounds().tolist() == [0.0] * 5
+
+    def test_upper_bounds_follow_ascending_ids(self):
+        # graph order 3, 7, 1, 5: no vertex sits where its id ranks
+        vertices = [Vertex(3, 1), Vertex(7, 0), Vertex(1, 1), Vertex(5, 0)]
+        edges = [Edge(0, 7, 3, 0.5), Edge(1, 5, 1, 0.25), Edge(2, 7, 1, 1.0)]
+        oracle = TopKOracle(ExchangeGraph(2, vertices, edges), 1)
+        oracle.commit(5)
+        gains = [oracle.gain(vid) for vid in (1, 3, 5, 7)]
+        bounds = oracle.upper_bounds().tolist()
+        assert gains == [0.75, 0.25, 0.0, 0.75]
+        assert all(b >= g for b, g in zip(bounds, gains)) and bounds[2] == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(instance=topk_runs())

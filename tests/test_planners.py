@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -159,6 +160,42 @@ class TestGreedySelector:
         want = EagerSelector(ids, gain, gains, slack=slack).best()
         assert lazy.best() == want
         assert lazy.evaluations == 0
+
+
+    def test_upper_bounds_are_confirmed_until_none_can_win(self):
+        gains = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0, 4: 0.0, 5: 0.0}
+        bound = {0: 4.0, 1: 3.5, 2: 2.0, 3: 2.0, 4: 0.5, 5: 0.0}
+        asked = []
+
+        def gain(c):
+            asked.append(c)
+            return gains[c]
+
+        sel = GreedySelector(gains, gain, upper=lambda: np.array([bound[c] for c in range(6)]))
+        picks = [sel.best() for _ in range(6)]
+        assert picks == [(1, 3.0), (2, 2.0), (3, 2.0), (0, 1.0), (4, 0.0), (5, 0.0)]
+        # 2's bound ties 2's gain with 3, so 3 is never asked while 2 is left;
+        # 4's gain of 0 ties 5's bound of 0.0, which is exact, and 4 is lower
+        assert asked == [0, 1, 0, 2, 0, 3, 0, 4]
+        assert (sel.rounds, sel.passes, sel.evaluations, sel.beyond_first) == (6, 6, 8, 3)
+        assert sel.best() is None and len(sel) == 0
+
+    def test_an_exact_zero_bound_wins_a_tie_unevaluated(self):
+        asked = []
+
+        def gain(c):
+            asked.append(c)
+            return 0.0
+
+        bound = {0: 0.0, 1: 0.25, 2: 0.0}
+        sel = GreedySelector([2, 1, 0], gain, upper=lambda: np.array([bound[c] for c in range(3)]))
+        # 1 is asked; 0's bound of 0.0 is its exact gain, which ties 1's on a lower id
+        assert sel.best() == (0, 0.0)
+        assert asked == [1]
+
+        rejected = GreedySelector([2, 1, 0], gain, feasible=lambda c: c != 0,
+                                  upper=lambda: np.zeros(3))
+        assert rejected.best() == (1, 0.0) and rejected.evaluations == 0 and len(rejected) == 1
 
 
 class TestRoom:
@@ -674,6 +711,32 @@ class TestLazyMode:
                     assert checks <= want_checks
                     saved += want_checks - checks
         assert saved > 0
+
+    def test_m_greedy_logs_one_debug_record_per_run(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="loopselect.planners")
+        graph = instance_10x200()
+        obj = ModularObjective(graph)
+        for k in (40, 20):
+            _, trace = m_greedy(graph, k, TotalUniform(20), obj)
+            # (k, rounds, bound passes, exact gains, gains confirmed beyond the first)
+            (record,) = [r for r in caplog.records if r.name == "loopselect.planners"]
+            assert record.levelno == logging.DEBUG
+            assert record.args == (k, 20, 20, trace.evaluations, trace.evaluations - 20)
+            caplog.clear()
+        assert trace.evaluations == 28
+        costed = make_graph(
+            3, [0, 0, 1, 1, 2], [(0, 2), (1, 3), (2, 4), (1, 4)], [0.5, 0.25, 1.0, 0.75],
+            weights=[1.0, 2.0, 0.5, 3.0, 1.0])
+        _, trace = m_greedy(costed, 2, TotalNonuniform(3.0), ModularObjective(costed))
+        counts = [r.args[3] for r in caplog.records if r.name == "loopselect.planners"]
+        assert counts == [trace.children["plain"].evaluations,
+                          trace.children["cost-benefit"].evaluations]
+
+    def test_m_greedy_makes_no_record_below_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="loopselect")
+        graph = random_modular_instance(3)[0]
+        m_greedy(graph, 4, TotalUniform(3), ModularObjective(graph))
+        assert caplog.records == []
 
     def test_m_greedy_lazy_saves_evaluations_at_10x200(self):
         spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)

@@ -53,7 +53,7 @@ def reference_m_greedy(graph, k, b, objective):
     if k == 0:
         return Plan(), trace
     oracle = TopKOracle(graph, k)
-    sel = GreedySelector([v.id for v in graph.vertices], oracle.gain, oracle.gains)
+    sel = GreedySelector([v.id for v in graph.vertices], oracle.gain, upper=oracle.upper_bounds)
     selected = []
     while len(selected) < b and (pick := sel.best()) is not None:
         vid = pick[0]
