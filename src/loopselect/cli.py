@@ -283,14 +283,15 @@ def _load_inputs(args, cap_degree, objective):
     graph = gio.load_exchange_graph(args.input)
     pose_graph = None
     if args.pose_input:
-        edge_ids = {e.id for e in graph.edges}
+        edge_ids = set(graph.edge_columns[0])
         pose_graph = gio.load_pose_graph(args.pose_input, edge_ids)
     if cap_degree is not None:
         capped = graph.cap_degree(cap_degree)
         if pose_graph is not None:
             # cap_degree renumbers the kept edges; rebind each by its endpoint pair
-            old_id = {(e.u, e.v): e.id for e in graph.edges}
-            kept = {e.id: old_id[e.u, e.v] for e in capped.edges}
+            eids, us, vs, _ = graph.edge_columns
+            old_id = dict(zip(zip(us, vs), eids))
+            kept = {eid: old_id[u, v] for eid, u, v in zip(*capped.edge_columns[:3])}
             if objective != "modular":
                 try:
                     pose_graph.require_bound(kept.values())
@@ -494,7 +495,7 @@ def sweep_cells(graph, objective, spec: SweepSpec) -> list[SweepCell]:
     ks = [_edge_budget(k) for k in spec.ks]
     if spec.certify == "lp" and objective.kind != "modular":
         log.warning("LP certification needs the modular objective; skipped")
-    norm = objective.value([e.id for e in graph.edges])  # the infinite-budget value
+    norm = objective.value(graph.edge_columns[0])  # the infinite-budget value
     delta = graph.max_degree()
 
     runs = {}  # one greedy run per grid line; the planners read tu cells off its prefixes

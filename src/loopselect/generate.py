@@ -79,9 +79,7 @@ def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:
     """
     rng = np.random.default_rng(spec.seed)
     r, nv = spec.num_robots, spec.vertices_per_robot
-    vertices = tuple(
-        Vertex(id=i, robot=i // nv, weight=1.0) for i in range(r * nv)
-    )
+    vertices = range(r * nv), [i // nv for i in range(r * nv)], (1.0,) * (r * nv)
     num_pairs = pair_count(r, nv)
     m = spec.num_edges if spec.num_edges is not None else round(
         spec.edge_density * num_pairs
@@ -98,11 +96,7 @@ def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:
         ps = list(spec.probabilities)
     else:
         ps = rng.uniform(0.0, 1.0, size=m).tolist()
-    edges = tuple(
-        Edge(id=i, u=u, v=v, p=p)
-        for i, (u, v, p) in enumerate(zip(us.tolist(), vs.tolist(), ps))
-    )
-    graph = ExchangeGraph(r, vertices, edges)
+    graph = ExchangeGraph.from_columns(r, vertices, (range(m), us.tolist(), vs.tolist(), ps))
     if spec.max_degree is not None:
         graph = graph.cap_degree(spec.max_degree)
     bad = graph.validate()
@@ -150,7 +144,8 @@ def generate_pose_graph(spec: GenSpec, graph: ExchangeGraph) -> PoseGraph:
         for robot in range(r)
         for j in range(nv)
     )
-    candidate_map = {e.id: (e.u, e.v, 1.0) for e in graph.edges}
+    eids, us, vs, _ = graph.edge_columns
+    candidate_map = {eid: (u, v, 1.0) for eid, u, v in zip(eids, us, vs)}
     pg = PoseGraph(
         num_poses=num_poses,
         base_edges=tuple(base),
@@ -169,7 +164,7 @@ def sample_ground_truth(graph: ExchangeGraph, seed) -> GroundTruth:
     rng = np.random.default_rng(seed)
     draws = rng.random(graph.num_edges)
     return GroundTruth(
-        realized=tuple(bool(d < e.p) for d, e in zip(draws, graph.edges))
+        realized=tuple(bool(d < p) for d, p in zip(draws, graph.edge_columns[3]))
     )
 
 

@@ -10,6 +10,10 @@ A candidate edge can only be verified once at least one of its endpoints has
 been broadcast, so the verifiable edge sets are exactly those covered by the
 broadcast vertex set. Planners therefore produce a ``Plan``: an ordered
 vertex selection plus an ordered edge selection covered by it.
+
+An ``ExchangeGraph`` stores its records as columns, one tuple per field;
+the ``Vertex`` and ``Edge`` records, the lookups by id and the index arrays
+of the numpy planners are derived from them at first use.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -127,11 +133,11 @@ class IndividualUniform:
             raise ValueError(
                 f"expected {graph.num_robots} limits, got {len(limits)}"
             )
-        blocks = tuple(
-            tuple(v.id for v in graph.vertices if v.robot == r)
-            for r in range(graph.num_robots)
-        )
-        return cls(blocks=blocks, limits=limits)
+        blocks = {r: [] for r in range(graph.num_robots)}
+        for vid, robot in zip(*graph.vertex_columns[:2]):
+            if robot in blocks:
+                blocks[robot].append(vid)
+        return cls(blocks=tuple(map(tuple, blocks.values())), limits=limits)
 
 
 CommBudget = TotalUniform | TotalNonuniform | IndividualUniform
@@ -140,6 +146,15 @@ CommBudget = TotalUniform | TotalNonuniform | IndividualUniform
 class ExchangeGraph:
     """Simple undirected r-partite graph of observations and candidate matches.
 
+    Stored as ``num_robots`` and seven columns, tuples in record order:
+    ``vertex_columns`` is ``(ids, robots, weights)`` and ``edge_columns`` is
+    ``(ids, us, vs, ps)``. Everything else is derived from them once, at its
+    first use: the ``vertices`` and ``edges`` records, the id lookups, each
+    vertex's incident edges, :meth:`index_arrays` and
+    :meth:`ranked_incidences`. Parsers and generators build a graph from
+    columns (:meth:`from_columns`); the constructor takes records and
+    transposes them into the same columns.
+
     Immutable after construction; every query is read-only and safe to call
     concurrently. Construction is permissive so that :meth:`validate` can
     report all invariant violations of an instance as data; parsers and
@@ -147,64 +162,129 @@ class ExchangeGraph:
     """
 
     def __init__(self, num_robots, vertices, edges):
+        self._set(num_robots, _transposed(vertices, 3), _transposed(edges, 4))
+
+    @classmethod
+    def from_columns(cls, num_robots, vertex_columns, edge_columns) -> "ExchangeGraph":
+        """The graph of ``vertex_columns`` ``(ids, robots, weights)`` and
+        ``edge_columns`` ``(ids, us, vs, ps)``, sequences of one entry per record."""
+        graph = cls.__new__(cls)
+        graph._set(num_robots, vertex_columns, edge_columns)
+        return graph
+
+    def _set(self, num_robots, vertex_columns, edge_columns):
         self.num_robots = int(num_robots)
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        self._vmap = {v.id: v for v in self.vertices}
-        self._emap = {e.id: e for e in self.edges}
-        incident = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            if e.u in incident:
-                incident[e.u].append(e.id)
-            if e.v in incident and e.v != e.u:
-                incident[e.v].append(e.id)
-        self._incident = {vid: tuple(eids) for vid, eids in incident.items()}
+        self.vertex_columns = tuple(map(tuple, vertex_columns))
+        self.edge_columns = tuple(map(tuple, edge_columns))
+        for what, columns, width in (("vertex", self.vertex_columns, 3),
+                                     ("edge", self.edge_columns, 4)):
+            if len(columns) != width or len(set(map(len, columns))) > 1:
+                raise ValueError(f"need {width} {what} columns of one length")
         self._arrays = None  # index_arrays(), built at its first call
         self._ranked = None  # ranked_incidences(), sorted at its first call
+
+    # -- derived at first use -------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertex records, in column order."""
+        return tuple(map(Vertex, *self.vertex_columns))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge records, in column order."""
+        return tuple(map(Edge, *self.edge_columns))
+
+    @cached_property
+    def _vertex_rows(self) -> dict:
+        """Vertex id -> position in the columns (of its last record, if repeated)."""
+        ids = self.vertex_columns[0]
+        return dict(zip(ids, range(len(ids))))
+
+    @cached_property
+    def _edge_rows(self) -> dict:
+        ids = self.edge_columns[0]
+        return dict(zip(ids, range(len(ids))))
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """Each edge's two endpoints as vertex rows (a 2 x m array), -1 where unknown."""
+        _, us, vs, _ = self.edge_columns
+        rows = self._vertex_rows.get
+        ends = np.fromiter(map(rows, us + vs, repeat(-1)), np.intp, 2 * len(us))
+        ends = ends.reshape(2, len(us))
+        ends.setflags(write=False)
+        return ends
+
+    @cached_property
+    def _p(self) -> np.ndarray:
+        p = np.array(self.edge_columns[3], dtype=float)
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def _incident(self) -> dict:
+        """Every vertex id -> its incident edge ids, in edge order; a self-loop once."""
+        incident = {vid: [] for vid in self.vertex_columns[0]}
+        eids, us, vs, _ = self.edge_columns
+        for eid, u, v in zip(eids, us, vs):
+            if u in incident:
+                incident[u].append(eid)
+            if v in incident and v != u:
+                incident[v].append(eid)
+        return {vid: tuple(eids) for vid, eids in incident.items()}
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def num_vertices(self):
-        return len(self.vertices)
+        return len(self.vertex_columns[0])
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.edge_columns[0])
 
-    def vertex(self, vid) -> Vertex:
+    def vertex_row(self, vid) -> int:
+        """The position of vertex ``vid`` in ``vertex_columns`` and ``vertices``."""
         try:
-            return self._vmap[vid]
+            return self._vertex_rows[vid]
         except KeyError:
             raise ValueError(f"unknown vertex id {vid!r}") from None
 
-    def edge(self, eid) -> Edge:
+    def edge_row(self, eid) -> int:
+        """The position of edge ``eid`` in ``edge_columns`` and ``edges``."""
         try:
-            return self._emap[eid]
+            return self._edge_rows[eid]
         except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
 
+    def vertex(self, vid) -> Vertex:
+        return self.vertices[self.vertex_row(vid)]
+
+    def edge(self, eid) -> Edge:
+        return self.edges[self.edge_row(eid)]
+
     def incident(self, vid) -> tuple[int, ...]:
         """Edge ids incident to one vertex."""
-        self.vertex(vid)
-        return self._incident.get(vid, ())
+        try:
+            return self._incident[vid]
+        except KeyError:
+            raise ValueError(f"unknown vertex id {vid!r}") from None
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, ends, p)``: the vertex ids in graph order, each edge's two
         endpoints as indices into ``vertices`` (a 2 x m array), and each edge's
         probability, in edge order.
 
-        Built once per graph, at the first call. The arrays are read-only.
+        Built once per graph, at the first call, from the columns; an edge
+        with an unknown endpoint is a ValueError. The arrays are read-only.
         """
         if self._arrays is None:
-            index = {v.id: i for i, v in enumerate(self.vertices)}
-            ids = np.array([v.id for v in self.vertices], dtype=np.intp)
-            ends = np.array([[index[e.u] for e in self.edges], [index[e.v] for e in self.edges]],
-                            dtype=np.intp)
-            p = np.array([e.p for e in self.edges], dtype=float)
-            for array in (ids, ends, p):
-                array.setflags(write=False)
-            self._arrays = ids, ends, p
+            if (self._ends < 0).any():
+                raise ValueError("an edge has an unknown endpoint")
+            ids = np.array(self.vertex_columns[0], dtype=np.intp)
+            ids.setflags(write=False)
+            self._arrays = ids, self._ends, self._p
         return self._arrays
 
     def ranked_incidences(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +298,8 @@ class ExchangeGraph:
         """
         if self._ranked is None:
             ids, ends, p = self.index_arrays()
-            m = len(self.edges)
-            eids = np.fromiter((e.id for e in self.edges), np.int64, m)
+            m = self.num_edges
+            eids = np.array(self.edge_columns[0], dtype=np.int64)
             # each edge once per endpoint, a self-loop once
             edges = np.concatenate((np.arange(m), np.flatnonzero(ends[0] != ends[1])))
             owner = np.concatenate((ends[0], ends[1, edges[m:]]))
@@ -233,9 +313,10 @@ class ExchangeGraph:
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""
-        if not self.vertices:
-            return 0
-        return max(len(eids) for eids in self._incident.values())
+        u, v = self._ends
+        # each known endpoint once, a self-loop once
+        owner = np.concatenate((u[u >= 0], v[(v >= 0) & (v != u)]))
+        return int(np.bincount(owner, minlength=self.num_vertices).max(initial=0))
 
     def edges_incident(self, vertex_ids) -> set[int]:
         """All edge ids with at least one endpoint in ``vertex_ids``."""
@@ -246,12 +327,13 @@ class ExchangeGraph:
 
     def is_cover(self, vertex_ids, edge_ids) -> bool:
         """True iff every edge in ``edge_ids`` has an endpoint in ``vertex_ids``."""
-        vs = set(vertex_ids)
-        for vid in vs:
-            self.vertex(vid)
+        chosen = set(vertex_ids)
+        for vid in chosen:
+            self.vertex_row(vid)
+        _, us, vs, _ = self.edge_columns
         for eid in edge_ids:
-            e = self.edge(eid)
-            if e.u not in vs and e.v not in vs:
+            i = self.edge_row(eid)
+            if us[i] not in chosen and vs[i] not in chosen:
                 return False
         return True
 
@@ -268,39 +350,55 @@ class ExchangeGraph:
         for ``self.vertices[i]``, ``("edge", i)`` for ``self.edges[i]``, or
         None for an id set with a gap and no repeated id. Parsers map it back
         to the line of that record.
+
+        Each check runs once over the columns; only the records it flags are
+        visited, in record order, a vertex's or an edge's messages in the
+        order of the checks.
         """
-        num_robots, vmap = self.num_robots, self._vmap
+        num_robots = self.num_robots
+        vids, robots, weights = self.vertex_columns
+        eids, us, vs, ps = self.edge_columns
         if num_robots < 2:
             yield ("robots",), f"num_robots must be at least 2, got {num_robots}"
-        yield from _id_set_violations("vertex", self.vertices, vmap)
-        for i, (vid, robot, weight) in enumerate(self.vertices):
-            if not 0 <= robot < num_robots:
-                yield ("vertex", i), f"vertex {vid}: robot {robot} out of range"
-            if not weight > 0:
-                yield ("vertex", i), f"vertex {vid}: weight must be positive"
-        yield from _id_set_violations("edge", self.edges, self._emap)
-        seen_pairs = set()
-        for i, (eid, u, v, p) in enumerate(self.edges):
-            a, b = vmap.get(u), vmap.get(v)
-            pair = (u, v) if u < v else (v, u)
-            if (a is not None and b is not None and a.robot != b.robot
-                    and pair not in seen_pairs and 0.0 <= p <= 1.0):
-                seen_pairs.add(pair)
-                continue
-            at = ("edge", i)
-            if a is None or b is None:
+        yield from _id_set_violations("vertex", vids)
+        # equal robots share a code, so each distinct robot is checked once
+        codes = {robot: c for c, robot in enumerate(dict.fromkeys(robots))}
+        code = np.fromiter(map(codes.__getitem__, robots), np.intp, len(robots))
+        off = np.array([not 0 <= robot < num_robots for robot in codes], dtype=bool)[code]
+        light = ~(np.array(weights, dtype=float) > 0)
+        for i in np.flatnonzero(off | light).tolist():
+            if off[i]:
+                yield ("vertex", i), f"vertex {vids[i]}: robot {robots[i]} out of range"
+            if light[i]:
+                yield ("vertex", i), f"vertex {vids[i]}: weight must be positive"
+        yield from _id_set_violations("edge", eids)
+        a, b = self._ends
+        known = (a >= 0) & (b >= 0)
+        loop = known & (a == b)
+        pair = known & ~loop  # the edges whose endpoint pair counts as seen
+        same, duplicate = np.zeros_like(known), np.zeros_like(known)
+        same[pair] = code[a[pair]] == code[b[pair]]
+        keys = (np.minimum(a, b) * len(vids) + np.maximum(a, b))[pair].tolist()
+        if len(set(keys)) < len(keys):
+            seen = set()
+            for i, key in zip(np.flatnonzero(pair).tolist(), keys):
+                duplicate[i] = key in seen
+                seen.add(key)
+        outside = ~((self._p >= 0.0) & (self._p <= 1.0))
+        for i in np.flatnonzero(~known | loop | same | duplicate | outside).tolist():
+            at, eid = ("edge", i), eids[i]
+            if not known[i]:
                 yield at, f"edge {eid}: unknown endpoint"
-                continue
-            if u == v:
+            elif loop[i]:
                 yield at, f"edge {eid}: self-loop"
-                continue
-            if a.robot == b.robot:
-                yield at, f"edge {eid}: not r-partite (both endpoints on robot {a.robot})"
-            if pair in seen_pairs:
-                yield at, f"edge {eid}: duplicate of pair {pair}"
-            seen_pairs.add(pair)
-            if not 0.0 <= p <= 1.0:
-                yield at, f"edge {eid}: probability out of range ({p})"
+            else:
+                if same[i]:
+                    yield at, f"edge {eid}: not r-partite (both endpoints on robot {robots[a[i]]})"
+                if duplicate[i]:
+                    u, v = us[i], vs[i]
+                    yield at, f"edge {eid}: duplicate of pair {(u, v) if u < v else (v, u)}"
+                if outside[i]:
+                    yield at, f"edge {eid}: probability out of range ({ps[i]})"
 
     # -- budgets and plans ---------------------------------------------------
 
@@ -313,10 +411,10 @@ class ExchangeGraph:
         Anything else, or blocks that do not partition the vertices (an
         unknown id, an id in two blocks, a vertex in none), is a ValueError.
         """
-        vids = [v.id for v in self.vertices]
+        vids, _, weights = self.vertex_columns
         weight = dict.fromkeys(vids, 1.0)
         if isinstance(cb, TotalNonuniform):
-            weight = {v.id: v.weight for v in self.vertices}
+            weight = dict(zip(vids, weights))
         if isinstance(cb, (TotalUniform, TotalNonuniform)):
             return dict.fromkeys(vids, 0), weight, (cb.b,)
         if not isinstance(cb, IndividualUniform):
@@ -324,7 +422,7 @@ class ExchangeGraph:
         block_of = {}
         for i, block in enumerate(cb.blocks):
             for vid in block:
-                self.vertex(vid)
+                self.vertex_row(vid)
                 if vid in block_of:
                     raise ValueError(f"vertex {vid} is in two budget blocks")
                 block_of[vid] = i
@@ -338,7 +436,7 @@ class ExchangeGraph:
         block_of, weight, limits = self.budget_blocks(cb)
         spent = [[] for _ in limits]
         for vid in set(vertex_ids):
-            self.vertex(vid)
+            self.vertex_row(vid)
             spent[block_of[vid]].append(weight[vid])
         return all(map(within_limit, spent, limits))
 
@@ -350,9 +448,9 @@ class ExchangeGraph:
         selected vertices, and the vertex set within budget.
         """
         for vid in plan.vertices:
-            self.vertex(vid)
+            self.vertex_row(vid)
         for eid in plan.edges:
-            self.edge(eid)
+            self.edge_row(eid)
         if len(plan.edges) > k:
             return False
         if not self.is_cover(plan.vertices, plan.edges):
@@ -371,18 +469,20 @@ class ExchangeGraph:
         """
         if max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-        residual = {v.id: max_degree for v in self.vertices}
+        residual = dict.fromkeys(self.vertex_columns[0], max_degree)
+        eids, us, vs, ps = self.edge_columns
         admitted = []
-        for e in sorted(self.edges, key=lambda e: (-e.p, e.id)):
-            if residual.get(e.u, 0) > 0 and residual.get(e.v, 0) > 0:
-                admitted.append(e)
-                residual[e.u] -= 1
-                residual[e.v] -= 1
-        admitted.sort(key=lambda e: e.id)
-        renumbered = tuple(
-            Edge(id=i, u=e.u, v=e.v, p=e.p) for i, e in enumerate(admitted)
+        for i in sorted(range(self.num_edges), key=lambda i: (-ps[i], eids[i])):
+            u, v = us[i], vs[i]
+            if residual.get(u, 0) > 0 and residual.get(v, 0) > 0:
+                admitted.append(i)
+                residual[u] -= 1
+                residual[v] -= 1
+        admitted.sort(key=eids.__getitem__)
+        kept = [[column[i] for i in admitted] for column in (us, vs, ps)]
+        return ExchangeGraph.from_columns(
+            self.num_robots, self.vertex_columns, (range(len(admitted)), *kept)
         )
-        return ExchangeGraph(self.num_robots, self.vertices, renumbered)
 
     # -- dunder -------------------------------------------------------------
 
@@ -391,8 +491,8 @@ class ExchangeGraph:
             return NotImplemented
         return (
             self.num_robots == other.num_robots
-            and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.vertex_columns == other.vertex_columns
+            and self.edge_columns == other.edge_columns
         )
 
     def __repr__(self):
@@ -402,19 +502,24 @@ class ExchangeGraph:
         )
 
 
-def _id_set_violations(kind, records, by_id):
-    """The violation, if any, of ``records``' ids not being exactly 0..n-1.
+def _transposed(records, width):
+    """``records`` as ``width`` columns."""
+    return tuple(zip(*records)) or ((),) * width
+
+
+def _id_set_violations(kind, ids):
+    """The violation, if any, of ``ids`` not being exactly 0..n-1.
 
     A repeated id is blamed on the first record that repeats one; a gap alone
     has no record at fault.
     """
-    n = len(records)
-    if len(by_id) == n and by_id.keys() == set(range(n)):
+    n = len(ids)
+    if ids == tuple(range(n)) or len(unique := set(ids)) == n and unique == set(range(n)):
         return
     at, seen = None, set()
-    for i, record in enumerate(records):
-        if record.id in seen:
+    for i, vid in enumerate(ids):
+        if vid in seen:
             at = (kind, i)
             break
-        seen.add(record.id)
+        seen.add(vid)
     yield at, f"{kind} ids must be dense, 0-based, and unique"

@@ -33,7 +33,11 @@ line number. Every number must be finite and spelt in ASCII without ``_``
 Given the exchange graph's edge ids, the pose parser also rejects a
 ``CANDIDATE`` for an edge that graph does not have. Each record kind is
 accepted and built in one place only; a record refused there goes to
-field-by-field checks that build nothing and raise its first fault. The loaders
+field-by-field checks that build nothing and raise its first fault. An
+exchange graph's accepted fields are appended to its columns
+(:meth:`~loopselect.graph.ExchangeGraph.from_columns`), and its invariants
+are checked over them at the end; only when one is broken is the text read
+again, for the line of each record at fault. The loaders
 read UTF-8 and reject a byte that is not UTF-8 at the line that holds it;
 their errors name the file after the message.
 """
@@ -41,10 +45,11 @@ their errors name the file after the message.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ParseError
 from .generate import GroundTruth
-from .graph import Edge, ExchangeGraph, Vertex
+from .graph import ExchangeGraph
 from .objectives import PoseGraph
 
 __all__ = [
@@ -155,9 +160,9 @@ def _numbered(kind, lines):
 
 
 def parse_exchange_graph(text) -> ExchangeGraph:
-    num_robots = robots_line = None
-    vertices, vertex_lines = [], []
-    edges, edge_lines = [], []
+    num_robots = None
+    vids, robots, weights = vertices = [], [], []
+    eids, us, vs, ps = edges = [], [], [], []
     plain = text.isascii() and "_" not in text  # the common case: no record to screen
     for line_no, parts in _records(text):
         tag = parts[0]
@@ -167,17 +172,22 @@ def parse_exchange_graph(text) -> ExchangeGraph:
             if tag == "edge" and len(parts) == 5:
                 p = float(parts[4])
                 if -_INF < p < _INF:
-                    edges.append(Edge(int(parts[1]), int(parts[2]), int(parts[3]), p))
-                    edge_lines.append(line_no)
+                    eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+                    eids.append(eid)
+                    us.append(u)
+                    vs.append(v)
+                    ps.append(p)
                     continue
             elif tag == "vertex" and len(parts) == 4:
                 weight = float(parts[3])
                 if -_INF < weight < _INF:
-                    vertices.append(Vertex(int(parts[1]), int(parts[2]), weight))
-                    vertex_lines.append(line_no)
+                    vid, robot = int(parts[1]), int(parts[2])
+                    vids.append(vid)
+                    robots.append(robot)
+                    weights.append(weight)
                     continue
             elif tag == "robots" and len(parts) == 2 and num_robots is None:
-                num_robots, robots_line = int(parts[1]), line_no
+                num_robots = int(parts[1])
                 continue
         except ValueError:
             pass
@@ -203,26 +213,32 @@ def parse_exchange_graph(text) -> ExchangeGraph:
         raise AssertionError(f"line {line_no}: a faultless {tag} record was refused")
     if num_robots is None:
         raise ParseError(1, "missing robots header")
-    graph = ExchangeGraph(num_robots, vertices, edges)
-    _reject_violations(
-        graph.violations(),
-        lambda: {
-            ("robots",): robots_line,
-            **_numbered("vertex", vertex_lines),
-            **_numbered("edge", edge_lines),
-        },
-        "exchange graph",
-    )
+    graph = ExchangeGraph.from_columns(num_robots, vertices, edges)
+    _reject_violations(graph.violations(), lambda: _exchange_lines(text), "exchange graph")
     return graph
 
 
+def _exchange_lines(text):
+    """The line of each record of ``text``, a file whose every record was accepted."""
+    lines, count = {}, {"vertex": 0, "edge": 0}
+    for line_no, (tag, *_) in _records(text):
+        if tag == "robots":
+            lines[("robots",)] = line_no
+        else:
+            lines[(tag, count[tag])] = line_no
+            count[tag] += 1
+    return lines
+
+
 def serialize_exchange_graph(graph) -> str:
-    lines = [f"robots {graph.num_robots}"]
-    for v in sorted(graph.vertices, key=lambda v: v.id):
-        lines.append(f"vertex {v.id} {v.robot} {v.weight!r}")
-    for e in sorted(graph.edges, key=lambda e: e.id):
-        lines.append(f"edge {e.id} {e.u} {e.v} {e.p!r}")
-    return "\n".join(lines) + "\n"
+    by_id = operator.itemgetter(0)
+    vertices = sorted(zip(*graph.vertex_columns), key=by_id)
+    edges = sorted(zip(*graph.edge_columns), key=by_id)
+    return "\n".join([
+        f"robots {graph.num_robots}",
+        *[f"vertex {vid} {robot} {weight!r}" for vid, robot, weight in vertices],
+        *[f"edge {eid} {u} {v} {p!r}" for eid, u, v, p in edges],
+    ]) + "\n"
 
 
 def load_exchange_graph(path) -> ExchangeGraph:

@@ -207,12 +207,13 @@ class ModularObjective:
         self.graph = graph
 
     def value(self, edge_ids) -> float:
-        return math.fsum(self.graph.edge(eid).p for eid in set(edge_ids))
+        p, row = self.graph.edge_columns[3], self.graph.edge_row
+        return math.fsum(p[row(eid)] for eid in set(edge_ids))
 
     def marginal(self, edge_ids, eid) -> float:
         if eid in set(edge_ids):
             raise ValueError(f"edge {eid} already selected")
-        return self.graph.edge(eid).p
+        return self.graph.edge_columns[3][self.graph.edge_row(eid)]
 
     def oracle(self) -> _ModularOracle:
         """Fresh gain/commit state for one planner run."""
@@ -241,7 +242,8 @@ class _ModularOracle:
     gain_slack = 0.0  # how far a gain can grow by rounding: not at all
 
     def __init__(self, graph):
-        self._p = {e.id: e.p for e in graph.edges}
+        eids, _, _, ps = graph.edge_columns
+        self._p = dict(zip(eids, ps))
         self._committed: set[int] = set()
         self.value = 0.0
 
@@ -477,15 +479,16 @@ class _RankOneLogDet:
         bad = pose_graph.validate()
         if bad:
             raise ValueError("invalid pose graph: " + "; ".join(bad))
-        pose_graph.require_bound(e.id for e in graph.edges)
+        eids, _, _, ps = graph.edge_columns
+        pose_graph.require_bound(eids)
         self.graph = graph
         self.pose_graph = pose_graph
         self._reference = None  # (M0, logdet M0), made by _dense() on first use
         self._P0 = None  # M0⁻¹ in pose coordinates, made by the first oracle()
         self._pairs = {}
-        for e in graph.edges:
-            i, j, w = pose_graph.candidate_map[e.id]
-            self._pairs[e.id] = (i, j, e.p * w)
+        for eid, p in zip(eids, ps):
+            i, j, w = pose_graph.candidate_map[eid]
+            self._pairs[eid] = (i, j, p * w)
         # the same triples as three arrays, with the row of each edge id in them
         self._row = {eid: r for r, eid in enumerate(self._pairs)}
         table = np.array(list(self._pairs.values()), dtype=float).reshape(-1, 3)
@@ -601,10 +604,13 @@ def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    incident = graph.edges_incident(vertex_ids)
-    ranked = sorted(incident, key=lambda eid: (-graph.edge(eid).p, eid))
-    witness = tuple(ranked[:k])
-    return math.fsum(graph.edge(eid).p for eid in witness), witness
+    starts, flat = graph.ranked_incidences()
+    edges = set()
+    for i in map(graph.vertex_row, vertex_ids):
+        edges.update(flat[starts[i]:starts[i + 1]].tolist())
+    eids, _, _, ps = graph.edge_columns
+    ranked = sorted(edges, key=lambda e: (-ps[e], eids[e]))[:k]
+    return math.fsum(ps[e] for e in ranked), tuple(eids[e] for e in ranked)
 
 
 class TopKOracle:
@@ -646,9 +652,9 @@ class TopKOracle:
         if k < 0:
             raise ValueError("k must be non-negative")
         self._k = k
-        self._edge_list = graph.edges
+        self._eids, _, _, self._ps = graph.edge_columns
         ids, _, p = graph.index_arrays()
-        self._row = dict(zip(ids.tolist(), range(len(ids))))
+        self._at = graph.vertex_row
         self._by_id = np.lexsort((ids,))  # the rows in id order
         self._starts, self._flat = graph.ranked_incidences()
         degree = np.diff(self._starts)
@@ -659,7 +665,7 @@ class TopKOracle:
         # 1 + the allowance (L + 2)·2⁻⁵² for L = min(k, degree) terms, exact in floats
         self._widen = 1.0 + (np.minimum(degree[self._touched], k) + 2) * 2.0**-52
         self._seen = np.zeros(len(self._flat) + 1, dtype=np.intp)
-        self._covered = np.zeros(len(graph.edges), dtype=bool)
+        self._covered = np.zeros(graph.num_edges, dtype=bool)
         self._top: list[tuple[float, int]] = []
         # -p of each top key: the fsum terms of the keys a gain pushes out
         self._top_neg: list[float] = []
@@ -669,12 +675,6 @@ class TopKOracle:
         self._floor[k:] = math.inf
         self.value = 0.0
 
-    def _at(self, vid) -> int:
-        try:
-            return self._row[vid]
-        except KeyError:
-            raise ValueError(f"unknown vertex id {vid!r}") from None
-
     def _uncovered(self, vid) -> np.ndarray:
         """``vid``'s incident edges that no committed vertex covers, best first."""
         i = self._at(vid)
@@ -682,7 +682,8 @@ class TopKOracle:
         return edges[~self._covered[edges]]
 
     def _keys(self, edges) -> list[tuple[float, int]]:
-        return [(-self._edge_list[e].p, self._edge_list[e].id) for e in edges.tolist()]
+        eids, ps = self._eids, self._ps
+        return [(-ps[e], eids[e]) for e in edges.tolist()]
 
     def _gain(self, vid) -> float:
         top, k = self._top, self._k

@@ -382,7 +382,7 @@ def _m_run(graph, k, cb, per_weight=False):
         oracle.commit(vid)
         return TraceStep("vertex", vid, oracle.value - before, oracle.value)
 
-    return GreedySelector([v.id for v in graph.vertices], score, feasible=room.fits, take=take,
+    return GreedySelector(list(graph.vertex_columns[0]), score, feasible=room.fits, take=take,
                           full=room.full, upper=upper)
 
 
@@ -445,7 +445,7 @@ def m_greedy(graph, k, cb, objective, runs=None):
     if not isinstance(cb, TotalNonuniform):
         return arm(per_weight=False)
     plain = arm(per_weight=False)
-    if all(v.weight == 1.0 for v in graph.vertices):
+    if all(w == 1.0 for w in graph.vertex_columns[2]):
         # gain / 1.0 is the gain to the bit: the cost-benefit run is the plain one
         cost_benefit = plain[0], replace(plain[1], evaluations=0)
     else:
@@ -484,7 +484,8 @@ def _witness_cover(graph, selected_edges):
     endpoint covering more of the remaining uncovered selection (tie: lower
     id). Never larger than the number of selected edges.
     """
-    ends = [(graph.edge(eid).u, graph.edge(eid).v) for eid in selected_edges]
+    _, us, vs, _ = graph.edge_columns
+    ends = [(us[i], vs[i]) for i in map(graph.edge_row, selected_edges)]
     cover: list[int] = []
     for u, v in ends:
         if u in cover or v in cover:
@@ -544,7 +545,7 @@ def e_greedy(graph, k, cb, objective, runs=None):
     run = _shared(
         runs,
         "e-greedy",
-        lambda: _edge_run(objective.oracle(), [e.id for e in graph.edges], "phase1"),
+        lambda: _edge_run(objective.oracle(), list(graph.edge_columns[0]), "phase1"),
     )
     evaluations = run.extend(rounds)
     steps = run.steps[:rounds]
@@ -584,7 +585,7 @@ def _vertex_run(graph, objective):
         return TraceStep("vertex", vid, g, oracle.value)
 
     return GreedySelector(
-        [v.id for v in graph.vertices],
+        list(graph.vertex_columns[0]),
         lambda vid: oracle.gain(new_edges(vid)),
         lambda vids: oracle.gains([new_edges(vid) for vid in vids]),
         slack=oracle.gain_slack,
@@ -650,7 +651,7 @@ def random_baseline(graph, k, cb, objective, seed):
     if k < 0:
         raise ValueError("k must be non-negative")
     rng = np.random.default_rng(seed)
-    vids = [v.id for v in graph.vertices]
+    vids = list(graph.vertex_columns[0])
     n_pick = min(cb.b, len(vids))
     chosen_v = sorted(rng.choice(vids, size=n_pick, replace=False).tolist()) if n_pick else []
     incident = sorted(graph.edges_incident(chosen_v))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from loopselect import (
+    Edge,
     ExchangeGraph,
     alpha_apriori,
     IndividualUniform,
@@ -52,6 +53,17 @@ def wide_instance(tmp_path):
     assert main([
         "generate", "--robots", "3", "--verts", "400", "--edges", "500",
         "--seed", "0", "--output", str(path),
+    ]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def rendezvous_large(tmp_path_factory):
+    """10 robots x 200 observations, 5000 candidates."""
+    path = tmp_path_factory.mktemp("large") / "large.exg"
+    assert main([
+        "generate", "--robots", "10", "--verts", "200", "--edges", "5000",
+        "--seed", "1", "--output", str(path),
     ]) == 0
     return path
 
@@ -279,6 +291,19 @@ class TestPlan:
                      "-b", "3", "-k", "6"]) == 0
         assert calls == []
         assert capsys.readouterr().out.startswith(f"planner={planner} value=")
+
+    @pytest.mark.parametrize("regime, b", [("tu", "20"), ("tn", "20"), ("iu", "/".join(["2"] * 10))])
+    def test_modular_plan_builds_no_edge_record(self, rendezvous_large, monkeypatch, capsys,
+                                                regime, b):
+        # the graph is stored as columns, and a modular plan reads nothing else
+        built = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("loopselect") and getattr(module, "Edge", None) is Edge:
+                monkeypatch.setattr(module, "Edge", lambda *a, **kw: built.append(a) or Edge(*a, **kw))
+        assert main(["plan", "--input", str(rendezvous_large), "--planner", "mgreedy",
+                     "--regime", regime, "-b", b, "-k", "40"]) == 0
+        assert capsys.readouterr().out.startswith("planner=mgreedy value=")
+        assert built == []
 
     def test_candidate_for_unknown_edge_is_data_error(self, tmp_path, capsys):
         graph_path, pose_path = tmp_path / "g.exg", tmp_path / "g.pose"
@@ -1107,6 +1132,24 @@ class TestCertify:
         assert rc == rc_want
         if rc_want == 2:
             assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", ["vertex-less", "edgeless"])
+def test_empty_graphs_run_through_plan_sweep_and_certify(tmp_path, capsys, make):
+    path, plan = tmp_path / "g.exg", tmp_path / "plan.json"
+    if make == "vertex-less":
+        path.write_text("robots 2\n")
+    else:
+        assert main(["generate", "--edges", "0", "--output", str(path)]) == 0
+    assert main(["plan", "--input", str(path), "--planner", "mgreedy", "-b", "1", "-k", "1",
+                 "--output", str(plan)]) == 0
+    assert "value=0.0 " in capsys.readouterr().out
+    assert main(["sweep", "--input", str(path), "--planners", "mgreedy,sgreedy,random",
+                 "-b", "0,1", "-k", "0,1", "--certify", "lp"]) == 0
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert len(rows) == 12 and all(row.split(",")[3] == "0.0" for row in rows)
+    assert main(["certify", "--input", str(path), "--plan", str(plan), "--level", "lp"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",1,1,0,0.0,,0.0,,,,")
 
 
 class TestExitCodes:

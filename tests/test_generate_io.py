@@ -302,6 +302,19 @@ class TestFormatFuzz:
 
 
 class TestStrictParsing:
+    def test_robot_numbers_past_64_bits_parse_and_round_trip(self):
+        text = (
+            "robots 100000000000000000000000\n"
+            "vertex 0 99999999999999999999 1.0\n"
+            "vertex 1 0 2.5\n"
+            "edge 0 0 1 0.5\n"
+        )
+        g = parse_exchange_graph(text)
+        assert g.vertex(0).robot == 99999999999999999999 and g.max_degree() == 1
+        assert serialize_exchange_graph(g) == text
+        with pytest.raises(ParseError, match="line 2: .*robot 99999999999999999999 out of range"):
+            parse_exchange_graph(text.replace("robots 100000000000000000000000", "robots 2"))
+
     def test_unknown_record_cites_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_exchange_graph("robots 2\nwat 1 2 3\n")

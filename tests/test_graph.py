@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopselect import (
@@ -151,6 +151,143 @@ class TestViolationsAgainstReference:
         pg = PoseGraph(num_poses=d, base_edges=tuple(base), candidate_map=candidates,
                        anchor=anchor, poses=coords)
         assert pg.validate() == reference_pose_messages(pg)
+
+
+def reference_violations(g):
+    """The per-record invariant loop that ``violations`` replaced, over ``g``'s records."""
+    vmap = {v.id: v for v in g.vertices}
+    emap = {e.id: e for e in g.edges}
+
+    def id_set(kind, records, by_id):
+        n = len(records)
+        if len(by_id) == n and by_id.keys() == set(range(n)):
+            return
+        at, seen = None, set()
+        for i, record in enumerate(records):
+            if record.id in seen:
+                at = (kind, i)
+                break
+            seen.add(record.id)
+        yield at, f"{kind} ids must be dense, 0-based, and unique"
+
+    if g.num_robots < 2:
+        yield ("robots",), f"num_robots must be at least 2, got {g.num_robots}"
+    yield from id_set("vertex", g.vertices, vmap)
+    for i, (vid, robot, weight) in enumerate(g.vertices):
+        if not 0 <= robot < g.num_robots:
+            yield ("vertex", i), f"vertex {vid}: robot {robot} out of range"
+        if not weight > 0:
+            yield ("vertex", i), f"vertex {vid}: weight must be positive"
+    yield from id_set("edge", g.edges, emap)
+    seen_pairs = set()
+    for i, (eid, u, v, p) in enumerate(g.edges):
+        a, b = vmap.get(u), vmap.get(v)
+        pair = (u, v) if u < v else (v, u)
+        if (a is not None and b is not None and a.robot != b.robot
+                and pair not in seen_pairs and 0.0 <= p <= 1.0):
+            seen_pairs.add(pair)
+            continue
+        at = ("edge", i)
+        if a is None or b is None:
+            yield at, f"edge {eid}: unknown endpoint"
+            continue
+        if u == v:
+            yield at, f"edge {eid}: self-loop"
+            continue
+        if a.robot == b.robot:
+            yield at, f"edge {eid}: not r-partite (both endpoints on robot {a.robot})"
+        if pair in seen_pairs:
+            yield at, f"edge {eid}: duplicate of pair {pair}"
+        seen_pairs.add(pair)
+        if not 0.0 <= p <= 1.0:
+            yield at, f"edge {eid}: probability out of range ({p})"
+
+
+def reference_incident(g):
+    """Each vertex id's incident edge ids, in edge order, by a loop over the records."""
+    incident = {v.id: [] for v in g.vertices}
+    for e in g.edges:
+        if e.u in incident:
+            incident[e.u].append(e.id)
+        if e.v in incident and e.v != e.u:
+            incident[e.v].append(e.id)
+    return {vid: tuple(eids) for vid, eids in incident.items()}
+
+
+def _arrays_or_error(method):
+    try:  # bytes, so that a NaN equals itself
+        return [(array.dtype.str, array.shape, array.tobytes()) for array in method()]
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def exchange_records(draw):
+    """Vertex and edge records of a graph, valid or not: repeated ids and gaps,
+    unknown endpoints, self-loops, same-robot edges, duplicate pairs, and
+    probabilities and weights at and past their bounds."""
+    r = draw(st.integers(0, 4))
+    if draw(st.booleans()):  # a valid graph
+        g = generate_exchange_graph(GenSpec(
+            num_robots=max(r, 2), vertices_per_robot=draw(st.integers(1, 4)),
+            edge_density=draw(st.sampled_from([0.0, 0.5, 1.0])), seed=draw(st.integers(0, 99)),
+        ))
+        return r, list(g.vertices), list(g.edges)
+    ids = st.integers(-1, 6)
+    vertices = draw(st.lists(st.builds(
+        Vertex, ids, st.integers(-1, 4), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, math.nan]),
+    ), max_size=7))
+    edges = draw(st.lists(st.builds(
+        Edge, ids, ids, ids,
+        st.sampled_from([-0.0, 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), -0.1, math.nan]),
+    ), max_size=9))
+    return r, vertices, edges
+
+
+class TestColumns:
+    @settings(max_examples=400, deadline=None)
+    @given(records=exchange_records())
+    @example(records=(2, [Vertex(0, 0), Vertex(1, 1)],
+                      [Edge(0, 0, 7, 0.5), Edge(1, 0, 1, 0.5), Edge(2, 1, 0, 1.5)]))
+    def test_columns_and_records_agree(self, records):
+        r, vertices, edges = records
+        by_records = ExchangeGraph(r, vertices, edges)
+        by_columns = ExchangeGraph.from_columns(
+            r, [list(column) for column in zip(*vertices)] or ([], [], []),
+            [list(column) for column in zip(*edges)] or ([], [], [], []),
+        )
+        assert by_columns == by_records
+        assert by_columns.vertices == by_records.vertices == tuple(vertices)
+        assert by_columns.edges == by_records.edges == tuple(edges)
+        incident = reference_incident(by_records)
+        for g in (by_records, by_columns):
+            assert list(g.violations()) == list(reference_violations(by_records))
+            assert {vid: g.incident(vid) for vid in incident} == incident
+            assert g.max_degree() == max(map(len, incident.values()), default=0)
+        for method in ("index_arrays", "ranked_incidences"):
+            assert (_arrays_or_error(getattr(by_columns, method))
+                    == _arrays_or_error(getattr(by_records, method)))
+
+    def test_columns_are_stored_and_records_derived(self):
+        g = ExchangeGraph.from_columns(2, ([0, 1], [0, 1], [1.0, 2.5]), ([0], [0], [1], [0.25]))
+        assert g.vertex_columns == ((0, 1), (0, 1), (1.0, 2.5))
+        assert g.edge_columns == ((0,), (0,), (1,), (0.25,))
+        assert "edges" not in vars(g) and "vertices" not in vars(g)
+        assert g.edge(0) == Edge(0, 0, 1, 0.25) and g.edges is g.edges
+        assert g.vertex(1) == Vertex(1, 1, 2.5) and g.vertices is g.vertices
+        assert (g.vertex_row(1), g.edge_row(0)) == (1, 0)
+
+    def test_records_are_transposed_into_columns(self, demo_graph):
+        again = ExchangeGraph(3, demo_graph.vertices, demo_graph.edges)
+        assert again.vertex_columns == tuple(zip(*demo_graph.vertices))
+        assert again.edge_columns == tuple(zip(*demo_graph.edges))
+        assert ExchangeGraph(2, [], []).vertex_columns == ((), (), ())
+
+    def test_ragged_columns_are_refused(self):
+        with pytest.raises(ValueError, match="columns of one length"):
+            ExchangeGraph.from_columns(2, ([0, 1], [0], [1.0, 1.0]), ((), (), (), ()))
+        with pytest.raises(ValueError, match="columns of one length"):
+            ExchangeGraph.from_columns(2, ((), (), ()), ((), (), ()))
 
 
 class TestRecords:
