@@ -224,15 +224,22 @@ class ExchangeGraph:
 
     @cached_property
     def _incident(self) -> dict:
-        """Every vertex id -> its incident edge ids, in edge order; a self-loop once."""
-        incident = {vid: [] for vid in self.vertex_columns[0]}
-        eids, us, vs, _ = self.edge_columns
-        for eid, u, v in zip(eids, us, vs):
-            if u in incident:
-                incident[u].append(eid)
-            if v in incident and v != u:
-                incident[v].append(eid)
-        return {vid: tuple(eids) for vid, eids in incident.items()}
+        """Every vertex id -> its incident edge ids, in edge order; a self-loop once.
+
+        One stable sort of the 2m incidences, edge by edge, by the vertex row
+        that owns them (a repeated id's edges go to its last row, which
+        comes last). Rows as the narrowest unsigned type make it a radix sort.
+        """
+        ends = self._ends.T.ravel()  # u0, v0, u1, v1, ...
+        known = ends >= 0
+        known[1::2] &= ends[1::2] != ends[::2]
+        edge = np.flatnonzero(known) // 2
+        owner = ends[known]
+        order = np.argsort(owner.astype(np.min_scalar_type(self.num_vertices)), kind="stable")
+        eids = tuple(np.array(self.edge_columns[0], dtype=object)[edge[order]].tolist())
+        stops = np.cumsum(np.bincount(owner, minlength=self.num_vertices)).tolist()
+        return {vid: eids[start:stop]
+                for vid, start, stop in zip(self.vertex_columns[0], [0, *stops], stops)}
 
     # -- basic queries ----------------------------------------------------
 

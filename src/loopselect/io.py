@@ -105,14 +105,6 @@ def _finite(values):
     return -_INF < sum(values) < _INF or all(map(math.isfinite, values))
 
 
-def _records(text):
-    """``(line number, fields)`` per line that is neither blank nor a ``#`` comment."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts and parts[0][0] != "#":
-            yield line_no, parts
-
-
 def _reject_violations(violations, line_of, kind):
     """Raise at the first line whose record breaks an invariant (line 1: none).
 
@@ -164,7 +156,10 @@ def parse_exchange_graph(text) -> ExchangeGraph:
     vids, robots, weights = vertices = [], [], []
     eids, us, vs, ps = edges = [], [], [], []
     plain = text.isascii() and "_" not in text  # the common case: no record to screen
-    for line_no, parts in _records(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue  # blank, or a comment
         tag = parts[0]
         try:  # the one path that accepts a record; a ValueError refuses it
             if not plain:
@@ -221,7 +216,11 @@ def parse_exchange_graph(text) -> ExchangeGraph:
 def _exchange_lines(text):
     """The line of each record of ``text``, a file whose every record was accepted."""
     lines, count = {}, {"vertex": 0, "edge": 0}
-    for line_no, (tag, *_) in _records(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue  # blank, or a comment
+        tag = parts[0]
         if tag == "robots":
             lines[("robots",)] = line_no
         else:
@@ -260,7 +259,10 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
     base_edges, base_lines = [], []
     candidate_map, candidate_lines = {}, []
     plain = text.isascii() and text.count("_") == text.count("_SE2")  # "_" only in tags
-    for line_no, parts in _records(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue  # blank, or a comment
         tag = parts[0]
         try:  # as in parse_exchange_graph
             if not plain:

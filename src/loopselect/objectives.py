@@ -17,12 +17,12 @@ dense, stateless reference: for the log-det objectives it rebuilds the matrix
 and refactorizes it, O(|S| + d³) per call; M0 itself is factorized once.
 ``oracle()`` returns the state of one planner run: ``gain(edge_ids)`` is the
 marginal gain of adding a set of new edges to everything committed so far,
-``gains(edge_sets)`` is that gain for each of many sets at once, as an array,
+``edge_gains(rows)`` is the one-edge gain of each of many edges at once, as
+an array over edge rows, bit for bit what ``gain`` gives each of them,
 ``commit(edge_ids)`` adds them, and ``value`` is the running objective value,
 which the greedy planners report as their achieved value. A greedy run takes
-``gains`` once, for the bounds its lazy heap starts from, and ``gain`` for
-every pick it makes. Each oracle writes its gain arithmetic once, so a batch
-gain is bit for bit the scalar one. A log-det objective makes its base
+``edge_gains`` once per round, for the upper bounds it walks, and ``gain``
+for the picks it confirms. A log-det objective makes its base
 inverse once, at its first ``oracle()``, into a read-only P0 that every
 oracle shares: ``treeconn`` from a spanning tree of the base graph in O(d²)
 writes with no factorization (non-tree base edges folded in as low-rank
@@ -39,7 +39,7 @@ most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
 is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
-``gain(vid)``, ``gains(vids)``, ``commit(vid)`` and ``value``, in the same
+``gain(vid)``, ``commit(vid)`` and ``value``, in the same
 style as ``oracle()``, plus ``upper_bounds()``, one numpy pass that bounds
 every vertex's gain from above. It reads each vertex's incident keys from
 the graph's one flat array and skips the edges that committed vertices
@@ -49,7 +49,6 @@ cover, so a gain walks only the keys that enter the top k plus one, and is
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -205,6 +204,7 @@ class ModularObjective:
 
     def __init__(self, graph):
         self.graph = graph
+        self._p_rows = None  # the probabilities as an array, made by the first oracle()
 
     def value(self, edge_ids) -> float:
         p, row = self.graph.edge_columns[3], self.graph.edge_row
@@ -216,8 +216,12 @@ class ModularObjective:
         return self.graph.edge_columns[3][self.graph.edge_row(eid)]
 
     def oracle(self) -> _ModularOracle:
-        """Fresh gain/commit state for one planner run."""
-        return _ModularOracle(self.graph)
+        """Fresh gain/commit state for one planner run; every oracle reads one
+        read-only array of the probabilities."""
+        if self._p_rows is None:
+            self._p_rows = np.array(self.graph.edge_columns[3], dtype=float)
+            self._p_rows.flags.writeable = False
+        return _ModularOracle(self.graph, self._p_rows)
 
 
 def _fresh(committed, edge_ids) -> set[int]:
@@ -233,17 +237,19 @@ class _ModularOracle:
 
     A gain is the ``math.fsum`` of the new edges' probabilities, the exact
     marginal rounded once: one edge gains exactly its probability, and a
-    vertex's gain carries none of the rounding of the committed total, so it
-    can only shrink as its new-edge set does (which lazy greedy relies on).
+    vertex's gain carries none of the rounding of the committed total, so a
+    float sum of its edges' gains, widened for its own rounding, bounds it
+    (which vertex greedy relies on).
     ``value`` is the ``math.fsum`` of the committed probabilities, as in
     :meth:`ModularObjective.value`.
     """
 
-    gain_slack = 0.0  # how far a gain can grow by rounding: not at all
+    gain_slack = 0.0  # how far a set's gain can exceed its edges' by rounding: not at all
 
-    def __init__(self, graph):
+    def __init__(self, graph, p_rows):
         eids, _, _, ps = graph.edge_columns
         self._p = dict(zip(eids, ps))
+        self._p_rows = p_rows
         self._committed: set[int] = set()
         self.value = 0.0
 
@@ -256,10 +262,10 @@ class _ModularOracle:
     def gain(self, edge_ids) -> float:
         return self._sum(_fresh(self._committed, edge_ids))
 
-    def gains(self, edge_sets) -> np.ndarray:
-        """The gain of each set in ``edge_sets``, bit for bit as :meth:`gain` gives it."""
-        committed = self._committed
-        return np.array([self._sum(_fresh(committed, X)) for X in edge_sets], dtype=float)
+    def edge_gains(self, rows) -> np.ndarray:
+        """The one-edge gain of each edge row in ``rows``: its probability, which
+        is what :meth:`gain` gives the edge (``fsum`` of one term is that term)."""
+        return self._p_rows[rows]
 
     def commit(self, edge_ids):
         committed = self._committed | _fresh(self._committed, edge_ids)
@@ -280,22 +286,22 @@ class _LogDetOracle:
     takes u = M⁻¹a and sr = s aᵀu and appends the column ``u √(s/(1+sr))``,
     the Sherman–Morrison downdate of M⁻¹ written as a factor, at O(d·|S|).
 
-    :func:`_set_gains` is the one gain arithmetic: :meth:`gains` runs it per
-    group of sets of one size and :meth:`gain` on a batch of one, except that
-    a one-edge :meth:`gain` takes a short path that rounds as its r = 1 does.
+    :func:`_set_gains` is the one gain arithmetic: :meth:`edge_gains` runs its
+    r = 1 branch over many edges and :meth:`gain` runs it on a batch of one,
+    except that a one-edge :meth:`gain` takes a short path that rounds as
+    r = 1 does.
 
-    In exact arithmetic a gain never grows as edges are committed; rounding
-    could lift one by a few ulps, though none grew at all over the 5×40
-    benchmark instances and 200 small random ones. ``gain_slack`` bounds
-    that growth with a wide margin.
+    In exact arithmetic a set's gain is at most the sum of its edges' gains
+    (submodularity); rounding can lift it above that sum where an edge's
+    quadratic form cancels to a few ulps of P0's entries. ``gain_slack``
+    bounds that excess with a wide margin.
     """
 
     gain_slack = 1e-9
 
-    def __init__(self, pairs, row, ijs, P0):
+    def __init__(self, pairs, ijs, P0):
         self._P0 = P0
-        self._pairs = pairs
-        self._row, self._ijs = row, ijs
+        self._pairs, self._ijs = pairs, ijs
         # the first _m columns of _U are U; the rest is room to append
         self._U = np.empty((P0.shape[0], 8))
         self._m = 0
@@ -330,30 +336,11 @@ class _LogDetOracle:
         U = self._U[:, : self._m]
         return _set_gains(self._P0, U, np.array([I]), np.array([J]), np.array([s]))[0]
 
-    def gains(self, edge_sets) -> np.ndarray:
-        """The gain of each set in ``edge_sets``, bit for bit as :meth:`gain` gives it.
-
-        The edges are looked up in the objective's (i, j, s) arrays and the
-        sets grouped by their number r of edges, one :func:`_set_gains` each.
-        """
-        n = len(edge_sets)
-        sets = [X if len(X) == 1 else sorted(set(X)) for X in edge_sets]
-        ids = list(itertools.chain.from_iterable(sets))
-        _fresh(self._committed, ids)
-        try:
-            rows = np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
-        except KeyError as err:
-            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
-        size = np.fromiter(map(len, sets), np.intp, n)
-        I, J, s = (col[rows] for col in self._ijs)
-        of_size = np.repeat(size, size)  # the size of each edge's set
-        out = np.zeros(n)
-        U = self._U[:, : self._m]
-        for r in set(size.tolist()) - {0}:
-            # the edges of the sets with r of them, one row per set
-            group = (x[of_size == r].reshape(-1, r) for x in (I, J, s))
-            out[size == r] = _set_gains(self._P0, U, *group)
-        return out
+    def edge_gains(self, rows) -> np.ndarray:
+        """The one-edge gain of each edge row in ``rows``, bit for bit what
+        :meth:`gain` gives the uncommitted ones: :func:`_set_gains`'s r = 1."""
+        I, J, s = (col[rows, None] for col in self._ijs)
+        return np.array(_set_gains(self._P0, self._U[:, : self._m], I, J, s))
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)
@@ -387,7 +374,8 @@ def _set_gains(P0, U, I, J, s) -> list[float]:
         I, J, s = I[:, 0], J[:, 0], s[:, 0]
         q = P0[I, I] + P0[J, J] - 2.0 * P0[I, J]
         if U.shape[1]:
-            W = U[I] - U[J]
+            W = U[I]
+            W -= U[J]  # in place: one n × |S| temporary fewer
             q -= (W[:, None, :] @ W[:, :, None])[:, 0, 0]
         q[0.0 > q] = 0.0  # max(q, 0.0), as gain() clamps the rounding
         return list(map(math.log1p, (s * q).tolist()))
@@ -489,9 +477,8 @@ class _RankOneLogDet:
         for eid, p in zip(eids, ps):
             i, j, w = pose_graph.candidate_map[eid]
             self._pairs[eid] = (i, j, p * w)
-        # the same triples as three arrays, with the row of each edge id in them
-        self._row = {eid: r for r, eid in enumerate(self._pairs)}
-        table = np.array(list(self._pairs.values()), dtype=float).reshape(-1, 3)
+        # the same triples as three arrays, in edge-row order
+        table = np.array([self._pairs[eid] for eid in eids], dtype=float).reshape(-1, 3)
         self._ijs = (table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2])
 
     def _dense(self):
@@ -522,7 +509,7 @@ class _RankOneLogDet:
             P0 = self._base_inverse()
             P0.flags.writeable = False
             self._P0 = P0
-        return _LogDetOracle(self._pairs, self._row, self._ijs, self._P0)
+        return _LogDetOracle(self._pairs, self._ijs, self._P0)
 
 
 class DCritObjective(_RankOneLogDet):
@@ -685,7 +672,7 @@ class TopKOracle:
         eids, ps = self._eids, self._ps
         return [(-ps[e], eids[e]) for e in edges.tolist()]
 
-    def _gain(self, vid) -> float:
+    def gain(self, vid) -> float:
         top, k = self._top, self._k
         size = len(top)
         terms = []
@@ -699,14 +686,6 @@ class TopKOracle:
             return 0.0
         terms += self._top_neg[k - len(terms):]
         return math.fsum(terms)
-
-    # the batch runs the same arithmetic under its own name, so that only the
-    # selector's re-evaluations go through ``gain``
-    gain = _gain
-
-    def gains(self, vids) -> np.ndarray:
-        """The gain of each vertex in ``vids``, bit for bit as :meth:`gain` gives it."""
-        return np.array([self._gain(vid) for vid in vids], dtype=float)
 
     def upper_bounds(self) -> np.ndarray:
         """An upper bound on the gain of every vertex, in ascending id order, 0.0

@@ -17,37 +17,35 @@ compute a-posteriori approximation factors.
 * ``random_baseline`` — seeded uniform vertex sample, then a uniform edge
   sample from the covered edges; its trace has no steps.
 
-Every greedy loop is one ``GreedySelector``, a run from the batch that
-seeds it to the steps of its trace, over a per-run oracle: ``m_greedy``
-takes its gains from a ``TopKOracle`` (g itself), ``e_greedy`` and
-``v_greedy`` from one ``objective.oracle()``, which tracks the committed
-edges. The achieved value is the running value of that same oracle (for
-``m_greedy``, ``g_modular`` of the picks), so no greedy planner calls the
-dense ``objective.value``; ``random_baseline``, which runs no oracle, does.
-The selector is lazy (Minoux): it keeps stale gains as
-upper bounds and re-evaluates only the candidates that could still win a
-round. Its heap starts from one batch of gains, the oracle's ``gains`` over
-the whole pool (as CELF does). Every oracle's batch gain is bit for bit its
-scalar ``gain`` at the same state, so the batch counts as the first round's
-evaluation and the first pick costs none. Later rounds are valid because
-oracle gains are non-negative and never grow for monotone submodular
-objectives, except by rounding that each oracle bounds (``gain_slack``), so
-the selection sequence is the one a full scan of the pool per round would
-give, with fewer gain evaluations. Each pick leaves the pool as it is made.
-A trace's ``evaluations`` counts the scalar gains; the batch is not one.
+Every greedy loop is one ``GreedySelector``, a run from its first round to
+the steps of its trace, over a per-run oracle: ``m_greedy`` takes its gains
+from a ``TopKOracle`` (g itself), ``e_greedy`` and ``v_greedy`` from one
+``objective.oracle()``, which tracks the committed edges. The achieved value
+is the running value of that same oracle (for ``m_greedy``, ``g_modular`` of
+the picks), so no greedy planner calls the dense ``objective.value``;
+``random_baseline``, which runs no oracle, does.
 
-``m_greedy`` runs without the heap. Once its top k is full, every commit
-raises the tail of the top k and so lowers every stale gain, and the heap
-re-scored hundreds of vertices per pick. Instead each round takes one pass
-of ``TopKOracle.upper_bounds``, which bounds every vertex's gain from above
-by a segmented numpy sum, widened by an allowance for its rounding, and
-confirms exact gains by decreasing bound until no vertex left can beat the
-best of them. A bound of exactly 0.0 is the exact gain, so a round whose
-gains are all 0 takes the lowest feasible id unevaluated. Plans are the
-heap's to the bit, and the golden 10×200 runs confirm 20 exact gains for
-20 picks (5,631 with the heap). Each run logs one DEBUG record on
-``loopselect.planners``: its rounds, bound passes, exact gains and the
-gains confirmed beyond the first of their round.
+The selector is lazy in one way only. Each round takes one numpy pass of
+upper bounds on every candidate's gain and confirms exact gains by
+decreasing bound until no candidate left can beat the best of them (Minoux,
+1978, with fresh bounds in place of stale gains). A bound of exactly 0.0 is
+the exact gain, so a round whose gains are all 0 takes the lowest feasible
+id unevaluated. The bounds:
+
+* ``m_greedy``: ``TopKOracle.upper_bounds``, a segmented sum over each
+  vertex's incident keys widened by an allowance for its rounding;
+* ``e_greedy``: the oracle's ``edge_gains``, every one-edge gain at once,
+  bit for bit the exact gains, so each pick confirms one gain;
+* ``v_greedy``: per vertex, the sum of its uncovered edges' ``edge_gains``
+  (submodularity: Δ(X|S) ≤ Σ_{e∈X} Δ(e|S)), widened by the same allowance
+  and by the oracle's ``gain_slack``.
+
+So the selection sequence is the one a full scan of the pool per round
+would give, with fewer gain evaluations. Each pick leaves the pool as it is
+made. A trace's ``evaluations`` counts the exact gains. Each time a call
+extends a run it logs one DEBUG record on ``loopselect.planners``: the
+rounds, bound passes, exact gains and the gains confirmed beyond the first
+of their round.
 
 A greedy pick depends only on the picks before it, so the i-th prefix of a
 run is the run stopped after i picks (Nemhauser, Wolsey and Fisher, 1978: the
@@ -73,7 +71,6 @@ Knapsack and partition-matroid budgets have no prefix property, so
 from __future__ import annotations
 
 import bisect
-import heapq
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -127,100 +124,61 @@ class PlannerTrace:
 
 
 class GreedySelector:
-    """One lazy greedy run: repeated argmax over a shrinking candidate pool with a
+    """One greedy run: repeated argmax over a shrinking candidate pool with a
     global tie rule, and the steps it took.
 
     ``gain_fn(c)`` must return the current marginal gain of candidate ``c``;
-    ties break to the lowest candidate id. ``bounds(cs)`` returns, as an
-    array, the gains of the candidates ``cs`` (a sorted list) in one batch,
-    each bit for bit what ``gain_fn`` returns at the state the selector is
-    built in (every oracle's ``gains`` is its ``gain`` so), so the batch
-    counts as evaluated in the first round and the first pick costs no call
-    of ``gain_fn``. ``feasible(c)`` is asked before a candidate is taken or
-    evaluated, and a candidate it rejects leaves the pool for good, so it
-    must only ever turn from true to false as the run goes on (a budget
-    being used up); rejections are not evaluations. A min-heap of
-    ``(-gain, id, round)`` holds one entry per candidate left in the pool:
-    its last gain, a stale bound after the round it was taken in, starting
-    from ``bounds`` (as CELF does: Leskovec et al., "Cost-effective Outbreak
-    Detection in Networks", 2007); an entry is only trusted in its own
-    round. Gains of monotone submodular objectives never grow, except by
-    rounding: ``slack`` bounds that growth, and a stale entry within
-    ``slack`` of the round's best is re-evaluated before the best is taken.
-    So each pick is the one evaluating the whole pool every round would
-    make, while most evaluations are skipped. ``evaluations`` counts the
-    calls of ``gain_fn``; the batch is not one.
+    ties break to the lowest candidate id. ``upper()`` returns, as an array,
+    an upper bound on the current gain of every candidate, in ascending id
+    order, 0.0 only where the gain is exactly 0.0. Each round takes one such
+    pass and walks the pool by decreasing bound, lowest id first among equal
+    bounds, calling ``gain_fn`` until no candidate left can beat the best
+    exact gain so far: its bound is lower, or equal with a higher id. A bound
+    of 0.0 is taken as the exact gain, since gains are never negative, so a
+    round whose gains are all 0 takes the lowest feasible id unevaluated.
+    ``feasible(c)`` is asked before a candidate is taken or evaluated, and a
+    candidate it rejects leaves the pool for good, so it must only ever turn
+    from true to false as the run goes on (a budget being used up);
+    rejections are not evaluations. ``evaluations`` counts the calls of
+    ``gain_fn``, ``passes`` the bound passes and ``beyond_first`` the
+    evaluations that followed another in their round.
 
-    ``upper()``, when given, replaces the heap and ``bounds``: it returns, as
-    an array, an upper bound on the current gain of every candidate, in
-    ascending id order, 0.0 only where the gain is exactly 0.0. Each round
-    takes one such pass and walks the pool by decreasing bound, lowest id
-    first among equal bounds, calling ``gain_fn`` until no candidate left can
-    beat the best exact gain so far: its bound is lower, or equal with a
-    higher id. A bound of 0.0 is taken as the exact gain, since gains are
-    never negative, so a round whose gains are all 0 takes the lowest
-    feasible id unevaluated. ``passes`` counts the bound passes and
-    ``beyond_first`` the evaluations that followed another in their round.
-
-    ``best()`` takes the round's pick out of the pool. ``extend(count)``
-    takes picks until the run holds ``count`` steps, ``full()`` turns true
-    or the pool runs dry, and passes each to ``take(item, gain)``, which
-    commits it to the run's oracle (and whatever other state the run keeps)
-    and returns its :class:`TraceStep`. A pick depends only on the picks
-    before it, never on where the run will stop, so the first i ``steps``
-    are those of a run stopped after i picks.
+    ``best()`` takes the round's pick out of the pool. ``extend(count, stop)``
+    takes picks until the run holds ``count`` steps, ``stop()`` turns true
+    (a budget filled) or the pool runs dry, and passes each to
+    ``take(item, gain)``, which commits it to the run's oracle (and whatever
+    other state the run keeps) and returns its :class:`TraceStep`. A pick
+    depends only on the picks before it, never on where the run will stop,
+    so the first i ``steps`` are those of a run stopped after i picks.
     """
 
-    def __init__(self, candidates, gain_fn, bounds=None, feasible=lambda c: True, slack=0.0,
-                 take=None, full=lambda: False, upper=None):
+    def __init__(self, candidates, gain_fn, upper, feasible=lambda c: True, take=None):
         self._gain = gain_fn
-        self._feasible = feasible
-        self._slack = slack
-        self._take = take
         self._upper = upper
-        self.full = full
+        self._feasible = feasible
+        self._take = take
         self.rounds = self.evaluations = self.passes = self.beyond_first = 0
         self.steps: list[TraceStep] = []
-        order = sorted(set(candidates))
-        if upper is None:
-            self._heap = [(-g, c, 1) for g, c in zip(bounds(order).tolist(), order)]
-            heapq.heapify(self._heap)
-        else:
-            # the pool as positions in ``order``
-            self._order, self._left = order, np.arange(len(order))
+        # the pool: the candidates of ``order`` whose flag in ``left`` is set
+        self._order = sorted(set(candidates))
+        self._left = np.ones(len(self._order), dtype=bool)
+        self._size = len(self._order)
 
     def __len__(self):
-        return len(self._heap) if self._upper is None else len(self._left)
+        return self._size
 
     def best(self):
         """Take the best feasible candidate: its (candidate, gain), or None if there is none."""
         self.rounds += 1
-        if self._upper is not None:
-            return self._best_bounded()
-        heap = self._heap
-        while heap:
-            neg_g, c, tag = heap[0]
-            if not self._feasible(c):
-                heapq.heappop(heap)
-            elif tag != self.rounds:
-                self.evaluations += 1
-                heapq.heapreplace(heap, (-self._gain(c), c, self.rounds))
-            elif not (self._slack and self._refresh(-neg_g)):
-                heapq.heappop(heap)
-                return c, -neg_g
-        return None
-
-    def _best_bounded(self):
-        """``best()`` from one pass of ``upper`` over the pool."""
-        left = self._left
-        if not len(left):
+        if not self._size:
             return None
-        bound = self._upper()[left]
+        # a candidate out of the pool bounds -inf, so the walk reaches it last
+        bound = np.where(self._left, self._upper(), -math.inf)
         self.passes += 1
         best, best_g, gone, evaluated = None, -math.inf, [], 0
         for at, b in _by_bound(bound):
-            c = self._order[left[at]]
-            if b < best_g or (b == best_g and c > best):
+            c = self._order[at]
+            if b == -math.inf or b < best_g or (b == best_g and c > best):
                 break  # neither it nor anything after it can win
             if not self._feasible(c):
                 gone.append(at)
@@ -236,51 +194,40 @@ class GreedySelector:
         self.beyond_first += max(evaluated - 1, 0)
         if best is not None:
             gone.append(best_at)
-        self._left = np.delete(left, gone)
+        for at in gone:
+            self._left[at] = False
+        self._size -= len(gone)
         return None if best is None else (best, best_g)
 
-    def _refresh(self, g) -> bool:
-        """Re-evaluate the stale entries within slack of ``g``, dropping those
-        ``feasible`` rejects; whether there were any."""
-        heap, stale, todo = self._heap, [], [0]
-        while todo:  # the entries at least g - slack form a subtree at the root
-            i = todo.pop()
-            if i < len(heap) and -heap[i][0] + self._slack >= g:
-                if heap[i][2] != self.rounds:
-                    stale.append(i)
-                todo += (2 * i + 1, 2 * i + 2)
-        # from the back, so that a rejected entry's slot takes the last entry,
-        # which is either done or not stale
-        for i in sorted(stale, reverse=True):
-            c = heap[i][1]
-            if self._feasible(c):
-                self.evaluations += 1
-                heap[i] = (-self._gain(c), c, self.rounds)
-            else:
-                heap[i] = heap[-1]
-                heap.pop()
-        if stale:
-            heapq.heapify(heap)
-        return bool(stale)
-
-    def extend(self, count) -> int:
-        """Pick until the run holds ``count`` steps (or stops); the gain evaluations spent."""
-        spent = self.evaluations
-        while len(self.steps) < count and not self.full() and (pick := self.best()) is not None:
+    def extend(self, count, stop=lambda: False):
+        """Pick until the run holds ``count`` steps, ``stop()`` turns true or the pool
+        runs dry."""
+        while len(self.steps) < count and not stop() and (pick := self.best()) is not None:
             self.steps.append(self._take(*pick))
-        return self.evaluations - spent
+
+
+def _extend(run, count, what, stop=lambda: False) -> int:
+    """``run.extend(count, stop)``, logged as one DEBUG record of what it took
+    under the name ``what``; the gain evaluations it spent."""
+    before = run.rounds, run.passes, run.evaluations, run.beyond_first
+    run.extend(count, stop)
+    spent = [now - then for now, then in
+             zip((run.rounds, run.passes, run.evaluations, run.beyond_first), before)]
+    log.debug("%s run: %d rounds, %d bound passes, %d exact gains, "
+              "%d confirmed beyond the first", what, *spent)
+    return spent[2]
 
 
 def _by_bound(bound):
     """``(position, bound)`` pairs by decreasing bound, lowest position first among
-    equal bounds; bounds are never ``-inf``.
+    equal bounds; writes over ``bound``.
 
     A walk mostly stops after a pair or two, so the first eight pairs come
     from repeated argmax (the first maximum is the lowest position) and only
-    a walk that reads past them sorts the rest.
+    a walk that reads past them sorts the rest (the pairs taken are ``-inf``
+    by then, so they sort last and are cut off).
     """
     first = 8
-    bound = bound.copy()
     for _ in range(min(first, len(bound))):
         at = int(bound.argmax())
         yield at, float(bound[at])
@@ -359,8 +306,8 @@ def _shared(runs, name, build, key=None):
 
 
 def _m_run(graph, k, cb, per_weight=False):
-    """``m_greedy``'s run: gains and their upper bounds from a TopKOracle, each pick
-    booked in a ``_Room`` of ``cb``."""
+    """``m_greedy``'s run, its gains and their upper bounds from a TopKOracle, and
+    the ``_Room`` of ``cb`` that books each pick."""
     oracle = TopKOracle(graph, k)
     room = _Room(graph, cb)
     if per_weight:
@@ -382,19 +329,8 @@ def _m_run(graph, k, cb, per_weight=False):
         oracle.commit(vid)
         return TraceStep("vertex", vid, oracle.value - before, oracle.value)
 
-    return GreedySelector(list(graph.vertex_columns[0]), score, feasible=room.fits, take=take,
-                          full=room.full, upper=upper)
-
-
-def _m_extend(run, count, k) -> int:
-    """``run.extend(count)``, logged as one DEBUG record of what it took."""
-    before = run.rounds, run.passes, run.evaluations, run.beyond_first
-    run.extend(count)
-    spent = [now - then for now, then in
-             zip((run.rounds, run.passes, run.evaluations, run.beyond_first), before)]
-    log.debug("m-greedy run (k=%d): %d rounds, %d bound passes, %d exact gains, "
-              "%d confirmed beyond the first", k, *spent)
-    return spent[2]
+    return GreedySelector(list(graph.vertex_columns[0]), score, upper, feasible=room.fits,
+                          take=take), room
 
 
 def m_greedy(graph, k, cb, objective, runs=None):
@@ -431,16 +367,16 @@ def m_greedy(graph, k, cb, objective, runs=None):
 
     if isinstance(cb, TotalUniform):
         # a run that no cardinality stops; this cell is its first b picks
-        run = _shared(runs, "m-greedy", lambda: _m_run(graph, k, TotalUniform(n)), key=k)
-        evaluations = _m_extend(run, cb.b, k)
+        run, room = _shared(runs, "m-greedy", lambda: _m_run(graph, k, TotalUniform(n)), key=k)
+        evaluations = _extend(run, cb.b, f"m-greedy (k={k})", room.full)
         steps = run.steps[: cb.b]
         # every vertex was picked and the budget could still afford more
         return planned(steps, evaluations, len(steps) == n < cb.b)
 
     def arm(per_weight):
-        run = _m_run(graph, k, cb, per_weight)
-        evaluations = _m_extend(run, n, k)
-        return planned(run.steps, evaluations, len(run.steps) == n and not run.full())
+        run, room = _m_run(graph, k, cb, per_weight)
+        evaluations = _extend(run, n, f"m-greedy (k={k})", room.full)
+        return planned(run.steps, evaluations, len(run.steps) == n and not room.full())
 
     if not isinstance(cb, TotalNonuniform):
         return arm(per_weight=False)
@@ -496,20 +432,21 @@ def _witness_cover(graph, selected_edges):
     return cover
 
 
-def _edge_run(oracle, candidates, phase):
-    """Edge greedy over ``candidates`` on ``oracle``, its steps marked ``phase``."""
+def _edge_run(graph, oracle, candidates, phase):
+    """Edge greedy over ``candidates`` on ``oracle``, its steps marked ``phase``.
+
+    Its bounds are the oracle's one-edge gains, exact, so each pick confirms
+    one gain.
+    """
+    order = sorted(candidates)
+    rows = np.fromiter(map(graph.edge_row, order), np.intp, len(order))
 
     def take(eid, g):
         oracle.commit((eid,))
         return TraceStep(phase, eid, g, oracle.value)
 
-    return GreedySelector(
-        candidates,
-        lambda eid: oracle.gain((eid,)),
-        lambda eids: oracle.gains([(eid,) for eid in eids]),
-        slack=oracle.gain_slack,
-        take=take,
-    )
+    return GreedySelector(order, lambda eid: oracle.gain((eid,)),
+                          lambda: oracle.edge_gains(rows), take=take)
 
 
 def _achieved(steps) -> float:
@@ -545,9 +482,9 @@ def e_greedy(graph, k, cb, objective, runs=None):
     run = _shared(
         runs,
         "e-greedy",
-        lambda: _edge_run(objective.oracle(), list(graph.edge_columns[0]), "phase1"),
+        lambda: _edge_run(graph, objective.oracle(), graph.edge_columns[0], "phase1"),
     )
-    evaluations = run.extend(rounds)
+    evaluations = _extend(run, rounds, "e-greedy phase1")
     steps = run.steps[:rounds]
     exhausted = len(steps) < rounds  # the pool ran dry first
     selected = [s.item for s in steps]
@@ -556,8 +493,8 @@ def e_greedy(graph, k, cb, objective, runs=None):
 
     if k > b:
         oracle = _replayed(objective, selected)
-        phase2 = _edge_run(oracle, graph.edges_incident(cover) - set(selected), "phase2")
-        evaluations += phase2.extend(k - b)
+        phase2 = _edge_run(graph, oracle, graph.edges_incident(cover) - set(selected), "phase2")
+        evaluations += _extend(phase2, k - b, "e-greedy phase2")
         steps += phase2.steps
         selected += [s.item for s in phase2.steps]
 
@@ -569,10 +506,40 @@ def e_greedy(graph, k, cb, objective, runs=None):
 
 
 def _vertex_run(graph, objective):
-    """``v_greedy``'s run, which no budget stops, and the sorted new edges of each pick."""
+    """``v_greedy``'s run, which no budget stops, the edges its picks cover, and
+    the sorted new edges of each pick.
+
+    A vertex's gain is that of its live edges, the incident ones no pick
+    covers yet, and by submodularity it is at most the sum of their one-edge
+    gains, Δ(X|S) ≤ Σ_{e∈X} Δ(e|S). Each round's bound is that sum for
+    every vertex, one segmented sum of the oracle's ``edge_gains`` over the
+    graph's flat incidences with a covered edge counting 0, widened by
+    ``TopKOracle``'s allowance (L + 2)·2⁻⁵² for L = its degree, which covers
+    the sum's rounding and the gain's, plus the oracle's ``gain_slack``
+    wherever a live edge is left, which covers what rounding can lift a set's
+    gain above its edges'. A vertex with no live edge gets exactly 0.0, its
+    exact gain.
+    """
     oracle = objective.oracle()
     covered: set[int] = set()
     news: list[list[int]] = []
+    ids, _, _ = graph.index_arrays()
+    starts, flat = graph.ranked_incidences()
+    degree = np.diff(starts)
+    touched = degree > 0
+    heads = starts[:-1][touched]  # where each nonempty segment begins
+    widen = 1.0 + (degree[touched] + 2) * 2.0**-52
+    by_id = np.lexsort((ids,))  # the vertex rows in id order
+    rows = np.arange(graph.num_edges)
+    live = np.ones(graph.num_edges, dtype=bool)  # by edge row
+
+    def upper():
+        bound = np.zeros(len(ids))
+        terms = np.where(live, oracle.edge_gains(rows), 0.0)[flat]
+        bound[touched] = np.add.reduceat(terms, heads) * widen
+        if oracle.gain_slack:
+            bound[touched] += oracle.gain_slack * np.logical_or.reduceat(live[flat], heads)
+        return bound[by_id]
 
     def new_edges(vid):
         return graph.edges_incident((vid,)) - covered
@@ -581,16 +548,12 @@ def _vertex_run(graph, objective):
         new = new_edges(vid)
         news.append(sorted(new))
         covered.update(new)
+        live[list(map(graph.edge_row, new))] = False
         oracle.commit(new)
         return TraceStep("vertex", vid, g, oracle.value)
 
-    return GreedySelector(
-        list(graph.vertex_columns[0]),
-        lambda vid: oracle.gain(new_edges(vid)),
-        lambda vids: oracle.gains([new_edges(vid) for vid in vids]),
-        slack=oracle.gain_slack,
-        take=take,
-    ), news
+    return GreedySelector(list(graph.vertex_columns[0]), lambda vid: oracle.gain(new_edges(vid)),
+                          upper, take=take), covered, news
 
 
 def v_greedy(graph, k, cb, objective, runs=None):
@@ -603,14 +566,12 @@ def v_greedy(graph, k, cb, objective, runs=None):
     _require_tu(cb, "v_greedy")
     if k < 0:
         raise ValueError("k must be non-negative")
-    run, news = _shared(runs, "v-greedy", lambda: _vertex_run(graph, objective))
-    evaluations = picks = covered = 0
-    # stop at b picks, a dry pool, or the first pick whose new edges would pass k
-    while picks < cb.b:
-        evaluations += run.extend(picks + 1)
-        if len(run.steps) == picks or covered + len(news[picks]) > k:
-            break
-        covered += len(news[picks])
+    run, covered, news = _shared(runs, "v-greedy", lambda: _vertex_run(graph, objective))
+    # the run reaches b picks, a dry pool, or a pick whose new edges pass k
+    evaluations = _extend(run, cb.b, "v-greedy", stop=lambda: len(covered) > k)
+    picks = count = 0
+    while picks < min(cb.b, len(news)) and count + len(news[picks]) <= k:
+        count += len(news[picks])
         picks += 1
     steps = run.steps[:picks]
     edge_order = [eid for new in news[:picks] for eid in new]

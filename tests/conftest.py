@@ -43,13 +43,13 @@ def time_limit(seconds):
 
 class EagerSelector(planners.GreedySelector):
     """Reference argmax for ``planners.GreedySelector``, which it replaces only in
-    its heap: every round evaluates every feasible candidate left, in id order,
-    and takes the first maximum out of the pool. It trusts no stale gain, so it
-    has no use for ``bounds`` or ``slack``; ``extend`` and ``steps`` are the
-    shipped run's."""
+    its rounds: every round evaluates every feasible candidate left, in id
+    order, and takes the first maximum out of the pool. It trusts no bound, so
+    it has no use for ``upper``; ``extend`` and ``steps`` are the shipped
+    run's."""
 
-    def __init__(self, candidates, gain_fn, bounds=None, **run):
-        super().__init__((), gain_fn, lambda order: np.zeros(0), **run)
+    def __init__(self, candidates, gain_fn, upper=None, **run):
+        super().__init__((), gain_fn, upper, **run)
         self._pool = sorted(set(candidates))
 
     def __len__(self):

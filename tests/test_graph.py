@@ -332,6 +332,30 @@ class TestEdgesIncident:
                 union |= demo_graph.edges_incident([v])
             assert demo_graph.edges_incident(sel) == union
 
+    @staticmethod
+    def assert_incident_is_the_record_loop(g):
+        want = reference_incident(g)
+        got = g._incident
+        assert list(got.items()) == list(want.items())  # keys in the same order too
+        assert all(type(eid) is int for eids in got.values() for eid in eids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=exchange_records())
+    def test_incident_is_the_record_loop_on_any_records(self, records):
+        # repeated ids, unknown endpoints and self-loops included
+        self.assert_incident_is_the_record_loop(ExchangeGraph(*records))
+
+    @pytest.mark.parametrize("robots, per_robot, density",
+                             [(2, 1, 1.0), (3, 7, 0.5), (2, 128, 0.01), (5, 60, 0.05)])
+    def test_incident_is_the_record_loop_on_shuffled_graphs(self, robots, per_robot, density):
+        # edges in random row order, so that edge order is not id order, and
+        # up to 300 vertices, past the 8-bit rows of the radix sort
+        rng = np.random.default_rng(per_robot)
+        g = generate_exchange_graph(GenSpec(num_robots=robots, vertices_per_robot=per_robot,
+                                            edge_density=density, seed=per_robot))
+        edges = [g.edges[i] for i in rng.permutation(g.num_edges)]
+        self.assert_incident_is_the_record_loop(ExchangeGraph(g.num_robots, g.vertices, edges))
+
 
 class TestIndexArrays:
     def test_ends_index_the_vertex_order_not_the_ids(self):

@@ -3,7 +3,8 @@
 The shipped ``GreedySelector`` is lazy; conftest's ``EagerSelector`` evaluates
 every candidate every round. Instances are drawn small, with probabilities,
 broadcast costs and pose weights from short lists so that gains tie often and
-the lowest-id tie rule is exercised.
+the lowest-id tie rule is exercised. The upper bounds of vertex greedy, which
+make it lazy, are checked against the exact gains round by round.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from loopselect import (
     TreeConnObjective,
     e_greedy,
     m_greedy,
+    planners,
     s_greedy,
     v_greedy,
 )
@@ -87,6 +90,17 @@ def test_modular_planners_match_eager(data, regime):
             assert_same_choices(planner, graph, k, cb, objective)
 
 
+def pose_graph_for(draw, graph, seed):
+    """A random connected pose graph binding each edge of ``graph`` to a pose pair."""
+    base = random_connected_pose_graph(np.random.default_rng(seed))
+    d = base.num_poses
+    pose_pair = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)
+    candidates = {
+        e.id: (*draw(pose_pair), draw(st.sampled_from([0.5, 1.0, 2.0]))) for e in graph.edges
+    }
+    return PoseGraph(num_poses=d, base_edges=base.base_edges, candidate_map=candidates)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -95,56 +109,12 @@ def test_modular_planners_match_eager(data, regime):
 )
 def test_logdet_planners_match_eager(data, seed, kind):
     graph = data.draw(exchange_graphs())
-    base = random_connected_pose_graph(np.random.default_rng(seed))
-    d = base.num_poses
-    pose_pair = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)
-    candidates = {
-        e.id: (*data.draw(pose_pair), data.draw(st.sampled_from([0.5, 1.0, 2.0])))
-        for e in graph.edges
-    }
-    pose_graph = PoseGraph(num_poses=d, base_edges=base.base_edges, candidate_map=candidates)
+    pose_graph = pose_graph_for(data.draw, graph, seed)
     cb = budget(data.draw, graph, "tu")
     k = data.draw(st.integers(0, graph.num_edges + 1))
     objective = kind(graph, pose_graph)
     for planner in (e_greedy, v_greedy, s_greedy):
         assert_same_choices(planner, graph, k, cb, objective)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), slack=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-def test_selector_with_feasibility_and_slack_matches_eager(data, slack):
-    # gains fall round by round in tie-prone steps; a candidate stops fitting
-    # once the picks have spent too much of the budget
-    n = data.draw(st.integers(1, 8))
-    drops = st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
-    gains = [
-        list(itertools.accumulate(data.draw(drops), operator.sub,
-                                  initial=data.draw(st.sampled_from([1.0, 2.0, 3.0]))))
-        for _ in range(n)
-    ]
-    cost = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n))
-    budget = data.draw(st.integers(0, sum(cost)))
-
-    def bounds(cs):  # exact: each candidate's first gain
-        return np.array([gains[c][0] for c in cs])
-
-    def run(selector):
-        picks, spent = [], 0
-
-        def fits(c):
-            return cost[c] <= budget - spent
-
-        sel = selector(range(n), lambda c: gains[c][len(picks)], bounds, feasible=fits,
-                       slack=slack)
-        while (pick := sel.best()) is not None:
-            picks.append(pick)
-            spent += cost[pick[0]]
-        return picks, sel.evaluations
-
-    picks, evaluations = run(GreedySelector)
-    want, want_evaluations = run(EagerSelector)
-    assert picks == want
-    assert evaluations <= want_evaluations
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,3 +154,51 @@ def test_selector_with_upper_bounds_matches_eager(data):
     want, want_evaluations = run(EagerSelector)
     assert picks == want
     assert evaluations <= want_evaluations
+
+
+def assert_vertex_bounds_hold(graph, objective):
+    """At every round of ``v_greedy``'s run, each vertex's bound is at least its
+    exact gain, and 0.0 only where that gain is 0.0."""
+    run, _, _ = planners._vertex_run(graph, objective)
+    while True:
+        for vid, bound in enumerate(run._upper().tolist()):
+            gain = run._gain(vid)
+            assert bound >= gain, (len(run.steps), vid, bound, gain)
+            assert bound > 0.0 or gain == 0.0, (len(run.steps), vid, gain)
+        picks = len(run.steps)
+        run.extend(picks + 1)
+        if len(run.steps) == picks:
+            return
+
+
+@pytest.mark.parametrize("kind", [ModularObjective, TreeConnObjective, DCritObjective])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_vertex_bounds_are_upper_bounds_every_round(kind, data, seed):
+    graph = data.draw(exchange_graphs())
+    if kind is ModularObjective:
+        objective = kind(graph)
+    else:
+        objective = kind(graph, pose_graph_for(data.draw, graph, seed))
+    assert_vertex_bounds_hold(graph, objective)
+
+
+def test_vertex_bound_covers_the_rounding_of_its_float_sum():
+    # vertex 0's probabilities add up to 1.2999999999999998 in floats, in
+    # any order, below its gain, the fsum 1.3: the (L + 2)·2⁻⁵² allowance
+    # lifts the bound over it
+    ps = [0.95, 0.2, 0.15]
+    graph = make_graph(2, [0, 1, 1, 1], [(0, 1), (0, 2), (0, 3)], ps)
+    assert all((a + b) + c < math.fsum(ps) for a, b, c in itertools.permutations(ps))
+    assert_vertex_bounds_hold(graph, ModularObjective(graph))
+
+
+def test_vertex_bound_covers_a_log_det_set_gain_above_its_edges():
+    # vertex 3's two edges of weight 1e12 glue poses 1 and 2; then vertex 1's
+    # edge on (1, 2) has a quadratic form that cancels to a few ulps of P0,
+    # and the set gain of vertex 1's two live edges exceeds the sum of their
+    # one-edge gains by about 1.1e-10, which only gain_slack covers
+    graph = make_graph(2, [0, 1, 0, 1], [(0, 1), (0, 3), (1, 2), (2, 3)], [1.0] * 4)
+    candidates = {0: (0, 1, 1.0), 1: (1, 2, 1e12), 2: (1, 2, 1e6), 3: (1, 2, 1e12)}
+    pose_graph = PoseGraph(3, ((0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)), candidates)
+    assert_vertex_bounds_hold(graph, TreeConnObjective(graph, pose_graph))

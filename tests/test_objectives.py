@@ -952,14 +952,20 @@ class TestAchievedFromOracle:
                     assert abs(plan.achieved_value - dense) <= 1e-9 * max(1.0, abs(dense))
 
 
-class TestBatchGains:
-    """``gains`` against one ``gain`` call per candidate: the values the lazy heap starts from."""
+class TestEdgeGains:
+    """``edge_gains`` against one ``gain`` call per edge: the bounds edge greedy walks."""
+
+    @staticmethod
+    def assert_edge_gains_are_gains(graph, oracle):
+        rest = [e.id for e in graph.edges if e.id not in oracle._committed]
+        rows = np.array([graph.edge_row(eid) for eid in rest], dtype=np.intp)
+        got = oracle.edge_gains(rows).tolist()
+        assert [g.hex() for g in got] == [oracle.gain((eid,)).hex() for eid in rest]
+        assert min(got, default=0.0) >= 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(instance=logdet_instances(), data=st.data())
-    def test_logdet_batch_is_gain_bit_for_bit_after_commits(self, instance, data):
-        # one-edge sets, sets of several new edges as a vertex has them, every
-        # new edge at once (also with each id twice) and the empty set, with
+    def test_logdet_edge_gains_are_gain_bit_for_bit_after_commits(self, instance, data):
         # repeated pose pairs and zero-probability edges among them
         graph, pg, prior = instance
         eids = [e.id for e in graph.edges]
@@ -968,19 +974,33 @@ class TestBatchGains:
             oracle = obj.oracle()
             order = data.draw(st.permutations(eids))
             while True:
-                rest = [e for e in eids if e not in oracle._committed]
-                sets = [(e,) for e in rest] + [(), tuple(rest), tuple(rest) * 2]
-                if rest:
-                    sets += data.draw(st.lists(
-                        st.sets(st.sampled_from(rest), min_size=1), max_size=6))
-                batch = oracle.gains(sets).tolist()
-                assert [g.hex() for g in batch] == [oracle.gain(X).hex() for X in sets]
-                assert min(batch) >= 0.0
+                self.assert_edge_gains_are_gains(graph, oracle)
                 if not order:
                     break
                 size = data.draw(st.integers(1, min(3, len(order))))
                 oracle.commit(order[:size])
                 order = order[size:]
+
+    @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
+    def test_logdet_edge_gains_are_gain_bit_for_bit_at_5x40(self, kind):
+        spec = GenSpec(num_robots=5, vertices_per_robot=40, num_edges=300, seed=1)
+        graph = generate_exchange_graph(spec)
+        pg = generate_pose_graph(spec, graph)
+        obj = TreeConnObjective(graph, pg) if kind == "treeconn" else DCritObjective(graph, pg)
+        oracle = obj.oracle()
+        for commit in ((), (0,), (7, 11, 150), tuple(range(20, 40))):
+            oracle.commit(commit)
+            self.assert_edge_gains_are_gains(graph, oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=topk_runs())
+    def test_modular_edge_gains_are_gain_bit_for_bit(self, instance):
+        graph, _, order = instance
+        oracle = ModularObjective(graph).oracle()
+        for vid in [None, *order]:
+            if vid is not None:
+                oracle.commit(graph.edges_incident((vid,)) - oracle._committed)
+            self.assert_edge_gains_are_gains(graph, oracle)
 
     @pytest.mark.parametrize("kind", ["treeconn", "dcrit"])
     def test_tiny_multi_edge_gain_keeps_its_relative_precision(self, kind):
@@ -997,51 +1017,11 @@ class TestBatchGains:
         sets = [sorted(graph.edges_incident((v.id,)) - {0, 7}) for v in graph.vertices]
         sets = [X for X in sets if len(X) >= 2]
         assert sets
-        for X, g in zip(sets, oracle.gains(sets).tolist()):
-            assert g.hex() == oracle.gain(X).hex()
+        for X in sets:
+            g = oracle.gain(X)
             parts = math.fsum(oracle.gain((eid,)) for eid in X)
             assert 0.0 < parts < 1e-15
             assert abs(g - parts) <= 1e-9 * parts, (X, g, parts)
-
-    def test_logdet_batch_rejects_what_gain_rejects(self):
-        graph, pg, _, _ = random_treeconn_instance(4)
-        oracle = TreeConnObjective(graph, pg).oracle()
-        oracle.commit((0,))
-        with pytest.raises(ValueError, match="already committed"):
-            oracle.gains([(1,), (0,)])
-        with pytest.raises(ValueError, match="unknown edge id"):
-            oracle.gains([(graph.num_edges,)])
-        assert oracle.gains([]).shape == (0,)
-
-    @settings(max_examples=150, deadline=None)
-    @given(instance=topk_runs(), data=st.data())
-    def test_modular_batch_is_gain_bit_for_bit(self, instance, data):
-        graph, _, order = instance
-        oracle = ModularObjective(graph).oracle()
-        for vid in [None, *order]:
-            if vid is not None:
-                oracle.commit(graph.edges_incident((vid,)) - oracle._committed)
-            rest = [e.id for e in graph.edges if e.id not in oracle._committed]
-            sets = [(e,) for e in rest] + [
-                graph.edges_incident((v,)) - oracle._committed for v in range(graph.num_vertices)
-            ]
-            batch = oracle.gains(sets).tolist()
-            assert [g.hex() for g in batch] == [oracle.gain(X).hex() for X in sets]
-
-    @settings(max_examples=150, deadline=None)
-    @given(instance=topk_runs(), k=st.integers(0, 16))
-    def test_topk_batch_is_gain_bit_for_bit_after_commits(self, instance, k):
-        graph, _, order = instance
-        oracle = TopKOracle(graph, k)
-        vids = list(range(graph.num_vertices))
-        for vid in [None, *order]:
-            if vid is not None:
-                oracle.commit(vid)
-            batch = oracle.gains(vids).tolist()
-            assert [g.hex() for g in batch] == [oracle.gain(v).hex() for v in vids]
-        assert oracle.gains([]).shape == (0,)
-        with pytest.raises(ValueError, match="unknown vertex"):
-            oracle.gains([graph.num_vertices])
 
 
 class TestLinalg:

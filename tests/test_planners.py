@@ -100,11 +100,11 @@ class TestGreedySelector:
                 return False
             return True
 
-        def bounds(cs):
-            return np.array([gains[c] for c in cs])
+        def upper():  # exact
+            return np.array([gains[c] for c in sorted(gains)])
 
         selector = GreedySelector if lazy else EagerSelector
-        sel = selector(gains, gains.__getitem__, bounds, feasible=fits)
+        sel = selector(gains, gains.__getitem__, upper, feasible=fits)
         picks = []
         while (pick := sel.best()) is not None:
             c, g = pick
@@ -116,51 +116,8 @@ class TestGreedySelector:
         assert len(sel) == 0
         assert asked_after_rejection == []
         # rejections are not evaluations: eager scans 6, then 3 affordable;
-        # lazy takes its first pick off the exact bounds and then re-evaluates
-        # only the candidate it takes
-        assert sel.evaluations == (1 if lazy else 9)
-        assert not lazy or sel.evaluations < 7  # an unseeded heap scanned all 6 first
-
-    @pytest.mark.parametrize("committed", [0, 5])
-    @pytest.mark.parametrize("kind, unit", [
-        ("modular", "edge"), ("modular", "vertex"), ("topk", "vertex"),
-        ("treeconn", "edge"), ("treeconn", "vertex"), ("dcrit", "edge"), ("dcrit", "vertex"),
-        ("dcrit-prior", "edge"), ("dcrit-prior", "vertex"),
-    ])
-    def test_exact_seed_takes_the_first_pick_unevaluated(self, kind, unit, committed):
-        # every oracle's gains is bit for bit its gain at the state the selector
-        # is built in, so the first round trusts the batch: no call of gain
-        graph, pg = instance_5x40(1)
-        prior = pg.base_laplacian_reduced() + np.eye(pg.num_poses - 1)
-        oracle = {
-            "modular": lambda: ModularObjective(graph).oracle(),
-            "topk": lambda: objectives.TopKOracle(graph, 20),
-            "treeconn": lambda: TreeConnObjective(graph, pg).oracle(),
-            "dcrit": lambda: DCritObjective(graph, pg).oracle(),
-            "dcrit-prior": lambda: DCritObjective(graph, pg, prior=prior).oracle(),
-        }[kind]()
-        slack = getattr(oracle, "gain_slack", 0.0)  # m_greedy passes TopKOracle none
-
-        def candidate(c):  # what the oracle scores for candidate c
-            if kind == "topk":
-                return c
-            return (c,) if unit == "edge" else graph.edges_incident((c,)) - oracle._committed
-
-        for c in range(committed):
-            oracle.commit(candidate(c))
-        ids = [u.id for u in (graph.edges if unit == "edge" else graph.vertices)][committed:]
-
-        def gain(c):
-            return oracle.gain(candidate(c))
-
-        def gains(cs):
-            return oracle.gains([candidate(c) for c in cs])
-
-        lazy = GreedySelector(ids, gain, gains, slack=slack)
-        want = EagerSelector(ids, gain, gains, slack=slack).best()
-        assert lazy.best() == want
-        assert lazy.evaluations == 0
-
+        # with exact bounds each round confirms only the candidate it takes
+        assert sel.evaluations == (2 if lazy else 9)
 
     def test_upper_bounds_are_confirmed_until_none_can_win(self):
         gains = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0, 4: 0.0, 5: 0.0}
@@ -196,6 +153,51 @@ class TestGreedySelector:
         rejected = GreedySelector([2, 1, 0], gain, feasible=lambda c: c != 0,
                                   upper=lambda: np.zeros(3))
         assert rejected.best() == (1, 0.0) and rejected.evaluations == 0 and len(rejected) == 1
+
+    @pytest.mark.parametrize("committed", [0, 5])
+    @pytest.mark.parametrize("kind, unit", [
+        ("modular", "edge"), ("modular", "vertex"), ("topk", "vertex"),
+        ("treeconn", "edge"), ("treeconn", "vertex"), ("dcrit", "edge"), ("dcrit", "vertex"),
+        ("dcrit-prior", "edge"), ("dcrit-prior", "vertex"),
+    ])
+    def test_a_planner_run_picks_what_a_full_scan_picks(self, kind, unit, committed):
+        # every planner run's bound pass bounds every gain of its pool, 0.0
+        # only where a gain is, so its next pick is the full scan's; the
+        # edge runs' bounds are their exact gains, so they confirm one gain
+        graph, pg = instance_5x40(1)
+        prior = pg.base_laplacian_reduced() + np.eye(pg.num_poses - 1)
+        objective = {
+            "modular": lambda: ModularObjective(graph),
+            "topk": lambda: None,
+            "treeconn": lambda: TreeConnObjective(graph, pg),
+            "dcrit": lambda: DCritObjective(graph, pg),
+            "dcrit-prior": lambda: DCritObjective(graph, pg, prior=prior),
+        }[kind]()
+        if kind == "topk":
+            run, _ = planners._m_run(graph, 20, TotalUniform(graph.num_vertices))
+        elif unit == "edge":
+            run = planners._edge_run(graph, objective.oracle(), graph.edge_columns[0], "phase1")
+        else:
+            run, _, _ = planners._vertex_run(graph, objective)
+        run.extend(committed)
+        assert len(run.steps) == committed
+        taken = {s.item for s in run.steps}
+        ids = [u.id for u in (graph.edges if unit == "edge" else graph.vertices)]
+        pool = [c for c in ids if c not in taken]
+
+        gains = {c: run._gain(c) for c in pool}
+        bound = dict(zip(sorted(ids), run._upper().tolist()))
+        for c, g in gains.items():
+            assert g <= bound[c], (c, g, bound[c])
+            assert bound[c] > 0.0 or g == 0.0, (c, g, bound[c])
+
+        want = EagerSelector(pool, gains.__getitem__).best()
+        before = run.evaluations
+        assert run.best() == want
+        if unit == "edge":
+            assert run.evaluations - before == (1 if want[1] > 0.0 else 0)
+        else:
+            assert run.evaluations - before <= len(pool)
 
 
 class TestRoom:
@@ -654,10 +656,9 @@ class TestLazyMode:
         obj = ModularObjective(demo_graph)
         _, trace = e_greedy(demo_graph, 3, TotalUniform(3), obj)
         m = demo_graph.num_edges
-        # the seeded bounds are the exact gains, so the first round evaluates
-        # nothing and every later one only the candidate it takes; a heap that
-        # started unseeded scanned all m
-        assert trace.evaluations == 2 < m + (3 - 1)
+        # the bounds are the exact one-edge gains, so each round evaluates only
+        # the candidate it takes, where a full scan evaluates the whole pool
+        assert trace.evaluations == 3 < m + (m - 1) + (m - 2)
 
     def test_lazy_matches_eager_for_m_greedy(self):
         # a gain taken as a difference of two rounded g values can grow by an
@@ -718,10 +719,11 @@ class TestLazyMode:
         obj = ModularObjective(graph)
         for k in (40, 20):
             _, trace = m_greedy(graph, k, TotalUniform(20), obj)
-            # (k, rounds, bound passes, exact gains, gains confirmed beyond the first)
+            # (run, rounds, bound passes, exact gains, gains confirmed beyond the first)
             (record,) = [r for r in caplog.records if r.name == "loopselect.planners"]
             assert record.levelno == logging.DEBUG
-            assert record.args == (k, 20, 20, trace.evaluations, trace.evaluations - 20)
+            assert record.args == (f"m-greedy (k={k})", 20, 20, trace.evaluations,
+                                   trace.evaluations - 20)
             caplog.clear()
         assert trace.evaluations == 28
         costed = make_graph(
@@ -731,6 +733,39 @@ class TestLazyMode:
         counts = [r.args[3] for r in caplog.records if r.name == "loopselect.planners"]
         assert counts == [trace.children["plain"].evaluations,
                           trace.children["cost-benefit"].evaluations]
+
+    @pytest.mark.parametrize("kind", ["modular", "treeconn"])
+    def test_e_greedy_logs_one_debug_record_per_run(self, caplog, kind):
+        caplog.set_level(logging.DEBUG, logger="loopselect.planners")
+        graph, pg = instance_5x40(1)
+        obj = ModularObjective(graph) if kind == "modular" else TreeConnObjective(graph, pg)
+        _, trace = e_greedy(graph, 15, TotalUniform(10), obj)
+        records = [r for r in caplog.records if r.name == "loopselect.planners"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        # exact bounds: each round confirms the one gain it takes
+        assert [r.args for r in records] == [("e-greedy phase1", 10, 10, 10, 0),
+                                             ("e-greedy phase2", 5, 5, 5, 0)]
+        assert trace.evaluations == 15
+
+    @pytest.mark.parametrize("kind", ["modular", "treeconn"])
+    def test_v_greedy_logs_one_debug_record_per_run(self, caplog, kind):
+        caplog.set_level(logging.DEBUG, logger="loopselect.planners")
+        graph, pg = instance_5x40(1)
+        obj = ModularObjective(graph) if kind == "modular" else TreeConnObjective(graph, pg)
+        runs = {}
+        _, trace = v_greedy(graph, 20, TotalUniform(10), obj, runs)
+        run = runs["v-greedy"][1][0]
+        (record,) = [r for r in caplog.records if r.name == "loopselect.planners"]
+        assert record.levelno == logging.DEBUG
+        # one call, many rounds: one record for all of them
+        assert record.args == ("v-greedy", len(run.steps), len(run.steps), trace.evaluations,
+                               run.beyond_first)
+        assert len(run.steps) > 1 and trace.evaluations == run.evaluations
+        caplog.clear()
+        # a cell the shared run already covers extends it by nothing
+        _, trace = v_greedy(graph, 10, TotalUniform(10), obj, runs)
+        (record,) = [r for r in caplog.records if r.name == "loopselect.planners"]
+        assert record.args == ("v-greedy", 0, 0, 0, 0) and trace.evaluations == 0
 
     def test_m_greedy_makes_no_record_below_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="loopselect")
