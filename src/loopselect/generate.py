@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, ExchangeGraph, Vertex
+from .graph import Edge, ExchangeGraph, GroundTruth, Vertex
 from .objectives import PoseGraph
 
 __all__ = [
@@ -55,16 +55,6 @@ class GenSpec:
             raise ValueError("set edge_density or num_edges")
         if self.edge_density is not None and not 0.0 <= self.edge_density <= 1.0:
             raise ValueError("edge_density must be within [0, 1]")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Realized truth of every candidate edge (independent Bernoulli draws)."""
-
-    realized: tuple[bool, ...]
-
-    def true_count(self, edge_ids) -> int:
-        return sum(1 for eid in edge_ids if self.realized[eid])
 
 
 def generate_exchange_graph(spec: GenSpec) -> ExchangeGraph:

@@ -13,7 +13,9 @@ vertex selection plus an ordered edge selection covered by it.
 
 An ``ExchangeGraph`` stores its records as columns, one tuple per field;
 the ``Vertex`` and ``Edge`` records, the lookups by id and the index arrays
-of the numpy planners are derived from them at first use.
+of the numpy planners are derived from them at first use. ``GroundTruth``,
+one draw of which candidates are true, sits here beside ``Plan``, so that the
+parsers read and write it without importing the generator.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "Edge",
     "ExchangeGraph",
     "Plan",
+    "GroundTruth",
     "TotalUniform",
     "TotalNonuniform",
     "IndividualUniform",
@@ -72,6 +75,16 @@ class Plan:
     vertices: tuple[int, ...] = ()
     edges: tuple[int, ...] = ()
     achieved_value: float = 0.0
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Realized truth of every candidate edge (independent Bernoulli draws)."""
+
+    realized: tuple[bool, ...]
+
+    def true_count(self, edge_ids) -> int:
+        return sum(1 for eid in edge_ids if self.realized[eid])
 
 
 def within_limit(weights, limit) -> bool:

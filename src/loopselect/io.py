@@ -48,8 +48,7 @@ import math
 import operator
 
 from .errors import ParseError
-from .generate import GroundTruth
-from .graph import ExchangeGraph
+from .graph import ExchangeGraph, GroundTruth
 from .objectives import PoseGraph
 
 __all__ = [

@@ -512,13 +512,13 @@ def _vertex_run(graph, objective):
     A vertex's gain is that of its live edges, the incident ones no pick
     covers yet, and by submodularity it is at most the sum of their one-edge
     gains, Δ(X|S) ≤ Σ_{e∈X} Δ(e|S). Each round's bound is that sum for
-    every vertex, one segmented sum of the oracle's ``edge_gains`` over the
-    graph's flat incidences with a covered edge counting 0, widened by
-    ``TopKOracle``'s allowance (L + 2)·2⁻⁵² for L = its degree, which covers
-    the sum's rounding and the gain's, plus the oracle's ``gain_slack``
-    wherever a live edge is left, which covers what rounding can lift a set's
-    gain above its edges'. A vertex with no live edge gets exactly 0.0, its
-    exact gain.
+    every vertex, one segmented sum over the graph's flat incidences of the
+    oracle's ``edge_gains`` on the live edges, a covered edge counting 0,
+    widened by ``TopKOracle``'s allowance (L + 2)·2⁻⁵² for L = its degree,
+    which covers the sum's rounding and the gain's, plus the oracle's
+    ``gain_slack`` wherever a live edge is left, which covers what rounding
+    can lift a set's gain above its edges'. A vertex with no live edge gets
+    exactly 0.0, its exact gain.
     """
     oracle = objective.oracle()
     covered: set[int] = set()
@@ -530,13 +530,13 @@ def _vertex_run(graph, objective):
     heads = starts[:-1][touched]  # where each nonempty segment begins
     widen = 1.0 + (degree[touched] + 2) * 2.0**-52
     by_id = np.lexsort((ids,))  # the vertex rows in id order
-    rows = np.arange(graph.num_edges)
     live = np.ones(graph.num_edges, dtype=bool)  # by edge row
 
     def upper():
         bound = np.zeros(len(ids))
-        terms = np.where(live, oracle.edge_gains(rows), 0.0)[flat]
-        bound[touched] = np.add.reduceat(terms, heads) * widen
+        gains = np.zeros(graph.num_edges)  # a covered edge counts 0
+        gains[live] = oracle.edge_gains(np.flatnonzero(live))
+        bound[touched] = np.add.reduceat(gains[flat], heads) * widen
         if oracle.gain_slack:
             bound[touched] += oracle.gain_slack * np.logical_or.reduceat(live[flat], heads)
         return bound[by_id]

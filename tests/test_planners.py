@@ -845,6 +845,48 @@ class TestGoldenPlans:
         assert {arm: tr.evaluations for arm, tr in trace.children.items()} == case["evaluations"]
         assert plan.achieved_value == pytest.approx(case["achieved_value"], rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"],
+        ids=lambda c: f"{c['objective']}-seed{c['seed']}-k{c['k']}",
+    )
+    def test_live_row_bound_passes_match_full_row_passes(self, case, monkeypatch):
+        graph, pg = instance_5x40(case["seed"])
+        obj = LOGDET_OBJECTIVES[case["objective"]](graph, pg)
+        passes = check_live_row_passes(monkeypatch, graph.num_edges)
+        plan, _ = s_greedy(graph, case["k"], TotalUniform(case["b"]), obj)
+        assert list(plan.edges) == case["edges"]
+        assert passes and min(passes) < graph.num_edges  # some pass skipped a covered row
+
+    def test_live_row_bound_passes_match_full_row_passes_at_10x200(self, monkeypatch):
+        graph = instance_10x200()
+        spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)
+        obj = TreeConnObjective(graph, generate_pose_graph(spec, graph))
+        passes = check_live_row_passes(monkeypatch, graph.num_edges)
+        s_greedy(graph, 40, TotalUniform(20), obj)
+        assert passes and min(passes) < graph.num_edges
+
+
+def check_live_row_passes(monkeypatch, num_edges):
+    """Make every log-det ``edge_gains`` pass also run over all edge rows, and
+    check that scattering its gains into zeros gives, bit for bit, the full
+    pass with every other row zeroed. Returns each pass's row count."""
+    edge_gains = objectives._LogDetOracle.edge_gains
+    passes = []
+
+    def checked(oracle, rows):
+        got = edge_gains(oracle, rows)
+        live = np.zeros(num_edges, dtype=bool)
+        live[rows] = True
+        scattered = np.zeros(num_edges)
+        scattered[rows] = got
+        full = np.where(live, edge_gains(oracle, np.arange(num_edges)), 0.0)
+        assert scattered.tobytes() == full.tobytes()
+        passes.append(len(rows))
+        return got
+
+    monkeypatch.setattr(objectives._LogDetOracle, "edge_gains", checked)
+    return passes
+
 
 @functools.lru_cache(maxsize=None)
 def instance_10x200():
