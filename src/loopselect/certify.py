@@ -31,7 +31,7 @@ from .errors import EnumerationGuardError, InstanceTooLargeError
 from .graph import WEIGHT_TOL, Plan, within_limit
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
-from .simplex import dual_bound, simplex_max
+from .simplex import Nonzeros, dual_bound, simplex_max
 
 __all__ = [
     "brute_force_opt",
@@ -44,7 +44,7 @@ __all__ = [
 
 ENUM_GUARD = 2**20   # max feasible vertex subsets / inner enumerations
 NODE_GUARD = 2**10   # max branched nodes of the ILP's branch and bound
-LP_GUARD = 2**24     # max floats of a dense LP: A and its simplex tableau together (128 MiB)
+LP_GUARD = 2**24     # max floats of an LP's dense simplex tableau, all a solve holds (128 MiB)
 VALUE_TIE_TOL = 1e-12
 
 
@@ -185,7 +185,9 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     or above the LP optimum however early the pivot loop stopped. What does
     not depend on k, the budget or the fixings comes from
     ``graph.index_arrays()``, built once per graph; each call places only its
-    block rows, fixings and right-hand side.
+    block rows, fixings and right-hand side. A goes to the simplex and to
+    ``dual_bound`` as its nonzeros, and the simplex scatters them straight
+    into its tableau, so no dense A is built.
     """
     ids, ends, p = graph.index_arrays()
     block_of, weight, limits = graph.budget_blocks(cb)
@@ -209,7 +211,7 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     nvar = nf + m
     nb = len(limits)
     rows = nb + 1 + m
-    if rows * nvar + (rows + 1) * (nvar + rows + 1) > LP_GUARD:
+    if (rows + 1) * (nvar + rows + 1) > LP_GUARD:
         raise InstanceTooLargeError(f"instance too large: a {rows}x{nvar} dense LP")
 
     # rows: one weighted pi row per block, sum ell <= k, then ell_e <= pi_u + pi_v
@@ -226,14 +228,12 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
         r.append(link[mask])
         cl.append(cols[mask])
         v.append(np.full(np.count_nonzero(mask), -1.0))
-    entries = tuple(map(np.concatenate, (r, cl, v)))
-    A = np.zeros((rows, nvar))
-    A[entries[:2]] = entries[2]
+    A = Nonzeros(*map(np.concatenate, (r, cl, v)), (rows, nvar))
     rhs = np.concatenate([room, [float(k)], held[ends].sum(axis=0, dtype=float)])
     c = np.concatenate([np.zeros(nf), p])
     x, _, y = simplex_max(c, A, rhs)
     pi = dict(zip(ids[free].tolist(), x[:nf].tolist()))
-    return pi, dual_bound(c, entries, rhs, y)
+    return pi, dual_bound(c, A, rhs, y)
 
 
 def lp_upper_bound_modular(graph, k, cb) -> float:

@@ -312,18 +312,24 @@ class ExchangeGraph:
 
         ``edges[starts[i]:starts[i + 1]]`` holds the incident edges of
         ``vertices[i]`` as indices into ``edges``, by descending probability,
-        ties to the lower edge id. Sorted once per graph, at the first call,
-        by one ``np.lexsort`` over :meth:`index_arrays`. The arrays are
-        read-only.
+        ties to the lower edge id. Sorted once per graph, at the first call:
+        one ``np.lexsort`` ranks the edges, then one stable ``argsort`` of
+        their incidences, in rank order, groups them by owner. The owners are
+        the narrowest unsigned integers that hold them, which numpy sorts by
+        radix up to 16 bits. The arrays are read-only.
         """
         if self._ranked is None:
             ids, ends, p = self.index_arrays()
-            m = self.num_edges
-            eids = np.array(self.edge_columns[0], dtype=np.int64)
-            # each edge once per endpoint, a self-loop once
-            edges = np.concatenate((np.arange(m), np.flatnonzero(ends[0] != ends[1])))
-            owner = np.concatenate((ends[0], ends[1, edges[m:]]))
-            edges = edges[np.lexsort((eids[edges], -p[edges], owner))]
+            rank = np.lexsort((np.array(self.edge_columns[0], dtype=np.int64), -p))
+            # each ranked edge once per endpoint, side by side; a self-loop once
+            edges = np.repeat(rank, 2)
+            owner = ends[:, rank].T.ravel()
+            if np.any(ends[0] == ends[1]):
+                keep = np.ones(len(edges), dtype=bool)
+                keep[1::2] = ends[0, rank] != ends[1, rank]
+                edges, owner = edges[keep], owner[keep]
+            narrow = np.min_scalar_type(max(len(ids) - 1, 0))
+            edges = edges[np.argsort(owner.astype(narrow), kind="stable")]
             starts = np.zeros(len(ids) + 1, dtype=np.intp)
             np.cumsum(np.bincount(owner, minlength=len(ids)), out=starts[1:])
             for array in (starts, edges):

@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 DEFAULT_PRIOR_EPS = 1e-6  # diagonal regularization making the default prior PD
+GAIN_BLOCK = 1024  # edge rows per _set_gains call of a log-det edge_gains pass
 
 
 @dataclass(frozen=True)
@@ -338,9 +339,17 @@ class _LogDetOracle:
 
     def edge_gains(self, rows) -> np.ndarray:
         """The one-edge gain of each edge row in ``rows``, bit for bit what
-        :meth:`gain` gives the uncommitted ones: :func:`_set_gains`'s r = 1."""
-        I, J, s = (col[rows, None] for col in self._ijs)
-        return np.array(_set_gains(self._P0, self._U[:, : self._m], I, J, s))
+        :meth:`gain` gives the uncommitted ones: :func:`_set_gains`'s r = 1.
+
+        The rows go in blocks of ``GAIN_BLOCK``, so the gathered rows of U
+        hold at most ``GAIN_BLOCK`` × |S| floats however many edges are live;
+        :func:`_set_gains` is elementwise, so the blocks change no bit."""
+        U = self._U[:, : self._m]
+        out = np.empty(len(rows))
+        for lo in range(0, len(rows), GAIN_BLOCK):
+            I, J, s = (col[rows[lo:lo + GAIN_BLOCK], None] for col in self._ijs)
+            out[lo:lo + GAIN_BLOCK] = _set_gains(self._P0, U, I, J, s)
+        return out
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)

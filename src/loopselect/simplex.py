@@ -2,15 +2,21 @@
 
 ``simplex_max`` solves ``max cᵀx  s.t.  A x <= b, 0 <= x <= 1`` with
 ``b >= 0``: every certification variable is an indicator, so the box is part
-of the contract, not a row of A. The slack basis with every variable at 0 is
-feasible from the start. A nonbasic variable sits at 0 or at 1; one at 1 is
-kept complemented (x' = 1 - x: its column negated, the right-hand side moved
-by the column), so the tableau always reads as if every nonbasic variable
-were 0 (Dantzig, 1955, "Upper bounds, secondary constraints, and block
-triangularity in linear programming"). A step therefore ends in one of three
-ways: the entering variable reaches its own other bound first, which is a
-bound flip and needs no pivot; a basic variable falls to 0; or a basic
-indicator rises to 1 and leaves complemented. A boxed LP is never unbounded.
+of the contract, not a row of A. A is given by its nonzeros, a
+:class:`Nonzeros` that carries its shape, and the solver scatters them
+straight into its dense tableau: no (m, n) array is ever built, so a solve
+holds the tableau and nothing of its size besides. ``dual_bound`` reads the
+same object, so an LP is described once.
+
+The slack basis with every variable at 0 is feasible from the start. A
+nonbasic variable sits at 0 or at 1; one at 1 is kept complemented
+(x' = 1 - x: its column negated, the right-hand side moved by the column), so the
+tableau always reads as if every nonbasic variable were 0 (Dantzig, 1955,
+"Upper bounds, secondary constraints, and block triangularity in linear
+programming"). A step therefore ends in one of three ways: the entering
+variable reaches its own other bound first, which is a bound flip and needs
+no pivot; a basic variable falls to 0; or a basic indicator rises to 1 and
+leaves complemented. A boxed LP is never unbounded.
 
 The entering column is the most negative reduced cost (Dantzig's rule), which
 takes far fewer pivots than Bland's lowest-index rule on the certification
@@ -49,10 +55,11 @@ from __future__ import annotations
 
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["simplex_max", "dual_bound"]
+__all__ = ["Nonzeros", "simplex_max", "dual_bound"]
 
 PIVOT_TOL = 1e-9
 STALL = 50  # consecutive degenerate pivots before Bland's entering rule
@@ -60,22 +67,36 @@ STALL = 50  # consecutive degenerate pivots before Bland's entering rule
 log = logging.getLogger(__name__)
 
 
+class Nonzeros(NamedTuple):
+    """An (m, n) matrix A as its nonzeros: ``A[rows[t], cols[t]] = vals[t]``, each
+    position at most once, every other entry 0. ``shape`` is ``(m, n)``, so
+    ``np.shape`` reads it as it would a dense A's."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+
 def simplex_max(c, A, b):
     """Return ``(x, value, y)`` maximizing cᵀx over Ax <= b, 0 <= x <= 1 (b >= 0).
 
-    ``y >= 0`` holds one dual per row of A, the optimal ones up to the
-    stopping tolerance; ``dual_bound(c, ..., b, y)`` is a sound upper bound.
+    ``A`` is a :class:`Nonzeros`. ``y >= 0`` holds one dual per row of A, the
+    optimal ones up to the stopping tolerance; ``dual_bound(c, A, b, y)`` is a
+    sound upper bound.
     """
-    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    c, b = (np.asarray(v, dtype=float) for v in (c, b))
+    rows, cols = np.asarray(A.rows), np.asarray(A.cols)
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
+    outside = len(rows) and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n)
+    if b.shape != (m,) or c.shape != (n,) or outside:
         raise ValueError("inconsistent LP dimensions")
     if np.any(b < -PIVOT_TOL):
         raise ValueError("right-hand side must be non-negative")
 
     # tableau: columns = structural vars, slacks, rhs; last row = objective
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
+    T[rows, cols] = A.vals
     T[np.arange(m), np.arange(n, n + m)] = 1.0
     T[:m, -1] = b
     T[-1, :n] = -c
@@ -193,10 +214,10 @@ def _down(x, err):
     return np.where((err < 0) | np.isnan(err), np.nextafter(x, -np.inf), x)
 
 
-def dual_bound(c, entries, b, y) -> float:
+def dual_bound(c, A, b, y) -> float:
     """An upper bound on max cᵀx over Ax <= b, 0 <= x <= 1, from the row duals ``y``.
 
-    ``entries = (rows, cols, vals)`` lists the nonzeros of A. By weak duality
+    ``A`` is a :class:`Nonzeros`, the one ``simplex_max`` reads. By weak duality
     any y >= 0 (negative entries count as 0) with w = max(0, c - Aᵀy) is
     dual feasible, so bᵀy + Σ_j max(0, c_j - (Aᵀy)_j) bounds the LP, however
     far y is from optimal. The evaluation rounds outward: each product and
@@ -212,7 +233,7 @@ def dual_bound(c, entries, b, y) -> float:
     """
     c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
     y = np.maximum(np.asarray(y, dtype=float), 0.0)
-    rows, cols, vals = (np.asarray(v) for v in entries)
+    rows, cols, vals = (np.asarray(v) for v in (A.rows, A.cols, A.vals))
     live = y[rows] > 0  # a zero dual adds exactly nothing
     rows, cols, vals = rows[live], cols[live], vals[live].astype(float)
     # Aᵀy rounded down: the products, then each column's summed in turn;

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -399,17 +400,32 @@ class TestILP:
         with pytest.raises(InstanceTooLargeError, match="dense LP"):
             ilp_opt_modular(graph, 40, TotalUniform(20))
 
-    def test_dense_lp_guard_counts_the_matrix_and_the_tableau(self, monkeypatch):
+    def test_dense_lp_guard_counts_the_tableau(self, monkeypatch):
         # 3x5/30: one block row, the k row and 30 link rows over 15 + 30 columns;
-        # the solve holds A (32 x 45) and the tableau beside it (33 x 78)
+        # A stays its nonzeros, so the solve holds only the tableau (33 x 78)
         graph = generate_exchange_graph(
             GenSpec(num_robots=3, vertices_per_robot=5, num_edges=30, seed=0))
-        both = 32 * 45 + 33 * 78
-        monkeypatch.setattr(certify, "LP_GUARD", both)
+        tableau = 33 * 78
+        monkeypatch.setattr(certify, "LP_GUARD", tableau)
         assert lp_upper_bound_modular(graph, 4, TotalUniform(2)) > 0
-        monkeypatch.setattr(certify, "LP_GUARD", both - 1)
+        monkeypatch.setattr(certify, "LP_GUARD", tableau - 1)
         with pytest.raises(InstanceTooLargeError, match="a 32x45 dense LP"):
             lp_upper_bound_modular(graph, 4, TotalUniform(2))
+
+    @pytest.mark.parametrize("b, k", [(4, 30), (8, 20), (12, 10)])
+    def test_an_lp_holds_little_beyond_its_tableau(self, b, k):
+        # 6x30/400, the benchmark's shape: a 403 x 983 tableau of 3.02 MiB; a
+        # dense 402 x 580 A beside it would add 1.78 MiB, a ratio near 1.8
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=1))
+        lp_upper_bound_modular(graph, k, TotalUniform(b))  # the graph's own caches
+        tracemalloc.start()
+        try:
+            lp_upper_bound_modular(graph, k, TotalUniform(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 403 * 983 * 8
 
     def test_slack_budgets_take_all(self, demo_graph):
         total = sum(e.p for e in demo_graph.edges)

@@ -221,6 +221,20 @@ def _arrays_or_error(method):
         return str(err)
 
 
+def reference_ranked(g):
+    """``ranked_incidences`` by one three-key ``np.lexsort`` over every incidence:
+    owner, then descending probability, then edge id."""
+    ids, ends, p = g.index_arrays()
+    m = len(p)
+    eids = np.array(g.edge_columns[0], dtype=np.int64)
+    edges = np.concatenate((np.arange(m), np.flatnonzero(ends[0] != ends[1])))
+    owner = np.concatenate((ends[0], ends[1, edges[m:]]))
+    edges = edges[np.lexsort((eids[edges], -p[edges], owner))]
+    starts = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=len(ids)), out=starts[1:])
+    return starts, edges
+
+
 @st.composite
 def exchange_records(draw):
     """Vertex and edge records of a graph, valid or not: repeated ids and gaps,
@@ -267,6 +281,16 @@ class TestColumns:
         for method in ("index_arrays", "ranked_incidences"):
             assert (_arrays_or_error(getattr(by_columns, method))
                     == _arrays_or_error(getattr(by_records, method)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(records=exchange_records())
+    @example(records=(2, [Vertex(0, 0), Vertex(1, 1), Vertex(2, 0)],
+                      [Edge(3, 0, 1, 0.5), Edge(1, 1, 1, 0.5), Edge(2, 2, 1, 0.5), Edge(0, 1, 0, 0.25)]))
+    def test_ranked_incidences_match_one_sort_of_every_incidence(self, records):
+        # self-loops, ties in probability and edge ids out of order included
+        g = ExchangeGraph(*records)
+        assert (_arrays_or_error(g.ranked_incidences)
+                == _arrays_or_error(lambda: reference_ranked(ExchangeGraph(*records))))
 
     def test_columns_are_stored_and_records_derived(self):
         g = ExchangeGraph.from_columns(2, ([0, 1], [0, 1], [1.0, 2.5]), ([0], [0], [1], [0.25]))

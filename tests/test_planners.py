@@ -857,6 +857,33 @@ class TestGoldenPlans:
         assert list(plan.edges) == case["edges"]
         assert passes and min(passes) < graph.num_edges  # some pass skipped a covered row
 
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"],
+        ids=lambda c: f"{c['objective']}-seed{c['seed']}-k{c['k']}",
+    )
+    def test_tiny_gain_blocks_change_no_bound_and_no_plan(self, case, monkeypatch):
+        # every log-det bound pass runs in blocks of 3 rows and in one block of
+        # all its rows, bit for bit alike; the run walks the blocked gains
+        edge_gains = objectives._LogDetOracle.edge_gains
+        passes = []
+
+        def blocked(oracle, rows):
+            monkeypatch.setattr(objectives, "GAIN_BLOCK", len(rows) + 1)
+            whole = edge_gains(oracle, rows)
+            monkeypatch.setattr(objectives, "GAIN_BLOCK", 3)
+            got = edge_gains(oracle, rows)
+            assert got.tobytes() == whole.tobytes()
+            passes.append(len(rows))
+            return got
+
+        monkeypatch.setattr(objectives._LogDetOracle, "edge_gains", blocked)
+        graph, pg = instance_5x40(case["seed"])
+        obj = LOGDET_OBJECTIVES[case["objective"]](graph, pg)
+        plan, trace = s_greedy(graph, case["k"], TotalUniform(case["b"]), obj)
+        assert (list(plan.vertices), list(plan.edges)) == (case["vertices"], case["edges"])
+        assert {arm: tr.evaluations for arm, tr in trace.children.items()} == case["evaluations"]
+        assert max(passes) > 3
+
     def test_live_row_bound_passes_match_full_row_passes_at_10x200(self, monkeypatch):
         graph = instance_10x200()
         spec = GenSpec(num_robots=10, vertices_per_robot=200, num_edges=5000, seed=0)

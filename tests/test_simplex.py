@@ -1,5 +1,6 @@
 """Direct tests of the dense boxed simplex and its dual bound, with scipy's HiGHS as an
-independent oracle.
+independent oracle. Both take A as its nonzeros: ``entries_of`` turns the dense A
+that HiGHS reads into that form.
 
 scipy is a test-only dependency: the package itself must never import it, which
 the last test checks in a fresh interpreter.
@@ -26,7 +27,7 @@ from loopselect import (
     generate_exchange_graph, ilp_opt_modular, lp_upper_bound_modular, simplex,
 )
 from loopselect.certify import _modular_lp
-from loopselect.simplex import dual_bound, simplex_max
+from loopselect.simplex import Nonzeros, dual_bound, simplex_max
 
 from conftest import time_limit
 
@@ -84,25 +85,29 @@ def benchmark_graph(seed):
 
 
 def entries_of(A):
-    """The nonzeros of a dense A as ``dual_bound`` reads them."""
+    """The nonzeros of a dense A as ``simplex_max`` and ``dual_bound`` read them."""
+    A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
-    return rows, cols, np.asarray(A, dtype=float)[rows, cols]
+    return Nonzeros(rows, cols, A[rows, cols], A.shape)
 
 
 def assert_optimal_point(c, A, b, x, value):
+    """``x`` is in the box, meets the rows of A (a :class:`Nonzeros`) and is worth ``value``."""
     assert np.all(x >= -1e-9) and np.all(x <= 1 + 1e-9)
-    assert np.all(np.asarray(A) @ x <= np.asarray(b) + 1e-9)
+    Ax = np.bincount(A.rows, weights=A.vals * x[A.cols], minlength=A.shape[0])
+    assert np.all(Ax <= np.asarray(b) + 1e-9)
     assert float(np.dot(c, x)) == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
 def assert_agrees_with_highs(c, A, b):
+    entries = entries_of(A)
     with time_limit(10):
-        x, value, y = simplex_max(c, A, b)
+        x, value, y = simplex_max(c, entries, b)
     want = highs_max(c, A, b)
     assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
-    assert_optimal_point(c, A, b, x, value)
+    assert_optimal_point(c, entries, b, x, value)
     assert np.all(y >= 0) and y.shape == (len(b),)
-    assert dual_bound(c, entries_of(A), b, y) == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert dual_bound(c, entries, b, y) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestTermination:
@@ -110,26 +115,37 @@ class TestTermination:
         # Beale (1955): Dantzig's rule with lowest-index ties cycles here
         c, A, b = BEALE
         with time_limit(10):
-            x, value, _ = simplex_max(c, A, b)
+            x, value, _ = simplex_max(c, entries_of(A), b)
         assert value == pytest.approx(1.25, abs=1e-12)
-        assert_optimal_point(c, A, b, x, value)
+        assert_optimal_point(c, entries_of(A), b, x, value)
 
     def test_unbounded_without_the_box_returns_the_box_vertex(self):
         # unbounded over x >= 0; the box stops it at (1, 1), HiGHS's value 2
         c, A, b = [1.0, 1.0], [[1.0, -1.0]], [1.0]
         with time_limit(10):
-            x, value, y = simplex_max(c, A, b)
+            x, value, y = simplex_max(c, entries_of(A), b)
         assert list(x) == [1.0, 1.0]
         assert value == highs_max(c, A, b) == 2.0
         assert dual_bound(c, entries_of(A), b, y) == 2.0
 
     def test_negative_rhs_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
-            simplex_max([1.0], [[1.0], [-1.0]], [1.0, -0.5])
+            simplex_max([1.0], entries_of([[1.0], [-1.0]]), [1.0, -0.5])
 
     def test_inconsistent_dimensions_raise(self):
         with pytest.raises(ValueError, match="dimensions"):
-            simplex_max([1.0, 1.0], [[1.0]], [1.0])
+            simplex_max([1.0, 1.0], entries_of([[1.0]]), [1.0])
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_a_nonzero_outside_the_shape_raises(self, row, col):
+        # row 1 of a 1x2 A would land in the tableau's objective row, column 2 on a slack
+        A = Nonzeros(np.array([row]), np.array([col]), np.array([1.0]), (1, 2))
+        with pytest.raises(ValueError, match="dimensions"):
+            simplex_max([1.0, 1.0], A, [1.0])
+
+    def test_np_shape_reads_the_nonzeros_shape(self):
+        # tracing wrappers size an LP with np.shape(A), as they would a dense A
+        assert np.shape(entries_of(np.ones((3, 5)))) == (3, 5)
 
 
 class TestAgainstHighs:
@@ -163,6 +179,7 @@ class TestAgainstHighs:
         solved = []
 
         def keep(c, A, rhs):
+            assert isinstance(A, Nonzeros)
             x, value, y = simplex_max(c, A, rhs)
             solved.append((c, A, rhs, x))
             return x, value, y
@@ -194,7 +211,7 @@ class TestBlandFallback:
 
     def test_beale_terminates(self):
         with time_limit(10):
-            _, value, _ = simplex_max(*BEALE)
+            _, value, _ = simplex_max(BEALE[0], entries_of(BEALE[1]), BEALE[2])
         assert value == pytest.approx(1.25, abs=1e-12)
 
 
@@ -256,7 +273,7 @@ class TestDualBound:
     def test_any_dual_vector_bounds_the_optimum(self, seed):
         c, A, b = certification_form_lp(seed)
         rng = np.random.default_rng(seed)
-        _, _, y = simplex_max(c, A, b)
+        _, _, y = simplex_max(c, entries_of(A), b)
         for trial in (y, rng.uniform(-1.0, 2.0, size=len(b)), np.zeros(len(b))):
             bound = dual_bound(c, entries_of(A), b, trial)
             assert Fraction(bound) >= self.exact_bound(c, A, b, trial)
@@ -297,7 +314,7 @@ def test_golden_lps_take_the_pinned_pivots(caplog):
 
 def test_pivot_counts_make_no_record_below_debug(caplog):
     caplog.set_level(logging.INFO, logger="loopselect")
-    simplex_max(*BEALE)
+    simplex_max(BEALE[0], entries_of(BEALE[1]), BEALE[2])
     assert caplog.records == []
 
 
