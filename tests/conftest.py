@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import logging
 import math
 import signal
 
@@ -21,6 +22,9 @@ from loopselect import (
     planners,
 )
 from loopselect.graph import WEIGHT_TOL
+from loopselect.simplex import PIVOT_TOL, STALL
+
+log = logging.getLogger(__name__)
 
 COVER_GUARD = 25   # max distinct endpoints for the exact cover search
 
@@ -70,6 +74,102 @@ def eager(planner, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planners, "GreedySelector", EagerSelector)
         return planner(*args)
+
+
+def reference_simplex_max(c, A, b):
+    """The bounded-variable simplex as it stood before its pivot step was cut to
+    fewer array calls, kept verbatim as the reference ``simplex.simplex_max``
+    must match bit for bit: every pivot, x, value, y and the DEBUG record
+    (emitted here on this module's logger). It checks only the shapes and the
+    sign of b, and runs each rank-one update as one block. ``STALL`` and
+    ``PIVOT_TOL`` are imported into this module, so a test that changes
+    ``simplex.STALL`` must change this module's ``STALL`` too."""
+    c, b = (np.asarray(v, dtype=float) for v in (c, b))
+    rows, cols = np.asarray(A.rows), np.asarray(A.cols)
+    m, n = A.shape
+    outside = len(rows) and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n)
+    if b.shape != (m,) or c.shape != (n,) or outside:
+        raise ValueError("inconsistent LP dimensions")
+    if np.any(b < -PIVOT_TOL):
+        raise ValueError("right-hand side must be non-negative")
+
+    # tableau: columns = structural vars, slacks, rhs; last row = objective
+    T = np.zeros((m + 1, n + m + 1))
+    T[rows, cols] = A.vals
+    T[np.arange(m), np.arange(n, n + m)] = 1.0
+    T[:m, -1] = b
+    T[-1, :n] = -c
+    basis = list(range(n, n + m))
+    upper = np.zeros(n, dtype=bool)  # structural variables held complemented, at 1
+    reduced, rhs = T[-1, :-1], T[:, -1]  # views: track the objective row, rhs
+    flat, width = T.ravel(), n + m + 1
+    degenerate = pivots = degenerate_pivots = bland_pivots = flips = 0
+
+    while True:
+        if degenerate < STALL:  # Dantzig: most negative reduced cost
+            entering = int(reduced.argmin())
+            if reduced[entering] >= -PIVOT_TOL:
+                break
+        else:  # Bland: lowest index with improving cost
+            improving = np.flatnonzero(reduced < -PIVOT_TOL)
+            if improving.size == 0:
+                break
+            entering = int(improving[0])
+        nonzero = (T[:, entering] != 0).nonzero()[0]  # a mask scans faster than floats
+        col = T[nonzero, entering]
+        # the ratio test in Python floats over the column's nonzero rows but the
+        # last, the objective row: a basic variable falls to 0 (entry > 0) or a
+        # basic indicator rises to 1 (entry < 0); a basic slack has no upper
+        # bound, and an entry within PIVOT_TOL of 0 bounds nothing
+        rows = nonzero[:-1]
+        best, ratios = math.inf, []
+        for row, entry, at in zip(rows.tolist(), col.tolist(), rhs[rows].tolist()):
+            if entry > PIVOT_TOL:
+                ratio = at / entry
+            elif entry < -PIVOT_TOL and basis[row] < n:
+                ratio = (1.0 - at) / -entry
+            else:
+                continue
+            ratios.append((ratio, row, entry))
+            if ratio < best:
+                best = ratio
+
+        if best >= (1.0 if entering < n else math.inf):  # it reaches its other bound first
+            rhs[nonzero] -= col
+            T[nonzero, entering] = -col
+            upper[entering] = not upper[entering]
+            degenerate = 0
+            flips += 1
+            continue
+
+        # Bland: the lowest basis index among the ties
+        _, leaving, element = min((basis[row], row, entry) for ratio, row, entry in ratios
+                                  if ratio <= best + PIVOT_TOL)
+        pivots += 1
+        degenerate_pivots += best <= PIVOT_TOL
+        bland_pivots += degenerate >= STALL
+        degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+        if element < 0:  # the basic indicator leaves at 1: complement it
+            out = basis[leaving]
+            T[leaving, out] = -1.0
+            T[leaving, -1] -= 1.0
+            upper[out] = not upper[out]
+
+        cols = (T[leaving] != 0).nonzero()[0]
+        kept = T[leaving, cols] / element  # the pivot row, divided
+        # one rank-one update through the flat view; it spoils the pivot row,
+        # which is then rewritten (cheaper than a mask)
+        flat[nonzero[:, None] * width + cols] -= col[:, None] * kept
+        T[leaving, cols] = kept
+        basis[leaving] = entering
+
+    log.debug("simplex %dx%d: %d pivots (%d degenerate, %d by Bland's rule), %d bound flips",
+              m, n, pivots, degenerate_pivots, bland_pivots, flips)
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    x = x[:n]
+    x[upper] = 1.0 - x[upper]
+    return x, float(T[-1, -1]), np.maximum(T[-1, n:n + m], 0.0)
 
 
 @pytest.fixture

@@ -427,6 +427,21 @@ class TestILP:
             tracemalloc.stop()
         assert peak <= 1.25 * 403 * 983 * 8
 
+    def test_a_tall_update_runs_in_blocks(self):
+        # seed 1, b = 4, k = 30: its largest rank-one update is 24 column rows by
+        # the 582 entries of the k row, whose index, product and gathered copy
+        # took the peak to 1.20x the tableau in one block
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=6, vertices_per_robot=30, num_edges=400, seed=1))
+        lp_upper_bound_modular(graph, 30, TotalUniform(4))  # the graph's own caches
+        tracemalloc.start()
+        try:
+            lp_upper_bound_modular(graph, 30, TotalUniform(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * 403 * 983 * 8
+
     def test_slack_budgets_take_all(self, demo_graph):
         total = sum(e.p for e in demo_graph.edges)
         value = ilp_opt_modular(

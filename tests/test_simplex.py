@@ -6,6 +6,7 @@ scipy is a test-only dependency: the package itself must never import it, which
 the last test checks in a fresh interpreter.
 """
 
+import contextlib
 import functools
 import json
 import logging
@@ -29,7 +30,7 @@ from loopselect import (
 from loopselect.certify import _modular_lp
 from loopselect.simplex import Nonzeros, dual_bound, simplex_max
 
-from conftest import time_limit
+from conftest import reference_simplex_max, time_limit
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_lp_modular.json").read_text())
 GOLDEN_LP = GOLDEN["values"]
@@ -99,6 +100,41 @@ def assert_optimal_point(c, A, b, x, value):
     assert float(np.dot(c, x)) == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
+@contextlib.contextmanager
+def debug_args(*names):
+    """The args of every DEBUG record the named loggers emit inside the block, by logger."""
+    records = {name: [] for name in names}
+    handlers = []
+    for name in names:
+        handler = logging.Handler(logging.DEBUG)
+        handler.emit = lambda record, into=records[name]: into.append(record.args)
+        logger = logging.getLogger(name)
+        handlers.append((logger, handler, logger.level))
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        for logger, handler, level in handlers:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+
+
+def assert_runs_as_the_reference(c, A, b):
+    """``simplex_max`` and ``conftest.reference_simplex_max`` agree bit for bit: x,
+    value, y and the DEBUG record (pivots, degenerate, by Bland's rule, flips)."""
+    reference = reference_simplex_max.__module__
+    with debug_args("loopselect.simplex", reference) as records:
+        x, value, y = simplex_max(c, A, b)
+        want_x, want_value, want_y = reference_simplex_max(c, A, b)
+    assert x.tobytes() == want_x.tobytes()
+    assert value.hex() == want_value.hex()
+    assert y.tobytes() == want_y.tobytes()
+    assert len(records[reference]) == 1
+    assert records["loopselect.simplex"] == records[reference]
+    return records[reference][0]
+
+
 def assert_agrees_with_highs(c, A, b):
     entries = entries_of(A)
     with time_limit(10):
@@ -146,6 +182,111 @@ class TestTermination:
     def test_np_shape_reads_the_nonzeros_shape(self):
         # tracing wrappers size an LP with np.shape(A), as they would a dense A
         assert np.shape(entries_of(np.ones((3, 5)))) == (3, 5)
+
+
+class TestInputChecks:
+    """Each of these once gave a wrong answer, an unhelpful error or no answer at all."""
+
+    ONE_ROW = Nonzeros(np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]), (1, 2))
+
+    def test_a_nan_cost_raises_instead_of_hanging(self):
+        # argmin lands on the NaN, which no tolerance test stops: the loop never exited
+        with time_limit(3), pytest.raises(ValueError, match="finite"):
+            simplex_max(np.array([np.nan, 1.0]), self.ONE_ROW, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["c", "b", "A"])
+    def test_a_non_finite_coefficient_raises_in_both(self, where, bad):
+        # an infinite cost once came back as the value inf
+        c, b, vals = np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0])
+        {"c": c, "b": b, "A": vals}[where][0] = bad
+        A = self.ONE_ROW._replace(vals=vals)
+        with time_limit(3):
+            with pytest.raises(ValueError, match="finite"):
+                simplex_max(c, A, b)
+            with pytest.raises(ValueError, match="finite"):
+                dual_bound(c, A, b, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_dual_raises(self, bad):
+        # y = [nan] once came back as the "bound" nan, y = [inf] as fsum's "-inf + inf"
+        with time_limit(3), pytest.raises(ValueError, match="duals must be finite"):
+            dual_bound([1.0, 1.0], self.ONE_ROW, [1.0], [bad])
+
+    def test_a_dual_per_row(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            dual_bound([1.0, 1.0], self.ONE_ROW, [1.0], [1.0, 1.0])
+
+    def test_a_repeated_position_raises_in_both(self):
+        # (0, 0) twice as 0.5: the tableau kept one 0.5 (x = [1, 0.5], value 1.5),
+        # dual_bound summed both (bound 1.0) for the same object
+        A = Nonzeros(np.array([0, 0, 0]), np.array([0, 0, 1]), np.array([0.5, 0.5, 1.0]), (1, 2))
+        with time_limit(3):
+            with pytest.raises(ValueError, match="inconsistent LP"):
+                simplex_max([1.0, 1.0], A, [1.0])
+            with pytest.raises(ValueError, match="inconsistent LP"):
+                dual_bound([1.0, 1.0], A, [1.0], [1.0])
+
+    @pytest.mark.parametrize("short", ["rows", "cols", "vals"])
+    def test_nonzeros_of_unequal_lengths_raise_in_both(self, short):
+        # a length-1 vals once broadcast into the tableau; dual_bound raised IndexError
+        A = self.ONE_ROW._replace(**{short: getattr(self.ONE_ROW, short)[:1]})
+        with time_limit(3):
+            with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+                simplex_max([1.0, 1.0], A, [1.0])
+            with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+                dual_bound([1.0, 1.0], A, [1.0], [1.0])
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (0, 2), (-1, 0), (0, -1), (1, -2)])
+    def test_dual_bound_rejects_a_nonzero_outside_the_shape(self, row, col):
+        # (1, -2) lands on the flat position of (0, 0) in a 2-column A
+        A = Nonzeros(np.array([row]), np.array([col]), np.array([1.0]), (1, 2))
+        with pytest.raises(ValueError, match="dimensions"):
+            dual_bound([1.0, 1.0], A, [1.0], [1.0])
+
+
+class TestAgainstTheReference:
+    """``simplex_max`` against the kernel it replaced (``conftest``): the same IEEE
+    operations in fewer array calls, so every pivot and every bit agree."""
+
+    entry = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]),
+                      st.floats(-3.0, 3.0))
+    rhs = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_random_boxed_lps(self, data):
+        # zero right-hand sides make degenerate vertices and ratio ties; a short
+        # stall runs Bland's entering rule; a tiny block splits every update
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        A = np.array(data.draw(st.lists(st.lists(self.entry, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)))
+        c = data.draw(st.lists(self.entry, min_size=n, max_size=n))
+        b = data.draw(st.lists(self.rhs, min_size=m, max_size=m))
+        stall = data.draw(st.sampled_from([0, 1, 2, simplex.STALL]))
+        block = data.draw(st.sampled_from([1, 3, simplex.UPDATE_BLOCK]))
+        with pytest.MonkeyPatch.context() as mp, time_limit(10):
+            mp.setattr(simplex, "STALL", stall)
+            mp.setitem(reference_simplex_max.__globals__, "STALL", stall)
+            mp.setattr(simplex, "UPDATE_BLOCK", block)
+            assert_runs_as_the_reference(c, entries_of(A), b)
+
+    def test_beale_reaches_blands_rule(self):
+        # Dantzig's rule cycles on Beale's example until STALL sends it to Bland's
+        with time_limit(10):
+            record = assert_runs_as_the_reference(BEALE[0], entries_of(BEALE[1]), BEALE[2])
+        assert record[4] > 0
+
+    @pytest.mark.parametrize("b, k", [(4, 30), (12, 10)])
+    def test_tiny_update_blocks_change_no_bit(self, b, k, monkeypatch):
+        # seed 1, b = 4, k = 30 has a 24 x 582 update; one row per block splits it 24 ways
+        # against the reference, which runs every update as one block
+        solved = []
+        monkeypatch.setattr(certify, "simplex_max", lambda *lp: solved.append(lp) or simplex_max(*lp))
+        lp_upper_bound_modular(benchmark_graph(1), k, TotalUniform(b))
+        [lp] = solved
+        monkeypatch.setattr(simplex, "UPDATE_BLOCK", 1)
+        assert_runs_as_the_reference(*lp)
 
 
 class TestAgainstHighs:
