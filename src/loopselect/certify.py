@@ -31,7 +31,7 @@ from .errors import EnumerationGuardError, InstanceTooLargeError
 from .graph import WEIGHT_TOL, Plan, within_limit
 from .objectives import ModularObjective, g_modular
 from .planners import m_greedy
-from .simplex import Nonzeros, dual_bound, simplex_max
+from .simplex import Nonzeros, _dual_bound, simplex_max
 
 __all__ = [
     "brute_force_opt",
@@ -185,9 +185,10 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     or above the LP optimum however early the pivot loop stopped. What does
     not depend on k, the budget or the fixings comes from
     ``graph.index_arrays()``, built once per graph; each call places only its
-    block rows, fixings and right-hand side. A goes to the simplex and to
-    ``dual_bound`` as its nonzeros, and the simplex scatters them straight
-    into its tableau, so no dense A is built.
+    block rows, fixings and right-hand side. A goes to the simplex as its
+    nonzeros, which it checks and scatters straight into its tableau, so no
+    dense A is built; the bound reads the same arrays and checks only the
+    duals, so each LP is checked once.
     """
     ids, ends, p = graph.index_arrays()
     block_of, weight, limits = graph.budget_blocks(cb)
@@ -233,7 +234,8 @@ def _modular_lp(graph, k, cb, fixed0=frozenset(), fixed1=frozenset()):
     c = np.concatenate([np.zeros(nf), p])
     x, _, y = simplex_max(c, A, rhs)
     pi = dict(zip(ids[free].tolist(), x[:nf].tolist()))
-    return pi, dual_bound(c, A, rhs, y)
+    # simplex_max has checked this LP: the bound checks only its duals
+    return pi, _dual_bound(c, rhs, A.rows, A.cols, A.vals, y)
 
 
 def lp_upper_bound_modular(graph, k, cb) -> float:

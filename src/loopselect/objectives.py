@@ -5,7 +5,8 @@ Three normalized monotone objectives are provided:
 * ``ModularObjective`` — expected number of true matches, the sum of edge
   probabilities. Modular, so marginal gains are constants.
 * ``DCritObjective`` — expected log-determinant gain of an information matrix
-  over a positive-definite prior. Each candidate edge contributes a rank-one
+  over the prior M0, the base information plus ``DEFAULT_PRIOR_EPS`` on the
+  diagonal. Each candidate edge contributes a rank-one
   term ``p(e) * w_e * a_e a_eᵀ`` on the anchored pose space, where ``a_e`` is
   the incidence vector of the pose pair the edge constrains.
 * ``TreeConnObjective`` — log of the gain in the weighted number of spanning
@@ -26,7 +27,7 @@ for the picks it confirms. A log-det objective makes its base
 inverse once, at its first ``oracle()``, into a read-only P0 that every
 oracle shares: ``treeconn`` from a spanning tree of the base graph in O(d²)
 writes with no factorization (non-tree base edges folded in as low-rank
-columns), ``dcrit`` from the Cholesky factor of its prior. An oracle keeps its
+columns), ``dcrit`` from the Cholesky factor of its M0. An oracle keeps its
 committed edges as a low-rank factor U, so that its inverse is P0 − UUᵀ, and
 never writes P0. A one-edge gain ``log1p(s aᵀM⁻¹a)`` reads three entries of
 P0 less a squared row difference of U (none while U is empty), O(|S|)
@@ -41,14 +42,16 @@ is itself normalized, monotone, and submodular, which is what lets vertex
 greedy planners run on it directly. ``TopKOracle`` is its per-run state with
 ``gain(vid)``, ``commit(vid)`` and ``value``, in the same
 style as ``oracle()``, plus ``upper_bounds()``, one numpy pass that bounds
-every vertex's gain from above. It reads each vertex's incident keys from
-the graph's one flat array and skips the edges that committed vertices
-cover, so a gain walks only the keys that enter the top k plus one, and is
-``0.0`` after one comparison when none does.
+every vertex's gain from above. Its one top-k state is the ascending row t
+of the top k's values. With a vertex's uncovered probabilities q, read best
+first from the graph's one flat array, both compute Σ(qᵢ − tᵢ)⁺: ``gain``
+sums its positive terms exactly, with one ``math.fsum``, and
+``upper_bounds`` sums them in floats and widens the sum by its rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +68,7 @@ __all__ = [
     "TopKOracle",
 ]
 
-DEFAULT_PRIOR_EPS = 1e-6  # diagonal regularization making the default prior PD
+DEFAULT_PRIOR_EPS = 1e-6  # diagonal regularization that makes the dcrit prior PD
 GAIN_BLOCK = 1024  # edge rows per _set_gains call of a log-det edge_gains pass
 
 
@@ -106,16 +109,44 @@ class PoseGraph:
         if self.poses is not None and len(self.poses) != self.num_poses:
             yield None, "pose coordinate count does not match num_poses"
         n = self.num_poses
+        total = 0.0  # of the valid weights, in order
         for idx, (i, j, w) in enumerate(self.base_edges):
             if not (0 <= i < n and 0 <= j < n and i != j):
                 yield ("base", idx), f"base edge ({i},{j}) invalid"
             if not 0 < w < math.inf:
                 yield ("base", idx), f"base edge ({i},{j}) weight must be positive and finite"
+            else:
+                total += w
         for eid, (i, j, w) in self.candidate_map.items():
             if not (0 <= i < n and 0 <= j < n and i != j):
                 yield ("candidate", eid), f"candidate {eid}: pose pair ({i},{j}) invalid"
             if not 0 < w < math.inf:
                 yield ("candidate", eid), f"candidate {eid}: weight must be positive and finite"
+            else:
+                total += w
+        # float addition is monotone, so no pose's sum, over some of these
+        # weights in the same order, overflows unless this total does
+        if total == math.inf:
+            yield from self._overflow()
+
+    def _overflow(self):
+        """Yield the first base or candidate record, in the order :meth:`violations`
+        checks them, whose weight takes some pose's summed incident weight past
+        the float range: an entry of the log-det objectives' matrices would
+        overflow. A candidate counts at its full weight, since p ≤ 1."""
+        n, inf = self.num_poses, math.inf
+        summed = [0.0] * n  # each pose's incident weight so far
+        base = (("base", idx, edge) for idx, edge in enumerate(self.base_edges))
+        candidates = (("candidate", eid, edge) for eid, edge in self.candidate_map.items())
+        for kind, key, (i, j, w) in itertools.chain(base, candidates):
+            if 0 <= i < n and 0 <= j < n and i != j and 0 < w < inf:
+                summed[i] += w
+                summed[j] += w
+                if summed[i] == inf or summed[j] == inf:
+                    v = i if summed[i] == inf else j
+                    what = f"base edge ({i},{j})" if kind == "base" else f"candidate {key}:"
+                    yield (kind, key), f"{what} weight overflows pose {v}'s summed weight"
+                    return
 
     def require_bound(self, edge_ids):
         """Raise ValueError unless ``candidate_map`` binds every id in ``edge_ids``."""
@@ -524,34 +555,22 @@ class _RankOneLogDet:
 class DCritObjective(_RankOneLogDet):
     """Expected information gain in the D-optimality criterion.
 
-    The prior must be symmetric positive definite. By default it is the base
-    (odometry) information plus ``DEFAULT_PRIOR_EPS`` on the diagonal; pass
-    ``prior`` to supply the matrix explicitly (shape ``(num_poses - 1,) * 2``).
-    The constructor's factor M0 = LLᵀ, the only one, checks that and gives
-    logdet M0; the first :meth:`oracle` makes the base inverse L⁻ᵀL⁻¹ of it.
+    The prior M0 is the base (odometry) information plus ``DEFAULT_PRIOR_EPS``
+    on the diagonal. The constructor's factor M0 = LLᵀ, the only one, checks
+    that M0 is positive definite in floats and gives logdet M0; the first
+    :meth:`oracle` makes the base inverse L⁻ᵀL⁻¹ of it.
     """
 
     kind = "dcrit"
 
-    def __init__(self, graph, pose_graph, prior=None):
-        if prior is None:
-            d = pose_graph.num_poses - 1
-            M0 = pose_graph.base_laplacian_reduced() + DEFAULT_PRIOR_EPS * np.eye(d)
-        else:
-            M0 = np.asarray(prior, dtype=float)
-            if M0.ndim != 2 or M0.shape[0] != M0.shape[1]:
-                raise ValueError("prior must be a square matrix")
-            if M0.shape[0] != pose_graph.num_poses - 1:
-                raise ValueError(
-                    f"prior must be {pose_graph.num_poses - 1}x{pose_graph.num_poses - 1}"
-                )
-            if not np.allclose(M0, M0.T, atol=1e-12):
-                raise ValueError("prior must be symmetric")
+    def __init__(self, graph, pose_graph):
         super().__init__(graph, pose_graph)
+        d = pose_graph.num_poses - 1
+        M0 = pose_graph.base_laplacian_reduced() + DEFAULT_PRIOR_EPS * np.eye(d)
         try:
             self._factor = cholesky_pd(M0)
         except ValueError:
-            raise ValueError("prior must be positive definite") from None
+            raise ValueError("base information matrix is not positive definite") from None
         self._reference = M0, chol_logdet(self._factor)
 
     def _base_inverse(self):
@@ -612,43 +631,39 @@ def g_modular(graph, vertex_ids, k) -> tuple[float, tuple[int, ...]]:
 class TopKOracle:
     """Incremental ``g_modular`` of one vertex-greedy run.
 
-    Keeps, best first, the keys ``(-p, edge id)`` of the top k covered edges,
-    and which edges the committed vertices cover. Each vertex's incident
-    edges come best first from the graph's one flat array,
+    Its one top-k state is the row t of the top k's values in ascending
+    order: t₁ ≤ t₂ ≤ … ≤ t_k, an empty slot counting as 0.0, and +inf past
+    the k-th, so that no key there enters. It also marks which edges the
+    committed vertices cover. Each vertex's incident edges come best first
+    from the graph's one flat array,
     :meth:`~loopselect.graph.ExchangeGraph.ranked_incidences`; a vertex's
-    keys are those of its segment that no committed vertex covers yet. A
-    commit marks the vertex's edges covered, which drops them from its
-    neighbours' segments too, O(degree).
+    uncovered probabilities q₁ ≥ q₂ ≥ … are those of its segment that no
+    committed vertex covers yet. A commit marks the vertex's edges covered,
+    which drops them from its neighbours' segments too, O(degree), and merges
+    its probabilities into t, keeping the k largest.
 
-    A vertex's gain is the probabilities of the keys that enter the top k
-    minus those of the keys they push out, summed by one ``math.fsum``: the
-    exact difference rounded once, so a gain never grows as vertices are
-    committed (lazy greedy relies on this), where a difference of two rounded
-    values can grow by an ulp. The first key that does not enter ends the
-    scan, so a vertex none of whose keys enters costs one comparison and
-    gains ``0.0``. ``value`` is the ``math.fsum`` of the current top k,
+    :meth:`gain` and :meth:`upper_bounds` read t with one formula. The terms
+    qᵢ − tᵢ over the first min(k, degree) uncovered probabilities decrease,
+    so the keys that enter the top k are those with a positive term (one
+    that ties its slot adds exactly 0) and the exact gain is Σ(qᵢ − tᵢ)⁺.
+    :meth:`gain` sums the entering qᵢ and −tᵢ with one ``math.fsum``: the
+    exact gain rounded once, so a gain never grows as vertices are committed
+    (lazy greedy relies on this), where a difference of two rounded values
+    can grow by an ulp. ``value`` is the ``math.fsum`` of t's first k slots,
     bit-identical to ``g_modular`` of the committed vertices.
 
-    :meth:`upper_bounds` bounds the gains of many vertices in one numpy
-    pass. With a vertex's uncovered probabilities q₁ ≥ q₂ ≥ … and the top
-    k's values t₁ ≤ t₂ ≤ … (an empty slot counts as 0), the terms qᵢ − tᵢ
-    decrease, so the keys that enter are those with a positive term (an
-    equal one adds exactly 0) and the exact gain is the sum of the positive
-    parts (qᵢ − tᵢ)⁺ over the first min(k, degree) uncovered keys. One
-    segmented sum takes it for every vertex at once, O(m) work and memory
-    whatever the degrees. Its at most L = min(k, degree) nonzero terms and
-    their sums each round by at most half an ulp of a result no larger than
-    the segment's sum S, so widening S by the allowance ``(L + 2)·2⁻⁵²·S``
-    covers that rounding and the rounding of the gain itself. A sum of
-    exactly 0.0 stays 0.0: no key enters such a vertex, and its gain is
-    exactly 0.0.
+    :meth:`upper_bounds` sums the same positive parts in floats, one
+    segmented sum for every vertex at once, O(m) work and memory whatever
+    the degrees. Its at most L = min(k, degree) nonzero terms and their sums
+    each round by at most half an ulp of a result no larger than the
+    segment's sum S, so widening S by the allowance ``(L + 2)·2⁻⁵²·S`` covers
+    that rounding and the rounding of the gain itself. A sum of exactly 0.0
+    stays 0.0: no key enters such a vertex, and its gain is exactly 0.0.
     """
 
     def __init__(self, graph, k):
         if k < 0:
             raise ValueError("k must be non-negative")
-        self._k = k
-        self._eids, _, _, self._ps = graph.edge_columns
         ids, _, p = graph.index_arrays()
         self._at = graph.vertex_row
         self._by_id = np.lexsort((ids,))  # the rows in id order
@@ -662,39 +677,26 @@ class TopKOracle:
         self._widen = 1.0 + (np.minimum(degree[self._touched], k) + 2) * 2.0**-52
         self._seen = np.zeros(len(self._flat) + 1, dtype=np.intp)
         self._covered = np.zeros(graph.num_edges, dtype=bool)
-        self._top: list[tuple[float, int]] = []
-        # -p of each top key: the fsum terms of the keys a gain pushes out
-        self._top_neg: list[float] = []
-        # tᵢ of the bound pass, ascending, by rank within a segment; past the
-        # k-th, +inf, so that no key there adds to a bound
-        self._floor = np.zeros(int(degree.max(initial=0)))
-        self._floor[k:] = math.inf
+        # no more than all m edges are ever covered, so min(k, m) slots hold the
+        # top k; t is read at every rank of a segment, up to the largest degree
+        self._k = min(k, graph.num_edges)
+        self._floor = np.zeros(max(self._k, int(degree.max(initial=0))))
+        self._floor[self._k:] = math.inf
         self.value = 0.0
 
-    def _uncovered(self, vid) -> np.ndarray:
-        """``vid``'s incident edges that no committed vertex covers, best first."""
+    def _uncovered(self, vid) -> tuple[np.ndarray, np.ndarray]:
+        """``vid``'s incident edges that no committed vertex covers, best first,
+        and their probabilities."""
         i = self._at(vid)
-        edges = self._flat[self._starts[i]:self._starts[i + 1]]
-        return edges[~self._covered[edges]]
-
-    def _keys(self, edges) -> list[tuple[float, int]]:
-        eids, ps = self._eids, self._ps
-        return [(-ps[e], eids[e]) for e in edges.tolist()]
+        segment = slice(self._starts[i], self._starts[i + 1])
+        alive = ~self._covered[self._flat[segment]]
+        return self._flat[segment][alive], self._flat_p[segment][alive]
 
     def gain(self, vid) -> float:
-        top, k = self._top, self._k
-        size = len(top)
-        terms = []
-        for key in self._keys(self._uncovered(vid)[:k]):
-            # the top entry this key would push out (none while there is room)
-            slot = k - len(terms) - 1
-            if slot < 0 or (slot < size and key > top[slot]):
-                break
-            terms.append(-key[0])
-        if not terms:
-            return 0.0
-        terms += self._top_neg[k - len(terms):]
-        return math.fsum(terms)
+        q = self._uncovered(vid)[1][: self._k]
+        t = self._floor[: len(q)]
+        enter = q > t  # the positive terms qᵢ − tᵢ, a prefix
+        return math.fsum([*q[enter].tolist(), *(-t[enter]).tolist()])
 
     def upper_bounds(self) -> np.ndarray:
         """An upper bound on the gain of every vertex, in ascending id order, 0.0
@@ -718,13 +720,9 @@ class TopKOracle:
         return bounds[self._by_id]
 
     def commit(self, vid):
-        edges = self._uncovered(vid)
+        edges, q = self._uncovered(vid)
         self._covered[edges] = True
-        # the entering keys of gain() are exactly those that make the merged top k
-        self._top = sorted(self._top + self._keys(edges))[: self._k]
-        self._top_neg = [key[0] for key in self._top]
-        self.value = math.fsum(-key[0] for key in self._top)
-        # the bound pass's tᵢ: the empty slots, then the top k from its lowest value up
-        empty, reach = self._k - len(self._top), min(self._k, len(self._floor))
-        if empty < reach:
-            self._floor[empty:reach] = [-neg for neg in self._top_neg[::-1][: reach - empty]]
+        k = self._k
+        top = np.sort(np.concatenate((self._floor[:k], q)))[len(q):]  # the k largest
+        self._floor[:k] = top
+        self.value = math.fsum(top.tolist())

@@ -281,7 +281,13 @@ def dual_bound(c, A, b, y) -> float:
     b (a negative entry of b aside), and for a y of the wrong length or with
     an entry that is not finite.
     """
-    c, b, rows, cols, vals = _lp_arrays(c, A, b)
+    return _dual_bound(*_lp_arrays(c, A, b), y)
+
+
+def _dual_bound(c, b, rows, cols, vals, y) -> float:
+    """:func:`dual_bound` of an LP that :func:`simplex_max` has already checked,
+    given as the arrays it read: c, b and A's rows, columns and values.
+    Only y is checked."""
     y = np.asarray(y, dtype=float)
     if y.shape != b.shape:
         raise ValueError("inconsistent LP dimensions")

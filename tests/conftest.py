@@ -1,6 +1,7 @@
 """Shared fixtures and random-instance factories for the test suite."""
 
 import contextlib
+import dataclasses
 import itertools
 import logging
 import math
@@ -266,6 +267,16 @@ def random_connected_pose_graph(rng, max_poses=7, extra_edges=5):
             i, j = all_pairs[int(idx)]
             edges.append((i, j, float(rng.uniform(0.2, 2.0))))
     return PoseGraph(num_poses=d, base_edges=tuple(edges), candidate_map={})
+
+
+def reweighted_pose_graph(rng, pg, extra=3):
+    """``pg`` with random base weights and ``extra`` random non-tree base edges:
+    a ``dcrit`` prior M0 = L + eps·I other than the one its base gives."""
+    base = [(i, j, float(rng.uniform(0.2, 2.0))) for i, j, _ in pg.base_edges]
+    for _ in range(extra):
+        i, j = rng.choice(pg.num_poses, size=2, replace=False)
+        base.append((int(i), int(j), float(rng.uniform(0.2, 2.0))))
+    return dataclasses.replace(pg, base_edges=tuple(base))
 
 
 def spanning_tree_weight_sum(num_poses, weighted_edges):

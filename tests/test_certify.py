@@ -31,7 +31,7 @@ from loopselect import (
     s_greedy,
     v_greedy,
 )
-from loopselect import certify
+from loopselect import certify, simplex
 from loopselect.cli import _ratio_lb
 from loopselect.errors import InstanceTooLargeError
 
@@ -411,6 +411,20 @@ class TestILP:
         monkeypatch.setattr(certify, "LP_GUARD", tableau - 1)
         with pytest.raises(InstanceTooLargeError, match="a 32x45 dense LP"):
             lp_upper_bound_modular(graph, 4, TotalUniform(2))
+
+    def test_each_lp_is_checked_once(self, monkeypatch):
+        # simplex_max checks the LP it is given; the bound reads the same arrays
+        graph = generate_exchange_graph(
+            GenSpec(num_robots=3, vertices_per_robot=5, num_edges=30, seed=0))
+        upt = lp_upper_bound_modular(graph, 4, TotalUniform(2))
+        checks, solves = [], []
+        check, solve = simplex._lp_arrays, certify.simplex_max
+        monkeypatch.setattr(simplex, "_lp_arrays", lambda *a: checks.append(1) or check(*a))
+        monkeypatch.setattr(certify, "simplex_max", lambda *a: solves.append(1) or solve(*a))
+        assert lp_upper_bound_modular(graph, 4, TotalUniform(2)) == upt
+        assert len(checks) == len(solves) == 1
+        ilp_opt_modular(graph, 4, TotalUniform(2))
+        assert len(checks) == len(solves) > 1
 
     @pytest.mark.parametrize("b, k", [(4, 30), (8, 20), (12, 10)])
     def test_an_lp_holds_little_beyond_its_tableau(self, b, k):

@@ -1262,6 +1262,28 @@ class TestObjectiveDataErrors:
         assert capsys.readouterr().err == f"error: {message} (in {bad})\n"
 
     @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
+    def test_overflowing_weights_exit_two_citing_their_line(self, treeconn_files, tmp_path,
+                                                            capsys, command):
+        # every information entry 1e308: the second base edge, (1,2), takes pose
+        # 1's summed weight past the float range, where the log-det matrix
+        # overflowed (plan exited 0, sweep wrote an empty cell, certify blamed
+        # the plan file)
+        graph, pose, runs = treeconn_files
+        bad = tmp_path / "big.pose"
+        lines = [line.split() for line in pose.read_text().splitlines()]
+        for parts in lines:
+            if parts[0] == "EDGE_SE2":
+                parts[6:12] = ["1e308"] * 6
+        bad.write_text("".join(" ".join(parts) + "\n" for parts in lines))
+        line_no = [n for n, parts in enumerate(lines, 1) if parts[0] == "EDGE_SE2"][1]
+        assert lines[line_no - 1][:3] == ["EDGE_SE2", "1", "2"]
+        assert main([*runs[command], "--input", str(graph), "--pose-input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line_no}: invalid pose graph: base edge (1,2) weight overflows"
+            f" pose 1's summed weight (in {bad})\n"
+        )
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
     def test_capped_pose_error_cites_the_pose_files_ids(self, tmp_path, capsys, command):
         # --cap-degree 3 renumbers candidate 9 to 7; the error names the file's id
         graph, pose, plan = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "plan.json"

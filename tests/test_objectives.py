@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     make_graph,
     random_connected_pose_graph,
     random_treeconn_instance,
+    reweighted_pose_graph,
     spanning_tree_weight_sum,
 )
 
@@ -293,11 +295,22 @@ class TestTopKOracle:
             assert oracle.value.hex() == value.hex()
             covered = graph.edges_incident(committed)
             top = [(-graph.edge(eid).p, eid) for eid in witness]
+            # t: the top k's values ascending, an empty slot as 0
+            t = [Fraction(0)] * (k - len(witness)) + [Fraction(-key[0]) for key in top[::-1]]
+            bounds = dict(zip(sorted(v.id for v in graph.vertices), oracle.upper_bounds()))
             for other in range(graph.num_vertices):
                 if other in committed:
                     continue
+                gain = oracle.gain(other)
                 want = reference_topk_gain(graph, k, covered, top, other)
-                assert oracle.gain(other).hex() == want.hex(), (k, committed, other)
+                assert gain.hex() == want.hex(), (k, committed, other)
+                # Σ(qᵢ − tᵢ)⁺ in exact arithmetic over the first min(k, degree) keys
+                q = sorted((graph.edge(eid).p for eid in graph.incident(other)
+                            if eid not in covered), reverse=True)[:k]
+                exact = sum((max(Fraction(qi) - ti, 0) for qi, ti in zip(q, t)), Fraction(0))
+                assert gain == float(exact), (k, committed, other)
+                assert Fraction(bounds[other]) >= exact, (k, committed, other)
+                assert (bounds[other] == 0.0) == (exact == 0), (k, committed, other)
 
 
 class TestDCrit:
@@ -313,22 +326,15 @@ class TestDCrit:
 
     def test_empty_is_zero(self):
         g, pg = self._two_by_two()
-        assert DCritObjective(g, pg, prior=np.eye(2)).value([]) == 0.0
-
-    def test_identity_prior_rank_one(self):
-        g, pg = self._two_by_two()
-        value = DCritObjective(g, pg, prior=np.eye(2)).value([0])
-        assert value == pytest.approx(math.log(2.0), abs=1e-12)
+        assert DCritObjective(g, pg).value([]) == 0.0
 
     def test_non_pd_prior_rejected(self):
+        # 1e20 + DEFAULT_PRIOR_EPS rounds to 1e20: the base's 2 x 2 block is
+        # singular in floats, and the factorization names the base
         g, pg = self._two_by_two()
-        with pytest.raises(ValueError, match="positive definite"):
-            DCritObjective(g, pg, prior=np.diag([1.0, -1.0]))
-
-    def test_non_symmetric_prior_rejected(self):
-        g, pg = self._two_by_two()
-        with pytest.raises(ValueError, match="symmetric"):
-            DCritObjective(g, pg, prior=np.array([[1.0, 0.5], [0.0, 1.0]]))
+        pg = dataclasses.replace(pg, base_edges=((1, 2, 1e20),))
+        with pytest.raises(ValueError, match="^base information .* not positive definite$"):
+            DCritObjective(g, pg)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
@@ -440,9 +446,9 @@ class TestNMSProperties:
 
 
 def random_pd_instance(rng, d, m):
-    """DCrit objective over an explicit random SPD prior on d + 1 poses, m candidates."""
-    A = rng.normal(size=(d, d))
-    prior = A @ A.T + d * np.eye(d)
+    """A DCrit instance on d + 1 poses and m candidates, and its prior M0: a
+    random tree base plus random non-tree edges, all at random weights."""
+    tree = tuple((int(rng.integers(0, j)), j, 1.0) for j in range(1, d + 1))
     pairs = []
     for _ in range(m):
         i, j = rng.choice(d + 1, size=2, replace=False)
@@ -451,9 +457,10 @@ def random_pd_instance(rng, d, m):
         2, [0] * m + [1] * m, [(e, m + e) for e in range(m)],
         [float(rng.uniform(0.0, 1.0)) for _ in range(m)],
     )
-    pg = PoseGraph(num_poses=d + 1, base_edges=(),
+    pg = PoseGraph(num_poses=d + 1, base_edges=tree,
                    candidate_map={e: pairs[e] for e in range(m)})
-    return graph, pg, prior
+    pg = reweighted_pose_graph(rng, pg)
+    return graph, pg, pg.base_laplacian_reduced() + DEFAULT_PRIOR_EPS * np.eye(d)
 
 
 def dense_matrix(obj, pg, prior, edge_ids):
@@ -559,7 +566,7 @@ class TestOracle:
         for _ in range(20):
             d = int(rng.integers(2, 8))
             graph, pg, prior = random_pd_instance(rng, d, 8)
-            obj = DCritObjective(graph, pg, prior=prior)
+            obj = DCritObjective(graph, pg)
             oracle = obj.oracle()
             committed = []
             for eid in rng.permutation(8)[:4].tolist():
@@ -577,7 +584,7 @@ class TestOracle:
     def test_value_tracks_recompute(self):
         rng = np.random.default_rng(3)
         graph, pg, prior = random_pd_instance(rng, 6, 15)
-        obj = DCritObjective(graph, pg, prior=prior)
+        obj = DCritObjective(graph, pg)
         oracle = obj.oracle()
         M = np.array(prior)
         for eid in range(15):
@@ -703,9 +710,8 @@ def small_block_cases():
     rng = np.random.default_rng(8)
     for seed in range(100, 108):
         graph, pg, _, _ = random_treeconn_instance(seed)
-        A = rng.normal(size=(pg.num_poses - 1,) * 2)
-        prior = A @ A.T + (pg.num_poses - 1) * np.eye(pg.num_poses - 1)
-        cases.append((f"dcrit-prior-{seed}", DCritObjective(graph, pg, prior=prior), graph))
+        pg = reweighted_pose_graph(rng, pg)
+        cases.append((f"dcrit-reweighted-{seed}", DCritObjective(graph, pg), graph))
     return cases
 
 
@@ -778,7 +784,7 @@ def logdet_instances(draw):
 
     The base is a spanning path in random order plus extra edges that may
     repeat a pair; the candidates always repeat one pose pair and include a
-    zero-probability edge. Also returns an explicit random SPD prior.
+    zero-probability edge.
     """
     n = draw(st.integers(2, 9))
     pose = st.integers(0, n - 1)
@@ -800,22 +806,20 @@ def logdet_instances(draw):
         candidate_map={e: (i, j, draw(weight)) for e, (i, j) in enumerate(pairs)},
         anchor=draw(pose),
     )
-    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n - 1, n - 1))
-    return graph, pg, A @ A.T + (n - 1) * np.eye(n - 1)
+    return graph, pg
 
 
 class TestScatterMatchesDense:
     @settings(max_examples=150, deadline=None)
     @given(instance=logdet_instances(), data=st.data())
     def test_bit_identical_to_outer_products(self, instance, data):
-        graph, pg, prior = instance
+        graph, pg = instance
         L = dense_laplacian(pg)
         assert pg.base_laplacian_reduced().tobytes() == L.tobytes()
         eids = [e.id for e in graph.edges]
         cases = [
             (TreeConnObjective(graph, pg), L),
             (DCritObjective(graph, pg), L + DEFAULT_PRIOR_EPS * np.eye(pg.num_poses - 1)),
-            (DCritObjective(graph, pg, prior=prior), prior),
         ]
         for obj, M0 in cases:
             S = data.draw(st.lists(st.sampled_from(eids), max_size=2 * len(eids)))
@@ -831,10 +835,9 @@ class TestFactorOracle:
     def test_gains_and_value_match_dense_after_commits(self, instance, data):
         # the oracle reads P0 - UUᵀ; after any commits its one-edge and r-edge
         # gains and its value agree with refactorizations of the dense matrix
-        graph, pg, prior = instance
+        graph, pg = instance
         eids = [e.id for e in graph.edges]
-        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg),
-                    DCritObjective(graph, pg, prior=prior)):
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg)):
             oracle = obj.oracle()
             committed: list[int] = []
             order = data.draw(st.permutations(eids))
@@ -879,7 +882,7 @@ class TestTreeInverse:
     @given(instance=logdet_instances())
     def test_matches_dense_inverse(self, instance):
         # a spanning path in random order plus extra and parallel edges, any anchor
-        _, pg, _ = instance
+        _, pg = instance
         self.assert_matches_dense(dataclasses.replace(pg, candidate_map={}))
 
     @pytest.mark.parametrize("seed", range(60))
@@ -905,9 +908,9 @@ class TestOneEdgeGain:
     def test_bit_identical_to_the_general_expression(self, instance, data):
         # the one-id path skips the set, the sort and, while nothing is
         # committed, the U term; it must round exactly as the full expression
-        graph, pg, prior = instance
+        graph, pg = instance
         eids = [e.id for e in graph.edges]
-        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg, prior=prior)):
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg)):
             oracle = obj.oracle()
             for eid in data.draw(st.permutations(eids)):
                 P0, U = oracle._P0, oracle._U[:, : oracle._m]
@@ -933,14 +936,13 @@ class TestAchievedFromOracle:
     def test_every_planner_agrees_with_the_dense_value(self, instance, data):
         # achieved values come from the run's oracle: within 1e-9 of the dense
         # value() for log-det objectives and bit-equal to it for modular
-        graph, pg, prior = instance
+        graph, pg = instance
         b = data.draw(st.integers(0, graph.num_vertices + 1))
         k = data.draw(st.integers(0, graph.num_edges + 1))
         cases = [
             (ModularObjective(graph), (m_greedy, e_greedy, v_greedy, s_greedy)),
             (TreeConnObjective(graph, pg), (e_greedy, v_greedy, s_greedy)),
             (DCritObjective(graph, pg), (e_greedy, v_greedy, s_greedy)),
-            (DCritObjective(graph, pg, prior=prior), (e_greedy, v_greedy, s_greedy)),
         ]
         for obj, planners in cases:
             for planner in planners:
@@ -967,10 +969,9 @@ class TestEdgeGains:
     @given(instance=logdet_instances(), data=st.data())
     def test_logdet_edge_gains_are_gain_bit_for_bit_after_commits(self, instance, data):
         # repeated pose pairs and zero-probability edges among them
-        graph, pg, prior = instance
+        graph, pg = instance
         eids = [e.id for e in graph.edges]
-        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg),
-                    DCritObjective(graph, pg, prior=prior)):
+        for obj in (TreeConnObjective(graph, pg), DCritObjective(graph, pg)):
             oracle = obj.oracle()
             order = data.draw(st.permutations(eids))
             while True:

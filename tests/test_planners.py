@@ -46,6 +46,7 @@ from conftest import (
     random_connected_pose_graph,
     random_modular_instance,
     random_treeconn_instance,
+    reweighted_pose_graph,
 )
 
 ONE_MINUS_1_OVER_E = 1.0 - math.exp(-1.0)
@@ -165,13 +166,13 @@ class TestGreedySelector:
         # only where a gain is, so its next pick is the full scan's; the
         # edge runs' bounds are their exact gains, so they confirm one gain
         graph, pg = instance_5x40(1)
-        prior = pg.base_laplacian_reduced() + np.eye(pg.num_poses - 1)
+        reweighted = reweighted_pose_graph(np.random.default_rng(5), pg)
         objective = {
             "modular": lambda: ModularObjective(graph),
             "topk": lambda: None,
             "treeconn": lambda: TreeConnObjective(graph, pg),
             "dcrit": lambda: DCritObjective(graph, pg),
-            "dcrit-prior": lambda: DCritObjective(graph, pg, prior=prior),
+            "dcrit-prior": lambda: DCritObjective(graph, reweighted),
         }[kind]()
         if kind == "topk":
             run, _ = planners._m_run(graph, 20, TotalUniform(graph.num_vertices))
