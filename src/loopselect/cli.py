@@ -674,6 +674,8 @@ def _main(argv):
             raise _UsageError("--alpha-only needs --delta")
         # certify reads the cap from its plan file instead
         _degree_cap(getattr(args, "cap_degree", None), "--cap-degree")
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise _UsageError(f"bad --seed {str(args.seed)!r}: must be non-negative")
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 
 class InstanceTooLargeError(ValueError):
-    """An exact-computation guard (enumeration, cover search, nodes, LP size) would be exceeded."""
+    """An exact-computation guard (enumeration, ILP nodes, LP size) would be exceeded."""
 
 
 class EnumerationGuardError(InstanceTooLargeError):

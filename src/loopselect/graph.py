@@ -162,9 +162,10 @@ class ExchangeGraph:
     Stored as ``num_robots`` and seven columns, tuples in record order:
     ``vertex_columns`` is ``(ids, robots, weights)`` and ``edge_columns`` is
     ``(ids, us, vs, ps)``. Everything else is derived from them once, at its
-    first use: the ``vertices`` and ``edges`` records, the id lookups, each
-    vertex's incident edges, :meth:`index_arrays` and
-    :meth:`ranked_incidences`. Parsers and generators build a graph from
+    first use: the ``vertices`` and ``edges`` records, the id lookups,
+    :meth:`index_arrays` and :meth:`ranked_incidences`, the one incidence
+    index, which :meth:`incident` and :meth:`incidence_sums` read. Parsers
+    and generators build a graph from
     columns (:meth:`from_columns`); the constructor takes records and
     transposes them into the same columns.
 
@@ -194,7 +195,6 @@ class ExchangeGraph:
             if len(columns) != width or len(set(map(len, columns))) > 1:
                 raise ValueError(f"need {width} {what} columns of one length")
         self._arrays = None  # index_arrays(), built at its first call
-        self._ranked = None  # ranked_incidences(), sorted at its first call
 
     # -- derived at first use -------------------------------------------------
 
@@ -235,25 +235,6 @@ class ExchangeGraph:
         p.setflags(write=False)
         return p
 
-    @cached_property
-    def _incident(self) -> dict:
-        """Every vertex id -> its incident edge ids, in edge order; a self-loop once.
-
-        One stable sort of the 2m incidences, edge by edge, by the vertex row
-        that owns them (a repeated id's edges go to its last row, which
-        comes last). Rows as the narrowest unsigned type make it a radix sort.
-        """
-        ends = self._ends.T.ravel()  # u0, v0, u1, v1, ...
-        known = ends >= 0
-        known[1::2] &= ends[1::2] != ends[::2]
-        edge = np.flatnonzero(known) // 2
-        owner = ends[known]
-        order = np.argsort(owner.astype(np.min_scalar_type(self.num_vertices)), kind="stable")
-        eids = tuple(np.array(self.edge_columns[0], dtype=object)[edge[order]].tolist())
-        stops = np.cumsum(np.bincount(owner, minlength=self.num_vertices)).tolist()
-        return {vid: eids[start:stop]
-                for vid, start, stop in zip(self.vertex_columns[0], [0, *stops], stops)}
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -285,11 +266,11 @@ class ExchangeGraph:
         return self.edges[self.edge_row(eid)]
 
     def incident(self, vid) -> tuple[int, ...]:
-        """Edge ids incident to one vertex."""
-        try:
-            return self._incident[vid]
-        except KeyError:
-            raise ValueError(f"unknown vertex id {vid!r}") from None
+        """Edge ids incident to one vertex, in edge order; a self-loop once."""
+        starts, flat = self.ranked_incidences()
+        i = self.vertex_row(vid)
+        return tuple(map(self.edge_columns[0].__getitem__,
+                         sorted(flat[starts[i]:starts[i + 1]].tolist())))
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, ends, p)``: the vertex ids in graph order, each edge's two
@@ -312,30 +293,55 @@ class ExchangeGraph:
 
         ``edges[starts[i]:starts[i + 1]]`` holds the incident edges of
         ``vertices[i]`` as indices into ``edges``, by descending probability,
-        ties to the lower edge id. Sorted once per graph, at the first call:
-        one ``np.lexsort`` ranks the edges, then one stable ``argsort`` of
-        their incidences, in rank order, groups them by owner. The owners are
-        the narrowest unsigned integers that hold them, which numpy sorts by
+        ties to the lower edge id: a self-loop once, an unknown endpoint not
+        at all, and a repeated vertex id's edges on its last row. The graph's
+        one incidence index, sorted once, at the first call: one
+        ``np.lexsort`` ranks the edges, then one stable ``argsort`` of their
+        incidences, in rank order, groups them by owner. The owners are the
+        narrowest unsigned integers that hold them, which numpy sorts by
         radix up to 16 bits. The arrays are read-only.
         """
-        if self._ranked is None:
-            ids, ends, p = self.index_arrays()
-            rank = np.lexsort((np.array(self.edge_columns[0], dtype=np.int64), -p))
-            # each ranked edge once per endpoint, side by side; a self-loop once
-            edges = np.repeat(rank, 2)
-            owner = ends[:, rank].T.ravel()
-            if np.any(ends[0] == ends[1]):
-                keep = np.ones(len(edges), dtype=bool)
-                keep[1::2] = ends[0, rank] != ends[1, rank]
-                edges, owner = edges[keep], owner[keep]
-            narrow = np.min_scalar_type(max(len(ids) - 1, 0))
-            edges = edges[np.argsort(owner.astype(narrow), kind="stable")]
-            starts = np.zeros(len(ids) + 1, dtype=np.intp)
-            np.cumsum(np.bincount(owner, minlength=len(ids)), out=starts[1:])
-            for array in (starts, edges):
-                array.setflags(write=False)
-            self._ranked = starts, edges
-        return self._ranked
+        return self._index[:2]
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, ...]:
+        """``ranked_incidences()``'s ``(starts, edges)``, then each row's degree,
+        whether it has an incidence, where its nonempty segment begins, and
+        the rows in id order."""
+        n = self.num_vertices
+        rank = np.lexsort((np.array(self.edge_columns[0], dtype=np.int64), -self._p))
+        # each ranked edge once per known endpoint, side by side; a self-loop once
+        edges = np.repeat(rank, 2)
+        owner = self._ends[:, rank].T.ravel()
+        keep = owner >= 0
+        keep[1::2] &= owner[1::2] != owner[::2]
+        if not keep.all():
+            edges, owner = edges[keep], owner[keep]
+        edges = edges[np.argsort(owner.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")]
+        starts = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=n), out=starts[1:])
+        for array in (starts, edges):
+            array.setflags(write=False)
+        degree = np.diff(starts)
+        touched = degree > 0
+        by_id = np.lexsort((np.array(self.vertex_columns[0], dtype=np.int64),))
+        return starts, edges, degree, touched, starts[:-1][touched], by_id
+
+    def incidence_sums(self, terms, most=None) -> np.ndarray:
+        """Each vertex's float sum of ``terms``, one term per entry of
+        :meth:`ranked_incidences`' flat array, in ascending id order, widened
+        for its rounding: a vertex with L = min(degree, ``most``) terms that
+        can be nonzero (``most`` None: its degree) has its sum S multiplied by
+        1 + (L + 2)·2⁻⁵², which covers the rounding of nonnegative terms'
+        sum and of one more operation on S. A vertex with no incidence gets
+        exactly 0.0, and so does one whose terms are all 0.
+        """
+        _, _, degree, touched, heads, by_id = self._index
+        count = degree[touched] if most is None else np.minimum(degree[touched], most)
+        sums = np.zeros(len(touched))
+        # reduceat would give an empty segment the next one's first term
+        sums[touched] = np.add.reduceat(terms, heads) * (1.0 + (count + 2) * 2.0**-52)
+        return sums[by_id]
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""

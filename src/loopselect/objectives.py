@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,12 +97,21 @@ class PoseGraph:
         return [message for _, message in self.violations()]
 
     def violations(self):
-        """Yield ``(record, message)`` per invariant violation.
+        """Iterate ``(record, message)`` per invariant violation.
 
         ``record`` names what is at fault: ``("anchor",)``, ``("base", index)``
         into ``base_edges``, ``("candidate", edge id)``, or None for the pose
-        set as a whole. Parsers map it back to the line of that record.
+        set as a whole. Parsers map it back to the line of that record. The
+        graph is scanned once, at the first call, and the list kept, so the
+        parser's check and an objective's cost one scan.
         """
+        return iter(self._violations)
+
+    @cached_property
+    def _violations(self) -> list:
+        return list(self._scan())
+
+    def _scan(self):
         if self.num_poses < 2:
             yield None, "need at least two poses"
         if not 0 <= self.anchor < self.num_poses:
@@ -449,37 +459,30 @@ def _downdate(P0, U, i, j, s):
     return u * math.sqrt(s / (1.0 + sr)), sr
 
 
-def _tree_inverse(pose_graph, order, up) -> np.ndarray:
+def _tree_inverse(pose_graph, order, up, parent, reach) -> np.ndarray:
     """M0⁻¹ of a connected base graph, in pose coordinates, from its spanning tree.
 
-    ``(order, up)`` is :meth:`PoseGraph.spanning_tree`, rooted at the anchor.
-    For the tree alone, with R(v) the sum of 1/w along the anchor-to-v path,
-    the inverse of the reduced Laplacian is P_T[i,j] = R(lca(i,j)), and the
-    anchor's row and column are 0. A pose's row is its parent's row with R(v)
-    written over the pose's own subtree, a contiguous run of the preorder, so
-    P_T costs O(d²) writes and no factorization. Each non-tree base edge
-    (extra or parallel) is then folded in once as a factor column, exactly as
-    an oracle commits an edge, and P0 = P_T − U₀U₀ᵀ.
+    ``(order, up)`` is :meth:`PoseGraph.spanning_tree`, rooted at the anchor;
+    ``parent[v]`` is pose v's parent in it and ``reach[v]`` is R(v), the sum
+    of 1/w along the anchor-to-v path. For the tree alone the inverse of the
+    reduced Laplacian is P_T[i,j] = R(lca(i,j)), and the anchor's row and
+    column are 0. A pose's row is its parent's row with R(v) written over the
+    pose's own subtree, a contiguous run of the preorder, so P_T costs O(d²)
+    writes and no factorization. Each non-tree base edge (extra or parallel)
+    is then folded in once as a factor column, exactly as an oracle commits
+    an edge, and P0 = P_T − U₀U₀ᵀ.
     """
-    edges = pose_graph.base_edges
     n = len(order)
-    at = {v: a for a, v in enumerate(order)}  # each pose's position in the preorder
-    parent = [0] * n  # by position
-    reach = [0.0] * n  # R(v), by position
-    for a in range(1, n):
-        i, j, w = edges[up[order[a]]]
-        parent[a] = at[j if i == order[a] else i]
-        reach[a] = reach[parent[a]] + 1.0 / w
-    size = [1] * n  # of each subtree, by position
-    for a in range(n - 1, 0, -1):
-        size[parent[a]] += size[a]
+    size = [1] * n  # of each pose's subtree
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
     P = np.zeros((n, n))
     poses = np.array(order, dtype=np.intp)
-    for a in range(1, n):
-        P[order[a]] = P[order[parent[a]]]
-        P[order[a], poses[a : a + size[a]]] = reach[a]
+    for a, v in enumerate(order[1:], 1):
+        P[v] = P[parent[v]]
+        P[v, poses[a : a + size[v]]] = reach[v]
     tree = {up[v] for v in order}
-    extra = [edge for idx, edge in enumerate(edges) if idx not in tree]
+    extra = [edge for idx, edge in enumerate(pose_graph.base_edges) if idx not in tree]
     if extra:
         U0 = np.empty((n, len(extra)))
         for c, (i, j, w) in enumerate(extra):
@@ -591,16 +594,30 @@ class TreeConnObjective(_RankOneLogDet):
     The base graph must be connected (otherwise the base Laplacian is
     singular and the objective is not defined). Its spanning tree, rooted at
     the anchor, gives the base inverse with no factorization
-    (:func:`_tree_inverse`).
+    (:func:`_tree_inverse`). Its entries are the reaches R(v), sums of 1/w
+    along tree paths, less what the non-tree edges take off, so the
+    constructor rejects a graph whose largest R(v) passes a quarter of the
+    float maximum: a one-edge gain sums four entries of P0 at most.
     """
 
     kind = "treeconn"
 
     def __init__(self, graph, pose_graph):
         super().__init__(graph, pose_graph)
-        self._tree = pose_graph.spanning_tree()
-        if len(self._tree[0]) < pose_graph.num_poses:
+        order, up = pose_graph.spanning_tree()
+        if len(order) < pose_graph.num_poses:
             raise ValueError("base pose graph must be connected")
+        # each pose's parent and R(v), the sum of 1/w along its path from the
+        # anchor, by pose; the preorder reaches a parent first
+        parent, reach = [0] * len(order), [0.0] * len(order)
+        for v in order[1:]:
+            i, j, w = pose_graph.base_edges[up[v]]
+            parent[v] = j if i == v else i
+            reach[v] = reach[parent[v]] + 1.0 / w
+        far = max(order, key=reach.__getitem__)
+        if reach[far] > np.finfo(float).max / 4:
+            raise ValueError(f"invalid pose graph: pose {far}'s tree path sums 1/w past max/4")
+        self._tree = order, up, parent, reach
 
     def _base(self):
         return self.pose_graph.base_laplacian_reduced()
@@ -635,7 +652,7 @@ class TopKOracle:
     order: t₁ ≤ t₂ ≤ … ≤ t_k, an empty slot counting as 0.0, and +inf past
     the k-th, so that no key there enters. It also marks which edges the
     committed vertices cover. Each vertex's incident edges come best first
-    from the graph's one flat array,
+    from the graph's one incidence index,
     :meth:`~loopselect.graph.ExchangeGraph.ranked_incidences`; a vertex's
     uncovered probabilities q₁ ≥ q₂ ≥ … are those of its segment that no
     committed vertex covers yet. A commit marks the vertex's edges covered,
@@ -654,40 +671,36 @@ class TopKOracle:
 
     :meth:`upper_bounds` sums the same positive parts in floats, one
     segmented sum for every vertex at once, O(m) work and memory whatever
-    the degrees. Its at most L = min(k, degree) nonzero terms and their sums
-    each round by at most half an ulp of a result no larger than the
-    segment's sum S, so widening S by the allowance ``(L + 2)·2⁻⁵²·S`` covers
-    that rounding and the rounding of the gain itself. A sum of exactly 0.0
-    stays 0.0: no key enters such a vertex, and its gain is exactly 0.0.
+    the degrees: the graph's
+    :meth:`~loopselect.graph.ExchangeGraph.incidence_sums`, which owns the
+    segment layout and the allowance. Its at most L = min(k, degree)
+    nonzero terms and their sums each round by at most half an ulp of a
+    result no larger than the segment's sum S, so widening S by the
+    allowance ``(L + 2)·2⁻⁵²·S`` covers that rounding and the rounding of
+    the gain itself. A sum of exactly 0.0 stays 0.0: no key enters such a
+    vertex, and its gain is exactly 0.0.
     """
 
     def __init__(self, graph, k):
         if k < 0:
             raise ValueError("k must be non-negative")
-        ids, _, p = graph.index_arrays()
-        self._at = graph.vertex_row
-        self._by_id = np.lexsort((ids,))  # the rows in id order
+        self._graph = graph
         self._starts, self._flat = graph.ranked_incidences()
-        degree = np.diff(self._starts)
-        self._flat_p = p[self._flat]
-        self._flat_row = np.repeat(np.arange(len(ids)), degree)
-        self._touched = degree > 0
-        self._heads = self._starts[:-1][self._touched]  # where each nonempty segment begins
-        # 1 + the allowance (L + 2)·2⁻⁵² for L = min(k, degree) terms, exact in floats
-        self._widen = 1.0 + (np.minimum(degree[self._touched], k) + 2) * 2.0**-52
+        self._flat_p = graph.index_arrays()[2][self._flat]  # an unknown endpoint raises
+        self._flat_row = np.repeat(np.arange(graph.num_vertices), np.diff(self._starts))
         self._seen = np.zeros(len(self._flat) + 1, dtype=np.intp)
         self._covered = np.zeros(graph.num_edges, dtype=bool)
         # no more than all m edges are ever covered, so min(k, m) slots hold the
         # top k; t is read at every rank of a segment, up to the largest degree
         self._k = min(k, graph.num_edges)
-        self._floor = np.zeros(max(self._k, int(degree.max(initial=0))))
+        self._floor = np.zeros(max(self._k, graph.max_degree()))
         self._floor[self._k:] = math.inf
         self.value = 0.0
 
     def _uncovered(self, vid) -> tuple[np.ndarray, np.ndarray]:
         """``vid``'s incident edges that no committed vertex covers, best first,
         and their probabilities."""
-        i = self._at(vid)
+        i = self._graph.vertex_row(vid)
         segment = slice(self._starts[i], self._starts[i + 1])
         alive = ~self._covered[self._flat[segment]]
         return self._flat[segment][alive], self._flat_p[segment][alive]
@@ -714,10 +727,7 @@ class TopKOracle:
         # a covered key is -inf, so that it adds nothing either
         np.subtract(np.where(alive, self._flat_p, -math.inf), terms, out=terms)
         np.maximum(terms, 0.0, out=terms)
-        bounds = np.zeros(len(self._touched))
-        # reduceat would give an empty segment the next one's first term
-        bounds[self._touched] = np.add.reduceat(terms, self._heads) * self._widen
-        return bounds[self._by_id]
+        return self._graph.incidence_sums(terms, most=self._k)
 
     def commit(self, vid):
         edges, q = self._uncovered(vid)

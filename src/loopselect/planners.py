@@ -30,15 +30,21 @@ upper bounds on every candidate's gain and confirms exact gains by
 decreasing bound until no candidate left can beat the best of them (Minoux,
 1978, with fresh bounds in place of stale gains). A bound of exactly 0.0 is
 the exact gain, so a round whose gains are all 0 takes the lowest feasible
-id unevaluated. The bounds:
+id unevaluated. Both vertex bounds are sums over each vertex's incident
+edges, and both take them from one graph method,
+:meth:`~loopselect.graph.ExchangeGraph.incidence_sums`: one segmented sum
+over the graph's one incidence index,
+:meth:`~loopselect.graph.ExchangeGraph.ranked_incidences`, widened by the
+allowance (L + 2)·2⁻⁵² for its rounding. The bounds:
 
-* ``m_greedy``: ``TopKOracle.upper_bounds``, a segmented sum over each
-  vertex's incident keys widened by an allowance for its rounding;
+* ``m_greedy``: ``TopKOracle.upper_bounds``, the positive parts of each
+  vertex's incident keys against the top k, at most L = min(k, degree) of
+  them nonzero;
 * ``e_greedy``: the oracle's ``edge_gains``, every one-edge gain at once,
   bit for bit the exact gains, so each pick confirms one gain;
 * ``v_greedy``: per vertex, the sum of its uncovered edges' ``edge_gains``
-  (submodularity: Δ(X|S) ≤ Σ_{e∈X} Δ(e|S)), widened by the same allowance
-  and by the oracle's ``gain_slack``.
+  (submodularity: Δ(X|S) ≤ Σ_{e∈X} Δ(e|S)), L = its degree, plus the
+  oracle's ``gain_slack``.
 
 So the selection sequence is the one a full scan of the pool per round
 would give, with fewer gain evaluations. Each pick leaves the pool as it is
@@ -506,54 +512,52 @@ def e_greedy(graph, k, cb, objective, runs=None):
 
 
 def _vertex_run(graph, objective):
-    """``v_greedy``'s run, which no budget stops, the edges its picks cover, and
-    the sorted new edges of each pick.
+    """``v_greedy``'s run, which no budget stops, and the sorted new edges of each pick.
 
     A vertex's gain is that of its live edges, the incident ones no pick
     covers yet, and by submodularity it is at most the sum of their one-edge
     gains, Δ(X|S) ≤ Σ_{e∈X} Δ(e|S). Each round's bound is that sum for
-    every vertex, one segmented sum over the graph's flat incidences of the
-    oracle's ``edge_gains`` on the live edges, a covered edge counting 0,
-    widened by ``TopKOracle``'s allowance (L + 2)·2⁻⁵² for L = its degree,
-    which covers the sum's rounding and the gain's, plus the oracle's
+    every vertex: the graph's :meth:`~loopselect.graph.ExchangeGraph.incidence_sums`
+    of the oracle's ``edge_gains`` on the live edges, a covered edge counting
+    0, which widens each sum by its allowance for L = the degree and so
+    covers the sum's rounding and the gain's, plus the oracle's
     ``gain_slack`` wherever a live edge is left, which covers what rounding
     can lift a set's gain above its edges'. A vertex with no live edge gets
-    exactly 0.0, its exact gain.
+    exactly 0.0, its exact gain. The ``live`` mask over edge rows is the
+    run's one record of what its picks cover, and a vertex's live edges are
+    read off its segment of the graph's incidence index.
     """
     oracle = objective.oracle()
-    covered: set[int] = set()
     news: list[list[int]] = []
-    ids, _, _ = graph.index_arrays()
+    graph.index_arrays()  # an edge with an unknown endpoint is a ValueError
     starts, flat = graph.ranked_incidences()
-    degree = np.diff(starts)
-    touched = degree > 0
-    heads = starts[:-1][touched]  # where each nonempty segment begins
-    widen = 1.0 + (degree[touched] + 2) * 2.0**-52
-    by_id = np.lexsort((ids,))  # the vertex rows in id order
+    eids = graph.edge_columns[0]
     live = np.ones(graph.num_edges, dtype=bool)  # by edge row
 
     def upper():
-        bound = np.zeros(len(ids))
         gains = np.zeros(graph.num_edges)  # a covered edge counts 0
         gains[live] = oracle.edge_gains(np.flatnonzero(live))
-        bound[touched] = np.add.reduceat(gains[flat], heads) * widen
+        bound = graph.incidence_sums(gains[flat])
         if oracle.gain_slack:
-            bound[touched] += oracle.gain_slack * np.logical_or.reduceat(live[flat], heads)
-        return bound[by_id]
+            bound += oracle.gain_slack * (graph.incidence_sums(live[flat]) > 0)
+        return bound
 
     def new_edges(vid):
-        return graph.edges_incident((vid,)) - covered
+        """``vid``'s live edges: their rows and their ids."""
+        i = graph.vertex_row(vid)
+        segment = flat[starts[i]:starts[i + 1]]
+        rows = segment[live[segment]]
+        return rows, [eids[row] for row in rows.tolist()]
 
     def take(vid, g):
-        new = new_edges(vid)
+        rows, new = new_edges(vid)
         news.append(sorted(new))
-        covered.update(new)
-        live[list(map(graph.edge_row, new))] = False
+        live[rows] = False
         oracle.commit(new)
         return TraceStep("vertex", vid, g, oracle.value)
 
-    return GreedySelector(list(graph.vertex_columns[0]), lambda vid: oracle.gain(new_edges(vid)),
-                          upper, take=take), covered, news
+    return GreedySelector(list(graph.vertex_columns[0]), lambda vid: oracle.gain(new_edges(vid)[1]),
+                          upper, take=take), news
 
 
 def v_greedy(graph, k, cb, objective, runs=None):
@@ -566,9 +570,9 @@ def v_greedy(graph, k, cb, objective, runs=None):
     _require_tu(cb, "v_greedy")
     if k < 0:
         raise ValueError("k must be non-negative")
-    run, covered, news = _shared(runs, "v-greedy", lambda: _vertex_run(graph, objective))
+    run, news = _shared(runs, "v-greedy", lambda: _vertex_run(graph, objective))
     # the run reaches b picks, a dry pool, or a pick whose new edges pass k
-    evaluations = _extend(run, cb.b, "v-greedy", stop=lambda: len(covered) > k)
+    evaluations = _extend(run, cb.b, "v-greedy", stop=lambda: sum(map(len, news)) > k)
     picks = count = 0
     while picks < min(cb.b, len(news)) and count + len(news[picks]) <= k:
         count += len(news[picks])

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from loopselect import cli
 from loopselect.cli import CERTIFY_HEADER, main
 from loopselect.generate import demo_rendezvous_graph
 from loopselect.io import load_exchange_graph, load_pose_graph, serialize_exchange_graph
+from loopselect.objectives import PoseGraph
 
 from conftest import make_graph, time_limit
 
@@ -177,6 +179,23 @@ def test_bad_cap_degree_is_usage_error_before_loading(tmp_path, capsys, argv, ca
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "--cap-degree" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--edges", "1", "--output", "g.exg"],
+    ["plan", "--planner", "random", "-b", "1", "-k", "1", "--input", "none.exg"],
+    ["sweep", "--planners", "random", "-b", "1", "-k", "1", "--input", "none.exg"],
+    ["sweep", "--planners", "sgreedy", "-b", "1", "-k", "1", "--input", "none.exg",
+     "--output", "sweep.csv"],
+], ids=["generate", "plan-random", "sweep-random", "sweep-sgreedy"])
+def test_negative_seed_is_usage_error_before_loading(tmp_path, monkeypatch, capsys, argv):
+    # the random planner crashed on numpy's "expected non-negative integer",
+    # an sgreedy sweep wrote "# seed=-1", and generate's message did not name
+    # the flag; the input file does not exist, so a data error would be exit 2
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "usage error: bad --seed '-1': must be non-negative\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPlan:
@@ -1246,6 +1265,20 @@ def treeconn_files(tmp_path, capsys):
     }
 
 
+def test_a_treeconn_plan_scans_its_pose_graph_once(treeconn_files, monkeypatch):
+    # the parser's check and the objective's read one list of violations
+    graph, pose, runs = treeconn_files
+    scans, scan = [], PoseGraph._scan
+
+    def counted(pose_graph):
+        scans.append(pose_graph.num_poses)
+        return scan(pose_graph)
+
+    monkeypatch.setattr(PoseGraph, "_scan", counted)
+    assert main([*runs["plan"], "--input", str(graph), "--pose-input", str(pose)]) == 0
+    assert len(scans) == 1
+
+
 class TestObjectiveDataErrors:
     @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
     @pytest.mark.parametrize("drop, message", [
@@ -1282,6 +1315,52 @@ class TestObjectiveDataErrors:
             f"error: line {line_no}: invalid pose graph: base edge (1,2) weight overflows"
             f" pose 1's summed weight (in {bad})\n"
         )
+
+    @staticmethod
+    def tiny_weight_files(tmp_path):
+        """``generate --robots 2 --verts 3 --edges 4 --seed 1`` with every base
+        information entry 1e-308, a treeconn plan made on the generated pose
+        file, and the runs of plan, sweep and certify."""
+        graph, pose, plan = tmp_path / "g.exg", tmp_path / "g.pose", tmp_path / "plan.json"
+        assert main(["generate", "--robots", "2", "--verts", "3", "--edges", "4", "--seed", "1",
+                     "--output", str(graph), "--pose-output", str(pose)]) == 0
+        assert main(["plan", "--input", str(graph), "--pose-input", str(pose), "--objective",
+                     "treeconn", "-b", "2", "-k", "2", "--output", str(plan)]) == 0
+        tiny = tmp_path / "tiny.pose"
+        lines = [line.split() for line in pose.read_text().splitlines()]
+        for parts in lines:
+            if parts[0] == "EDGE_SE2":
+                parts[6:12] = ["1e-308", "0.0", "0.0", "1e-308", "0.0", "1e-308"]
+        tiny.write_text("".join(" ".join(parts) + "\n" for parts in lines))
+        flags = ["--input", str(graph), "--pose-input", str(tiny)]
+        return tiny, {
+            "plan": ["plan", "--objective", "treeconn", "-b", "2", "-k", "2", *flags],
+            "sweep": ["sweep", "--objective", "treeconn", "-b", "2", "-k", "2", *flags],
+            "certify": ["certify", "--plan", str(plan), *flags],
+            "dcrit": ["plan", "--objective", "dcrit", "-b", "2", "-k", "2", *flags],
+        }
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
+    def test_tiny_base_weights_exit_two_naming_the_pose(self, tmp_path, capsys, command):
+        # 1/w past the float range along pose 2's tree path (1e308 at pose 1, inf
+        # at pose 2) overflowed treeconn's base inverse: plan exited 0 with
+        # value=inf and sweep wrote inf cells
+        tiny, runs = self.tiny_weight_files(tmp_path)
+        capsys.readouterr()
+        assert main(runs[command]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid pose graph: pose 2's tree path sums 1/w past max/4"
+            f" (in {tiny})\n"
+        )
+
+    def test_tiny_base_weights_keep_dcrit_finite(self, tmp_path, capsys):
+        _, runs = self.tiny_weight_files(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(runs["dcrit"]) == 0
+        value = float(re.search(r"value=(\S+)", capsys.readouterr().out).group(1))
+        assert math.isfinite(value) and value > 0
 
     @pytest.mark.parametrize("command", ["plan", "sweep", "certify"])
     def test_capped_pose_error_cites_the_pose_files_ids(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from loopselect import (
     brute_force_opt,
     e_greedy,
     m_greedy,
+    s_greedy,
+    v_greedy,
 )
 from loopselect.generate import GenSpec, generate_exchange_graph
 
@@ -223,15 +226,17 @@ def _arrays_or_error(method):
 
 def reference_ranked(g):
     """``ranked_incidences`` by one three-key ``np.lexsort`` over every incidence:
-    owner, then descending probability, then edge id."""
-    ids, ends, p = g.index_arrays()
-    m = len(p)
-    eids = np.array(g.edge_columns[0], dtype=np.int64)
-    edges = np.concatenate((np.arange(m), np.flatnonzero(ends[0] != ends[1])))
-    owner = np.concatenate((ends[0], ends[1, edges[m:]]))
-    edges = edges[np.lexsort((eids[edges], -p[edges], owner))]
-    starts = np.zeros(len(ids) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(owner, minlength=len(ids)), out=starts[1:])
+    owner, then descending probability, then edge id. An incidence is an edge's
+    known endpoint, once for a self-loop, owned by the last row of its id."""
+    row = dict(zip(g.vertex_columns[0], range(g.num_vertices)))
+    eids, us, vs, ps = g.edge_columns
+    owner, edges = np.array([(row[end], e) for e, ends in enumerate(zip(us, vs))
+                             for end in dict.fromkeys(ends) if end in row],
+                            dtype=np.intp).reshape(-1, 2).T
+    p = np.array(ps, dtype=float)
+    edges = edges[np.lexsort((np.array(eids, dtype=np.int64)[edges], -p[edges], owner))]
+    starts = np.zeros(g.num_vertices + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=g.num_vertices), out=starts[1:])
     return starts, edges
 
 
@@ -314,6 +319,47 @@ class TestColumns:
             ExchangeGraph.from_columns(2, ((), (), ()), ((), (), ()))
 
 
+class TestIncidenceSums:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_widened_sums_bound_the_exact_sums_in_id_order(self, data):
+        # records in shuffled order, so that neither rows nor edge rows are id order
+        g = generate_exchange_graph(GenSpec(
+            num_robots=data.draw(st.integers(2, 4)),
+            vertices_per_robot=data.draw(st.integers(1, 5)),
+            edge_density=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+            seed=data.draw(st.integers(0, 99)),
+        ))
+        g = ExchangeGraph(g.num_robots, data.draw(st.permutations(g.vertices)),
+                          data.draw(st.permutations(g.edges)))
+        starts, flat = g.ranked_incidences()
+        most = data.draw(st.none() | st.integers(0, 4))
+        terms = np.zeros(len(flat))
+        for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            # at most min(degree, most) nonzero terms, anywhere in the segment
+            count = stop - start if most is None else min(stop - start, most)
+            for at in data.draw(st.lists(st.integers(start, max(start, stop - 1)), unique=True,
+                                         max_size=count)):
+                terms[at] = data.draw(st.floats(0.0, 1e300))
+        sums = g.incidence_sums(terms, most)
+        assert sums.shape == (g.num_vertices,)
+        by_id = sorted(range(g.num_vertices), key=g.vertex_columns[0].__getitem__)
+        for got, i in zip(sums.tolist(), by_id):
+            exact = sum(map(Fraction, terms[starts[i]:starts[i + 1]].tolist()), Fraction(0))
+            if exact == 0:  # all its terms 0, or no incidence
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            else:
+                assert Fraction(got) >= exact
+
+    def test_a_planner_refuses_an_unknown_endpoint(self):
+        # the index skips it, but the planners read index_arrays() first
+        g = ExchangeGraph(2, [Vertex(0, 0), Vertex(1, 1)], [Edge(0, 0, 1, 0.5), Edge(1, 0, 7, 0.5)])
+        assert g.incident(0) == (0, 1) and g.incident(1) == (0,)
+        for planner in (m_greedy, v_greedy, s_greedy):
+            with pytest.raises(ValueError, match="unknown endpoint"):
+                planner(g, 1, TotalUniform(1), ModularObjective(g))
+
+
 class TestRecords:
     def test_named_tuple_contract(self):
         v, e = Vertex(3, 1, 2.5), Edge(id=0, u=1, v=2, p=0.25)
@@ -359,7 +405,7 @@ class TestEdgesIncident:
     @staticmethod
     def assert_incident_is_the_record_loop(g):
         want = reference_incident(g)
-        got = g._incident
+        got = {vid: g.incident(vid) for vid in g.vertex_columns[0]}
         assert list(got.items()) == list(want.items())  # keys in the same order too
         assert all(type(eid) is int for eids in got.values() for eid in eids)
 

@@ -159,7 +159,7 @@ def test_selector_with_upper_bounds_matches_eager(data):
 def assert_vertex_bounds_hold(graph, objective):
     """At every round of ``v_greedy``'s run, each vertex's bound is at least its
     exact gain, and 0.0 only where that gain is 0.0."""
-    run, _, _ = planners._vertex_run(graph, objective)
+    run, _ = planners._vertex_run(graph, objective)
     while True:
         for vid, bound in enumerate(run._upper().tolist()):
             gain = run._gain(vid)

@@ -641,9 +641,9 @@ class TestSharedInverse:
         # M0 = LLᵀ, the one factorization of M0, and its first oracle inverts L
         builds, inversions, factored = [], [], []
 
-        def built(pose_graph, order, up):
+        def built(pose_graph, *tree):
             builds.append(pose_graph.num_poses)
-            return tree_inverse(pose_graph, order, up)
+            return tree_inverse(pose_graph, *tree)
 
         def inverted(M):
             inversions.append(M.shape)

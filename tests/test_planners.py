@@ -179,7 +179,7 @@ class TestGreedySelector:
         elif unit == "edge":
             run = planners._edge_run(graph, objective.oracle(), graph.edge_columns[0], "phase1")
         else:
-            run, _, _ = planners._vertex_run(graph, objective)
+            run, _ = planners._vertex_run(graph, objective)
         run.extend(committed)
         assert len(run.steps) == committed
         taken = {s.item for s in run.steps}
