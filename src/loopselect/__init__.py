@@ -9,7 +9,7 @@ factors and exact small-instance oracles.
 Submodules load on first use (PEP 562): ``import loopselect`` imports none of
 them, and ``loopselect.X`` or ``from loopselect import X`` imports the one
 that owns ``X``. Parsing an instance and building its objective so loads only
-``errors``, ``graph``, ``io``, ``objectives`` and ``linalg``.
+``errors``, ``graph``, ``io`` and ``objectives``.
 """
 
 import importlib
@@ -64,7 +64,6 @@ _EXPORTS = {
     ),
     "cli": ("SweepCell", "SweepSpec", "sweep_cells"),
     "io": (),
-    "linalg": (),
     "simplex": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

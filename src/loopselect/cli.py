@@ -20,7 +20,7 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache, partial
 from typing import NamedTuple
@@ -297,10 +297,7 @@ def _load_inputs(args, cap_degree, objective):
                     pose_graph.require_bound(kept.values())
                 except ValueError as err:
                     raise DataError(f"{err} (in {args.pose_input})") from None
-            bound = pose_graph.candidate_map
-            pose_graph = replace(pose_graph, candidate_map={
-                new: bound[old] for new, old in kept.items() if old in bound
-            })
+            pose_graph = pose_graph.renumbered(kept)
         graph = capped
     return graph, pose_graph
 

@@ -35,6 +35,14 @@ P0 less a squared row difference of U (none while U is empty), O(|S|)
 Cholesky of an r×r matrix, O(r³), and a commit appends one column to U,
 O(d·|S|).
 
+No objective keeps a copy of the exchange graph's edges. Each reads an edge
+at the row that the graph's ``edge_row`` maps its id to, which raises
+ValueError on an unknown id: the modular objective and its oracles read the
+graph's probability column and array, and a log-det objective keeps one
+table, ``_ijs``, of each edge's (i, j, p·w) as three columns by edge row,
+which its oracles share. ``cholesky_pd``, ``chol_logdet`` and ``logdet_pd``
+are the dense Cholesky helpers of ``value`` and of the ``dcrit`` prior.
+
 ``g_modular`` is the nested objective on vertex sets: the best value of at
 most k verifiable edges once a vertex set has been broadcast. For the modular
 objective it has a closed form (sum of the top-k incident probabilities) and
@@ -53,12 +61,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-
-from .linalg import chol_logdet, cholesky_pd, logdet_pd
 
 __all__ = [
     "PoseGraph",
@@ -158,6 +164,24 @@ class PoseGraph:
                     yield (kind, key), f"{what} weight overflows pose {v}'s summed weight"
                     return
 
+    def renumbered(self, old_ids) -> PoseGraph:
+        """This graph with its candidates bound under new ids: ``old_ids`` maps
+        each new id to an old one, and a candidate it does not name is dropped.
+
+        The kept candidates keep their order, so the copy of a valid graph is
+        valid and takes its verdict instead of a scan: each candidate is
+        checked alone, and every running weight sum, over a subsequence of
+        the same terms in the same order, only shrinks. A graph with
+        violations leaves its copy to be scanned.
+        """
+        new_id = {old: new for new, old in old_ids.items()}
+        graph = replace(self, candidate_map={
+            new_id[old]: edge for old, edge in self.candidate_map.items() if old in new_id
+        })
+        if not self._violations:
+            graph.__dict__["_violations"] = []  # as the cached property would store it
+        return graph
+
     def require_bound(self, edge_ids):
         """Raise ValueError unless ``candidate_map`` binds every id in ``edge_ids``."""
         missing = [eid for eid in edge_ids if eid not in self.candidate_map]
@@ -230,13 +254,36 @@ def _with_edges(M, edges, anchor):
     return P[block]
 
 
-def _edges(pairs, edge_ids):
-    """The (i, j, s) of each id in ``edge_ids`` with s > 0, in the given order."""
+def cholesky_pd(M) -> np.ndarray:
+    """Lower Cholesky factor L of a symmetric positive-definite M = LLᵀ.
+
+    Raises ValueError if the factorization fails (matrix not PD).
+    """
     try:
-        edges = [pairs[eid] for eid in edge_ids]
-    except KeyError as err:
-        raise ValueError(f"unknown edge id {err.args[0]!r}") from None
-    return [t for t in edges if t[2] != 0.0]
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix is not positive definite") from None
+
+
+def chol_logdet(L) -> float:
+    """log det LLᵀ = 2 Σ log L_ii, from a Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def logdet_pd(M) -> float:
+    """log det of a symmetric positive-definite matrix via Cholesky.
+
+    Raises ValueError if the factorization fails (matrix not PD).
+    """
+    return chol_logdet(cholesky_pd(M))
+
+
+def _terms(ijs, row, edge_ids):
+    """The (i, j, s) of each id in ``edge_ids`` with s ≠ 0, in the given order,
+    read from the columns ``ijs`` at the edge row ``row(id)``."""
+    I, J, S = ijs
+    terms = ((I.item(r), J.item(r), S.item(r)) for r in map(row, edge_ids))
+    return [t for t in terms if t[2] != 0.0]
 
 
 class ModularObjective:
@@ -246,7 +293,6 @@ class ModularObjective:
 
     def __init__(self, graph):
         self.graph = graph
-        self._p_rows = None  # the probabilities as an array, made by the first oracle()
 
     def value(self, edge_ids) -> float:
         p, row = self.graph.edge_columns[3], self.graph.edge_row
@@ -258,12 +304,8 @@ class ModularObjective:
         return self.graph.edge_columns[3][self.graph.edge_row(eid)]
 
     def oracle(self) -> _ModularOracle:
-        """Fresh gain/commit state for one planner run; every oracle reads one
-        read-only array of the probabilities."""
-        if self._p_rows is None:
-            self._p_rows = np.array(self.graph.edge_columns[3], dtype=float)
-            self._p_rows.flags.writeable = False
-        return _ModularOracle(self.graph, self._p_rows)
+        """Fresh gain/commit state for one planner run, reading the graph's columns."""
+        return _ModularOracle(self.graph)
 
 
 def _fresh(committed, edge_ids) -> set[int]:
@@ -283,31 +325,29 @@ class _ModularOracle:
     float sum of its edges' gains, widened for its own rounding, bounds it
     (which vertex greedy relies on).
     ``value`` is the ``math.fsum`` of the committed probabilities, as in
-    :meth:`ModularObjective.value`.
+    :meth:`ModularObjective.value`. An id is read through the graph's
+    ``edge_row``, which raises ValueError on an unknown one.
     """
 
     gain_slack = 0.0  # how far a set's gain can exceed its edges' by rounding: not at all
 
-    def __init__(self, graph, p_rows):
-        eids, _, _, ps = graph.edge_columns
-        self._p = dict(zip(eids, ps))
-        self._p_rows = p_rows
+    def __init__(self, graph):
+        self._graph = graph
         self._committed: set[int] = set()
         self.value = 0.0
 
     def _sum(self, edge_ids) -> float:
-        try:
-            return math.fsum(map(self._p.__getitem__, edge_ids))
-        except KeyError as err:
-            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+        p = self._graph.edge_columns[3]
+        return math.fsum(map(p.__getitem__, map(self._graph.edge_row, edge_ids)))
 
     def gain(self, edge_ids) -> float:
         return self._sum(_fresh(self._committed, edge_ids))
 
     def edge_gains(self, rows) -> np.ndarray:
         """The one-edge gain of each edge row in ``rows``: its probability, which
-        is what :meth:`gain` gives the edge (``fsum`` of one term is that term)."""
-        return self._p_rows[rows]
+        is what :meth:`gain` gives the edge (``fsum`` of one term is that term),
+        read from the graph's one read-only probability array."""
+        return self._graph._p[rows]
 
     def commit(self, edge_ids):
         committed = self._committed | _fresh(self._committed, edge_ids)
@@ -328,10 +368,12 @@ class _LogDetOracle:
     takes u = M⁻¹a and sr = s aᵀu and appends the column ``u √(s/(1+sr))``,
     the Sherman–Morrison downdate of M⁻¹ written as a factor, at O(d·|S|).
 
-    :func:`_set_gains` is the one gain arithmetic: :meth:`edge_gains` runs its
-    r = 1 branch over many edges and :meth:`gain` runs it on a batch of one,
-    except that a one-edge :meth:`gain` takes a short path that rounds as
-    r = 1 does.
+    Edges are read from the objective's table ``_ijs``, its (i, j, s) columns,
+    at the row the graph's ``edge_row`` gives an id. :func:`_set_gains` is
+    the one gain arithmetic: :meth:`edge_gains` runs its r = 1 branch over
+    many edges and a multi-edge :meth:`gain` its r ≥ 2 branch on one set,
+    while a one-edge :meth:`gain` takes a short path that rounds as r = 1
+    does.
 
     In exact arithmetic a set's gain is at most the sum of its edges' gains
     (submodularity); rounding can lift it above that sum where an edge's
@@ -341,9 +383,9 @@ class _LogDetOracle:
 
     gain_slack = 1e-9
 
-    def __init__(self, pairs, ijs, P0):
+    def __init__(self, row, ijs, P0):
         self._P0 = P0
-        self._pairs, self._ijs = pairs, ijs
+        self._row, self._ijs = row, ijs
         # the first _m columns of _U are U; the rest is room to append
         self._U = np.empty((P0.shape[0], 8))
         self._m = 0
@@ -356,10 +398,9 @@ class _LogDetOracle:
             (eid,) = edge_ids
             if eid in self._committed:
                 raise ValueError(f"edges [{eid}] already committed")
-            try:
-                i, j, s = self._pairs[eid]
-            except KeyError:
-                raise ValueError(f"unknown edge id {eid!r}") from None
+            row = self._row(eid)
+            I, J, S = self._ijs
+            i, j, s = I.item(row), J.item(row), S.item(row)  # Python numbers index fastest
             P0 = self._P0
             q = P0[i, i] + P0[j, j] - 2.0 * P0[i, j]
             if self._m:  # less ‖U_i − U_j‖², which is exactly 0 while U has no column
@@ -371,12 +412,9 @@ class _LogDetOracle:
         ids = sorted(_fresh(self._committed, edge_ids))
         if not ids:
             return 0.0
-        try:
-            I, J, s = zip(*[self._pairs[eid] for eid in ids])
-        except KeyError as err:
-            raise ValueError(f"unknown edge id {err.args[0]!r}") from None
+        rows = np.array([list(map(self._row, ids))])
         U = self._U[:, : self._m]
-        return _set_gains(self._P0, U, np.array([I]), np.array([J]), np.array([s]))[0]
+        return _set_gains(self._P0, U, *(col[rows] for col in self._ijs))[0]
 
     def edge_gains(self, rows) -> np.ndarray:
         """The one-edge gain of each edge row in ``rows``, bit for bit what
@@ -394,7 +432,7 @@ class _LogDetOracle:
 
     def commit(self, edge_ids):
         new = _fresh(self._committed, edge_ids)
-        terms = _edges(self._pairs, sorted(new))
+        terms = _terms(self._ijs, self._row, sorted(new))
         self._committed |= new
         for i, j, s in terms:
             m = self._m
@@ -408,16 +446,17 @@ class _LogDetOracle:
 
 
 def _set_gains(P0, U, I, J, s) -> list[float]:
-    """The gains over M⁻¹ = P0 − UUᵀ of n sets of r new edges, given as (n, r) arrays.
+    """The gains over M⁻¹ = P0 − UUᵀ of new edges given as (n, r) arrays: of n
+    sets of one edge each for r = 1, and of one set (n = 1) of r edges for r ≥ 2.
 
-    Every step is elementwise, one BLAS or LAPACK call per set, or Python per
-    element, so a set gains the same bit for bit alone or in any batch. G =
-    AᵀM⁻¹A is the gathers of P0 less WWᵀ, W = U_I − U_J. For r = 1 it is
+    G = AᵀM⁻¹A is the gathers of P0 less WWᵀ, W = U_I − U_J. For r = 1 it is
     summed in the one-edge path's float order, w·w by the BLAS dot that
-    ``w.dot(w)`` calls, and the gain is ``math.log1p(s·max(G, 0))``. For r ≥ 2
-    the gain is logdet(I + K), K = S½GS½: with I + K = LLᵀ, the sum of
-    ``log1p(x_c)`` over the pivots' Schur increments x_c = K_cc − Σ_{a<c}
-    L_ca², so a gain near 0 keeps its relative precision.
+    ``w.dot(w)`` calls, and the gain is ``math.log1p(s·max(G, 0))``; every
+    step is elementwise, one BLAS dot per edge or Python per element, so an
+    edge gains the same bit for bit alone or in any batch. For r ≥ 2 the gain
+    is logdet(I + K), K = S½GS½: with I + K = LLᵀ, the sum of ``log1p(x_c)``
+    over the pivots' Schur increments x_c = K_cc − Σ_{a<c} L_ca², so a gain
+    near 0 keeps its relative precision.
     """
     r = I.shape[1]
     if r == 1:
@@ -429,23 +468,23 @@ def _set_gains(P0, U, I, J, s) -> list[float]:
             q -= (W[:, None, :] @ W[:, :, None])[:, 0, 0]
         q[0.0 > q] = 0.0  # max(q, 0.0), as gain() clamps the rounding
         return list(map(math.log1p, (s * q).tolist()))
-    a, b = (slice(None), slice(None), None), (slice(None), None, slice(None))
-    IJ = np.concatenate((I, J), axis=1)
-    D = P0[IJ[a], IJ[b]]  # each set's 2r × 2r block of P0
-    D = D[:, :, :r] - D[:, :, r:]
-    K = D[:, :r] - D[:, r:]
+    (I,), (J,), (s,) = I, J, s
+    IJ = np.concatenate((I, J))
+    D = P0[IJ[:, None], IJ]  # the set's 2r × 2r block of P0
+    D = D[:, :r] - D[:, r:]
+    K = D[:r] - D[r:]
     if U.shape[1]:
         W = U[I] - U[J]
-        K -= W @ W.transpose(0, 2, 1)
+        K -= W @ W.T
     root = np.sqrt(s)
-    K *= root[a] * root[b]
-    x = K.diagonal(0, 1, 2).copy()
+    K *= root[:, None] * root
+    x = K.diagonal().copy()
     L = np.linalg.cholesky(K + np.eye(r))
     L *= L
     for c in range(r - 1):
-        x[:, c + 1 :] -= L[:, c + 1 :, c]
+        x[c + 1 :] -= L[c + 1 :, c]
     x[0.0 > x] = 0.0  # I + K's pivots are >= 1 exactly; clamp the rounding
-    return [math.fsum(map(math.log1p, row)) for row in x.tolist()]
+    return [math.fsum(map(math.log1p, x.tolist()))]
 
 
 def _downdate(P0, U, i, j, s):
@@ -496,7 +535,8 @@ class _RankOneLogDet:
 
     Subclasses fix the base matrix M0 (``_base``) and how its inverse is
     made (``_base_inverse``). Each exchange edge e mapped to pose pair (i, j)
-    with candidate weight w is the triple ``(i, j, p(e) * w)`` and contributes
+    with candidate weight w is ``(i, j, p(e) * w)`` in ``_ijs``, the one table
+    of the edges, three columns by edge row, and contributes
     ``p(e) * w * a aᵀ``, where a is the incidence vector of (i, j). ``value``
     rebuilds and refactorizes the matrix per query and is the dense
     reference; its first call builds M0 and logdet M0 unless the constructor
@@ -516,13 +556,9 @@ class _RankOneLogDet:
         self.pose_graph = pose_graph
         self._reference = None  # (M0, logdet M0), made by _dense() on first use
         self._P0 = None  # M0⁻¹ in pose coordinates, made by the first oracle()
-        self._pairs = {}
-        for eid, p in zip(eids, ps):
-            i, j, w = pose_graph.candidate_map[eid]
-            self._pairs[eid] = (i, j, p * w)
-        # the same triples as three arrays, in edge-row order
-        table = np.array([self._pairs[eid] for eid in eids], dtype=float).reshape(-1, 3)
-        self._ijs = (table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2])
+        bound = pose_graph.candidate_map
+        I, J, w = np.array([bound[eid] for eid in eids], dtype=float).reshape(-1, 3).T
+        self._ijs = I.astype(np.intp), J.astype(np.intp), w * np.array(ps, dtype=float)
 
     def _dense(self):
         """(M0, logdet M0), built on first use."""
@@ -533,7 +569,7 @@ class _RankOneLogDet:
 
     def value(self, edge_ids) -> float:
         M0, logdet0 = self._dense()
-        edges = _edges(self._pairs, sorted(set(edge_ids)))
+        edges = _terms(self._ijs, self.graph.edge_row, sorted(set(edge_ids)))
         return logdet_pd(_with_edges(M0, edges, self.pose_graph.anchor)) - logdet0
 
     def marginal(self, edge_ids, eid) -> float:
@@ -552,7 +588,7 @@ class _RankOneLogDet:
             P0 = self._base_inverse()
             P0.flags.writeable = False
             self._P0 = P0
-        return _LogDetOracle(self._pairs, self._ijs, self._P0)
+        return _LogDetOracle(self.graph.edge_row, self._ijs, self._P0)
 
 
 class DCritObjective(_RankOneLogDet):

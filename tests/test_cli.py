@@ -1265,8 +1265,10 @@ def treeconn_files(tmp_path, capsys):
     }
 
 
-def test_a_treeconn_plan_scans_its_pose_graph_once(treeconn_files, monkeypatch):
-    # the parser's check and the objective's read one list of violations
+@pytest.mark.parametrize("cap", [[], ["--cap-degree", "1"]], ids=["uncapped", "capped"])
+def test_a_treeconn_plan_scans_its_pose_graph_once(treeconn_files, monkeypatch, cap):
+    # the parser's check and the objective's read one list of violations; the
+    # cap's renumbered copy takes the parsed graph's verdict
     graph, pose, runs = treeconn_files
     scans, scan = [], PoseGraph._scan
 
@@ -1275,7 +1277,7 @@ def test_a_treeconn_plan_scans_its_pose_graph_once(treeconn_files, monkeypatch):
         return scan(pose_graph)
 
     monkeypatch.setattr(PoseGraph, "_scan", counted)
-    assert main([*runs["plan"], "--input", str(graph), "--pose-input", str(pose)]) == 0
+    assert main([*runs["plan"], *cap, "--input", str(graph), "--pose-input", str(pose)]) == 0
     assert len(scans) == 1
 
 

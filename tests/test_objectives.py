@@ -28,8 +28,7 @@ from loopselect import (
 )
 from loopselect import cli, objectives
 from loopselect.generate import GenSpec, generate_exchange_graph, generate_pose_graph
-from loopselect.linalg import logdet_pd
-from loopselect.objectives import DEFAULT_PRIOR_EPS
+from loopselect.objectives import DEFAULT_PRIOR_EPS, logdet_pd
 
 from conftest import (
     make_graph,
@@ -917,7 +916,7 @@ class TestOneEdgeGain:
                 for other in eids:
                     if other in oracle._committed:
                         continue
-                    i, j, s = obj._pairs[other]
+                    i, j, s = (col.item(graph.edge_row(other)) for col in obj._ijs)
                     w = U[i] - U[j]
                     want = math.log1p(
                         s * max(float(P0[i, i] + P0[j, j] - 2.0 * P0[i, j] - w.dot(w)), 0.0))
@@ -1023,6 +1022,44 @@ class TestEdgeGains:
             parts = math.fsum(oracle.gain((eid,)) for eid in X)
             assert 0.0 < parts < 1e-15
             assert abs(g - parts) <= 1e-9 * parts, (X, g, parts)
+
+
+class TestEdgeRecordOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(instance=logdet_instances(), data=st.data())
+    def test_permuted_edge_records_change_no_bit(self, instance, data):
+        # an objective reads an edge at the row the graph maps its id to, so
+        # the same records in another order give every gain, bound and value
+        graph, pg = instance  # edge e at row e
+        eids = [e.id for e in graph.edges]
+        perm = data.draw(st.permutations(range(len(eids))))
+        shuffled = ExchangeGraph(graph.num_robots, graph.vertices, [graph.edges[k] for k in perm])
+        order = data.draw(st.permutations(eids))
+        sizes = [data.draw(st.integers(1, 3)) for _ in eids]
+
+        def same(values):
+            a, b = ([x.hex() for x in side] for side in values)
+            assert a == b
+
+        for make in (ModularObjective, lambda g: TreeConnObjective(g, pg),
+                     lambda g: DCritObjective(g, pg)):
+            objs = make(graph), make(shuffled)
+            oracles = [obj.oracle() for obj in objs]
+            rest, sizes_left = list(order), list(sizes)
+            while True:
+                rows = [np.array([g.edge_row(e) for e in rest], dtype=np.intp)
+                        for g in (graph, shuffled)]
+                same([o.edge_gains(r).tolist() for o, r in zip(oracles, rows)])
+                same([[o.gain((e,)) for e in rest] + [o.gain(rest[:3])] for o in oracles])
+                if not rest:
+                    break
+                size = sizes_left.pop()
+                new, rest = rest[:size], rest[size:]
+                for o in oracles:
+                    o.commit(new)
+                same([[o.value] for o in oracles])
+                committed = order[: len(order) - len(rest)]
+                same([[obj.value(committed)] for obj in objs])
 
 
 class TestLinalg:

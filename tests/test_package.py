@@ -30,7 +30,6 @@ EXPORTS = {
                  "generate_pose_graph", "sample_ground_truth"],
     "cli": ["SweepCell", "SweepSpec", "sweep_cells"],
     "io": [],
-    "linalg": [],
     "simplex": [],
 }
 NAMES = {name for module, names in EXPORTS.items() for name in (module, *names)}
@@ -115,7 +114,6 @@ print(sorted(m for m in {sorted(GUARDED)!r} if m in sys.modules))
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     loaded, guarded = proc.stdout.splitlines()
-    assert loaded == str([f"loopselect.{m}" for m in ("errors", "graph", "io", "linalg",
-                                                      "objectives")])
+    assert loaded == str([f"loopselect.{m}" for m in ("errors", "graph", "io", "objectives")])
     assert guarded == "[]"
 
