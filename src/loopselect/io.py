@@ -31,13 +31,22 @@ violations raise :class:`~loopselect.errors.ParseError` with the offending
 line number. Every number must be finite and spelt in ASCII without ``_``
 (a leading sign is fine), and a pose graph has at most one ``FIX`` record.
 Given the exchange graph's edge ids, the pose parser also rejects a
-``CANDIDATE`` for an edge that graph does not have. Each record kind is
-accepted and built in one place only; a record refused there goes to
-field-by-field checks that build nothing and raise its first fault. An
-exchange graph's accepted fields are appended to its columns
-(:meth:`~loopselect.graph.ExchangeGraph.from_columns`), and its invariants
-are checked over them at the end; only when one is broken is the text read
-again, for the line of each record at fault. The loaders
+``CANDIDATE`` for an edge that graph does not have.
+
+Two readers share that contract. numpy's C text reader reads each record
+kind's lines with one ``np.loadtxt`` when every kind's lines are ASCII with
+no ``_`` outside their tags, have the kind's field count, ints within 64 bits
+and finite reals, and the file has exactly one ``robots`` header (exchange)
+or repeats no pose id, candidate or ``FIX``, names only known edges and has
+``I11 > 0`` (pose). Every other file goes to the line loop, which accepts
+and builds each record kind in one place only; a record refused there goes
+to field-by-field checks that build nothing and raise its first fault. On
+any file the first reader takes, the two give the same columns, bit for bit
+and of the same Python types, and the tests compare them on generated and
+mangled files. An exchange graph's columns go to
+:meth:`~loopselect.graph.ExchangeGraph.from_columns`, and either graph's
+invariants are checked over its columns at the end; only when one is broken
+is the text read again, for the line of each record at fault. The loaders
 read UTF-8 and reject a byte that is not UTF-8 at the line that holds it;
 their errors name the file after the message.
 """
@@ -46,6 +55,10 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
+from collections import defaultdict
+
+import numpy as np
 
 from .errors import ParseError
 from .graph import ExchangeGraph, GroundTruth
@@ -147,10 +160,96 @@ def _numbered(kind, lines):
     return {(kind, i): line_no for i, line_no in enumerate(lines)}
 
 
+# -- numpy's C text reader ----------------------------------------------------
+
+
+def _row_dtypes(**fields):
+    """Each tag's row: the tag, one character wider than the tag so that a
+    longer tag is not cut down to it, then its fields, ``i`` for an int64
+    and ``f`` for a float64 each."""
+    types = {"i": np.int64, "f": np.float64}
+    return {
+        tag: np.dtype(
+            [("tag", f"U{len(tag) + 1}")] + [(f"f{n}", types[k]) for n, k in enumerate(kinds)]
+        )
+        for tag, kinds in fields.items()
+    }
+
+
+_EXCHANGE_ROWS = _row_dtypes(robots="i", vertex="iif", edge="iiif")
+_POSE_ROWS = _row_dtypes(VERTEX_SE2="ifff", FIX="i", EDGE_SE2="ii" + "f" * 9, CANDIDATE="iiif")
+
+
+def _read_columns(text, rows):
+    """The records of ``text`` as columns of Python ints and floats, one list
+    of columns per tag of ``rows`` (tag -> row dtype), read with one
+    ``np.loadtxt`` per tag; None when the line loop must read the file.
+
+    The tags start with distinct letters, so a line's first letter picks its
+    tag; blank and ``#`` lines are dropped, and any other line is an unknown
+    record. A tag's lines are read only if they are ASCII with no ``_``
+    outside their tags, every row has the tag's field count and the tag
+    itself, every int fits 64 bits and every real is finite. On those lines
+    numpy reads what int() and float() read, to the bit (the tests compare
+    both readers), and refuses what they refuse.
+    """
+    skip = []
+    buckets = {"": skip, "#": skip, **{tag[0]: [] for tag in rows}}
+    try:
+        for line in text.splitlines():
+            buckets[line.lstrip()[:1]].append(line)
+    except KeyError:
+        return None  # an unknown record
+    columns = {}
+    with warnings.catch_warnings():
+        # numpy 1.x reads an int spelt as a float ("1.0") with only a warning
+        warnings.simplefilter("error")
+        for tag, dtype in rows.items():
+            lines = buckets[tag[0]]
+            joined = "".join(lines)
+            if not (joined.isascii() and joined.count("_") == tag.count("_") * len(lines)):
+                return None
+            table = np.empty(0, dtype)  # numpy warns on no lines
+            if lines:
+                try:
+                    table = np.loadtxt(lines, dtype, comments=None, ndmin=1)
+                except (ValueError, Warning):
+                    return None
+            fields = [table[name] for name in dtype.names[1:]]
+            if not ((table["tag"] == tag).all()
+                    and all(np.isfinite(f).all() for f in fields if f.dtype.kind == "f")):
+                return None
+            columns[tag] = [f.tolist() for f in fields]
+    return columns
+
+
+def _record_lines(text):
+    """Each tag's line numbers, in file order, of a file whose every record was accepted."""
+    lines = defaultdict(list)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split(None, 1)
+        if parts and parts[0][0] != "#":
+            lines[parts[0]].append(line_no)
+    return lines
+
+
 # -- exchange graphs -----------------------------------------------------------
 
 
 def parse_exchange_graph(text) -> ExchangeGraph:
+    columns = _read_columns(text, _EXCHANGE_ROWS)
+    if columns is None or len(columns["robots"][0]) != 1:
+        num_robots, vertices, edges = _exchange_by_line(text)
+    else:
+        num_robots = columns["robots"][0][0]
+        vertices, edges = columns["vertex"], columns["edge"]
+    graph = ExchangeGraph.from_columns(num_robots, vertices, edges)
+    _reject_violations(graph.violations(), lambda: _exchange_lines(text), "exchange graph")
+    return graph
+
+
+def _exchange_by_line(text):
+    """``text``'s robot count, vertex columns and edge columns, read line by line."""
     num_robots = None
     vids, robots, weights = vertices = [], [], []
     eids, us, vs, ps = edges = [], [], [], []
@@ -207,25 +306,17 @@ def parse_exchange_graph(text) -> ExchangeGraph:
         raise AssertionError(f"line {line_no}: a faultless {tag} record was refused")
     if num_robots is None:
         raise ParseError(1, "missing robots header")
-    graph = ExchangeGraph.from_columns(num_robots, vertices, edges)
-    _reject_violations(graph.violations(), lambda: _exchange_lines(text), "exchange graph")
-    return graph
+    return num_robots, vertices, edges
 
 
 def _exchange_lines(text):
     """The line of each record of ``text``, a file whose every record was accepted."""
-    lines, count = {}, {"vertex": 0, "edge": 0}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue  # blank, or a comment
-        tag = parts[0]
-        if tag == "robots":
-            lines[("robots",)] = line_no
-        else:
-            lines[(tag, count[tag])] = line_no
-            count[tag] += 1
-    return lines
+    lines = _record_lines(text)
+    return {
+        **{("robots",): n for n in lines["robots"]},
+        **_numbered("vertex", lines["vertex"]),
+        **_numbered("edge", lines["edge"]),
+    }
 
 
 def serialize_exchange_graph(graph) -> str:
@@ -253,17 +344,63 @@ def save_exchange_graph(graph, path):
 
 def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
     """Parse a pose file; with ``edge_ids``, every CANDIDATE must name one of them."""
+    records = _pose_by_columns(text, edge_ids)
+    if records is None:
+        records = _pose_by_line(text, edge_ids)
+    poses, anchor, base_edges, candidate_map = records
+    if not poses:
+        raise ParseError(1, "missing VERTEX_SE2 records")
+    ids = sorted(poses)
+    if ids != list(range(len(ids))):
+        raise ParseError(1, "pose ids must be dense and 0-based")
+    pg = PoseGraph(
+        num_poses=len(ids),
+        base_edges=tuple(base_edges),
+        candidate_map=candidate_map,
+        anchor=0 if anchor is None else anchor,
+        poses=tuple(poses[i] for i in ids),
+    )
+    _reject_violations(pg.violations(), lambda: _pose_lines(text, candidate_map), "pose graph")
+    return pg
+
+
+def _pose_by_columns(text, edge_ids):
+    """``_pose_by_line``'s records, read by :func:`_read_columns`; None when a
+    record is one that the line loop refuses or must check."""
+    columns = _read_columns(text, _POSE_ROWS)
+    if columns is None:
+        return None
+    pids, *coords = columns["VERTEX_SE2"]
+    (fix,) = columns["FIX"]
+    i, j, *reals = columns["EDGE_SE2"]
+    eids, *pairs = columns["CANDIDATE"]
+    info11 = reals[3]
+    if (len(fix) > 1 or len(set(pids)) < len(pids) or len(set(eids)) < len(eids)
+            or min(info11, default=1.0) <= 0
+            or edge_ids is not None and not all(map(edge_ids.__contains__, eids))):
+        return None
+    return (
+        dict(zip(pids, zip(*coords))),
+        fix[0] if fix else None,
+        list(zip(i, j, info11)),
+        dict(zip(eids, zip(*pairs))),
+    )
+
+
+def _pose_by_line(text, edge_ids):
+    """``text``'s poses (id -> coordinates), anchor (None without FIX), base
+    edges and candidate map, read line by line."""
     poses = {}
-    anchor = anchor_line = None
-    base_edges, base_lines = [], []
-    candidate_map, candidate_lines = {}, []
+    anchor = None
+    base_edges = []
+    candidate_map = {}
     plain = text.isascii() and text.count("_") == text.count("_SE2")  # "_" only in tags
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue  # blank, or a comment
         tag = parts[0]
-        try:  # as in parse_exchange_graph
+        try:  # as in _exchange_by_line
             if not plain:
                 _plain("".join(parts[1:]))
             if tag == "CANDIDATE" and len(parts) == 5:
@@ -271,14 +408,12 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                 if (-_INF < w < _INF and eid not in candidate_map
                         and (edge_ids is None or eid in edge_ids)):
                     candidate_map[eid] = (int(parts[2]), int(parts[3]), w)
-                    candidate_lines.append(line_no)
                     continue
             elif tag == "EDGE_SE2" and len(parts) == 12:
                 i, j = int(parts[1]), int(parts[2])
                 reals = [float(t) for t in parts[3:12]]
                 if _finite(reals) and reals[3] > 0:
                     base_edges.append((i, j, reals[3]))
-                    base_lines.append(line_no)
                     continue
             elif tag == "VERTEX_SE2" and len(parts) == 5:
                 pid = int(parts[1])
@@ -287,11 +422,11 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
                     poses[pid] = coords
                     continue
             elif tag == "FIX" and len(parts) == 2 and anchor is None:
-                anchor, anchor_line = int(parts[1]), line_no
+                anchor = int(parts[1])
                 continue
         except ValueError:
             pass
-        # refused: as in parse_exchange_graph
+        # refused: as in _exchange_by_line
         if tag == "VERTEX_SE2":
             _fields(line_no, parts, 5, "VERTEX_SE2")
             pid = _to_int(line_no, parts[1], "pose id")
@@ -328,28 +463,18 @@ def parse_pose_graph(text, edge_ids=None) -> PoseGraph:
         else:
             raise ParseError(line_no, f"unknown record {tag!r}")
         raise AssertionError(f"line {line_no}: a faultless {tag} record was refused")
-    if not poses:
-        raise ParseError(1, "missing VERTEX_SE2 records")
-    ids = sorted(poses)
-    if ids != list(range(len(ids))):
-        raise ParseError(1, "pose ids must be dense and 0-based")
-    pg = PoseGraph(
-        num_poses=len(ids),
-        base_edges=tuple(base_edges),
-        candidate_map=candidate_map,
-        anchor=0 if anchor is None else anchor,
-        poses=tuple(poses[i] for i in ids),
-    )
-    _reject_violations(
-        pg.violations(),
-        lambda: {
-            ("anchor",): anchor_line,
-            **_numbered("base", base_lines),
-            **{("candidate", eid): n for eid, n in zip(candidate_map, candidate_lines)},
-        },
-        "pose graph",
-    )
-    return pg
+    return poses, anchor, base_edges, candidate_map
+
+
+def _pose_lines(text, candidate_ids):
+    """The line of each record of ``text``, a file whose every record was
+    accepted, with its candidates in ``candidate_ids`` order."""
+    lines = _record_lines(text)
+    return {
+        **{("anchor",): n for n in lines["FIX"]},
+        **_numbered("base", lines["EDGE_SE2"]),
+        **{("candidate", eid): n for eid, n in zip(candidate_ids, lines["CANDIDATE"])},
+    }
 
 
 def serialize_pose_graph(pg) -> str:

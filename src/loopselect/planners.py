@@ -485,6 +485,7 @@ def e_greedy(graph, k, cb, objective, runs=None):
         raise ValueError("k must be non-negative")
     b = cb.b
     rounds = min(b, k)
+    graph.index_arrays()  # an edge with an unknown endpoint is a ValueError
     run = _shared(
         runs,
         "e-greedy",

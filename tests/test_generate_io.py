@@ -1,9 +1,13 @@
 """Generators (determinism, validity, sampling statistics) and file round-trips."""
 
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopselect import (
+    ExchangeGraph,
     GenSpec,
     ModularObjective,
     ParseError,
@@ -302,6 +307,167 @@ class TestFormatFuzz:
         with pytest.raises(ParseError) as err:
             parse("\n".join(lines) + "\n")
         assert err.value.line_no == at + 1, str(err.value)
+
+
+def by_line(parse, text, *args):
+    """``parse(text, *args)`` read by the line loop alone: the graph, or the error text."""
+    with mock.patch.object(lio, "_read_columns", return_value=None):
+        return outcome(parse, text, *args)
+
+
+def outcome(parse, text, *args):
+    try:
+        return parse(text, *args)
+    except ParseError as err:
+        return str(err)
+
+
+def typed_bits(value):
+    """``value`` with each number as its type and, for a float, its bits: two
+    graphs agree on it only if every column holds the same numbers, to the bit,
+    of the same Python types."""
+    if isinstance(value, ExchangeGraph):
+        return typed_bits((value.num_robots, value.vertex_columns, value.edge_columns))
+    if isinstance(value, PoseGraph):
+        return typed_bits(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return typed_bits(tuple(value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(typed_bits, value))
+    if isinstance(value, float):
+        return float, value.hex()
+    return type(value), value
+
+
+TAGS = ["robots", "vertex", "edge", "VERTEX_SE2", "FIX", "EDGE_SE2", "CANDIDATE"]
+BAD_TOKENS = [
+    "0", "-1", "1.0", "-0", "+7", "007", "+.5", "5.", "1E+05", "-0.0", "1e-400", "4.9e-324", "nan", "-nan",
+    "inf", "-Infinity", "1e400", "1_0", "٥", "0x10", "0x1p3", "1e3", "2e0", "#", "1#", "#1",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+    "99999999999999999999", "x",
+]
+SEPARATORS = [" ", "\t", "\x1f", "\x0b", "\x0c", "\x1c", "\xa0", "\u3000", "\u2028", "\x00", ",", "\r"]
+
+
+@st.composite
+def mangled(draw, text):
+    """``text`` respaced, then up to two edits to its records: a record's tag
+    changed, one of its other fields respelt, replaced, dropped or preceded
+    by a bad token, a gap replaced, or the line repeated or dropped."""
+    lines = draw(respaced(text)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 2))):
+        records = [k for k, line in enumerate(lines) if line.split() and line.split()[0][0] != "#"]
+        if not records:
+            break
+        at = draw(st.sampled_from(records))
+        how = draw(st.sampled_from(["tag", "token", "token", "respell", "respell", "drop", "add",
+                                    "gap", "line", "line"]))
+        if how == "line":
+            lines[at:at + 1] = [lines[at]] * draw(st.sampled_from([0, 2, 2] if lines[1:] else [2]))
+            continue
+        body = lines[at].rstrip("\r\n")
+        parts = re.split(r"([ \t]+)", body)  # fields at even positions, gaps at odd ones
+        fields = [k for k in range(0, len(parts), 2) if parts[k]]
+        if how == "tag":
+            tag = parts[fields[0]]
+            parts[fields[0]] = draw(st.sampled_from([tag + "x", tag[:-1], tag.swapcase(),
+                                                     "#" + tag, *TAGS]))
+        elif how == "gap":
+            gap = draw(st.sampled_from(SEPARATORS))
+            if len(parts) > 1:
+                parts[draw(st.sampled_from(range(1, len(parts), 2)))] = gap
+            else:
+                parts.append(gap)
+        elif how == "add":
+            parts.insert(draw(st.sampled_from(fields)), draw(st.sampled_from(BAD_TOKENS)) + " ")
+        elif how == "respell":  # the same number, spelt another way
+            k = draw(st.sampled_from(fields[1:] or fields))
+            if re.fullmatch(r"-?\d+", parts[k]):
+                n = int(parts[k])
+                parts[k] = draw(st.sampled_from([f"{n:+d}", f"{n:05d}"]))
+            elif re.fullmatch(r"-?\d[\d.e+-]*", parts[k]):
+                x = float(parts[k])
+                parts[k] = draw(st.sampled_from([f"{x:.17e}", f"{x:+.17E}"]))
+        else:  # a field after the tag, if there is one
+            k = draw(st.sampled_from(fields[1:] or fields))
+            parts[k] = draw(st.sampled_from(BAD_TOKENS)) if how == "token" else ""
+        lines[at] = "".join(parts) + lines[at][len(body):]
+    return "".join(lines)
+
+
+class TestTwoReaders:
+    """numpy's C reader and the line loop give one outcome on every text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fmt=st.sampled_from(["exchange", "pose"]), data=st.data())
+    def test_the_readers_agree_on_mangled_files(self, fmt, data):
+        # 150 instances, four texts each: 600 texts
+        instances, serialize, parse, _ = FORMATS[fmt]
+        instance = data.draw(instances)
+        for _ in range(4):
+            text = data.draw(mangled(serialize(instance)))
+            args = ()
+            if fmt == "pose":
+                ids = sorted(instance.candidate_map)
+                args = (data.draw(st.one_of(st.none(), st.sets(st.sampled_from(ids + [99])))),)
+            got, want = outcome(parse, text, *args), by_line(parse, text, *args)
+            assert typed_bits(got) == typed_bits(want)
+
+    COMMENTS = ["# café_notes", "  # a_b é", "#VERTEX_SE2 x", "#edge_1"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_generated_files_take_the_numpy_reader(self, seed, data):
+        spec = GenSpec(num_robots=3, vertices_per_robot=5, num_edges=12, seed=seed)
+        graph = generate_exchange_graph(spec)
+        files = [
+            (parse_exchange_graph, serialize_exchange_graph(graph), ()),
+            (parse_pose_graph, serialize_pose_graph(generate_pose_graph(spec, graph)),
+             (set(graph.edge_columns[0]),)),
+        ]
+        refused = AssertionError("the line loop read a generated file")
+        for parse, text, args in files:
+            want = typed_bits(by_line(parse, text, *args))
+            lines = data.draw(respaced(text)).splitlines(keepends=True)
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(lines)))
+                lines.insert(at, data.draw(st.sampled_from(self.COMMENTS)) + "\r\n")
+            with mock.patch.object(lio, "_exchange_by_line", side_effect=refused), \
+                    mock.patch.object(lio, "_pose_by_line", side_effect=refused):
+                for variant in (text, text.replace("\n", "\r\n"), "".join(lines)):
+                    assert typed_bits(parse(variant, *args)) == want
+
+    @pytest.mark.parametrize("action", ["ignore", "default", "error"])
+    @pytest.mark.parametrize("parse, text, message", [
+        (
+            parse_exchange_graph,
+            "robots 2\nvertex 0 0 1.0\nvertex 1.0 1 1.0\nedge 0 0 1 0.5\n",
+            "line 3: vertex id must be an integer, got '1.0'",
+        ),
+        (
+            parse_pose_graph,
+            "VERTEX_SE2 0 0.0 0.0 0.0\nVERTEX_SE2 1 1.0 0.0 0.0\nFIX 1.0\n",
+            "line 3: anchor id must be an integer, got '1.0'",
+        ),
+    ], ids=["exchange", "pose"])
+    def test_an_int_numpy_only_warns_about_is_refused(self, monkeypatch, parse, text, message,
+                                                       action):
+        # numpy 1.x reads "1.0" into an int64 field and only warns; 2.x raises
+        real = np.loadtxt
+
+        def numpy1_loadtxt(lines, dtype, **kwargs):
+            ints = [re.sub(r"(?<!\S)([+-]?\d+)\.0+(?!\S)", r"\1", line) for line in lines]
+            if ints != list(lines):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return real(ints, dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", numpy1_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ParseError) as err:
+                parse(text)
+        assert str(err.value) == message
 
 
 class TestStrictParsing:

@@ -36,7 +36,7 @@ from loopselect import (
 )
 
 from loopselect import objectives, planners
-from loopselect.graph import WEIGHT_TOL, within_limit
+from loopselect.graph import WEIGHT_TOL, Edge, ExchangeGraph, Vertex, within_limit
 from loopselect.io import serialize_exchange_graph, serialize_pose_graph
 
 from conftest import (
@@ -422,6 +422,15 @@ class TestEGreedy:
         obj = ModularObjective(demo_graph)
         with pytest.raises(ValueError, match="total-uniform"):
             e_greedy(demo_graph, 3, TotalNonuniform(2.0), obj)
+
+    @pytest.mark.parametrize("planner", [e_greedy, v_greedy], ids=["e_greedy", "v_greedy"])
+    def test_an_edge_to_an_unknown_vertex_is_refused(self, planner):
+        # edge 1 names vertex 7, which the graph lacks: no plan may count it
+        g = ExchangeGraph(
+            2, [Vertex(0, 0, 1.0), Vertex(1, 1, 1.0)], [Edge(0, 0, 1, 0.5), Edge(1, 0, 7, 0.5)]
+        )
+        with pytest.raises(ValueError, match="unknown endpoint"):
+            planner(g, 3, TotalUniform(1), ModularObjective(g))
 
 
 class TestVGreedy:
